@@ -1,191 +1,63 @@
-"""Sturm-count bisection kernels for zero-diagonal hermitian tridiagonals.
+"""Sturm-count bisection kernel for zero-diagonal hermitian tridiagonals.
 
 The characteristic polynomials of the nested leading blocks obey
 
     p_0 = 1,  p_1 = a,  p_{k+1}(a) = a * p_k(a) - |a_k|^2 * p_{k-1}(a),
 
 and the number of sign changes along (p_0(a), ..., p_n(a)) counts the
-eigenvalues strictly above a.  The bisection driver below is the hot loop of
-the spectral toolkit; it is compiled with numba when available.  Setting the
-environment variable FUZZYSPHERE_PURE_NUMPY=1 (or any nonempty value other
-than "0") forces the vectorized pure-numpy fallback.
+eigenvalues >= a.  One vectorized recurrence serves both the bisection
+driver and the single-shift evaluation of p_n.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["BACKEND", "sturm_count", "bisect_all", "charpoly_value_and_count"]
+__all__ = ["BACKEND", "bisect_all", "charpoly_value_and_count"]
+
+BACKEND = "numpy"
 
 
-def _py_charpoly_value_and_count(absa2: np.ndarray, alpha: float):
-    """Rescaled recurrence value p_n(alpha) and the Sturm sign-change count."""
-    p_prev = 1.0  # p_0
-    sign_prev = 1
-    changes = 0
-    logscale = 0.0
-    p = alpha  # p_1
-    n = absa2.size + 1
-    for k in range(1, n + 1):
-        if p > 0.0:
-            sign = 1
-        elif p < 0.0:
-            sign = -1
-        else:
-            # a vanishing p_k sits strictly between two nonzero neighbours;
-            # counting it opposite to its predecessor gives the correct count
-            sign = -sign_prev
-        if sign != sign_prev:
-            changes += 1
-        sign_prev = sign
-        if k == n:
-            break
-        # rescale to avoid overflow; only signs and the ratio matter
-        scale = abs(p)
-        if scale > 1.0:
-            p /= scale
-            p_prev /= scale
-            logscale += np.log(scale)
-        p, p_prev = alpha * p - absa2[k - 1] * p_prev, p
-    value = p * np.exp(logscale) if logscale < 700.0 else np.sign(p) * np.inf
-    return value, changes
+def _recurrence(absa2: np.ndarray, alphas: np.ndarray):
+    """Sturm counts (eigenvalues >= alpha) for each shift in alphas, the
+    rescaled p_n(alpha), and the per-step scales that undo the rescaling."""
+    p_prev, p = np.ones_like(alphas), alphas
+    neg = np.zeros(alphas.shape, dtype=bool)  # p_0 = 1 is positive
+    counts = np.zeros(alphas.shape, dtype=np.int64)
+    scales = []
+    for k in range(absa2.size + 1):
+        # a vanishing p_k sits strictly between two nonzero neighbours of
+        # opposite sign; counting it opposite to its predecessor is correct
+        neg_k = (p < 0) | ((p == 0) & ~neg)
+        counts += neg_k != neg
+        neg = neg_k
+        if k < absa2.size:
+            # rescale to avoid overflow; only signs and the ratio matter
+            scale = np.maximum(np.abs(p), 1.0)
+            scales.append(scale)
+            q = p / scale
+            p, p_prev = alphas * q - absa2[k] * (p_prev / scale), q
+    return counts, p, scales
 
 
-def _py_sturm_count(absa2: np.ndarray, alpha: float) -> int:
-    return _py_charpoly_value_and_count(absa2, alpha)[1]
+def charpoly_value_and_count(absa2: np.ndarray, alpha: float):
+    """p_n(alpha), saturated to +-inf once it passes e^700, and the number
+    of eigenvalues >= alpha."""
+    counts, p, scales = _recurrence(absa2, np.array([alpha]))
+    logscale = sum(np.log(s[0]) for s in scales)
+    value = p[0] * np.exp(logscale) if logscale < 700.0 else np.sign(p[0]) * np.inf
+    return value, int(counts[0])
 
 
-def _py_bisect_all(absa2: np.ndarray, radius: float, tol: float) -> np.ndarray:
+def bisect_all(absa2: np.ndarray, radius: float, tol: float) -> np.ndarray:
     """All n eigenvalues, descending, each to absolute accuracy tol."""
-    n = absa2.size + 1
-    out = np.empty(n)
-    for j in range(1, n + 1):
-        lo = -radius  # count(lo) = n >= j
-        hi = radius   # count(hi) = 0 <  j
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if _py_sturm_count(absa2, mid) >= j:
-                lo = mid
-            else:
-                hi = mid
-        out[j - 1] = 0.5 * (lo + hi)
-    return out
-
-
-def _np_sturm_counts(absa2: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Vectorized Sturm counts for a batch of shifts (pure-numpy path)."""
-    alphas = np.asarray(alphas, dtype=float)
-    m = alphas.size
-    p_prev = np.ones(m)
-    p = alphas.copy()
-    sign_prev = np.ones(m, dtype=np.int64)
-    changes = np.zeros(m, dtype=np.int64)
-    n = absa2.size + 1
-    for k in range(1, n + 1):
-        sign = np.sign(p).astype(np.int64)
-        zero = sign == 0
-        if zero.any():
-            sign[zero] = -sign_prev[zero]
-        changes += sign != sign_prev
-        sign_prev = sign
-        if k == n:
-            break
-        scale = np.maximum(np.abs(p), 1.0)
-        p_next = alphas * (p / scale) - absa2[k - 1] * (p_prev / scale)
-        p_prev = p / scale
-        p = p_next
-    return changes
-
-
-def _np_bisect_all(absa2: np.ndarray, radius: float, tol: float) -> np.ndarray:
     n = absa2.size + 1
     lo = np.full(n, -radius)
     hi = np.full(n, radius)
     targets = np.arange(1, n + 1)
     while np.max(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
-        counts = _np_sturm_counts(absa2, mid)
-        above = counts >= targets
+        above = _recurrence(absa2, mid)[0] >= targets
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
     return 0.5 * (lo + hi)
-
-
-def _want_numba() -> bool:
-    flag = os.environ.get("FUZZYSPHERE_PURE_NUMPY", "")
-    return flag in ("", "0")
-
-
-BACKEND = "numpy"
-sturm_count = _py_sturm_count
-bisect_all = _py_bisect_all
-charpoly_value_and_count = _py_charpoly_value_and_count
-
-if _want_numba():
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _nb_charpoly_value_and_count(absa2, alpha):
-            p_prev = 1.0
-            sign_prev = 1
-            changes = 0
-            logscale = 0.0
-            p = alpha
-            n = absa2.size + 1
-            for k in range(1, n + 1):
-                if p > 0.0:
-                    sign = 1
-                elif p < 0.0:
-                    sign = -1
-                else:
-                    sign = -sign_prev
-                if sign != sign_prev:
-                    changes += 1
-                sign_prev = sign
-                if k == n:
-                    break
-                scale = abs(p)
-                if scale > 1.0:
-                    p /= scale
-                    p_prev /= scale
-                    logscale += np.log(scale)
-                p, p_prev = alpha * p - absa2[k - 1] * p_prev, p
-            if logscale < 700.0:
-                value = p * np.exp(logscale)
-            else:
-                value = np.sign(p) * np.inf
-            return value, changes
-
-        @njit(cache=True)
-        def _nb_sturm_count(absa2, alpha):
-            return _nb_charpoly_value_and_count(absa2, alpha)[1]
-
-        @njit(cache=True)
-        def _nb_bisect_all(absa2, radius, tol):
-            n = absa2.size + 1
-            out = np.empty(n)
-            for j in range(1, n + 1):
-                lo = -radius
-                hi = radius
-                while hi - lo > tol:
-                    mid = 0.5 * (lo + hi)
-                    if _nb_sturm_count(absa2, mid) >= j:
-                        lo = mid
-                    else:
-                        hi = mid
-                out[j - 1] = 0.5 * (lo + hi)
-            return out
-
-        charpoly_value_and_count = _nb_charpoly_value_and_count
-        sturm_count = _nb_sturm_count
-        bisect_all = _nb_bisect_all
-        BACKEND = "numba"
-    except ImportError:
-        pass
-
-if BACKEND == "numpy":
-    # the batch-vectorized driver is much faster than the scalar python loop
-    bisect_all = _np_bisect_all

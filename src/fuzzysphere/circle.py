@@ -84,7 +84,7 @@ def build_circle(lam: int, k: float | None = None) -> FuzzyCircle:
     if k is None:
         k = kmin
     k = float(k)
-    if k < kmin * (1 - 1e-12):
+    if not k >= kmin * (1 - 1e-12):  # also rejects nan
         raise ValueError(f"k={k} below the admissible minimum {kmin}")
 
     dim = 2 * lam + 1

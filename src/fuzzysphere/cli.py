@@ -345,8 +345,8 @@ def main(argv=None) -> int:
     lo, hi = args.lam
     if lo < 1:
         parser.error(f"lambda must be >= 1, got {lo}")
-    if args.tol is not None and args.tol <= 0:
-        parser.error("tolerance must be positive")
+    if not 0 < args.tol < np.inf:
+        parser.error(f"tolerance must be positive and finite, got {args.tol}")
 
     try:
         if args.verb == "build":

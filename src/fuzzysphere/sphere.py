@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circle import min_sharpness
 from .linop import Operator, frobenius_residual
 from .report import Report
 from .spectral import TridiagSpec
@@ -29,10 +30,6 @@ __all__ = ["FuzzySphere", "MadoreSphere", "build_sphere",
 EPS = np.array([[[0, 0, 0], [0, 0, 1], [0, -1, 0]],
                 [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
                 [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]], dtype=float)
-
-
-def min_sharpness(lam: int) -> float:
-    return float(lam * lam * (lam + 1) * (lam + 1))
 
 
 def clebsch_a(l: int, a: int, m: int) -> float:
@@ -106,7 +103,7 @@ def build_sphere(lam: int, k: float | None = None) -> FuzzySphere:
     if k is None:
         k = max(kmin, 1.0)
     k = float(k)
-    if k <= 0 or k < kmin * (1 - 1e-12):
+    if k <= 0 or not k >= kmin * (1 - 1e-12):  # also rejects nan
         raise ValueError(f"k={k} below the admissible minimum {kmin}")
 
     dim = (lam + 1) ** 2

@@ -39,6 +39,25 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--lambda", "2", "--k", "nan"],
+    ["verify", "--lambda", "2", "--suite", "relations", "--k", "nan"],
+    ["verify", "--d", "2", "--lambda", "2", "--suite", "relations", "--k", "nan"],
+    ["verify", "--lambda", "2", "--tol", "nan"],
+])
+def test_nan_input_exits_two(argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+
+
+def test_infinite_sharpness_accepted(capsys):
+    assert run(["build", "--d", "2", "--lambda", "2", "--k", "inf"]) == 0
+    assert run(["verify", "--lambda", "2", "--k", "inf"]) == 0
+
+
 def test_verify_passes_and_writes_json(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = run(["verify", "--d", "1", "--lambda", "1..3", "--suite", "relations",

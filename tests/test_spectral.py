@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzzysphere import _sturm
 from fuzzysphere.circle import build_circle, coordinate_matrix
 from fuzzysphere.spectral import (Spectrum, TridiagSpec, charpoly_eval,
                                   check_interlacing, check_spectrum_symmetry,
@@ -38,6 +39,17 @@ def test_sturm_count_bounds():
     big = t.gershgorin_radius() + 1.0
     assert charpoly_eval(t, big)[1] == 0
     assert charpoly_eval(t, -big)[1] == t.n
+
+
+@pytest.mark.parametrize("offdiag, alpha, expected", [
+    ([1.0], 1.0, (0.0, 1)),                    # an exact eigenvalue is counted
+    ([0.5, 0.5], 0.0, (-0.0, 2)),
+    (np.full(2000, 10.0), 3.0, (-np.inf, 905)),  # saturated value
+])
+def test_sturm_count_includes_alpha(offdiag, alpha, expected):
+    val, count = charpoly_eval(TridiagSpec(offdiag), alpha)
+    assert count == expected[1]
+    assert val == expected[0] and np.signbit(val) == np.signbit(expected[0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 51, 201])
@@ -91,6 +103,13 @@ def test_phase_invariance_simple():
     assert spectrum_invariance_under_phases(TridiagSpec([1j]))
     # a vanishing entry splits the matrix into blocks; still invariant
     assert spectrum_invariance_under_phases(TridiagSpec([1.0, 0.0, 2.0]))
+
+
+def test_phase_invariance_catches_wrong_bisection(monkeypatch):
+    bisect_all = _sturm.bisect_all
+    monkeypatch.setattr(_sturm, "bisect_all",
+                        lambda *args: bisect_all(*args) + 1e-6)
+    assert not spectrum_invariance_under_phases(TridiagSpec([1.0, 2j, 0.5]))
 
 
 @settings(max_examples=50, deadline=None)
