@@ -50,7 +50,11 @@ def charpoly_value_and_count(absa2: np.ndarray, alpha: float):
 
 
 def bisect_all(absa2: np.ndarray, radius: float, tol: float) -> np.ndarray:
-    """All n eigenvalues, descending, each to absolute accuracy tol."""
+    """All n eigenvalues, descending, each to absolute accuracy tol, or to
+    a few units in the last place of radius when tol is finer than that."""
+    # once hi - lo nears the float spacing, 0.5 * (lo + hi) rounds onto lo or
+    # hi and the bracket stops shrinking; above 4 spacings it always shrinks
+    tol = max(tol, 4.0 * np.spacing(radius))
     n = absa2.size + 1
     lo = np.full(n, -radius)
     hi = np.full(n, radius)

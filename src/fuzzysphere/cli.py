@@ -168,7 +168,7 @@ def _records_for_lambda(args) -> list:
         if d == 1:
             checks += verify_su2_reconstruction(space, tol).checks
         else:
-            checks += verify_so4_reconstruction(space, max(tol, 1e-9)).checks
+            checks += verify_so4_reconstruction(space, tol).checks
     if "scs" in suites:
         rng = _rng(seed, d, lam, 1)
         if d == 1:

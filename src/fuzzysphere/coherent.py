@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lierep import EulerAngles, rotation_operator, rotation_operator_circle
+from .lierep import (EulerAngles, l2_rotation_blocks, rotation_operator,
+                     rotation_operator_circle)
 from .linop import Operator, State, hermitian_eig
 from .report import CheckRecord, Report
 
@@ -159,37 +160,42 @@ def _polar_nodes(lam: int):
     return np.arccos(nodes), weights
 
 
-def verify_identity_resolution_sphere(s, family: str, omega=None, beta=None,
-                                      tol: float = 1e-8) -> Report:
-    """Quadrature check of the three strong-family identity resolutions.
+_SPHERE_RESOLUTION_TAGS = {"spin": "ResolIdS^2_L",
+                           "omega": "ResolIdS^2_Lomegagen",
+                           "phi": "ResolIdS^2_Lphi"}
 
-    family "spin": sum_l (2l+1)/(4pi) over S^2 of |pi(g) psi_l^l><...|
-    (the third Euler angle only contributes a phase, so its integral is an
-    exact factor 2pi already absorbed in the weight).
-    family "omega": (lam+1)^2/(8pi^2) over SO(3) with a seed omega obeying
-    the per-level weight condition.
-    family "phi": (lam+1)^2/(4pi) over S^2 with the m=0 seed phi^beta.
+
+def _identity_sum_sphere(s, family: str, omega=None, beta=None) -> np.ndarray:
+    """Quadrature sum of one strong family's weighted projectors; it is the
+    identity exactly when the nodes integrate the family exactly.
+
+    The rotated states are never stacked.  With D_phi = e^{i phi L_3}
+    diagonal, the azimuthal sum sum_phi D_phi G D_phi^dag is the entrywise
+    product W * G with W = A A^dag, A[m, phi] = e^{i phi m}.  W is taken
+    from the grid itself, so a grid too coarse to cancel the off-diagonal
+    terms still shows in W.  Each polar node then costs one block-diagonal
+    exp(i theta L_2) applied on both sides.
     """
-    rep = Report()
     lam, dim = s.lam, s.dim
+    if family not in _SPHERE_RESOLUTION_TAGS:
+        raise ValueError(f"unknown family {family!r}")
     n_az = 4 * lam + 3
     phis = TWO_PI * np.arange(n_az) / n_az
     thetas, w_th = _polar_nodes(lam)
     m_of = np.concatenate([np.arange(-l, l + 1) for l in range(lam + 1)])
     az_phases = np.exp(1j * np.outer(m_of, phis))    # columns: e^{i phi L_3}
-    l2_vals, l2_vecs = hermitian_eig(s.L2)
+    weave = az_phases @ az_phases.conj().T
+    rot_theta = l2_rotation_blocks(s)
 
-    def rot_theta(theta):
-        return (l2_vecs * np.exp(1j * theta * l2_vals)) @ l2_vecs.conj().T
-
-    # seed columns; the third Euler angle is either a pure phase on the seed
-    # (spin and phi families) or sampled on its own uniform grid (omega)
+    # the third Euler angle is either a pure phase on the seed columns (spin
+    # and phi families) or sampled on its own uniform grid (omega), whose
+    # sum over the seed projectors is again an entrywise product with W
+    gram = None
     if family == "spin":
         seeds = np.zeros((dim, lam + 1), dtype=complex)
         for l in range(lam + 1):
             seeds[s.index(l, l), l] = np.sqrt(2 * l + 1)
         norm = TWO_PI / n_az / (4.0 * np.pi)
-        tag = "ResolIdS^2_L"
     elif family == "omega":
         if omega is None:
             raise ValueError("the omega family needs a seed vector")
@@ -203,10 +209,10 @@ def verify_identity_resolution_sphere(s, family: str, omega=None, beta=None,
                 defects[l] = defect
         if defects:
             raise ValueError(f"weight condition violated, per-l defect: {defects}")
-        seeds = az_phases * omega[:, None]           # e^{i psi L_3} omega
+        # sum over psi of |e^{i psi L_3} omega><...|
+        gram = weave * np.outer(omega, omega.conj())
         norm = (lam + 1) ** 2 * (TWO_PI / n_az) ** 2 / (8.0 * np.pi ** 2)
-        tag = "ResolIdS^2_Lomegagen"
-    elif family == "phi":
+    else:
         if beta is None:
             beta = np.zeros(lam + 1)
         beta = np.asarray(beta, dtype=float)
@@ -215,18 +221,41 @@ def verify_identity_resolution_sphere(s, family: str, omega=None, beta=None,
             v[s.index(l, 0)] = np.exp(1j * beta[l]) * np.sqrt(2 * l + 1) / (lam + 1)
         seeds = v[:, None]
         norm = (lam + 1) ** 2 * (TWO_PI / n_az) / (4.0 * np.pi)
-        tag = "ResolIdS^2_Lphi"
-    else:
-        raise ValueError(f"unknown family {family!r}")
 
     total = np.zeros((dim, dim), dtype=complex)
     for theta, wt in zip(thetas, w_th):
-        mid = rot_theta(theta) @ seeds
-        states = (az_phases[:, :, None] * mid[:, None, :]).reshape(dim, -1)
-        total += wt * (states @ states.conj().T)
-    total *= norm
+        blocks = rot_theta(theta)
+        if gram is None:
+            mid = np.empty_like(seeds)
+            for sl, r in blocks:
+                mid[sl] = r @ seeds[sl]
+            total += wt * (mid @ mid.conj().T)
+        else:
+            sandwich = np.empty_like(gram)
+            for sl, r in blocks:
+                sandwich[sl] = r @ gram[sl]
+            for sl, r in blocks:
+                sandwich[:, sl] = sandwich[:, sl] @ r.conj().T
+            total += wt * sandwich
+    return norm * (weave * total)
 
-    rep.add_residual(tag, float(np.linalg.norm(total - np.eye(dim))), tol, lam=lam)
+
+def verify_identity_resolution_sphere(s, family: str, omega=None, beta=None,
+                                      tol: float = 1e-8) -> Report:
+    """Quadrature check of the three strong-family identity resolutions.
+
+    family "spin": sum_l (2l+1)/(4pi) over S^2 of |pi(g) psi_l^l><...|
+    (the third Euler angle only contributes a phase, so its integral is an
+    exact factor 2pi already absorbed in the weight).
+    family "omega": (lam+1)^2/(8pi^2) over SO(3) with a seed omega obeying
+    the per-level weight condition.
+    family "phi": (lam+1)^2/(4pi) over S^2 with the m=0 seed phi^beta.
+    """
+    total = _identity_sum_sphere(s, family, omega, beta)
+    rep = Report()
+    rep.add_residual(_SPHERE_RESOLUTION_TAGS[family],
+                     float(np.linalg.norm(total - np.eye(s.dim))), tol,
+                     lam=s.lam)
     return rep
 
 

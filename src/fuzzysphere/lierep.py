@@ -13,21 +13,28 @@ exp(i psi L_3) together with their classical 3x3 counterparts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
 from .circle import FuzzyCircle
-from .linop import Operator, expm_hermitian_generator, frobenius_residual
+from .linop import Operator, frobenius_residual
 from .report import Report
 from .sphere import FuzzySphere
 
 __all__ = ["EulerAngles", "GeneratorSet", "squeeze_factor_circle",
            "reconstruct_su2", "g_weight", "reconstruct_so4",
-           "rotation_operator", "rotation_operator_circle",
-           "classical_rotation", "classical_rotation_2d",
-           "verify_su2_reconstruction", "verify_so4_reconstruction"]
+           "l2_rotation_blocks", "rotation_operator",
+           "rotation_operator_circle", "classical_rotation",
+           "classical_rotation_2d", "verify_su2_reconstruction",
+           "verify_so4_reconstruction"]
 
 TWO_PI = 2.0 * np.pi
+
+# Levi-Civita symbol on (1, 2, 3, 4): the sign of each permutation
+_LEVI_CIVITA_4 = {p: (-1) ** sum(p[a] > p[b] for a in range(4)
+                                 for b in range(a + 1, 4))
+                  for p in permutations((1, 2, 3, 4))}
 
 
 @dataclass(frozen=True)
@@ -97,9 +104,10 @@ def g_weight(l: int, lam: int, k: float) -> float:
     return float(np.sqrt(num / den * ratio))
 
 
-def reconstruct_so4(s: FuzzySphere) -> GeneratorSet:
-    """Invert x_i = g(lambda) Lhat_{4i} g(lambda) and assemble the full
-    antisymmetric generator family Lhat_{HI}, 1 <= H < I <= 4."""
+def _so4_parts(s: FuzzySphere):
+    """Invert x_i = g(lambda) Lhat_{4i} g(lambda); returns the generators
+    Lhat_{HI} (H < I), their full antisymmetric table and the matrices of
+    both Casimirs, sum Lhat_{HI}^2 and eps_{HIJK} Lhat_{HI} Lhat_{JK}."""
     lam, k = s.lam, s.k
     l_of = np.concatenate([np.full(2 * l + 1, l) for l in range(lam + 1)])
     ginv = np.array([1.0 / g_weight(int(l), lam, k) for l in l_of])
@@ -113,54 +121,68 @@ def reconstruct_so4(s: FuzzySphere) -> GeneratorSet:
     for i, xi in enumerate((s.x1, s.x2, s.x3), start=1):
         gens[(i, 4)] = Operator(-dress * xi.mat, label=f"Lhat_{i}4")
 
-    full = _antisymmetric_table(gens, s.dim)
-    cas = np.zeros((s.dim, s.dim), dtype=complex)
-    for pair, op in gens.items():
-        cas += op.mat @ op.mat
-    cas_prime = np.zeros((s.dim, s.dim), dtype=complex)
-    for (h, i, j, kk), sign in _levi_civita_4().items():
-        cas_prime += sign * (full[(h, i)] @ full[(j, kk)])
-    return GeneratorSet(algebra="so4", generators=gens,
-                        casimir={"C": float(np.real(np.trace(cas)) / s.dim),
-                                 "C'": float(np.linalg.norm(cas_prime))})
-
-
-def _antisymmetric_table(gens: dict, dim: int) -> dict:
     full = {}
     for (h, i), op in gens.items():
         full[(h, i)] = op.mat
         full[(i, h)] = -op.mat
     for h in range(1, 5):
-        full[(h, h)] = np.zeros((dim, dim), dtype=complex)
-    return full
+        full[(h, h)] = np.zeros((s.dim, s.dim), dtype=complex)
+    cas = np.zeros((s.dim, s.dim), dtype=complex)
+    for op in gens.values():
+        cas += op.mat @ op.mat
+    cas_prime = np.zeros((s.dim, s.dim), dtype=complex)
+    for (h, i, j, kk), sign in _LEVI_CIVITA_4.items():
+        cas_prime += sign * (full[(h, i)] @ full[(j, kk)])
+    return gens, full, cas, cas_prime
 
 
-def _levi_civita_4() -> dict:
-    from itertools import permutations
-    eps = {}
-    for p in permutations((1, 2, 3, 4)):
-        sign = 1
-        q = list(p)
-        for a in range(4):
-            for b in range(a + 1, 4):
-                if q[a] > q[b]:
-                    sign = -sign
-        eps[p] = sign
-    return eps
+def reconstruct_so4(s: FuzzySphere) -> GeneratorSet:
+    """Invert x_i = g(lambda) Lhat_{4i} g(lambda) and assemble the full
+    antisymmetric generator family Lhat_{HI}, 1 <= H < I <= 4."""
+    gens, _, cas, cas_prime = _so4_parts(s)
+    return GeneratorSet(algebra="so4", generators=gens,
+                        casimir={"C": float(np.real(np.trace(cas)) / s.dim),
+                                 "C'": float(np.linalg.norm(cas_prime))})
+
+
+def l2_rotation_blocks(s):
+    """theta -> the diagonal blocks of exp(i theta L_2), as (slice, matrix)
+    pairs.
+
+    L_2 acts within each angular-momentum level, so each (2l+1)^2 block of
+    the fuzzy sphere (rows l^2 .. (l+1)^2 - 1) is eigendecomposed once here
+    and only its eigenvalue phases change with theta.  The Madore sphere is
+    a single level and so a single block."""
+    if isinstance(s, FuzzySphere):
+        slices = [slice(l * l, (l + 1) ** 2) for l in range(s.lam + 1)]
+    else:
+        slices = [slice(0, s.dim)]
+    l2 = s.L2.mat
+    eigs = [(sl, *np.linalg.eigh(l2[sl, sl])) for sl in slices]
+
+    def blocks(theta: float) -> list:
+        return [(sl, (vecs * np.exp(1j * theta * vals)) @ vecs.conj().T)
+                for sl, vals, vecs in eigs]
+    return blocks
 
 
 def rotation_operator(s: FuzzySphere, g: EulerAngles) -> Operator:
     """pi(g) = exp(i phi L_3) exp(i theta L_2) exp(i psi L_3); unitary and
-    block-diagonal over the angular-momentum levels."""
-    u = expm_hermitian_generator(s.L3, g.phi)
-    u = u @ expm_hermitian_generator(s.L2, g.theta)
-    u = u @ expm_hermitian_generator(s.L3, g.psi)
-    return u.relabel("pi(g)")
+    block-diagonal over the angular-momentum levels.  L_3 is diagonal, so
+    the outer factors are phases e^{i phi m} on the rows and e^{i psi m} on
+    the columns of the block-diagonal middle factor."""
+    u = np.zeros((s.dim, s.dim), dtype=complex)
+    for sl, block in l2_rotation_blocks(s)(g.theta):
+        u[sl, sl] = block
+    m = np.real(np.diag(s.L3.mat))
+    u *= np.exp(1j * g.phi * m)[:, None]
+    u *= np.exp(1j * g.psi * m)
+    return Operator(u, label="pi(g)")
 
 
 def rotation_operator_circle(c: FuzzyCircle, alpha: float) -> Operator:
     """exp(i alpha L); diagonal phases e^{i alpha n}."""
-    return expm_hermitian_generator(c.L, alpha).relabel("exp(iaL)")
+    return Operator(np.diag(np.exp(1j * alpha * c.labels)), label="exp(iaL)")
 
 
 def classical_rotation(g: EulerAngles) -> np.ndarray:
@@ -222,32 +244,27 @@ def verify_so4_reconstruction(s: FuzzySphere, tol: float = 1e-9) -> Report:
     round-trip."""
     rep = Report()
     lam = s.lam
-    gen = reconstruct_so4(s)
-    full = _antisymmetric_table(gen.generators, s.dim)
+    gens, full, cas, cas_prime = _so4_parts(s)
     eye = np.eye(s.dim)
 
     r_herm = max(frobenius_residual(op.mat.conj().T, op.mat)
-                 for op in gen.generators.values())
+                 for op in gens.values())
     rep.add_residual("so4rel/hermitean", r_herm, tol, lam=lam)
 
     def delta(a, b):
         return 1.0 if a == b else 0.0
 
     r_br = 0.0
-    for (h, i) in gen.generators:
-        for (j, kk) in gen.generators:
+    for (h, i) in gens:
+        for (j, kk) in gens:
             lhs = full[(h, i)] @ full[(j, kk)] - full[(j, kk)] @ full[(h, i)]
             rhs = 1j * (delta(h, j) * full[(i, kk)] - delta(h, kk) * full[(i, j)]
                         - delta(i, j) * full[(h, kk)] + delta(i, kk) * full[(h, j)])
             r_br = max(r_br, frobenius_residual(lhs, rhs))
     rep.add_residual("so4rel/brackets", r_br, tol, lam=lam)
 
-    cas = sum(op.mat @ op.mat for op in gen.generators.values())
     rep.add_residual("isomD3/casimir",
                      frobenius_residual(cas, lam * (lam + 2) * eye), tol, lam=lam)
-    cas_prime = np.zeros((s.dim, s.dim), dtype=complex)
-    for (h, i, j, kk), sign in _levi_civita_4().items():
-        cas_prime += sign * (full[(h, i)] @ full[(j, kk)])
     rep.add_residual("isomD3/casimir-prime", float(np.linalg.norm(cas_prime)),
                      tol, lam=lam)
 

@@ -80,6 +80,15 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     assert "FAIL " in capsys.readouterr().out
 
 
+def test_sphere_lie_suite_honours_tolerance(capsys):
+    # the so(4) residuals are rounding-level, not zero, so 1e-30 must fail
+    # on the sphere just as the su(2) suite does on the circle
+    for d in ("1", "2"):
+        assert run(["verify", "--d", d, "--lambda", "2", "--suite", "lie",
+                    "--tol", "1e-30"]) == 1
+    assert "FAIL so4rel/" in capsys.readouterr().out
+
+
 def test_verify_all_suites_sphere(tmp_path, capsys):
     code = run(["verify", "--d", "2", "--lambda", "2..3", "--suite", "all",
                 "--seed", "5"])

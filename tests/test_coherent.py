@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fuzzysphere import coherent
 from fuzzysphere.circle import build_circle
 from fuzzysphere.coherent import (check_heisenberg_circle, dispersion,
                                   minimize_dispersion, minimizer_certificate,
@@ -12,7 +13,7 @@ from fuzzysphere.coherent import (check_heisenberg_circle, dispersion,
                                   verify_identity_resolution_sphere,
                                   verify_weak_orbit, weak_scs_orbit)
 from fuzzysphere.lierep import EulerAngles
-from fuzzysphere.linop import State
+from fuzzysphere.linop import State, expm_hermitian_generator
 from fuzzysphere.sphere import build_madore, build_sphere, madore_min_dispersion
 
 
@@ -110,6 +111,73 @@ def test_sphere_identity_resolutions(lam):
     assert verify_identity_resolution_sphere(s, "omega", omega=omega).passed
     beta = rng.uniform(0, 2 * np.pi, lam + 1)
     assert verify_identity_resolution_sphere(s, "phi", beta=beta).passed
+
+
+def _brute_identity_sum(s, family, omega=None, beta=None):
+    """Oracle: one weighted projector per quadrature point (theta, phi) or
+    (theta, phi, psi), with exp(i theta L_2) from a dense eigensolve."""
+    lam = s.lam
+    n_az = 4 * lam + 3
+    az = 2 * np.pi * np.arange(n_az) / n_az
+    m = np.real(np.diag(s.L3.mat))
+    if family == "spin":
+        seeds = [np.sqrt(2 * l + 1) * State.basis(s.dim, s.index(l, l)).coeffs
+                 for l in range(lam + 1)]
+        psis = [0.0]
+        norm = 2 * np.pi / n_az / (4 * np.pi)
+    elif family == "omega":
+        seeds = [omega]
+        psis = az
+        norm = (lam + 1) ** 2 * (2 * np.pi / n_az) ** 2 / (8 * np.pi ** 2)
+    else:
+        v = np.zeros(s.dim, dtype=complex)
+        for l in range(lam + 1):
+            v[s.index(l, 0)] = np.exp(1j * beta[l]) * np.sqrt(2 * l + 1) / (lam + 1)
+        seeds = [v]
+        psis = [0.0]
+        norm = (lam + 1) ** 2 * (2 * np.pi / n_az) / (4 * np.pi)
+    total = np.zeros((s.dim, s.dim), dtype=complex)
+    thetas, weights = coherent._polar_nodes(lam)
+    for theta, wt in zip(thetas, weights):
+        r = expm_hermitian_generator(s.L2, theta).mat
+        for phi in az:
+            for psi in psis:
+                for seed in seeds:
+                    v = np.exp(1j * phi * m) * (r @ (np.exp(1j * psi * m) * seed))
+                    total += wt * np.outer(v, v.conj())
+    return norm * total
+
+
+def _two_node_rule(lam):
+    nodes, weights = np.polynomial.legendre.leggauss(2)
+    return np.arccos(nodes), weights
+
+
+@pytest.mark.parametrize("coarse", [False, True])
+@pytest.mark.parametrize("lam", [1, 2, 3, 4, 5])
+def test_identity_sum_matches_brute_force(lam, coarse, monkeypatch):
+    # the reassociated sum equals the per-point sum for any polar rule,
+    # including one too coarse to give the identity
+    if coarse:
+        monkeypatch.setattr(coherent, "_polar_nodes", _two_node_rule)
+    s = build_sphere(lam)
+    rng = np.random.default_rng(100 + lam)
+    args = {"spin": {}, "omega": {"omega": random_omega_weights(s, rng)},
+            "phi": {"beta": rng.uniform(0, 2 * np.pi, lam + 1)}}
+    for family, kw in args.items():
+        got = coherent._identity_sum_sphere(s, family, **kw)
+        want = _brute_identity_sum(s, family, **kw)
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_sphere_resolution_needs_enough_polar_nodes(monkeypatch):
+    s = build_sphere(3)
+    omega = random_omega_weights(s, np.random.default_rng(2))
+    beta = np.random.default_rng(3).uniform(0, 2 * np.pi, 4)
+    monkeypatch.setattr(coherent, "_polar_nodes", _two_node_rule)
+    assert not verify_identity_resolution_sphere(s, "spin").passed
+    assert not verify_identity_resolution_sphere(s, "omega", omega=omega).passed
+    assert not verify_identity_resolution_sphere(s, "phi", beta=beta).passed
 
 
 def test_omega_weight_condition_enforced():

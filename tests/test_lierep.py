@@ -13,8 +13,8 @@ from fuzzysphere.lierep import (EulerAngles, classical_rotation,
                                 squeeze_factor_circle,
                                 verify_so4_reconstruction,
                                 verify_su2_reconstruction)
-from fuzzysphere.linop import State
-from fuzzysphere.sphere import build_sphere
+from fuzzysphere.linop import State, expm_hermitian_generator
+from fuzzysphere.sphere import build_madore, build_sphere
 
 
 def test_euler_angle_ranges():
@@ -98,6 +98,33 @@ def test_rotation_identity_and_phases():
     u = rotation_operator(s, g).mat
     m_of = np.concatenate([np.arange(-l, l + 1) for l in range(3)])
     assert np.allclose(u, np.diag(np.exp(1j * 0.8 * m_of)), atol=1e-13)
+
+
+def _dense_rotation(space, g):
+    """Oracle: the three exponentials as dense eigendecompositions."""
+    return (expm_hermitian_generator(space.L3, g.phi).mat
+            @ expm_hermitian_generator(space.L2, g.theta).mat
+            @ expm_hermitian_generator(space.L3, g.psi).mat)
+
+
+@pytest.mark.parametrize("space", [build_sphere(lam) for lam in range(7)]
+                         + [build_madore(l) for l in (0.5, 1.5, 2.0)],
+                         ids=[f"sphere{lam}" for lam in range(7)]
+                         + [f"madore{l}" for l in (0.5, 1.5, 2.0)])
+def test_block_rotation_matches_dense_product(space):
+    rng = np.random.default_rng(space.dim)
+    for _ in range(5):
+        g = EulerAngles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi),
+                        rng.uniform(0, 2 * np.pi))
+        assert np.abs(rotation_operator(space, g).mat
+                      - _dense_rotation(space, g)).max() <= 1e-13
+
+
+def test_circle_rotation_matches_dense_exponential():
+    c = build_circle(5)
+    for alpha in (0.0, 1.3, -4.2):
+        assert np.abs(rotation_operator_circle(c, alpha).mat
+                      - expm_hermitian_generator(c.L, alpha).mat).max() <= 1e-14
 
 
 def test_rotation_unitary_and_block_diagonal():

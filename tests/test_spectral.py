@@ -1,6 +1,10 @@
 """Tridiagonal spectral toolkit: recurrence, bisection, symmetry,
 interlacing, phase invariance."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +70,32 @@ def test_bisection_agrees_with_dense_solver():
         t = TridiagSpec(rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
         dense_vals = np.sort(np.linalg.eigvalsh(t.dense()))[::-1]
         assert np.abs(eig_bisection(t).values - dense_vals).max() <= 1e-10
+
+
+def test_bisection_ends_below_float_spacing():
+    # tol = 1e-30 is far below the spacing of the eigenvalues; the bracket
+    # stops shrinking there, so the loop must end on its own.  A child
+    # process carries the timeout, since a hang cannot be interrupted here.
+    import fuzzysphere
+    src = os.path.dirname(os.path.dirname(fuzzysphere.__file__))
+    code = (
+        "import numpy as np\n"
+        "from fuzzysphere import _sturm\n"
+        "from fuzzysphere.spectral import TridiagSpec\n"
+        "rng = np.random.default_rng(4)\n"
+        "worst = 0.0\n"
+        "for n in (2, 5, 15):\n"
+        "    t = TridiagSpec(rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))\n"
+        "    got = _sturm.bisect_all(t.abs2(), t.gershgorin_radius() + 1e-30, 1e-30)\n"
+        "    ref = np.linalg.eigvalsh(t.dense())[::-1]\n"
+        "    worst = max(worst, float(np.abs(got - ref).max()))\n"
+        "print(worst)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         capture_output=True, text=True, check=True)
+    assert float(out.stdout) <= 1e-12
 
 
 def test_bisection_tolerance_validated():
