@@ -3,6 +3,9 @@ O(3)-covariant fuzzy sphere: explicit matrix construction, verification of
 the defining algebraic relations, coordinate spectra, Lie-algebra
 reconstructions, coherent-state families and dispersion minimization."""
 
+# set before the submodules are imported: report.py reads it
+__version__ = "0.1.0"
+
 from ._sturm import BACKEND
 from .circle import FuzzyCircle, build_circle, coordinate_matrix, verify_circle_relations
 from .coherent import (DispersionReport, SCSFamily, dispersion,
@@ -16,8 +19,6 @@ from .spectral import Spectrum, TridiagSpec, eig_bisection, verify_diag_theorems
 from .sphere import (FuzzySphere, MadoreSphere, build_madore, build_sphere,
                      coordinate_blocks, madore_min_dispersion,
                      verify_sphere_relations)
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BACKEND", "__version__",

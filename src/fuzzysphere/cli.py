@@ -30,8 +30,8 @@ from .lierep import (EulerAngles, verify_so4_reconstruction,
 from .linop import State
 from .report import CheckRecord, Report
 from .spectral import (TridiagSpec, circle_diag_report, eig_bisection,
-                       sphere_diag_report, spectrum_invariance_under_phases,
-                       toeplitz_spectrum)
+                       eig_bisection_many, sphere_diag_report,
+                       spectrum_invariance_under_phases, toeplitz_spectrum)
 from .sphere import build_sphere, coordinate_blocks, verify_sphere_relations
 
 SUITES = ("relations", "spectra", "lie", "scs", "minimize")
@@ -235,24 +235,27 @@ def run_scan(config: ScanConfig) -> tuple[int, Report]:
 
 
 def write_spectra_csv(config: ScanConfig, path: str) -> int:
-    """One row per eigenvalue: lambda,m,h,eigenvalue (m empty for d=1)."""
+    """One row per eigenvalue: lambda,m,h,eigenvalue (m empty for d=1).
+    The whole range is bisected in one batched call; the sphere's -m rows
+    repeat the m block's spectrum."""
+    lams = range(config.lam_lo, config.lam_hi + 1)
+    if config.d == 1:
+        mats = {(lam, 0): coordinate_matrix(build_circle(lam, config.k))
+                for lam in lams}
+        order = [(lam, "", 0) for lam in lams]
+    else:
+        mats = {(lam, m): blk for lam in lams
+                for m, blk in coordinate_blocks(build_sphere(lam, config.k)).items()}
+        order = [(lam, m, abs(m)) for lam in lams for m in range(-lam, lam + 1)]
+    spectra = dict(zip(mats, eig_bisection_many(list(mats.values()))))
     rows = 0
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["lambda", "m", "h", "eigenvalue"])
-        for lam in range(config.lam_lo, config.lam_hi + 1):
-            if config.d == 1:
-                spec = eig_bisection(coordinate_matrix(build_circle(lam, config.k)))
-                for h, v in enumerate(spec.values, start=1):
-                    out.writerow([lam, "", h, f"{v:.15g}"])
-                    rows += 1
-            else:
-                blocks = coordinate_blocks(build_sphere(lam, config.k))
-                for m in range(-lam, lam + 1):
-                    spec = eig_bisection(blocks[abs(m)])
-                    for h, v in enumerate(spec.values, start=1):
-                        out.writerow([lam, m, h, f"{v:.15g}"])
-                        rows += 1
+        for lam, m, block in order:
+            for h, v in enumerate(spectra[lam, block].values, start=1):
+                out.writerow([lam, m, h, f"{v:.15g}"])
+                rows += 1
     return rows
 
 

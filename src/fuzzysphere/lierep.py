@@ -13,7 +13,7 @@ exp(i psi L_3) together with their classical 3x3 counterparts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -31,10 +31,11 @@ __all__ = ["EulerAngles", "GeneratorSet", "squeeze_factor_circle",
 
 TWO_PI = 2.0 * np.pi
 
-# Levi-Civita symbol on (1, 2, 3, 4): the sign of each permutation
-_LEVI_CIVITA_4 = {p: (-1) ** sum(p[a] > p[b] for a in range(4)
-                                 for b in range(a + 1, 4))
-                  for p in permutations((1, 2, 3, 4))}
+# the three ways to split (1, 2, 3, 4) into two pairs, with the sign of
+# eps_{HIJK}; eps_{HIJK} L_HI L_JK summed over all 24 permutations is
+# 4 * sum over these of sign * (L_HI L_JK + L_JK L_HI)
+_PAIRINGS = (((1, 2), (3, 4), 1.0), ((1, 3), (2, 4), -1.0),
+             ((1, 4), (2, 3), 1.0))
 
 
 @dataclass(frozen=True)
@@ -131,8 +132,8 @@ def _so4_parts(s: FuzzySphere):
     for op in gens.values():
         cas += op.mat @ op.mat
     cas_prime = np.zeros((s.dim, s.dim), dtype=complex)
-    for (h, i, j, kk), sign in _LEVI_CIVITA_4.items():
-        cas_prime += sign * (full[(h, i)] @ full[(j, kk)])
+    for a, b, sign in _PAIRINGS:
+        cas_prime += 4.0 * sign * (full[a] @ full[b] + full[b] @ full[a])
     return gens, full, cas, cas_prime
 
 
@@ -254,13 +255,14 @@ def verify_so4_reconstruction(s: FuzzySphere, tol: float = 1e-9) -> Report:
     def delta(a, b):
         return 1.0 if a == b else 0.0
 
+    # [A, B] = -[B, A] on both sides and [A, A] = 0, so the 15 unordered
+    # pairs of distinct generators cover the whole table
     r_br = 0.0
-    for (h, i) in gens:
-        for (j, kk) in gens:
-            lhs = full[(h, i)] @ full[(j, kk)] - full[(j, kk)] @ full[(h, i)]
-            rhs = 1j * (delta(h, j) * full[(i, kk)] - delta(h, kk) * full[(i, j)]
-                        - delta(i, j) * full[(h, kk)] + delta(i, kk) * full[(h, j)])
-            r_br = max(r_br, frobenius_residual(lhs, rhs))
+    for (h, i), (j, kk) in combinations(gens, 2):
+        lhs = full[(h, i)] @ full[(j, kk)] - full[(j, kk)] @ full[(h, i)]
+        rhs = 1j * (delta(h, j) * full[(i, kk)] - delta(h, kk) * full[(i, j)]
+                    - delta(i, j) * full[(h, kk)] + delta(i, kk) * full[(h, j)])
+        r_br = max(r_br, frobenius_residual(lhs, rhs))
     rep.add_residual("so4rel/brackets", r_br, tol, lam=lam)
 
     rep.add_residual("isomD3/casimir",

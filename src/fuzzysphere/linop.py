@@ -23,6 +23,7 @@ __all__ = [
     "hermitian_eig",
     "expm_hermitian_generator",
     "frobenius_residual",
+    "diag_annihilator",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -208,3 +209,15 @@ def frobenius_residual(a, b) -> float:
     am = a.mat if isinstance(a, Operator) else np.asarray(a)
     bm = b.mat if isinstance(b, Operator) else np.asarray(b)
     return float(np.linalg.norm(am - bm) / (1.0 + np.linalg.norm(bm)))
+
+
+def diag_annihilator(diag, roots) -> np.ndarray:
+    """prod_r (D - r) for the diagonal operator D = diag(diag), entrywise,
+    normalized by prod_{r != r0} (r0 - r) with r0 the root nearest each
+    entry.  It is taken factor by factor as (d - r) / (r0 - r), so nothing
+    overflows however many roots there are, and an entry off its root by
+    delta gives about delta.  The roots must be distinct."""
+    d = np.asarray(diag)[:, None]
+    roots = np.asarray(roots, dtype=float)
+    gap = roots[np.abs(d - roots).argmin(axis=1)][:, None] - roots
+    return np.prod((d - roots) / np.where(gap == 0, 1.0, gap), axis=1)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import __version__
+
 __all__ = ["CheckRecord", "Report"]
 
 
@@ -35,7 +37,7 @@ class CheckRecord:
 class Report:
     checks: list[CheckRecord] = field(default_factory=list)
     config: dict = field(default_factory=dict)
-    version: str = "0.1.0"
+    version: str = __version__
 
     def add(self, record: CheckRecord) -> CheckRecord:
         self.checks.append(record)

@@ -20,6 +20,7 @@ __all__ = [
     "Spectrum",
     "charpoly_eval",
     "eig_bisection",
+    "eig_bisection_many",
     "toeplitz_spectrum",
     "check_spectrum_symmetry",
     "check_interlacing",
@@ -108,13 +109,26 @@ def charpoly_eval(t: TridiagSpec, alpha: float):
     return float(value), int(changes)
 
 
-def eig_bisection(t: TridiagSpec, tol: float = 1e-12) -> Spectrum:
-    """All eigenvalues by Sturm-count bisection, to absolute accuracy tol."""
+def _check_bisection_tol(tol: float):
     if tol <= 0:
         raise ValueError("bisection tolerance must be positive")
-    radius = t.gershgorin_radius() + tol
-    values = _sturm.bisect_all(t.abs2(), radius, tol)
+
+
+def eig_bisection(t: TridiagSpec, tol: float = 1e-12) -> Spectrum:
+    """All eigenvalues by Sturm-count bisection, to absolute accuracy tol."""
+    _check_bisection_tol(tol)
+    values = _sturm.bisect_all(t.abs2(), t.gershgorin_radius() + tol, tol)
     return Spectrum.from_values(values, gap_tol=SIMPLE_GAP_FACTOR * tol)
+
+
+def eig_bisection_many(specs, tol: float = 1e-12) -> list[Spectrum]:
+    """eig_bisection of every matrix in specs, in one batched kernel call;
+    each spectrum is bitwise the one eig_bisection gives alone."""
+    _check_bisection_tol(tol)
+    values = _sturm.bisect_many([t.abs2() for t in specs],
+                                [t.gershgorin_radius() + tol for t in specs], tol)
+    return [Spectrum.from_values(v, gap_tol=SIMPLE_GAP_FACTOR * tol)
+            for v in values]
 
 
 def toeplitz_spectrum(n: int) -> np.ndarray:
@@ -162,10 +176,9 @@ def circle_diag_report(lam_min: int, lam_max: int, k=None,
 
     report = Report()
     bis_tol = min(tol, 1e-12)
-    circle_spectra = {}
-    for lam in range(lam_min, lam_max + 2):
-        c = build_circle(lam, k)
-        circle_spectra[lam] = eig_bisection(coordinate_matrix(c), bis_tol)
+    lams = range(lam_min, lam_max + 2)
+    circle_spectra = dict(zip(lams, eig_bisection_many(
+        [coordinate_matrix(build_circle(lam, k)) for lam in lams], bis_tol)))
     for lam in range(lam_min, lam_max + 1):
         s_now, s_next = circle_spectra[lam], circle_spectra[lam + 1]
         sym = check_spectrum_symmetry(s_now, tol)
@@ -195,18 +208,14 @@ def sphere_diag_report(lam_min: int, lam_max: int, k=None,
 
     report = Report()
     bis_tol = min(tol, 1e-12)
-    sphere_blocks = {}
-    for lam in range(lam_min, lam_max + 2):
-        s = build_sphere(lam, k)
-        sphere_blocks[lam] = {
-            m: eig_bisection(blk, bis_tol)
-            for m, blk in coordinate_blocks(s).items()
-        }
+    blocks = {(lam, m): blk for lam in range(lam_min, lam_max + 2)
+              for m, blk in coordinate_blocks(build_sphere(lam, k)).items()}
+    spectra = dict(zip(blocks, eig_bisection_many(list(blocks.values()), bis_tol)))
     for lam in range(lam_min, lam_max + 1):
         alpha1 = []
         for m in range(0, lam + 1):
-            s_now = sphere_blocks[lam][m]
-            s_next = sphere_blocks[lam + 1][m]
+            s_now = spectra[lam, m]
+            s_next = spectra[lam + 1, m]
             alpha1.append(s_now.values[0])
             sym = check_spectrum_symmetry(s_now, tol)
             report.add_residual("diag-sphere/symmetry", 0.0 if sym else 1.0,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import min_sharpness
-from .linop import Operator, frobenius_residual
+from .linop import Operator, diag_annihilator, frobenius_residual
 from .report import Report
 from .spectral import TridiagSpec
 
@@ -214,18 +214,14 @@ def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
 
     # both annihilator polynomials act on diagonal operators, so they are
     # evaluated entrywise on the diagonals
-    d_l2 = np.real(np.diag(s.l2.mat))
-    poly = np.ones(dim)
-    for l in range(lam + 1):
-        poly *= d_l2 - l * (l + 1)
+    poly = diag_annihilator(np.real(np.diag(s.l2.mat)),
+                            [l * (l + 1) for l in range(lam + 1)])
     rep.add_residual("rf3D3/L2-poly", float(np.abs(poly).max()), tol, lam=lam)
     d_l3 = np.real(np.diag(s.L3.mat))
     worst = 0.0
     for l in range(lam + 1):
         pd = np.real(np.diag(s.projectors[l].mat))
-        val = pd.copy()
-        for m in range(-l, l + 1):
-            val = (d_l3 - m) * val
+        val = pd * diag_annihilator(d_l3, range(-l, l + 1))
         worst = max(worst, float(np.abs(val).max()))
     rep.add_residual("rf3D3/L3-poly", worst, tol, lam=lam)
 

@@ -77,6 +77,25 @@ def test_relations_catch_tampering():
     assert rep.first_failure() is not None
 
 
+def _with_diagonal_shift(c, index, delta):
+    mat = np.array(c.L.mat)
+    mat[index, index] += delta
+    return c.__class__(**{**c.__dict__, "L": c.L.__class__(mat)})
+
+
+@pytest.mark.parametrize("lam", [3, 100])
+def test_l_poly_finite_and_catches_perturbed_diagonal(lam):
+    # the dense product prod_n (L - n) overflowed to nan from lam ~ 90 on
+    c = build_circle(lam)
+    rep = verify_circle_relations(c)
+    poly = next(r for r in rep.checks if r.tag == "commrelD=2/L-poly")
+    assert poly.passed and poly.residual == 0.0
+    for index in (0, lam):                      # edge and centre of the spectrum
+        bad = verify_circle_relations(_with_diagonal_shift(c, index, 1e-8))
+        poly = next(r for r in bad.checks if r.tag == "commrelD=2/L-poly")
+        assert not poly.passed and np.isfinite(poly.residual)
+
+
 def test_x_squared_edge_projection():
     # <x^2> on the top state is depressed by half the edge weight
     lam, k = 3, float(min_sharpness(3))

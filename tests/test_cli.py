@@ -5,7 +5,11 @@ import json
 
 import pytest
 
+import fuzzysphere
+from fuzzysphere.circle import build_circle, coordinate_matrix
 from fuzzysphere.cli import _parse_lambda, main
+from fuzzysphere.spectral import eig_bisection
+from fuzzysphere.sphere import build_sphere, coordinate_blocks
 
 
 def run(argv):
@@ -125,6 +129,33 @@ def test_spectrum_csv_row_count(tmp_path, capsys):
     assert len(rows) == 36
     assert {r["m"] for r in rows} == {str(m) for m in range(-5, 6)}
     assert all(float(r["eigenvalue"]) <= 1.5 for r in rows)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_spectrum_csv_matches_per_block_bisection(d, tmp_path, capsys):
+    path = tmp_path / "spec.csv"
+    assert run(["spectrum", "--d", str(d), "--lambda", "1..7", "--csv",
+                str(path)]) == 0
+    lines = ["lambda,m,h,eigenvalue"]
+    for lam in range(1, 8):
+        if d == 1:
+            labelled = [("", coordinate_matrix(build_circle(lam)))]
+        else:
+            blocks = coordinate_blocks(build_sphere(lam))
+            labelled = [(m, blocks[abs(m)]) for m in range(-lam, lam + 1)]
+        for m, t in labelled:
+            for h, v in enumerate(eig_bisection(t).values, start=1):
+                lines.append(f"{lam},{m},{h},{v:.15g}")
+    assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+
+
+def test_circle_relations_at_lambda_100(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    assert run(["verify", "--d", "1", "--lambda", "100", "--suite",
+                "relations", "--json", str(path)]) == 0
+    report = json.loads(path.read_text())
+    assert report["version"] == fuzzysphere.__version__
+    assert all(c["pass"] for c in report["checks"])
 
 
 def test_spectrum_csv_circle(tmp_path, capsys):

@@ -1,12 +1,14 @@
 """su(2)/so(4) reconstructions, squeeze factors, rotations."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzysphere.circle import build_circle
-from fuzzysphere.lierep import (EulerAngles, classical_rotation,
+from fuzzysphere.lierep import (EulerAngles, _so4_parts, classical_rotation,
                                 classical_rotation_2d, g_weight,
                                 reconstruct_so4, reconstruct_su2,
                                 rotation_operator, rotation_operator_circle,
@@ -81,6 +83,37 @@ def test_so4_casimir_values():
     gen = reconstruct_so4(build_sphere(1, 4.0))
     assert gen.casimir["C"] == pytest.approx(3.0)
     assert gen.casimir["C'"] == pytest.approx(0.0, abs=1e-12)
+
+
+def _tampered_sphere(lam, seed):
+    """A sphere whose coordinates carry a random hermitian perturbation, so
+    its reconstructed generators obey no so(4) relation."""
+    s = build_sphere(lam)
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
+    x1 = s.x1.__class__(s.x1.mat + 1e-2 * (noise + noise.conj().T))
+    return s.__class__(**{**s.__dict__, "x1": x1})
+
+
+@pytest.mark.parametrize("lam", [2, 4])
+def test_so4_casimir_prime_matches_levi_civita_sum(lam):
+    # the 3-pairing form against eps_{HIJK} L_HI L_JK over all 24
+    # permutations, on generators that do not commute across disjoint pairs
+    s = _tampered_sphere(lam, 5)
+    _, full, _, cas_prime = _so4_parts(s)
+    assert np.linalg.norm(full[(1, 4)] @ full[(2, 3)]
+                          - full[(2, 3)] @ full[(1, 4)]) > 1e-3
+    ref = np.zeros_like(cas_prime)
+    for p in permutations((1, 2, 3, 4)):
+        sign = (-1) ** sum(p[a] > p[b] for a in range(4) for b in range(a + 1, 4))
+        ref += sign * (full[p[:2]] @ full[p[2:]])
+    assert np.linalg.norm(cas_prime - ref) <= 1e-12 * (1 + np.linalg.norm(ref))
+
+
+def test_so4_brackets_catch_perturbed_generator():
+    rep = verify_so4_reconstruction(_tampered_sphere(3, 6))
+    bracket = next(c for c in rep.checks if c.tag == "so4rel/brackets")
+    assert not bracket.passed
 
 
 def test_so4_disjoint_pairs_commute():

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from fuzzysphere.linop import (DimensionMismatchError, NotHermitianError,
                                Operator, State, anticommutator, commutator,
-                               expm_hermitian_generator, frobenius_residual,
-                               hermitian_eig, identity, zero)
+                               diag_annihilator, expm_hermitian_generator,
+                               frobenius_residual, hermitian_eig, identity,
+                               zero)
 
 
 def random_matrix(rng, n):
@@ -119,3 +120,17 @@ def test_expect_matches_quadratic_form(n, seed):
     psi = State.normalized(rng.normal(size=n) + 1j * rng.normal(size=n))
     direct = psi.coeffs.conj() @ m @ psi.coeffs
     assert op.expect(psi) == pytest.approx(direct)
+
+
+def test_diag_annihilator():
+    roots = [0.0, 2.0, 6.0, 12.0]
+    assert np.array_equal(diag_annihilator(np.array(roots), roots), np.zeros(4))
+    # an entry off its nearest root by delta gives about delta
+    got = diag_annihilator(np.array([2.0 + 1e-6, 7.0]), roots)
+    assert got[0] == pytest.approx(1e-6, rel=1e-5)
+    assert got[1] == pytest.approx(7 * 5 * 1 * -5 / (6 * 4 * -6))
+    # 401 unit-spaced roots: the raw product would overflow
+    roots = np.arange(-200.0, 201.0)
+    assert np.abs(diag_annihilator(roots, roots)).max() == 0.0
+    assert diag_annihilator(np.array([0.5]), roots)[0] == pytest.approx(
+        np.prod((0.5 - roots) / np.where(roots == 0, 1.0, -roots)))

@@ -15,7 +15,7 @@ from fuzzysphere.circle import build_circle, coordinate_matrix
 from fuzzysphere.spectral import (Spectrum, TridiagSpec, charpoly_eval,
                                   check_interlacing, check_spectrum_symmetry,
                                   circle_diag_report, eig_bisection,
-                                  sphere_diag_report,
+                                  eig_bisection_many, sphere_diag_report,
                                   spectrum_invariance_under_phases,
                                   toeplitz_spectrum, verify_diag_theorems)
 
@@ -89,6 +89,12 @@ def test_bisection_ends_below_float_spacing():
         "    got = _sturm.bisect_all(t.abs2(), t.gershgorin_radius() + 1e-30, 1e-30)\n"
         "    ref = np.linalg.eigvalsh(t.dense())[::-1]\n"
         "    worst = max(worst, float(np.abs(got - ref).max()))\n"
+        "ts = [TridiagSpec(rng.normal(size=n - 1)) for n in (1, 3, 9)]\n"
+        "for t, got in zip(ts, _sturm.bisect_many(\n"
+        "        [t.abs2() for t in ts],\n"
+        "        [t.gershgorin_radius() + 1e-30 for t in ts], 1e-30)):\n"
+        "    ref = np.linalg.eigvalsh(t.dense())[::-1]\n"
+        "    worst = max(worst, float(np.abs(got - ref).max()))\n"
         "print(worst)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -101,6 +107,53 @@ def test_bisection_ends_below_float_spacing():
 def test_bisection_tolerance_validated():
     with pytest.raises(ValueError):
         eig_bisection(TridiagSpec([1.0]), tol=0.0)
+    with pytest.raises(ValueError):
+        eig_bisection_many([TridiagSpec([1.0])], tol=0.0)
+
+
+def _random_specs(rng, sizes):
+    return [TridiagSpec(rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
+            for n in sizes]
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+def test_ragged_batch_is_bitwise_per_matrix(tol):
+    # sizes 1..15 (n = 1 is the empty absa2) in a scrambled order, a repeat,
+    # and a decoupled matrix whose padding-free steps see |a_k|^2 = 0
+    rng = np.random.default_rng(11)
+    specs = _random_specs(rng, [9, 1, 15, 4, 2, 12, 7, 1, 3, 14, 5, 10, 6,
+                                13, 8, 11])
+    specs += [specs[2], TridiagSpec([1.0, 0.0, 2.0])]
+    many = eig_bisection_many(specs, tol)
+    assert [s.n for s in many] == [t.n for t in specs]
+    for t, got in zip(specs, many):
+        alone = eig_bisection(t, tol)
+        assert np.array_equal(got.values, alone.values)
+        assert np.array_equal(got.degenerate, alone.degenerate)
+    radii = [t.gershgorin_radius() + tol for t in specs]
+    raw = _sturm.bisect_many([t.abs2() for t in specs], radii, tol)
+    for t, r, got in zip(specs, radii, raw):
+        assert np.array_equal(got, _sturm.bisect_all(t.abs2(), r, tol))
+    assert eig_bisection_many([]) == []
+
+
+def test_batch_agrees_with_dense_solver():
+    rng = np.random.default_rng(2024)
+    specs = _random_specs(rng, rng.integers(1, 16, size=1000))
+    for t, got in zip(specs, eig_bisection_many(specs)):
+        dense_vals = np.linalg.eigvalsh(t.dense())[::-1]
+        assert np.abs(got.values - dense_vals).max() <= 1e-10
+
+
+def test_diag_reports_bisect_in_one_call(monkeypatch):
+    calls = []
+    bisect_many = _sturm.bisect_many
+    monkeypatch.setattr(_sturm, "bisect_many",
+                        lambda *args: calls.append(len(args[0])) or bisect_many(*args))
+    assert sphere_diag_report(1, 5).passed
+    assert calls == [2 + 3 + 4 + 5 + 6 + 7]     # every m block of lambda 1..6
+    assert circle_diag_report(1, 5).passed
+    assert calls[1:] == [6]                     # lambda 1..6
 
 
 def test_symmetry_check():

@@ -87,6 +87,18 @@ def test_relations_catch_tampering():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("op, tag", [("l2", "rf3D3/L2-poly"),
+                                     ("L3", "rf3D3/L3-poly")])
+def test_annihilator_polynomials_catch_perturbed_diagonal(op, tag):
+    s = build_sphere(6)
+    mat = np.array(getattr(s, op).mat)
+    i = s.index(3, 1)
+    mat[i, i] += 1e-8
+    bad = s.__class__(**{**s.__dict__, op: s.L3.__class__(mat)})
+    rec = next(c for c in verify_sphere_relations(bad).checks if c.tag == tag)
+    assert not rec.passed and np.isfinite(rec.residual)
+
+
 def test_x_squared_is_function_of_l():
     lam = 5
     s = build_sphere(lam)
