@@ -45,7 +45,6 @@ class FuzzyCircle:
     x1: Operator
     x2: Operator
     x_squared: Operator
-    projectors: dict            # n -> rank-1 projector onto psi_n
 
     @property
     def dim(self) -> int:
@@ -75,18 +74,22 @@ class FuzzyCircle:
         return self.L
 
 
-def build_circle(lam: int, k: float | None = None) -> FuzzyCircle:
-    """Construct the fuzzy circle at truncation lam (default sharpness is
-    the minimal admissible one, which maximizes the corrections)."""
+def _sharpness(lam: int, k: float | None) -> float:
+    """The validated sharpness at truncation lam; None gives the minimal
+    admissible one, which maximizes the corrections."""
     if lam < 1:
         raise ValueError(f"lam must be >= 1, got {lam}")
     kmin = min_sharpness(lam)
-    if k is None:
-        k = kmin
-    k = float(k)
+    k = kmin if k is None else float(k)
     if not k >= kmin * (1 - 1e-12):  # also rejects nan
         raise ValueError(f"k={k} below the admissible minimum {kmin}")
+    return k
 
+
+def build_circle(lam: int, k: float | None = None) -> FuzzyCircle:
+    """Construct the fuzzy circle at truncation lam (default sharpness is
+    the minimal admissible one)."""
+    k = _sharpness(lam, k)
     dim = 2 * lam + 1
     labels = np.arange(lam, -lam - 1, -1)
     L = Operator(np.diag(labels.astype(complex)), label="L")
@@ -100,16 +103,8 @@ def build_circle(lam: int, k: float | None = None) -> FuzzyCircle:
     x1 = Operator((xp + xp.conj().T) / 2.0, label="x_1")
     x2 = Operator((xp - xp.conj().T) / 2.0j, label="x_2")
     x_squared = Operator((xp @ xp.conj().T + xp.conj().T @ xp) / 2.0, label="x^2")
-
-    projectors = {}
-    for n in range(-lam, lam + 1):
-        p = np.zeros((dim, dim), dtype=complex)
-        p[lam - n, lam - n] = 1.0
-        projectors[n] = Operator(p, label=f"P_{n}")
-
     return FuzzyCircle(lam=lam, k=k, labels=labels, L=L, x_plus=x_plus,
-                       x_minus=x_minus, x1=x1, x2=x2, x_squared=x_squared,
-                       projectors=projectors)
+                       x_minus=x_minus, x1=x1, x2=x2, x_squared=x_squared)
 
 
 def verify_circle_relations(c: FuzzyCircle, tol: float = 1e-10) -> Report:
@@ -129,8 +124,8 @@ def verify_circle_relations(c: FuzzyCircle, tol: float = 1e-10) -> Report:
                      tol, lam=lam)
 
     edge = 1.0 + lam * (lam + 1) / k
-    p_top = c.projectors[lam].mat
-    p_bot = c.projectors[-lam].mat
+    p_top = np.diag(c.labels == lam).astype(float)
+    p_bot = np.diag(c.labels == -lam).astype(float)
     rhs_comm = -2.0 * L / k + edge * (p_top - p_bot)
     rep.add_residual("y+y-", frobenius_residual(xp @ xm - xm @ xp, rhs_comm),
                      tol, lam=lam)
@@ -148,14 +143,17 @@ def verify_circle_relations(c: FuzzyCircle, tol: float = 1e-10) -> Report:
     return rep
 
 
-def coordinate_matrix(c: FuzzyCircle, toeplitz_limit: bool = False) -> TridiagSpec:
+def coordinate_matrix(lam: int, k: float | None = None,
+                      toeplitz_limit: bool = False) -> TridiagSpec:
     """The symmetric tridiagonal matrix of x1 in the descending basis
-    {psi_lam, ..., psi_-lam}.  With toeplitz_limit=True returns the analytic
-    k->infinity matrix (all off-diagonals 1/2)."""
+    {psi_lam, ..., psi_-lam}, from (lam, k) alone; k defaults and is
+    validated as in build_circle.  With toeplitz_limit=True returns the
+    analytic k->infinity matrix (all off-diagonals 1/2)."""
+    k = _sharpness(lam, k)
     if toeplitz_limit:
-        off = np.full(c.dim - 1, 0.5)
+        off = np.full(2 * lam, 0.5)
     else:
         # row i couples psi_{lam-i} and psi_{lam-i-1}
-        ns = np.array([c.lam - i - 1 for i in range(c.dim - 1)])
-        off = np.array([0.5 * ladder_coefficient(n, c.k) for n in ns])
+        off = np.array([0.5 * ladder_coefficient(lam - i - 1, k)
+                        for i in range(2 * lam)])
     return TridiagSpec(off)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -210,8 +211,11 @@ def run_scan(config: ScanConfig) -> tuple[int, Report]:
     if per_lam:
         tasks = [(config.d, lam, config.k, config.tol, config.seed, per_lam)
                  for lam in range(config.lam_lo, config.lam_hi + 1)]
-        if config.jobs > 1:
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # a fork pool starts all its workers at the first submit, so it is
+        # never sized beyond the tasks or the CPUs
+        workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 for checks in pool.map(_records_for_lambda, tasks):
                     report.checks.extend(checks)
         else:
@@ -240,12 +244,11 @@ def write_spectra_csv(config: ScanConfig, path: str) -> int:
     repeat the m block's spectrum."""
     lams = range(config.lam_lo, config.lam_hi + 1)
     if config.d == 1:
-        mats = {(lam, 0): coordinate_matrix(build_circle(lam, config.k))
-                for lam in lams}
+        mats = {(lam, 0): coordinate_matrix(lam, config.k) for lam in lams}
         order = [(lam, "", 0) for lam in lams]
     else:
         mats = {(lam, m): blk for lam in lams
-                for m, blk in coordinate_blocks(build_sphere(lam, config.k)).items()}
+                for m, blk in coordinate_blocks(lam, config.k).items()}
         order = [(lam, m, abs(m)) for lam in lams for m in range(-lam, lam + 1)]
     spectra = dict(zip(mats, eig_bisection_many(list(mats.values()))))
     rows = 0
@@ -270,10 +273,10 @@ def emit_plot_data(config: ScanConfig, path: str) -> int:
         rows.append(("dispersion", lam, lam, val))
         rows.append(("dispersion-bound", lam, lam, cap / (lam + 1) ** 2))
         if config.d == 1:
-            spec = eig_bisection(coordinate_matrix(space))
+            spec = eig_bisection(coordinate_matrix(lam, config.k))
             bound = 1.0 - np.pi ** 2 / (8.0 * (lam + 1) ** 2)
         else:
-            spec = eig_bisection(coordinate_blocks(space)[0])
+            spec = eig_bisection(coordinate_blocks(lam, config.k)[0])
             bound = 1.0 - np.pi ** 2 / (2.0 * (lam + 2) ** 2) if lam >= 2 else None
         rows.append(("alpha1", lam, lam, spec.values[0]))
         if bound is not None:
@@ -350,6 +353,8 @@ def main(argv=None) -> int:
         parser.error(f"lambda must be >= 1, got {lo}")
     if not 0 < args.tol < np.inf:
         parser.error(f"tolerance must be positive and finite, got {args.tol}")
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
 
     try:
         if args.verb == "build":

@@ -182,8 +182,7 @@ def _identity_sum_sphere(s, family: str, omega=None, beta=None) -> np.ndarray:
     n_az = 4 * lam + 3
     phis = TWO_PI * np.arange(n_az) / n_az
     thetas, w_th = _polar_nodes(lam)
-    m_of = np.concatenate([np.arange(-l, l + 1) for l in range(lam + 1)])
-    az_phases = np.exp(1j * np.outer(m_of, phis))    # columns: e^{i phi L_3}
+    az_phases = np.exp(1j * np.outer(s.m_of, phis))  # columns: e^{i phi L_3}
     weave = az_phases @ az_phases.conj().T
     rot_theta = l2_rotation_blocks(s)
 

@@ -110,8 +110,7 @@ def _so4_parts(s: FuzzySphere):
     Lhat_{HI} (H < I), their full antisymmetric table and the matrices of
     both Casimirs, sum Lhat_{HI}^2 and eps_{HIJK} Lhat_{HI} Lhat_{JK}."""
     lam, k = s.lam, s.k
-    l_of = np.concatenate([np.full(2 * l + 1, l) for l in range(lam + 1)])
-    ginv = np.array([1.0 / g_weight(int(l), lam, k) for l in l_of])
+    ginv = np.array([1.0 / g_weight(int(l), lam, k) for l in s.l_of])
     dress = np.outer(ginv, ginv)
 
     gens = {
@@ -151,11 +150,12 @@ def l2_rotation_blocks(s):
     pairs.
 
     L_2 acts within each angular-momentum level, so each (2l+1)^2 block of
-    the fuzzy sphere (rows l^2 .. (l+1)^2 - 1) is eigendecomposed once here
+    the fuzzy sphere (rows psi_l^-l .. psi_l^l) is eigendecomposed once here
     and only its eigenvalue phases change with theta.  The Madore sphere is
     a single level and so a single block."""
     if isinstance(s, FuzzySphere):
-        slices = [slice(l * l, (l + 1) ** 2) for l in range(s.lam + 1)]
+        slices = [slice(s.index(l, -l), s.index(l, l) + 1)
+                  for l in range(s.lam + 1)]
     else:
         slices = [slice(0, s.dim)]
     l2 = s.L2.mat
@@ -232,10 +232,11 @@ def verify_su2_reconstruction(c: FuzzyCircle, tol: float = 1e-10) -> Report:
                                   * squeeze_factor_circle(c.labels[r], lam, c.k))
     rep.add_residual("transfD2/roundtrip", frobenius_residual(xp_back, c.x_plus.mat),
                      tol, lam=lam)
-    off_edge = eye - c.projectors[lam].mat - c.projectors[-lam].mat
+    keep = np.abs(c.labels) != lam
+    off_edge = np.outer(keep, keep)             # P X P with P = 1 - P_lam - P_-lam
     rep.add_residual("transfD2/roundtrip-offedge",
-                     frobenius_residual(off_edge @ xp_back @ off_edge,
-                                        off_edge @ c.x_plus.mat @ off_edge),
+                     frobenius_residual(xp_back * off_edge,
+                                        c.x_plus.mat * off_edge),
                      tol, lam=lam)
     return rep
 
@@ -270,17 +271,16 @@ def verify_so4_reconstruction(s: FuzzySphere, tol: float = 1e-9) -> Report:
     rep.add_residual("isomD3/casimir-prime", float(np.linalg.norm(cas_prime)),
                      tol, lam=lam)
 
-    l_of = np.concatenate([np.full(2 * l + 1, l) for l in range(lam + 1)])
-    gdiag = np.array([g_weight(int(l), lam, s.k) for l in l_of])
+    gdiag = np.array([g_weight(int(l), lam, s.k) for l in s.l_of])
     dress = np.outer(gdiag, gdiag)
     r_rt, r_rt_off = 0.0, 0.0
-    off_edge = eye - s.projectors[lam].mat
+    keep = s.l_of != lam
+    off_edge = np.outer(keep, keep)             # P X P with P = 1 - P_lam
     for i, xi in enumerate((s.x1, s.x2, s.x3), start=1):
         x_back = dress * (-full[(i, 4)])        # g(l') Lhat_{4i} g(l)
         r_rt = max(r_rt, frobenius_residual(x_back, xi.mat))
-        r_rt_off = max(r_rt_off,
-                       frobenius_residual(off_edge @ x_back @ off_edge,
-                                          off_edge @ xi.mat @ off_edge))
+        r_rt_off = max(r_rt_off, frobenius_residual(x_back * off_edge,
+                                                    xi.mat * off_edge))
     rep.add_residual("transfD3/roundtrip", r_rt, tol, lam=lam)
     rep.add_residual("transfD3/roundtrip-offedge", r_rt_off, tol, lam=lam)
     return rep

@@ -1,6 +1,6 @@
 """Dense complex operator core.
 
-Everything downstream (coordinates, angular momenta, projectors, rotations)
+Everything downstream (coordinates, angular momenta, rotations)
 is carried by :class:`Operator`, a labelled dense complex square matrix.
 States are normalized complex coefficient vectors over the same basis.
 """
@@ -16,17 +16,13 @@ __all__ = [
     "State",
     "DimensionMismatchError",
     "NotHermitianError",
-    "identity",
-    "zero",
     "commutator",
-    "anticommutator",
     "hermitian_eig",
     "expm_hermitian_generator",
     "frobenius_residual",
     "diag_annihilator",
 ]
 
-DEFAULT_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
 
 
@@ -163,25 +159,11 @@ class State:
         return complex(self.coeffs.conj() @ other.coeffs)
 
 
-def identity(dim: int, label: str = "I") -> Operator:
-    return Operator(np.eye(dim, dtype=complex), label=label)
-
-
-def zero(dim: int, label: str = "0") -> Operator:
-    return Operator(np.zeros((dim, dim), dtype=complex), label=label)
-
-
 def commutator(a: Operator, b: Operator) -> Operator:
     """[a, b] = ab - ba."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"commutator of dims {a.dim} and {b.dim}")
     return Operator(a.mat @ b.mat - b.mat @ a.mat)
-
-
-def anticommutator(a: Operator, b: Operator) -> Operator:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"anticommutator of dims {a.dim} and {b.dim}")
-    return Operator(a.mat @ b.mat + b.mat @ a.mat)
 
 
 def hermitian_eig(a: Operator, tol: float = HERMITIAN_TOL):

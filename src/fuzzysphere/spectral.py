@@ -30,7 +30,6 @@ __all__ = [
     "verify_diag_theorems",
 ]
 
-DEFAULT_TOL = 1e-12
 SIMPLE_GAP_FACTOR = 10.0
 
 
@@ -172,13 +171,13 @@ def circle_diag_report(lam_min: int, lam_max: int, k=None,
                        tol: float = 1e-10) -> Report:
     """Spectrum symmetry, interlacing of the positive halves, top-eigenvalue
     bound and simplicity for the circle coordinate matrices."""
-    from .circle import build_circle, coordinate_matrix
+    from .circle import coordinate_matrix
 
     report = Report()
     bis_tol = min(tol, 1e-12)
     lams = range(lam_min, lam_max + 2)
     circle_spectra = dict(zip(lams, eig_bisection_many(
-        [coordinate_matrix(build_circle(lam, k)) for lam in lams], bis_tol)))
+        [coordinate_matrix(lam, k) for lam in lams], bis_tol)))
     for lam in range(lam_min, lam_max + 1):
         s_now, s_next = circle_spectra[lam], circle_spectra[lam + 1]
         sym = check_spectrum_symmetry(s_now, tol)
@@ -204,12 +203,12 @@ def sphere_diag_report(lam_min: int, lam_max: int, k=None,
                        tol: float = 1e-10) -> Report:
     """Per-block symmetry, interlacing, simplicity, m-monotonicity and the
     top-eigenvalue bound for the sphere coordinate matrices."""
-    from .sphere import build_sphere, coordinate_blocks
+    from .sphere import coordinate_blocks
 
     report = Report()
     bis_tol = min(tol, 1e-12)
     blocks = {(lam, m): blk for lam in range(lam_min, lam_max + 2)
-              for m, blk in coordinate_blocks(build_sphere(lam, k)).items()}
+              for m, blk in coordinate_blocks(lam, k).items()}
     spectra = dict(zip(blocks, eig_bisection_many(list(blocks.values()), bis_tol)))
     for lam in range(lam_min, lam_max + 1):
         alpha1 = []

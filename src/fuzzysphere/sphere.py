@@ -63,7 +63,8 @@ class FuzzySphere:
     x2: Operator
     x3: Operator
     x_squared: Operator
-    projectors: dict            # l -> projector onto the L.L = l(l+1) eigenspace
+    l_of: np.ndarray            # level l of each basis vector (read-only)
+    m_of: np.ndarray            # L_3 eigenvalue m of each basis vector (read-only)
 
     @property
     def dim(self) -> int:
@@ -94,26 +95,32 @@ def _level_weight(l: int, lam: int, k: float) -> float:
     return float(np.sqrt(1.0 + l * l / k))
 
 
-def build_sphere(lam: int, k: float | None = None) -> FuzzySphere:
-    """Construct the fuzzy sphere at truncation lam (lam = 0 is admitted as
-    the degenerate one-dimensional case with vanishing coordinates)."""
+def _sharpness(lam: int, k: float | None) -> float:
+    """The validated sharpness at truncation lam (lam = 0 is admitted as
+    the degenerate one-dimensional case); None gives max(k_min, 1)."""
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     kmin = min_sharpness(lam)
-    if k is None:
-        k = max(kmin, 1.0)
-    k = float(k)
+    k = max(kmin, 1.0) if k is None else float(k)
     if k <= 0 or not k >= kmin * (1 - 1e-12):  # also rejects nan
         raise ValueError(f"k={k} below the admissible minimum {kmin}")
+    return k
 
+
+def build_sphere(lam: int, k: float | None = None) -> FuzzySphere:
+    """Construct the fuzzy sphere at truncation lam (lam = 0 gives the
+    one-dimensional space with vanishing coordinates)."""
+    k = _sharpness(lam, k)
     dim = (lam + 1) ** 2
     idx = lambda l, m: l * l + l + m
 
-    l_labels = np.concatenate([np.full(2 * l + 1, l) for l in range(lam + 1)])
-    m_labels = np.concatenate([np.arange(-l, l + 1) for l in range(lam + 1)])
+    l_of = np.concatenate([np.full(2 * l + 1, l) for l in range(lam + 1)])
+    m_of = np.concatenate([np.arange(-l, l + 1) for l in range(lam + 1)])
+    l_of.setflags(write=False)
+    m_of.setflags(write=False)
 
-    L3 = np.diag(m_labels.astype(complex))
-    l2 = np.diag((l_labels * (l_labels + 1)).astype(complex))
+    L3 = np.diag(m_of.astype(complex))
+    l2 = np.diag((l_of * (l_of + 1)).astype(complex))
 
     Lp = np.zeros((dim, dim), dtype=complex)
     for l in range(lam + 1):
@@ -143,13 +150,6 @@ def build_sphere(lam: int, k: float | None = None) -> FuzzySphere:
     x2 = (xp - xm) / 2.0j
     x_sq = x0 @ x0 + (xp @ xm + xm @ xp) / 2.0
 
-    projectors = {}
-    for l in range(lam + 1):
-        p = np.zeros((dim, dim), dtype=complex)
-        sl = slice(l * l, (l + 1) ** 2)
-        p[sl, sl] = np.eye(2 * l + 1)
-        projectors[l] = Operator(p, label=f"P_{l}")
-
     return FuzzySphere(
         lam=lam, k=k,
         L3=Operator(L3, label="L_3"), L_plus=Operator(Lp, label="L_+"),
@@ -158,7 +158,7 @@ def build_sphere(lam: int, k: float | None = None) -> FuzzySphere:
         x0=Operator(x0, label="x_0"), x_plus=Operator(xp, label="x_+"),
         x_minus=Operator(xm, label="x_-"), x1=Operator(x1, label="x_1"),
         x2=Operator(x2, label="x_2"), x3=Operator(x0, label="x_3"),
-        x_squared=Operator(x_sq, label="x^2"), projectors=projectors)
+        x_squared=Operator(x_sq, label="x^2"), l_of=l_of, m_of=m_of)
 
 
 def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
@@ -190,23 +190,25 @@ def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
     rep.add_residual("rf3D4/x.L", frobenius_residual(xdotl, np.zeros_like(xdotl)),
                      tol, lam=lam)
 
-    # coordinate bracket; the correction factor commutes with every L_h, so
-    # the symmetrized form is tested and the two orderings are compared
+    # coordinate bracket; the correction factor -1/k + K P_lam is diagonal
+    # and commutes with every L_h, so the symmetrized form is tested and the
+    # two orderings are compared
     K = 1.0 / k + (1.0 + lam * lam / k) / (2 * lam + 1)
-    p_top = s.projectors[lam].mat
-    factor = -eye / k + K * p_top
+    top = (s.l_of == lam).astype(float)
+    f = -1.0 / k + K * top
     r_xx, r_ord = 0.0, 0.0
     for i in range(3):
         for j in range(3):
             lh = eps_sum(L, i, j)
-            sym = 1j * (lh @ factor + factor @ lh) / 2.0
+            lh_f, f_lh = lh * f, f[:, None] * lh
+            sym = 1j * (lh_f + f_lh) / 2.0
             r_xx = max(r_xx, frobenius_residual(x[i] @ x[j] - x[j] @ x[i], sym))
-            r_ord = max(r_ord, frobenius_residual(lh @ factor, factor @ lh))
+            r_ord = max(r_ord, frobenius_residual(lh_f, f_lh))
     rep.add_residual("xx/bracket", r_xx, tol, lam=lam)
     rep.add_residual("xx/bracket-ordering", r_ord, tol, lam=lam)
 
     edge = (1.0 + (lam + 1) ** 2 / k) * (lam + 1) / (2 * lam + 1)
-    rhs = eye + (s.l2.mat + eye) / k - edge * p_top
+    rhs = eye + (s.l2.mat + eye) / k - edge * np.diag(top)
     rep.add_residual("xx/r2", frobenius_residual(s.x_squared.mat, rhs), tol, lam=lam)
 
     lsq = sum(L[i] @ L[i] for i in range(3))
@@ -220,8 +222,7 @@ def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
     d_l3 = np.real(np.diag(s.L3.mat))
     worst = 0.0
     for l in range(lam + 1):
-        pd = np.real(np.diag(s.projectors[l].mat))
-        val = pd * diag_annihilator(d_l3, range(-l, l + 1))
+        val = diag_annihilator(d_l3[s.l_of == l], range(-l, l + 1))
         worst = max(worst, float(np.abs(val).max()))
     rep.add_residual("rf3D3/L3-poly", worst, tol, lam=lam)
 
@@ -234,13 +235,15 @@ def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
     return rep
 
 
-def coordinate_blocks(s: FuzzySphere) -> dict[int, TridiagSpec]:
+def coordinate_blocks(lam: int, k: float | None = None) -> dict[int, TridiagSpec]:
     """Tridiagonal blocks X_m of x_3 on span{psi_l^m, l = m..lam}, m >= 0
-    (the block for -m coincides with the one for m)."""
+    (the block for -m coincides with the one for m), from (lam, k) alone;
+    k defaults and is validated as in build_sphere."""
+    k = _sharpness(lam, k)
     blocks = {}
-    for m in range(0, s.lam + 1):
-        off = np.array([_level_weight(l + 1, s.lam, s.k) * clebsch_a(l + 1, 0, m)
-                        for l in range(m, s.lam)])
+    for m in range(0, lam + 1):
+        off = np.array([_level_weight(l + 1, lam, k) * clebsch_a(l + 1, 0, m)
+                        for l in range(m, lam)])
         blocks[m] = TridiagSpec(off)
     return blocks
 

@@ -14,6 +14,12 @@ def test_build_validations():
         build_circle(0)
     with pytest.raises(ValueError):
         build_circle(2, k=10.0)            # below 2^2 * 3^2 = 36
+    # the coordinate matrix shares the build's default and validation of k
+    for bad in (0, None), (2, 10.0), (2, float("nan")):
+        with pytest.raises(ValueError):
+            coordinate_matrix(*bad)
+    assert np.array_equal(coordinate_matrix(3).offdiag,
+                          coordinate_matrix(3, min_sharpness(3)).offdiag)
 
 
 def test_default_sharpness_is_minimal():
@@ -107,7 +113,7 @@ def test_x_squared_edge_projection():
 
 def test_coordinate_matrix_entries():
     c = build_circle(2, 36.0)
-    t = coordinate_matrix(c)
+    t = coordinate_matrix(2, 36.0)
     assert t.n == 5
     # row i couples labels 2-i and 1-i
     expected = [0.5 * ladder_coefficient(n, 36.0) for n in (1, 0, -1, -2)]
@@ -116,5 +122,5 @@ def test_coordinate_matrix_entries():
 
 
 def test_coordinate_matrix_toeplitz_limit():
-    t = coordinate_matrix(build_circle(3), toeplitz_limit=True)
+    t = coordinate_matrix(3, toeplitz_limit=True)
     assert np.allclose(t.offdiag, 0.5)

@@ -6,10 +6,11 @@ import json
 import pytest
 
 import fuzzysphere
-from fuzzysphere.circle import build_circle, coordinate_matrix
+from fuzzysphere import cli
+from fuzzysphere.circle import coordinate_matrix
 from fuzzysphere.cli import _parse_lambda, main
 from fuzzysphere.spectral import eig_bisection
-from fuzzysphere.sphere import build_sphere, coordinate_blocks
+from fuzzysphere.sphere import coordinate_blocks
 
 
 def run(argv):
@@ -41,12 +42,51 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         run(["spectrum", "--lambda", "2"])       # missing --csv
     assert exc.value.code == 2
+    for jobs in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--lambda", "2", "--jobs", jobs])
+        assert exc.value.code == 2
+
+
+class _RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor: records max_workers."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs,lams,cpus,size", [
+    ("5000", "1..2", 64, 2),      # capped by the number of tasks
+    ("8", "1..5", 3, 3),          # capped by the CPUs
+    ("2", "1..5", 64, 2),         # as asked
+    ("4", "1..5", None, None),    # an unknown CPU count runs serially
+])
+def test_pool_size_capped(jobs, lams, cpus, size, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    assert run(["verify", "--lambda", lams, "--suite", "relations",
+                "--jobs", jobs]) == 0
+    assert _RecordingPool.sizes == ([] if size is None else [size])
 
 
 @pytest.mark.parametrize("argv", [
     ["build", "--lambda", "2", "--k", "nan"],
     ["verify", "--lambda", "2", "--suite", "relations", "--k", "nan"],
     ["verify", "--d", "2", "--lambda", "2", "--suite", "relations", "--k", "nan"],
+    ["verify", "--lambda", "2", "--suite", "spectra", "--k", "nan"],
+    ["verify", "--d", "2", "--lambda", "2", "--suite", "spectra", "--k", "nan"],
     ["verify", "--lambda", "2", "--tol", "nan"],
 ])
 def test_nan_input_exits_two(argv, capsys):
@@ -139,9 +179,9 @@ def test_spectrum_csv_matches_per_block_bisection(d, tmp_path, capsys):
     lines = ["lambda,m,h,eigenvalue"]
     for lam in range(1, 8):
         if d == 1:
-            labelled = [("", coordinate_matrix(build_circle(lam)))]
+            labelled = [("", coordinate_matrix(lam))]
         else:
-            blocks = coordinate_blocks(build_sphere(lam))
+            blocks = coordinate_blocks(lam)
             labelled = [(m, blocks[abs(m)]) for m in range(-lam, lam + 1)]
         for m, t in labelled:
             for h, v in enumerate(eig_bisection(t).values, start=1):

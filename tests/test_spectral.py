@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzysphere import _sturm
-from fuzzysphere.circle import build_circle, coordinate_matrix
+from fuzzysphere.circle import coordinate_matrix
 from fuzzysphere.spectral import (Spectrum, TridiagSpec, charpoly_eval,
                                   check_interlacing, check_spectrum_symmetry,
                                   circle_diag_report, eig_bisection,
@@ -232,7 +232,7 @@ def test_arccos_gap_shrinks():
     # eigenvalues become uniformly dense in [-1,1] under arccos
     gaps = []
     for lam in (10, 20, 40):
-        vals = eig_bisection(coordinate_matrix(build_circle(lam))).values
+        vals = eig_bisection(coordinate_matrix(lam)).values
         gaps.append(np.max(np.diff(np.arccos(np.clip(vals, -1, 1)))))
     assert gaps[0] > gaps[1] > gaps[2]
 

@@ -16,6 +16,10 @@ def test_build_validations():
         build_sphere(-1)
     with pytest.raises(ValueError):
         build_sphere(2, k=30.0)
+    # the coordinate blocks share the build's default and validation of k
+    for bad in (-1, 2), (2, 30.0), (2, float("nan")):
+        with pytest.raises(ValueError):
+            coordinate_blocks(*bad)
 
 
 def test_degenerate_point():
@@ -37,6 +41,11 @@ def test_basis_indexing():
         s.index(1, 2)
     with pytest.raises(ValueError):
         s.index(3, 0)
+    for l in range(3):
+        for m in range(-l, l + 1):
+            assert (s.l_of[s.index(l, m)], s.m_of[s.index(l, m)]) == (l, m)
+    with pytest.raises(ValueError):
+        s.l_of[0] = 1                      # the labels are read-only
 
 
 def test_diagonal_operators():
@@ -116,8 +125,7 @@ def test_x0_commutes_with_l3():
 
 
 def test_coordinate_blocks():
-    s = build_sphere(1, 4.0)
-    blocks = coordinate_blocks(s)
+    blocks = coordinate_blocks(1, 4.0)
     assert set(blocks) == {0, 1}
     assert blocks[1].n == 1
     assert blocks[0].n == 2
@@ -128,7 +136,7 @@ def test_coordinate_blocks():
 
 def test_blocks_match_dense_x3_for_both_signs_of_m():
     s = build_sphere(3)
-    blocks = coordinate_blocks(s)
+    blocks = coordinate_blocks(3)
     for m in range(-3, 4):
         idx = [s.index(l, m) for l in range(abs(m), 4)]
         sub = s.x3.mat[np.ix_(idx, idx)]
