@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 
 from ._sturm import BACKEND
 from .circle import FuzzyCircle, build_circle, coordinate_matrix, verify_circle_relations
-from .coherent import (DispersionReport, SCSFamily, dispersion,
+from .coherent import (DispersionReport, dispersion,
                        minimize_dispersion, spin_cs, strong_scs_circle,
                        strong_scs_sphere_phi, weak_scs_orbit)
 from .lierep import (EulerAngles, GeneratorSet, reconstruct_so4,
@@ -29,6 +29,6 @@ __all__ = [
     "TridiagSpec", "Spectrum", "eig_bisection", "verify_diag_theorems",
     "EulerAngles", "GeneratorSet", "reconstruct_su2", "reconstruct_so4",
     "rotation_operator",
-    "DispersionReport", "SCSFamily", "dispersion", "minimize_dispersion",
+    "DispersionReport", "dispersion", "minimize_dispersion",
     "spin_cs", "strong_scs_circle", "strong_scs_sphere_phi", "weak_scs_orbit",
 ]

@@ -134,7 +134,7 @@ def _scs_records_sphere(s, tol, rng):
 
 def _minimize_records(space, d, tol, rng):
     lam = space.lam
-    chi, val = minimize_dispersion(space, seed=int(rng.integers(2 ** 31)))
+    chi, val = minimize_dispersion(space)
     rep = Report()
     if d == 1:
         bound = 3.5 / (lam + 1) ** 2

@@ -5,11 +5,16 @@ every integrand built from the truncated representation is a trigonometric
 polynomial of bounded degree, uniform azimuthal grids of 4*lam+3 points and
 Gauss-Legendre rules with 4*lam+4 nodes in cos(theta) integrate them exactly,
 so the identity checks are rounding-level assertions rather than convergence
-studies.  The weak families are orbits of the dispersion minimizer, found by
-a self-consistent-field iteration on H_eff(b) = x^2 - 2 b.x.
+studies.  The weak families are orbits of the dispersion minimizer.  Its
+minimum is min over beta of beta^2 + E_0(beta), with E_0 the ground energy
+of x^2 - 2 beta x_ref along one reference axis; both terms commute with L_3,
+so each step solves one small real block per L_3 sector.  The fixed point
+beta <- <x_ref> starts at the top eigenvalue of x_ref and, E_0 being
+concave, only goes down, so it ends without a tolerance or restarts.
 
 All functions accept any space exposing x_ops, L_ops, l2_op and x_squared
-(the fuzzy circle, the fuzzy sphere and the Madore comparator all do).
+(the fuzzy circle, the fuzzy sphere and the Madore comparator all do); the
+three-dimensional ones also expose L3.
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ import numpy as np
 
 from .lierep import (EulerAngles, l2_rotation_blocks, rotation_operator,
                      rotation_operator_circle)
-from .linop import Operator, State, hermitian_eig
+from .linop import Operator, State
 from .report import CheckRecord, Report
 
-__all__ = ["DispersionReport", "SCSFamily", "dispersion",
+__all__ = ["DispersionReport", "dispersion",
            "check_heisenberg_circle", "strong_scs_circle",
            "verify_identity_resolution_circle", "spin_cs",
            "strong_scs_sphere_phi", "random_omega_weights",
@@ -43,16 +48,6 @@ class DispersionReport:
     L_mean: np.ndarray
     l2_mean: float
     L_var: float                # (Delta L)^2
-
-
-@dataclass(frozen=True)
-class SCSFamily:
-    """A labelled family of coherent states on one space."""
-
-    space: object
-    kind: str            # strong-circle | spin | strong-sphere | weak
-    parameters: dict
-    members: list
 
 
 def dispersion(space, psi: State) -> DispersionReport:
@@ -258,84 +253,50 @@ def verify_identity_resolution_sphere(s, family: str, omega=None, beta=None,
     return rep
 
 
-def _scf(space, start: np.ndarray, tol: float, max_iter: int):
-    """Self-consistent minimization of the dispersion from one start."""
-    xs = [op.mat for op in space.x_ops]
-    x2 = space.x_squared.mat
-    chi = start / np.linalg.norm(start)
-    prev_var = np.inf
-    for _ in range(max_iter):
-        b = np.array([np.real(chi.conj() @ (x @ chi)) for x in xs])
-        h = x2 - 2.0 * sum(bi * xi for bi, xi in zip(b, xs))
-        var = float(np.real(chi.conj() @ (x2 @ chi)) - b @ b)
-        # stop only once chi is stationary, not merely once the dispersion
-        # has stalled (the variance converges faster than the eigenvector)
-        hchi = h @ chi
-        energy = float(np.real(chi.conj() @ hchi))
-        stat = np.linalg.norm(hchi - energy * chi)
-        if abs(var - prev_var) < tol and stat <= 1e-12 * (1.0 + abs(energy)):
-            return chi, var, True
-        prev_var = var
-        vals, vecs = np.linalg.eigh(h)
-        # break ground-eigenspace ties toward the previous iterate
-        scale = 1.0 + abs(vals[0])
-        deg = np.nonzero(vals - vals[0] <= 1e-12 * scale)[0]
-        if deg.size > 1:
-            sub = vecs[:, deg]
-            proj = sub @ (sub.conj().T @ chi)
-            nrm = np.linalg.norm(proj)
-            chi_new = proj / nrm if nrm > 1e-8 else vecs[:, 0]
-        else:
-            chi_new = vecs[:, 0]
-        chi = chi_new
-    return chi, prev_var, False
+def minimize_dispersion(space):
+    """Minimize (Delta x)^2 over unit states; returns (state, minimum).
 
-
-def _gauge_fix(space, chi: np.ndarray) -> np.ndarray:
-    """Rotate the minimizer so <x> points along the first axis (circle) or
-    the third axis (sphere)."""
-    xs = [op.mat for op in space.x_ops]
-    ex = np.array([np.real(chi.conj() @ (x @ chi)) for x in xs])
-    if len(xs) == 2:
-        # exp(i alpha L) sends <x_+> to e^{-i alpha} <x_+>, so rotating by the
-        # phase of <x_+> leaves <x_1> = |<x>|, <x_2> = 0
-        alpha = float(np.arctan2(ex[1], ex[0]))
-        u = rotation_operator_circle(space, alpha).mat
-        return u @ chi
-    a = float(np.hypot(ex[0], ex[1]))
-    if a < 1e-14 and ex[2] >= 0:
-        return chi
-    theta = float(np.arctan2(a, ex[2]))
-    psi = float(np.arctan2(ex[1], ex[0]))
-    u = rotation_operator(space, EulerAngles(0.0, theta, psi)).mat
-    return u @ chi
-
-
-def minimize_dispersion(space, tol: float = 1e-13, max_iter: int = 500,
-                        restarts: int = 5, seed: int = 0):
-    """Minimize (Delta x)^2 over unit states.
-
-    Fixed-point iteration chi <- ground eigenvector of x^2 - 2<x>.x, started
-    from the top eigenvector of the last coordinate, plus seeded random
-    restarts; the winner is gauge-fixed so <x> lies on the reference axis.
-    Returns (state, minimum value).
+    For every unit state and vector b, <x^2> - 2 b.<x> + |b|^2 equals
+    (Delta x)^2 + |<x> - b|^2, so the minimum is min_b |b|^2 + E_0(b) with
+    E_0(b) the ground energy of x^2 - 2 b.x.  By rotation invariance b may
+    lie on the reference axis (x_1 on the circle, x_3 on a sphere), and
+    H(beta) = x^2 - 2 beta x_ref splits into small real blocks, one per L_3
+    sector.  From beta = alpha_1, the top eigenvalue of x_ref, the fixed
+    point beta <- <x_ref> in the ground vector of the lowest block runs
+    until beta no longer decreases.  E_0 is concave, so beta -> <x_ref>
+    never decreases in beta and never exceeds alpha_1: the sequence only
+    goes down and stops at the largest fixed point, with no tolerance, no
+    iteration cap and no restarts (a strictly falling sequence of floats in
+    [0, alpha_1] is finite).  The minimizer is that ground vector, so <x>
+    already points along the reference axis.
     """
-    xs = [op.mat for op in space.x_ops]
-    dim = xs[0].shape[0]
-    _, vecs = hermitian_eig(space.x_ops[0] if len(xs) == 2 else space.x_ops[2])
-    starts = [vecs[:, 0]]
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        starts.append(v)
-    best = None
-    for start in starts:
-        chi, var, _ = _scf(space, np.asarray(start, dtype=complex), tol, max_iter)
-        if best is None or var < best[1] - 1e-13:
-            best = (chi, var)
-    chi = _gauge_fix(space, best[0])
-    var = dispersion(space, State.normalized(chi)).x_var
-    return State.normalized(chi), float(var)
+    if len(space.x_ops) == 2:
+        x_ref, sectors = space.x1.mat, [np.arange(space.dim)]
+    else:
+        m = np.real(np.diag(space.L3.mat))
+        x_ref = space.x3.mat
+        # dict.fromkeys rather than np.unique, whose first call alone raises
+        # the process's resident memory by about 1.3 MiB
+        sectors = [np.flatnonzero(m == v) for v in dict.fromkeys(m.tolist())]
+    x2 = space.x_squared.mat
+    blocks = [(idx, np.real(x2[np.ix_(idx, idx)]),
+               np.real(x_ref[np.ix_(idx, idx)])) for idx in sectors]
+    beta = max(np.linalg.eigvalsh(xr)[-1] for _, _, xr in blocks)
+    while True:
+        ground = None
+        for idx, q, xr in blocks:
+            vals, vecs = np.linalg.eigh(q - 2.0 * beta * xr)
+            if ground is None or vals[0] < ground[0]:
+                ground = (vals[0], idx, vecs[:, 0], xr)
+        _, idx, v, xr = ground
+        mean = float(v @ xr @ v)
+        if not mean < beta:
+            break
+        beta = mean
+    chi = np.zeros(space.dim, dtype=complex)
+    chi[idx] = v
+    chi = State(chi)
+    return chi, float(dispersion(space, chi).x_var)
 
 
 def minimizer_certificate(space, chi: State) -> float:
@@ -344,14 +305,14 @@ def minimizer_certificate(space, chi: State) -> float:
     xs = [op.mat for op in space.x_ops]
     b = np.array([np.real(op.expect(chi)) for op in space.x_ops])
     h = space.x_squared.mat - 2.0 * sum(bi * xi for bi, xi in zip(b, xs))
-    vals, _ = np.linalg.eigh(h)
+    e0 = np.linalg.eigvalsh(h)[0]
     v = chi.coeffs
-    return float(np.linalg.norm(h @ v - vals[0] * v))
+    return float(np.linalg.norm(h @ v - e0 * v))
 
 
-def weak_scs_orbit(space, chi: State, grid) -> SCSFamily:
-    """Orbit {pi(g) chi} of the gauge-fixed minimizer over a grid of group
-    elements (angles alpha for the circle, EulerAngles for the sphere)."""
+def weak_scs_orbit(space, chi: State, grid) -> list:
+    """Orbit [pi(g) chi for g in grid] of the minimizer over group elements
+    (angles alpha for the circle, EulerAngles for the sphere)."""
     members = []
     for g in grid:
         if isinstance(g, EulerAngles):
@@ -359,8 +320,7 @@ def weak_scs_orbit(space, chi: State, grid) -> SCSFamily:
         else:
             u = rotation_operator_circle(space, float(g))
         members.append(State(u @ chi))
-    return SCSFamily(space=space, kind="weak",
-                     parameters={"grid": list(grid)}, members=members)
+    return members
 
 
 def verify_weak_orbit(space, chi: State, grid, tol_var: float = 1e-10,
@@ -371,9 +331,8 @@ def verify_weak_orbit(space, chi: State, grid, tol_var: float = 1e-10,
     rep = Report()
     base = dispersion(space, chi)
     r = np.linalg.norm(base.x_mean)
-    fam = weak_scs_orbit(space, chi, grid)
     worst_var, worst_dir = 0.0, 0.0
-    for g, member in zip(grid, fam.members):
+    for g, member in zip(grid, weak_scs_orbit(space, chi, grid)):
         d = dispersion(space, member)
         worst_var = max(worst_var, abs(d.x_var - base.x_var))
         if isinstance(g, EulerAngles):

@@ -180,11 +180,15 @@ def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
                 out += EPS[i, j, h] * ops[h]
         return out
 
+    # [L_i, x_j] is not antisymmetric in (i, j), so all 9 pairs are tested;
+    # the antisymmetric brackets below vanish at i = j and negate exactly
+    # under (i, j) -> (j, i), so the 3 pairs i < j give every residual
+    pairs = [(0, 1), (0, 2), (1, 2)]
     r_lx = max(frobenius_residual(L[i] @ x[j] - x[j] @ L[i], 1j * eps_sum(x, i, j))
                for i in range(3) for j in range(3))
     rep.add_residual("rf3D4/[L,x]", r_lx, tol, lam=lam)
     r_ll = max(frobenius_residual(L[i] @ L[j] - L[j] @ L[i], 1j * eps_sum(L, i, j))
-               for i in range(3) for j in range(3))
+               for i, j in pairs)
     rep.add_residual("rf3D4/[L,L]", r_ll, tol, lam=lam)
     xdotl = sum(x[i] @ L[i] for i in range(3))
     rep.add_residual("rf3D4/x.L", frobenius_residual(xdotl, np.zeros_like(xdotl)),
@@ -197,13 +201,12 @@ def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
     top = (s.l_of == lam).astype(float)
     f = -1.0 / k + K * top
     r_xx, r_ord = 0.0, 0.0
-    for i in range(3):
-        for j in range(3):
-            lh = eps_sum(L, i, j)
-            lh_f, f_lh = lh * f, f[:, None] * lh
-            sym = 1j * (lh_f + f_lh) / 2.0
-            r_xx = max(r_xx, frobenius_residual(x[i] @ x[j] - x[j] @ x[i], sym))
-            r_ord = max(r_ord, frobenius_residual(lh_f, f_lh))
+    for i, j in pairs:
+        lh = eps_sum(L, i, j)
+        lh_f, f_lh = lh * f, f[:, None] * lh
+        sym = 1j * (lh_f + f_lh) / 2.0
+        r_xx = max(r_xx, frobenius_residual(x[i] @ x[j] - x[j] @ x[i], sym))
+        r_ord = max(r_ord, frobenius_residual(lh_f, f_lh))
     rep.add_residual("xx/bracket", r_xx, tol, lam=lam)
     rep.add_residual("xx/bracket-ordering", r_ord, tol, lam=lam)
 

@@ -167,13 +167,13 @@ def test_criterion_09_dispersion_bounds(capsys):
     with criterion(capsys, 9, "dispersion bounds"):
         for lam in range(1, 31):
             c = build_circle(lam)
-            chi, val = minimize_dispersion(c, restarts=2)
+            chi, val = minimize_dispersion(c)
             assert 0.0 < val < 3.5 / (lam + 1) ** 2
             phi = strong_scs_circle(c, np.zeros(c.dim), 0.3)
             assert dispersion(c, phi).x_var < (0.5 + 1 / (3 * lam)) / (lam + 1)
         for lam in range(1, 21):
             s = build_sphere(lam)
-            chi, val = minimize_dispersion(s, restarts=2)
+            chi, val = minimize_dispersion(s)
             assert 0.0 < val < 11.0 / (lam + 1) ** 2
             assert np.linalg.norm(s.L3.mat @ chi.coeffs) <= 1e-10
             p0 = strong_scs_sphere_phi(s, np.zeros(lam + 1),

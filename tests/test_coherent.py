@@ -197,7 +197,7 @@ def test_minimizer_circle():
         assert var < 3.5 / (lam + 1) ** 2
         assert minimizer_certificate(c, chi) <= 1e-10
         d = dispersion(c, chi)
-        assert d.x_mean[1] == pytest.approx(0.0, abs=1e-10)   # gauge fixed
+        assert d.x_mean[1] == pytest.approx(0.0, abs=1e-10)   # along e1
         assert d.x_mean[0] > 0
 
 
@@ -208,10 +208,114 @@ def test_minimizer_sphere():
         assert var < 11 / (lam + 1) ** 2
         assert minimizer_certificate(s, chi) <= 1e-10
         d = dispersion(s, chi)
-        # gauge fixed: <x> along e3, and the minimizer sits in the L3 = 0 slice
+        # <x> along e3, and the minimizer sits in the L3 = 0 slice
         assert np.hypot(d.x_mean[0], d.x_mean[1]) <= 1e-10
         assert d.x_mean[2] > 0
         assert np.linalg.norm(s.L3 @ chi) <= 1e-10
+
+
+def _scf_minimum(space):
+    """Oracle: dense complex self-consistent field chi <- ground vector of
+    x^2 - 2<x>.x from the top eigenvector of the reference coordinate and
+    five seeded random starts; the least dispersion reached."""
+    xs = [op.mat for op in space.x_ops]
+    x2 = space.x_squared.mat
+    x_ref = xs[0] if len(xs) == 2 else xs[2]
+    rng = np.random.default_rng(0)
+    starts = [np.linalg.eigh(x_ref)[1][:, -1]]
+    starts += [rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+               for _ in range(5)]
+    best = np.inf
+    for start in starts:
+        chi = start / np.linalg.norm(start)
+        prev_var = np.inf
+        for _ in range(500):
+            b = np.array([np.real(chi.conj() @ (x @ chi)) for x in xs])
+            h = x2 - 2.0 * sum(bi * xi for bi, xi in zip(b, xs))
+            var = float(np.real(chi.conj() @ (x2 @ chi)) - b @ b)
+            hchi = h @ chi
+            energy = float(np.real(chi.conj() @ hchi))
+            stat = np.linalg.norm(hchi - energy * chi)
+            if abs(var - prev_var) < 1e-13 and stat <= 1e-12 * (1.0 + abs(energy)):
+                break
+            prev_var = var
+            vals, vecs = np.linalg.eigh(h)
+            # break ground-eigenspace ties toward the previous iterate
+            deg = np.nonzero(vals - vals[0] <= 1e-12 * (1.0 + abs(vals[0])))[0]
+            if deg.size > 1:
+                sub = vecs[:, deg]
+                proj = sub @ (sub.conj().T @ chi)
+                nrm = np.linalg.norm(proj)
+                chi = proj / nrm if nrm > 1e-8 else vecs[:, 0]
+            else:
+                chi = vecs[:, 0]
+        best = min(best, var)
+    return best
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_minimizer_matches_scf_oracle(d):
+    build = build_circle if d == 1 else build_sphere
+    for lam in range(1, 13):
+        space = build(lam)
+        _, var = minimize_dispersion(space)
+        assert abs(var - _scf_minimum(space)) <= 1e-13
+
+
+def _reference_axis(space):
+    return space.x_ops[0 if len(space.x_ops) == 2 else 2].mat
+
+
+def _certified_lower_bound(space, npoints=101):
+    """Lower bound on min (Delta x)^2 from dense ground energies alone.
+
+    The minimum is min over 0 <= beta <= alpha_1 of beta^2 + E_0(beta),
+    E_0 the ground energy of x^2 - 2 beta x_ref (the minimizing beta is
+    |<x>|, at most the top eigenvalue alpha_1 of x_ref).  E_0 is a minimum
+    of affine functions of beta, hence concave and above each chord, so
+    beta^2 + chord is below the objective on each grid interval."""
+    x_ref = _reference_axis(space)
+    x2 = space.x_squared.mat
+    betas = np.linspace(0.0, np.linalg.eigvalsh(x_ref)[-1], npoints)
+    e0 = np.array([np.linalg.eigvalsh(x2 - 2.0 * b * x_ref)[0] for b in betas])
+    slopes = np.diff(e0) / np.diff(betas)
+    # the convex quadratic beta^2 + chord is least at -slope/2, clipped
+    best = np.clip(-slopes / 2.0, betas[:-1], betas[1:])
+    return float(np.min(best ** 2 + e0[:-1] + slopes * (best - betas[:-1])))
+
+
+@pytest.mark.parametrize("space", [build_circle(40), build_sphere(12)],
+                         ids=["circle-40", "sphere-12"])
+def test_minimum_meets_certified_lower_bound(space):
+    _, var = minimize_dispersion(space)
+    bound = _certified_lower_bound(space)
+    assert bound - 1e-12 <= var <= bound * (1.0 + 1e-5)
+
+
+@pytest.mark.parametrize("lam", [2, 5, 9])
+def test_certificate_rejects_wrong_states(lam):
+    # the top x_ref eigenvector (on both spaces) and the ground vector of the
+    # runner-up L3 sector (sphere) are not stationary; at lam = 1 that sector
+    # is the single psi_1^{-1}, which has <x> = 0 and is a ground state of
+    # x^2, so stationary, hence lam >= 2
+    for space in (build_circle(lam), build_sphere(lam)):
+        x_ref = _reference_axis(space)
+        wrong = [np.linalg.eigh(x_ref)[1][:, -1]]
+        if len(space.x_ops) == 3:
+            chi, _ = minimize_dispersion(space)
+            h = space.x_squared.mat - 2.0 * dispersion(space, chi).x_mean[2] * x_ref
+            grounds = []
+            for m in range(-lam, lam + 1):
+                idx = np.flatnonzero(space.m_of == m)
+                vals, vecs = np.linalg.eigh(h[np.ix_(idx, idx)])
+                grounds.append((vals[0], m, idx, vecs[:, 0]))
+            grounds.sort(key=lambda g: g[0])
+            assert grounds[0][1] == 0 and grounds[1][0] > grounds[0][0]
+            v = np.zeros(space.dim, dtype=complex)
+            v[grounds[1][2]] = grounds[1][3]
+            wrong.append(v)
+        for v in wrong:
+            assert minimizer_certificate(space, State.normalized(v)) > 1e-10
 
 
 def test_minimizer_scaling_slope():
@@ -245,8 +349,8 @@ def test_weak_orbit_circle():
     chi, _ = minimize_dispersion(c)
     grid = np.linspace(0, 2 * np.pi, 7, endpoint=False)
     assert verify_weak_orbit(c, chi, grid).passed
-    fam = weak_scs_orbit(c, chi, grid)
-    assert len(fam.members) == 7 and fam.kind == "weak"
+    members = weak_scs_orbit(c, chi, grid)
+    assert len(members) == 7 and all(isinstance(m, State) for m in members)
 
 
 def test_weak_orbit_sphere():
