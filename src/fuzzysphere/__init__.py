@@ -13,7 +13,7 @@ from .coherent import (DispersionReport, dispersion,
                        strong_scs_sphere_phi, weak_scs_orbit)
 from .lierep import (EulerAngles, GeneratorSet, reconstruct_so4,
                      reconstruct_su2, rotation_operator)
-from .linop import Operator, State
+from .linop import State
 from .report import CheckRecord, Report
 from .spectral import Spectrum, TridiagSpec, eig_bisection, verify_diag_theorems
 from .sphere import (FuzzySphere, MadoreSphere, build_madore, build_sphere,
@@ -22,7 +22,7 @@ from .sphere import (FuzzySphere, MadoreSphere, build_madore, build_sphere,
 
 __all__ = [
     "BACKEND", "__version__",
-    "Operator", "State", "CheckRecord", "Report",
+    "State", "CheckRecord", "Report",
     "FuzzyCircle", "build_circle", "coordinate_matrix", "verify_circle_relations",
     "FuzzySphere", "MadoreSphere", "build_sphere", "build_madore",
     "coordinate_blocks", "madore_min_dispersion", "verify_sphere_relations",

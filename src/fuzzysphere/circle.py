@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import Operator, diag_annihilator, frobenius_residual
+from .linop import diag_annihilator, frobenius_residual, readonly
 from .report import Report
 from .spectral import TridiagSpec
 
@@ -29,9 +29,9 @@ def min_sharpness(lam: int) -> float:
     return float(lam * lam * (lam + 1) * (lam + 1))
 
 
-def ladder_coefficient(n: int, k: float) -> float:
-    """Coefficient of psi_{n+1} in x_+ psi_n."""
-    return float(np.sqrt(1.0 + n * (n + 1) / k))
+def ladder_coefficient(n, k: float):
+    """Coefficient of psi_{n+1} in x_+ psi_n; n may be an array of labels."""
+    return np.sqrt(1.0 + n * (n + 1) / k)
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,13 @@ class FuzzyCircle:
     lam: int
     k: float
     labels: np.ndarray          # angular momentum labels, descending
-    L: Operator
-    x_plus: Operator
-    x_minus: Operator
-    x1: Operator
-    x2: Operator
-    x_squared: Operator
+    L: np.ndarray
+    l2: np.ndarray              # L^2
+    x_plus: np.ndarray
+    x_minus: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
+    x_squared: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -65,14 +66,6 @@ class FuzzyCircle:
     def L_ops(self):
         return (self.L,)
 
-    @property
-    def l2_op(self) -> Operator:
-        return Operator(self.L.mat @ self.L.mat, label="L^2")
-
-    @property
-    def rotation_generator(self) -> Operator:
-        return self.L
-
 
 def _sharpness(lam: int, k: float | None) -> float:
     """The validated sharpness at truncation lam; None gives the minimal
@@ -90,28 +83,24 @@ def build_circle(lam: int, k: float | None = None) -> FuzzyCircle:
     """Construct the fuzzy circle at truncation lam (default sharpness is
     the minimal admissible one)."""
     k = _sharpness(lam, k)
-    dim = 2 * lam + 1
     labels = np.arange(lam, -lam - 1, -1)
-    L = Operator(np.diag(labels.astype(complex)), label="L")
-
-    xp = np.zeros((dim, dim), dtype=complex)
-    for n in range(-lam, lam):
-        # psi_n sits at index lam-n, psi_{n+1} one row above
-        xp[lam - n - 1, lam - n] = ladder_coefficient(n, k)
-    x_plus = Operator(xp, label="x_+")
-    x_minus = Operator(xp.conj().T, label="x_-")
-    x1 = Operator((xp + xp.conj().T) / 2.0, label="x_1")
-    x2 = Operator((xp - xp.conj().T) / 2.0j, label="x_2")
-    x_squared = Operator((xp @ xp.conj().T + xp.conj().T @ xp) / 2.0, label="x^2")
-    return FuzzyCircle(lam=lam, k=k, labels=labels, L=L, x_plus=x_plus,
-                       x_minus=x_minus, x1=x1, x2=x2, x_squared=x_squared)
+    L = np.diag(labels.astype(complex))
+    # psi_n sits at index lam-n, psi_{n+1} one row above: x_+ is the first
+    # superdiagonal, whose column j holds the coefficient of labels[j]
+    xp = np.diag(ladder_coefficient(labels[1:], k).astype(complex), 1)
+    xm = xp.conj().T
+    return FuzzyCircle(
+        lam=lam, k=k, labels=labels, L=readonly(L), l2=readonly(L @ L),
+        x_plus=readonly(xp), x_minus=readonly(xm),
+        x1=readonly((xp + xm) / 2.0), x2=readonly((xp - xm) / 2.0j),
+        x_squared=readonly((xp @ xm + xm @ xp) / 2.0))
 
 
 def verify_circle_relations(c: FuzzyCircle, tol: float = 1e-10) -> Report:
     """Residuals of the defining relations; pass iff all are <= tol."""
     rep = Report()
     lam, k, dim = c.lam, c.k, c.dim
-    L, xp, xm = c.L.mat, c.x_plus.mat, c.x_minus.mat
+    L, xp, xm = c.L, c.x_plus, c.x_minus
     eye = np.eye(dim)
 
     rep.add_residual("commrelD=2'/[L,x+]", frobenius_residual(L @ xp - xp @ L, xp),
@@ -131,7 +120,7 @@ def verify_circle_relations(c: FuzzyCircle, tol: float = 1e-10) -> Report:
                      tol, lam=lam)
 
     rhs_r2 = eye + L @ L / k - edge * (p_top + p_bot) / 2.0
-    rep.add_residual("defR2D=2", frobenius_residual(c.x_squared.mat, rhs_r2),
+    rep.add_residual("defR2D=2", frobenius_residual(c.x_squared, rhs_r2),
                      tol, lam=lam)
 
     # L is diagonal, so prod_n (L - n) is evaluated entrywise on its diagonal
@@ -154,6 +143,5 @@ def coordinate_matrix(lam: int, k: float | None = None,
         off = np.full(2 * lam, 0.5)
     else:
         # row i couples psi_{lam-i} and psi_{lam-i-1}
-        off = np.array([0.5 * ladder_coefficient(lam - i - 1, k)
-                        for i in range(2 * lam)])
+        off = 0.5 * ladder_coefficient(np.arange(lam - 1, -lam - 1, -1), k)
     return TridiagSpec(off)

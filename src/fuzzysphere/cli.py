@@ -150,7 +150,7 @@ def _minimize_records(space, d, tol, rng):
         rep.add_residual("Deltax2qminS^2_L/stationarity",
                          minimizer_certificate(space, chi), 1e-10, lam=lam)
         rep.add_residual("Deltax2qminS^2_L/L3",
-                         float(np.linalg.norm(space.L3.mat @ chi.coeffs)),
+                         float(np.linalg.norm(space.L3 @ chi.coeffs)),
                          1e-10, lam=lam)
         grid = [EulerAngles(rng.uniform(0, TWO_PI), rng.uniform(0, np.pi),
                             rng.uniform(0, TWO_PI)) for _ in range(6)]

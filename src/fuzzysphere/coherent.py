@@ -12,9 +12,10 @@ so each step solves one small real block per L_3 sector.  The fixed point
 beta <- <x_ref> starts at the top eigenvalue of x_ref and, E_0 being
 concave, only goes down, so it ends without a tolerance or restarts.
 
-All functions accept any space exposing x_ops, L_ops, l2_op and x_squared
-(the fuzzy circle, the fuzzy sphere and the Madore comparator all do); the
-three-dimensional ones also expose L3.
+All functions accept any space exposing the read-only complex arrays x_ops
+(the coordinates), L_ops (the angular momenta), l2 (L^2) and x_squared (the
+square distance); the fuzzy circle, the fuzzy sphere and the Madore
+comparator all do, and the three-dimensional ones also expose L3 and x3.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .lierep import (EulerAngles, l2_rotation_blocks, rotation_operator,
                      rotation_operator_circle)
-from .linop import Operator, State
+from .linop import State, expect
 from .report import CheckRecord, Report
 
 __all__ = ["DispersionReport", "dispersion",
@@ -52,10 +53,10 @@ class DispersionReport:
 
 def dispersion(space, psi: State) -> DispersionReport:
     """Moments of psi; the dispersions are the O(D)-invariant variances."""
-    x_mean = np.array([np.real(op.expect(psi)) for op in space.x_ops])
-    x2 = float(np.real(space.x_squared.expect(psi)))
-    L_mean = np.array([np.real(op.expect(psi)) for op in space.L_ops])
-    l2 = float(np.real(space.l2_op.expect(psi)))
+    x_mean = np.array([np.real(expect(op, psi)) for op in space.x_ops])
+    x2 = float(np.real(expect(space.x_squared, psi)))
+    L_mean = np.array([np.real(expect(op, psi)) for op in space.L_ops])
+    l2 = float(np.real(expect(space.l2, psi)))
     return DispersionReport(x_mean=x_mean, x2_mean=x2,
                             x_var=x2 - float(x_mean @ x_mean),
                             L_mean=L_mean,
@@ -75,8 +76,8 @@ def check_heisenberg_circle(c, psi: State, tol: float = 1e-12) -> Report:
     d = dispersion(c, psi)
     dL = np.sqrt(max(d.L_var, 0.0))
     ex1, ex2 = d.x_mean
-    var1 = np.real(Operator(c.x1.mat @ c.x1.mat).expect(psi)) - ex1 ** 2
-    var2 = np.real(Operator(c.x2.mat @ c.x2.mat).expect(psi)) - ex2 ** 2
+    var1 = np.real(expect(c.x1 @ c.x1, psi)) - ex1 ** 2
+    var2 = np.real(expect(c.x2 @ c.x2, psi)) - ex2 ** 2
     rep.add(_slack_record("HURS^1/Lx1", dL * np.sqrt(max(var1, 0.0)),
                           abs(ex2) / 2.0, c.lam, tol))
     rep.add(_slack_record("HURS^1/Lx2", dL * np.sqrt(max(var2, 0.0)),
@@ -124,7 +125,7 @@ def spin_cs(s, l: int, g: EulerAngles) -> State:
     if not 0 <= l <= s.lam:
         raise ValueError(f"l={l} out of range 0..{s.lam}")
     psi = State.basis(s.dim, s.index(l, l))
-    return State(rotation_operator(s, g) @ psi)
+    return State(rotation_operator(s, g) @ psi.coeffs)
 
 
 def strong_scs_sphere_phi(s, beta: np.ndarray, g: EulerAngles) -> State:
@@ -135,7 +136,7 @@ def strong_scs_sphere_phi(s, beta: np.ndarray, g: EulerAngles) -> State:
     v = np.zeros(s.dim, dtype=complex)
     for l in range(s.lam + 1):
         v[s.index(l, 0)] = np.exp(1j * beta[l]) * np.sqrt(2 * l + 1) / (s.lam + 1)
-    return State(rotation_operator(s, g) @ State(v))
+    return State(rotation_operator(s, g) @ State(v).coeffs)
 
 
 def random_omega_weights(s, rng) -> np.ndarray:
@@ -271,14 +272,14 @@ def minimize_dispersion(space):
     already points along the reference axis.
     """
     if len(space.x_ops) == 2:
-        x_ref, sectors = space.x1.mat, [np.arange(space.dim)]
+        x_ref, sectors = space.x1, [np.arange(space.dim)]
     else:
-        m = np.real(np.diag(space.L3.mat))
-        x_ref = space.x3.mat
+        m = np.real(np.diag(space.L3))
+        x_ref = space.x3
         # dict.fromkeys rather than np.unique, whose first call alone raises
         # the process's resident memory by about 1.3 MiB
         sectors = [np.flatnonzero(m == v) for v in dict.fromkeys(m.tolist())]
-    x2 = space.x_squared.mat
+    x2 = space.x_squared
     blocks = [(idx, np.real(x2[np.ix_(idx, idx)]),
                np.real(x_ref[np.ix_(idx, idx)])) for idx in sectors]
     beta = max(np.linalg.eigvalsh(xr)[-1] for _, _, xr in blocks)
@@ -302,9 +303,8 @@ def minimize_dispersion(space):
 def minimizer_certificate(space, chi: State) -> float:
     """Stationarity residual: distance of chi from the ground eigenspace of
     H_eff at its own mean position."""
-    xs = [op.mat for op in space.x_ops]
-    b = np.array([np.real(op.expect(chi)) for op in space.x_ops])
-    h = space.x_squared.mat - 2.0 * sum(bi * xi for bi, xi in zip(b, xs))
+    b = np.array([np.real(expect(op, chi)) for op in space.x_ops])
+    h = space.x_squared - 2.0 * sum(bi * xi for bi, xi in zip(b, space.x_ops))
     e0 = np.linalg.eigvalsh(h)[0]
     v = chi.coeffs
     return float(np.linalg.norm(h @ v - e0 * v))
@@ -319,7 +319,7 @@ def weak_scs_orbit(space, chi: State, grid) -> list:
             u = rotation_operator(space, g)
         else:
             u = rotation_operator_circle(space, float(g))
-        members.append(State(u @ chi))
+        members.append(State(u @ chi.coeffs))
     return members
 
 

@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .circle import FuzzyCircle
-from .linop import Operator, frobenius_residual
+from .linop import frobenius_residual, readonly
 from .report import Report
 from .sphere import FuzzySphere
 
@@ -59,7 +59,7 @@ class GeneratorSet:
     """A reconstructed Cartan-Weyl generator family with its Casimir values."""
 
     algebra: str                # "su2" or "so4"
-    generators: dict
+    generators: dict            # label -> read-only complex array
     casimir: dict
 
 
@@ -74,18 +74,16 @@ def squeeze_factor_circle(s: float, lam: int, k: float) -> float:
 def reconstruct_su2(c: FuzzyCircle) -> GeneratorSet:
     """Invert x_+ = sqrt(2) f_+(E_0) E_+ on the fuzzy circle."""
     lam, k = c.lam, c.k
-    ep = np.array(c.x_plus.mat)
+    ep = np.array(c.x_plus)
     for r in range(c.dim):
         row = ep[r]
         if np.any(row != 0):
             n_r = c.labels[r]
             ep[r] = row / (np.sqrt(2.0) * squeeze_factor_circle(n_r, lam, k))
-    e_plus = Operator(ep, label="E_+")
-    e_minus = Operator(ep.conj().T, label="E_-")
-    e0 = c.L.relabel("E_0")
-    cas = ep @ ep.conj().T + e0.mat @ e0.mat + ep.conj().T @ ep
+    cas = ep @ ep.conj().T + c.l2 + ep.conj().T @ ep
     return GeneratorSet(algebra="su2",
-                        generators={"E+": e_plus, "E-": e_minus, "E0": e0},
+                        generators={"E+": readonly(ep),
+                                    "E-": readonly(ep.conj().T), "E0": c.L},
                         casimir={"C": float(np.real(np.trace(cas)) / c.dim)})
 
 
@@ -113,23 +111,19 @@ def _so4_parts(s: FuzzySphere):
     ginv = np.array([1.0 / g_weight(int(l), lam, k) for l in s.l_of])
     dress = np.outer(ginv, ginv)
 
-    gens = {
-        (1, 2): s.L3.relabel("Lhat_12"),
-        (1, 3): (-s.L2).relabel("Lhat_13"),
-        (2, 3): s.L1.relabel("Lhat_23"),
-    }
+    gens = {(1, 2): s.L3, (1, 3): readonly(-s.L2), (2, 3): s.L1}
     for i, xi in enumerate((s.x1, s.x2, s.x3), start=1):
-        gens[(i, 4)] = Operator(-dress * xi.mat, label=f"Lhat_{i}4")
+        gens[(i, 4)] = readonly(-dress * xi)
 
     full = {}
     for (h, i), op in gens.items():
-        full[(h, i)] = op.mat
-        full[(i, h)] = -op.mat
+        full[(h, i)] = op
+        full[(i, h)] = -op
     for h in range(1, 5):
         full[(h, h)] = np.zeros((s.dim, s.dim), dtype=complex)
     cas = np.zeros((s.dim, s.dim), dtype=complex)
     for op in gens.values():
-        cas += op.mat @ op.mat
+        cas += op @ op
     cas_prime = np.zeros((s.dim, s.dim), dtype=complex)
     for a, b, sign in _PAIRINGS:
         cas_prime += 4.0 * sign * (full[a] @ full[b] + full[b] @ full[a])
@@ -158,7 +152,7 @@ def l2_rotation_blocks(s):
                   for l in range(s.lam + 1)]
     else:
         slices = [slice(0, s.dim)]
-    l2 = s.L2.mat
+    l2 = s.L2
     eigs = [(sl, *np.linalg.eigh(l2[sl, sl])) for sl in slices]
 
     def blocks(theta: float) -> list:
@@ -167,7 +161,7 @@ def l2_rotation_blocks(s):
     return blocks
 
 
-def rotation_operator(s: FuzzySphere, g: EulerAngles) -> Operator:
+def rotation_operator(s: FuzzySphere, g: EulerAngles) -> np.ndarray:
     """pi(g) = exp(i phi L_3) exp(i theta L_2) exp(i psi L_3); unitary and
     block-diagonal over the angular-momentum levels.  L_3 is diagonal, so
     the outer factors are phases e^{i phi m} on the rows and e^{i psi m} on
@@ -175,15 +169,15 @@ def rotation_operator(s: FuzzySphere, g: EulerAngles) -> Operator:
     u = np.zeros((s.dim, s.dim), dtype=complex)
     for sl, block in l2_rotation_blocks(s)(g.theta):
         u[sl, sl] = block
-    m = np.real(np.diag(s.L3.mat))
+    m = np.real(np.diag(s.L3))
     u *= np.exp(1j * g.phi * m)[:, None]
     u *= np.exp(1j * g.psi * m)
-    return Operator(u, label="pi(g)")
+    return u
 
 
-def rotation_operator_circle(c: FuzzyCircle, alpha: float) -> Operator:
+def rotation_operator_circle(c: FuzzyCircle, alpha: float) -> np.ndarray:
     """exp(i alpha L); diagonal phases e^{i alpha n}."""
-    return Operator(np.diag(np.exp(1j * alpha * c.labels)), label="exp(iaL)")
+    return np.diag(np.exp(1j * alpha * c.labels))
 
 
 def classical_rotation(g: EulerAngles) -> np.ndarray:
@@ -209,7 +203,7 @@ def verify_su2_reconstruction(c: FuzzyCircle, tol: float = 1e-10) -> Report:
     rep = Report()
     lam = c.lam
     gen = reconstruct_su2(c)
-    ep, em, e0 = (gen.generators[k].mat for k in ("E+", "E-", "E0"))
+    ep, em, e0 = (gen.generators[k] for k in ("E+", "E-", "E0"))
     eye = np.eye(c.dim)
 
     rep.add_residual("su2rel/[E+,E-]", frobenius_residual(ep @ em - em @ ep, e0),
@@ -230,13 +224,13 @@ def verify_su2_reconstruction(c: FuzzyCircle, tol: float = 1e-10) -> Report:
         if np.any(ep[r] != 0):
             xp_back[r] = ep[r] * (np.sqrt(2.0)
                                   * squeeze_factor_circle(c.labels[r], lam, c.k))
-    rep.add_residual("transfD2/roundtrip", frobenius_residual(xp_back, c.x_plus.mat),
+    rep.add_residual("transfD2/roundtrip", frobenius_residual(xp_back, c.x_plus),
                      tol, lam=lam)
     keep = np.abs(c.labels) != lam
     off_edge = np.outer(keep, keep)             # P X P with P = 1 - P_lam - P_-lam
     rep.add_residual("transfD2/roundtrip-offedge",
                      frobenius_residual(xp_back * off_edge,
-                                        c.x_plus.mat * off_edge),
+                                        c.x_plus * off_edge),
                      tol, lam=lam)
     return rep
 
@@ -249,8 +243,7 @@ def verify_so4_reconstruction(s: FuzzySphere, tol: float = 1e-9) -> Report:
     gens, full, cas, cas_prime = _so4_parts(s)
     eye = np.eye(s.dim)
 
-    r_herm = max(frobenius_residual(op.mat.conj().T, op.mat)
-                 for op in gens.values())
+    r_herm = max(frobenius_residual(op.conj().T, op) for op in gens.values())
     rep.add_residual("so4rel/hermitean", r_herm, tol, lam=lam)
 
     def delta(a, b):
@@ -278,9 +271,9 @@ def verify_so4_reconstruction(s: FuzzySphere, tol: float = 1e-9) -> Report:
     off_edge = np.outer(keep, keep)             # P X P with P = 1 - P_lam
     for i, xi in enumerate((s.x1, s.x2, s.x3), start=1):
         x_back = dress * (-full[(i, 4)])        # g(l') Lhat_{4i} g(l)
-        r_rt = max(r_rt, frobenius_residual(x_back, xi.mat))
+        r_rt = max(r_rt, frobenius_residual(x_back, xi))
         r_rt_off = max(r_rt_off, frobenius_residual(x_back * off_edge,
-                                                    xi.mat * off_edge))
+                                                    xi * off_edge))
     rep.add_residual("transfD3/roundtrip", r_rt, tol, lam=lam)
     rep.add_residual("transfD3/roundtrip-offedge", r_rt_off, tol, lam=lam)
     return rep

@@ -1,127 +1,33 @@
-"""Dense complex operator core.
+"""Dense complex array core.
 
-Everything downstream (coordinates, angular momenta, rotations)
-is carried by :class:`Operator`, a labelled dense complex square matrix.
-States are normalized complex coefficient vectors over the same basis.
+Every operator downstream (coordinates, angular momenta, rotations) is a
+plain complex square ndarray; the spaces hold theirs read-only, made so by
+:func:`readonly`.  States are normalized complex coefficient vectors over
+the same basis, and :class:`State` enforces the normalization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Operator",
     "State",
-    "DimensionMismatchError",
-    "NotHermitianError",
-    "commutator",
-    "hermitian_eig",
+    "readonly",
+    "expect",
     "expm_hermitian_generator",
     "frobenius_residual",
     "diag_annihilator",
 ]
 
-HERMITIAN_TOL = 1e-12
 
-
-class DimensionMismatchError(ValueError):
-    pass
-
-
-class NotHermitianError(ValueError):
-    pass
-
-
-def _as_complex(mat) -> np.ndarray:
-    a = np.asarray(mat, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"operator matrix must be square, got shape {a.shape}")
+def readonly(a) -> np.ndarray:
+    """a as a complex array that refuses writes.  A complex array is not
+    copied: its own write flag is cleared, so build it fully first."""
+    a = np.asarray(a, dtype=complex)
+    a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True)
-class Operator:
-    """Immutable dense complex square matrix with a semantic label."""
-
-    mat: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        a = _as_complex(self.mat)
-        a.setflags(write=False)
-        object.__setattr__(self, "mat", a)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def dag(self) -> "Operator":
-        return Operator(self.mat.conj().T, label=f"{self.label}^dag" if self.label else "")
-
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        scale = 1.0 + np.abs(self.mat).max()
-        return np.abs(self.mat - self.mat.conj().T).max() <= tol * scale
-
-    def relabel(self, label: str) -> "Operator":
-        return Operator(self.mat, label=label)
-
-    def norm(self) -> float:
-        """Frobenius norm."""
-        return float(np.linalg.norm(self.mat))
-
-    # basic algebra; dimension mismatches surface as numpy shape errors for
-    # + and -, and are checked explicitly for products
-    def __add__(self, other):
-        return Operator(self.mat + _coerce(other, self.dim))
-
-    def __radd__(self, other):
-        return Operator(_coerce(other, self.dim) + self.mat)
-
-    def __sub__(self, other):
-        return Operator(self.mat - _coerce(other, self.dim))
-
-    def __rsub__(self, other):
-        return Operator(_coerce(other, self.dim) - self.mat)
-
-    def __mul__(self, scalar):
-        return Operator(self.mat * scalar)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return Operator(self.mat / scalar)
-
-    def __neg__(self):
-        return Operator(-self.mat)
-
-    def __matmul__(self, other):
-        if isinstance(other, State):
-            if self.dim != other.dim:
-                raise DimensionMismatchError(
-                    f"operator dim {self.dim} != state dim {other.dim}")
-            return self.mat @ other.coeffs
-        other_mat = other.mat if isinstance(other, Operator) else np.asarray(other)
-        if self.dim != other_mat.shape[0]:
-            raise DimensionMismatchError(
-                f"operator dims {self.dim} and {other_mat.shape[0]} differ")
-        return Operator(self.mat @ other_mat)
-
-    def expect(self, psi: "State") -> complex:
-        """<psi| A |psi>."""
-        if self.dim != psi.dim:
-            raise DimensionMismatchError(
-                f"operator dim {self.dim} != state dim {psi.dim}")
-        return complex(psi.coeffs.conj() @ (self.mat @ psi.coeffs))
-
-
-def _coerce(other, dim):
-    if isinstance(other, Operator):
-        return other.mat
-    if np.isscalar(other):
-        return other * np.eye(dim)
-    return np.asarray(other, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -159,38 +65,22 @@ class State:
         return complex(self.coeffs.conj() @ other.coeffs)
 
 
-def commutator(a: Operator, b: Operator) -> Operator:
-    """[a, b] = ab - ba."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"commutator of dims {a.dim} and {b.dim}")
-    return Operator(a.mat @ b.mat - b.mat @ a.mat)
+def expect(a: np.ndarray, psi: State) -> complex:
+    """<psi| a |psi>."""
+    return complex(psi.coeffs.conj() @ (a @ psi.coeffs))
 
 
-def hermitian_eig(a: Operator, tol: float = HERMITIAN_TOL):
-    """Eigendecomposition of a hermitian operator.
-
-    Returns (values, vectors) with real eigenvalues in descending order and
-    orthonormal eigenvector columns aligned with them.
-    """
-    if not a.is_hermitian(tol):
-        raise NotHermitianError(f"operator {a.label!r} is not hermitian within {tol}")
-    vals, vecs = np.linalg.eigh(a.mat)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
-def expm_hermitian_generator(h: Operator, t: float) -> Operator:
+def expm_hermitian_generator(h: np.ndarray, t: float) -> np.ndarray:
     """exp(i*t*h) for hermitian h, via eigendecomposition; exactly unitary
     up to rounding."""
-    vals, vecs = hermitian_eig(h)
+    vals, vecs = np.linalg.eigh(h)
     phases = np.exp(1j * t * vals)
-    return Operator((vecs * phases) @ vecs.conj().T)
+    return (vecs * phases) @ vecs.conj().T
 
 
 def frobenius_residual(a, b) -> float:
     """Relative Frobenius distance ||a - b||_F / (1 + ||b||_F)."""
-    am = a.mat if isinstance(a, Operator) else np.asarray(a)
-    bm = b.mat if isinstance(b, Operator) else np.asarray(b)
-    return float(np.linalg.norm(am - bm) / (1.0 + np.linalg.norm(bm)))
+    return float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(b)))
 
 
 def diag_annihilator(diag, roots) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import min_sharpness
-from .linop import Operator, diag_annihilator, frobenius_residual
+from .linop import diag_annihilator, frobenius_residual, readonly
 from .report import Report
 from .spectral import TridiagSpec
 
@@ -32,37 +32,40 @@ EPS = np.array([[[0, 0, 0], [0, 0, 1], [0, -1, 0]],
                 [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]], dtype=float)
 
 
-def clebsch_a(l: int, a: int, m: int) -> float:
-    """Weight A_l^{a,m} coupling psi_l^m down to psi_{l-1}^{m+a}."""
+def clebsch_a(l, a: int, m):
+    """Weight A_l^{a,m} coupling psi_l^m down to psi_{l-1}^{m+a}; l and m
+    may be integer arrays of the same shape.  It is zero (-0.0 for a = -1)
+    where psi_{l-1}^{m+a} does not exist."""
     if a not in (0, 1, -1):
         raise ValueError(f"component label a must be 0 or +-1, got {a}")
-    if l < 1 or abs(m + a) > l - 1:
-        return 0.0
+    l, m = np.asarray(l), np.asarray(m)
     den = (2 * l - 1) * (2 * l + 1)
     if a == 0:
-        return float(np.sqrt((l + m) * (l - m) / den))
-    if a == 1:
-        return float(np.sqrt((l - m) * (l - m - 1) / den))
-    return -float(np.sqrt((l + m) * (l + m - 1) / den))
+        num = (l + m) * (l - m)
+    elif a == 1:
+        num = (l - m) * (l - m - 1)
+    else:
+        num = (l + m) * (l + m - 1)
+    exists = (l >= 1) & (np.abs(m + a) <= l - 1)
+    w = np.sqrt(np.where(exists, num / den, 0.0))
+    return -w if a == -1 else w
 
 
 @dataclass(frozen=True)
 class FuzzySphere:
     lam: int
     k: float
-    L3: Operator
-    L_plus: Operator
-    L_minus: Operator
-    L1: Operator
-    L2: Operator
-    l2: Operator                # L.L, diagonal l(l+1)
-    x0: Operator
-    x_plus: Operator
-    x_minus: Operator
-    x1: Operator
-    x2: Operator
-    x3: Operator
-    x_squared: Operator
+    L3: np.ndarray
+    L_plus: np.ndarray
+    L1: np.ndarray
+    L2: np.ndarray
+    l2: np.ndarray              # L.L, diagonal l(l+1)
+    x_plus: np.ndarray
+    x_minus: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
+    x3: np.ndarray              # the a = 0 component x_0
+    x_squared: np.ndarray
     l_of: np.ndarray            # level l of each basis vector (read-only)
     m_of: np.ndarray            # L_3 eigenvalue m of each basis vector (read-only)
 
@@ -84,15 +87,13 @@ class FuzzySphere:
     def L_ops(self):
         return (self.L1, self.L2, self.L3)
 
-    @property
-    def l2_op(self) -> Operator:
-        return self.l2
 
-
-def _level_weight(l: int, lam: int, k: float) -> float:
-    if l < 1 or l > lam:
-        return 0.0
-    return float(np.sqrt(1.0 + l * l / k))
+def _level_weights(lam: int, k: float) -> np.ndarray:
+    """c_l for l = 0..lam+1: sqrt(1 + l^2/k), and 0 at l = 0 and lam+1."""
+    l = np.arange(lam + 2)
+    c = np.sqrt(1.0 + l * l / k)
+    c[0] = c[-1] = 0.0
+    return c
 
 
 def _sharpness(lam: int, k: float | None) -> float:
@@ -112,7 +113,6 @@ def build_sphere(lam: int, k: float | None = None) -> FuzzySphere:
     one-dimensional space with vanishing coordinates)."""
     k = _sharpness(lam, k)
     dim = (lam + 1) ** 2
-    idx = lambda l, m: l * l + l + m
 
     l_of = np.concatenate([np.full(2 * l + 1, l) for l in range(lam + 1)])
     m_of = np.concatenate([np.arange(-l, l + 1) for l in range(lam + 1)])
@@ -122,28 +122,29 @@ def build_sphere(lam: int, k: float | None = None) -> FuzzySphere:
     L3 = np.diag(m_of.astype(complex))
     l2 = np.diag((l_of * (l_of + 1)).astype(complex))
 
-    Lp = np.zeros((dim, dim), dtype=complex)
-    for l in range(lam + 1):
-        for m in range(-l, l):
-            Lp[idx(l, m + 1), idx(l, m)] = np.sqrt((l - m) * (l + m + 1))
+    # L_+ psi_l^m = sqrt((l-m)(l+m+1)) psi_l^{m+1}, the next basis vector,
+    # so L_+ is the first subdiagonal; the weight vanishes at m = l, so no
+    # entry crosses into the next level
+    raise_w = np.sqrt((l_of - m_of) * (l_of + m_of + 1))
+    Lp = np.diag(raise_w[:-1].astype(complex), -1)
     Lm = Lp.conj().T
     L1 = (Lp + Lm) / 2.0
     L2 = (Lp - Lm) / 2.0j
 
+    # column l^2 + l + m of x_a holds c_l A_l^{a,m} in row (l-1)^2 + (l-1) +
+    # m+a and c_{l+1} B_l^{a,m} in row (l+1)^2 + (l+1) + m+a; only nonzero
+    # weights are written, so absent neighbours leave no entry
+    c = _level_weights(lam, k)
+    cols = np.arange(dim)
     xs = {}
     for a in (0, 1, -1):
         xa = np.zeros((dim, dim), dtype=complex)
-        for l in range(lam + 1):
-            cl = _level_weight(l, lam, k)
-            cl1 = _level_weight(l + 1, lam, k)
-            for m in range(-l, l + 1):
-                down = clebsch_a(l, a, m)
-                if cl != 0.0 and down != 0.0:
-                    xa[idx(l - 1, m + a), idx(l, m)] = cl * down
-                if cl1 != 0.0 and abs(m + a) <= l + 1:
-                    up = clebsch_a(l + 1, -a, m + a)  # B_l^{a,m}
-                    if up != 0.0:
-                        xa[idx(l + 1, m + a), idx(l, m)] = cl1 * up
+        down = c[l_of] * clebsch_a(l_of, a, m_of)
+        up = c[l_of + 1] * clebsch_a(l_of + 1, -a, m_of + a)  # B_l^{a,m}
+        for w, rows in ((down, l_of * (l_of - 1) + m_of + a),
+                        (up, (l_of + 1) * (l_of + 2) + m_of + a)):
+            nz = w != 0.0
+            xa[rows[nz], cols[nz]] = w[nz]
         xs[a] = xa
     x0, xp, xm = xs[0], xs[1], xs[-1]
     x1 = (xp + xm) / 2.0
@@ -151,22 +152,18 @@ def build_sphere(lam: int, k: float | None = None) -> FuzzySphere:
     x_sq = x0 @ x0 + (xp @ xm + xm @ xp) / 2.0
 
     return FuzzySphere(
-        lam=lam, k=k,
-        L3=Operator(L3, label="L_3"), L_plus=Operator(Lp, label="L_+"),
-        L_minus=Operator(Lm, label="L_-"), L1=Operator(L1, label="L_1"),
-        L2=Operator(L2, label="L_2"), l2=Operator(l2, label="L^2"),
-        x0=Operator(x0, label="x_0"), x_plus=Operator(xp, label="x_+"),
-        x_minus=Operator(xm, label="x_-"), x1=Operator(x1, label="x_1"),
-        x2=Operator(x2, label="x_2"), x3=Operator(x0, label="x_3"),
-        x_squared=Operator(x_sq, label="x^2"), l_of=l_of, m_of=m_of)
+        lam=lam, k=k, L3=readonly(L3), L_plus=readonly(Lp), L1=readonly(L1),
+        L2=readonly(L2), l2=readonly(l2), x_plus=readonly(xp),
+        x_minus=readonly(xm), x1=readonly(x1), x2=readonly(x2),
+        x3=readonly(x0), x_squared=readonly(x_sq), l_of=l_of, m_of=m_of)
 
 
 def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
     """Residuals of the defining relations; pass iff all are <= tol."""
     rep = Report()
     lam, k = s.lam, s.k
-    x = [s.x1.mat, s.x2.mat, s.x3.mat]
-    L = [s.L1.mat, s.L2.mat, s.L3.mat]
+    x = [s.x1, s.x2, s.x3]
+    L = [s.L1, s.L2, s.L3]
     dim = s.dim
     eye = np.eye(dim)
 
@@ -211,26 +208,26 @@ def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
     rep.add_residual("xx/bracket-ordering", r_ord, tol, lam=lam)
 
     edge = (1.0 + (lam + 1) ** 2 / k) * (lam + 1) / (2 * lam + 1)
-    rhs = eye + (s.l2.mat + eye) / k - edge * np.diag(top)
-    rep.add_residual("xx/r2", frobenius_residual(s.x_squared.mat, rhs), tol, lam=lam)
+    rhs = eye + (s.l2 + eye) / k - edge * np.diag(top)
+    rep.add_residual("xx/r2", frobenius_residual(s.x_squared, rhs), tol, lam=lam)
 
     lsq = sum(L[i] @ L[i] for i in range(3))
-    rep.add_residual("D=3Basis/L2", frobenius_residual(lsq, s.l2.mat), tol, lam=lam)
+    rep.add_residual("D=3Basis/L2", frobenius_residual(lsq, s.l2), tol, lam=lam)
 
     # both annihilator polynomials act on diagonal operators, so they are
     # evaluated entrywise on the diagonals
-    poly = diag_annihilator(np.real(np.diag(s.l2.mat)),
+    poly = diag_annihilator(np.real(np.diag(s.l2)),
                             [l * (l + 1) for l in range(lam + 1)])
     rep.add_residual("rf3D3/L2-poly", float(np.abs(poly).max()), tol, lam=lam)
-    d_l3 = np.real(np.diag(s.L3.mat))
+    d_l3 = np.real(np.diag(s.L3))
     worst = 0.0
     for l in range(lam + 1):
         val = diag_annihilator(d_l3[s.l_of == l], range(-l, l + 1))
         worst = max(worst, float(np.abs(val).max()))
     rep.add_residual("rf3D3/L3-poly", worst, tol, lam=lam)
 
-    nil_p = np.linalg.matrix_power(s.x_plus.mat, 2 * lam + 1)
-    nil_m = np.linalg.matrix_power(s.x_minus.mat, 2 * lam + 1)
+    nil_p = np.linalg.matrix_power(s.x_plus, 2 * lam + 1)
+    nil_m = np.linalg.matrix_power(s.x_minus, 2 * lam + 1)
     rep.add_residual("rf3D3/nilpotent",
                      max(frobenius_residual(nil_p, np.zeros_like(nil_p)),
                          frobenius_residual(nil_m, np.zeros_like(nil_m))),
@@ -243,11 +240,11 @@ def coordinate_blocks(lam: int, k: float | None = None) -> dict[int, TridiagSpec
     (the block for -m coincides with the one for m), from (lam, k) alone;
     k defaults and is validated as in build_sphere."""
     k = _sharpness(lam, k)
+    c = _level_weights(lam, k)
     blocks = {}
     for m in range(0, lam + 1):
-        off = np.array([_level_weight(l + 1, lam, k) * clebsch_a(l + 1, 0, m)
-                        for l in range(m, lam)])
-        blocks[m] = TridiagSpec(off)
+        l = np.arange(m + 1, lam + 1)   # entry l-1-m couples psi_{l-1}^m, psi_l^m
+        blocks[m] = TridiagSpec(c[l] * clebsch_a(l, 0, m))
     return blocks
 
 
@@ -257,12 +254,14 @@ class MadoreSphere:
     distance is exactly the identity."""
 
     l: float
-    L1: Operator
-    L2: Operator
-    L3: Operator
-    x1: Operator
-    x2: Operator
-    x3: Operator
+    L1: np.ndarray
+    L2: np.ndarray
+    L3: np.ndarray
+    l2: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
+    x3: np.ndarray
+    x_squared: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -276,17 +275,6 @@ class MadoreSphere:
     def L_ops(self):
         return (self.L1, self.L2, self.L3)
 
-    @property
-    def l2_op(self) -> Operator:
-        m = self.L1.mat @ self.L1.mat + self.L2.mat @ self.L2.mat \
-            + self.L3.mat @ self.L3.mat
-        return Operator(m, label="L^2")
-
-    @property
-    def x_squared(self) -> Operator:
-        m = sum(xi.mat @ xi.mat for xi in self.x_ops)
-        return Operator(m, label="x^2")
-
 
 def build_madore(l: float) -> MadoreSphere:
     """Spin-l comparator; l may be any positive half-integer."""
@@ -296,20 +284,18 @@ def build_madore(l: float) -> MadoreSphere:
     n = int(round(two_l)) + 1
     ms = l - np.arange(n)               # m = l, l-1, ..., -l
     L3 = np.diag(ms.astype(complex))
-    Lp = np.zeros((n, n), dtype=complex)
-    for i in range(1, n):
-        m = ms[i]
-        Lp[i - 1, i] = np.sqrt((l - m) * (l + m + 1))
+    # L_+ raises m = ms[i] to ms[i-1], one row up
+    Lp = np.diag(np.sqrt((l - ms[1:]) * (l + ms[1:] + 1)).astype(complex), 1)
     Lm = Lp.conj().T
     L1 = (Lp + Lm) / 2.0
     L2 = (Lp - Lm) / 2.0j
     scale = 1.0 / np.sqrt(l * (l + 1))
-    return MadoreSphere(l=l,
-                        L1=Operator(L1, label="L_1"), L2=Operator(L2, label="L_2"),
-                        L3=Operator(L3, label="L_3"),
-                        x1=Operator(scale * L1, label="x_1"),
-                        x2=Operator(scale * L2, label="x_2"),
-                        x3=Operator(scale * L3, label="x_3"))
+    x1, x2, x3 = scale * L1, scale * L2, scale * L3
+    return MadoreSphere(
+        l=l, L1=readonly(L1), L2=readonly(L2), L3=readonly(L3),
+        l2=readonly(L1 @ L1 + L2 @ L2 + L3 @ L3), x1=readonly(x1),
+        x2=readonly(x2), x3=readonly(x3),
+        x_squared=readonly(sum(xi @ xi for xi in (x1, x2, x3))))
 
 
 def madore_min_dispersion(ms: MadoreSphere) -> float:

@@ -4,6 +4,7 @@ The verdict lines bypass pytest's capture so they show up in plain
 `pytest -v` output.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -175,7 +176,7 @@ def test_criterion_09_dispersion_bounds(capsys):
             s = build_sphere(lam)
             chi, val = minimize_dispersion(s)
             assert 0.0 < val < 11.0 / (lam + 1) ** 2
-            assert np.linalg.norm(s.L3.mat @ chi.coeffs) <= 1e-10
+            assert np.linalg.norm(s.L3 @ chi.coeffs) <= 1e-10
             p0 = strong_scs_sphere_phi(s, np.zeros(lam + 1),
                                        EulerAngles(0.0, 0.0, 0.0))
             assert dispersion(s, p0).x_var < 1.0 / (lam + 1)
@@ -188,13 +189,19 @@ def test_criterion_09_dispersion_bounds(capsys):
 def test_criterion_10_determinism(capsys, tmp_path):
     with criterion(capsys, 10, "deterministic reports"):
         import json
+
+        import fuzzysphere
+        src = os.path.dirname(os.path.dirname(fuzzysphere.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
         records = []
         for run in ("a", "b"):
             path = tmp_path / f"{run}.json"
             cmd = [sys.executable, "-m", "fuzzysphere.cli", "verify",
                    "--d", "2", "--lambda", "1..3", "--suite", "all",
                    "--seed", "7", "--json", str(path)]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stdout + proc.stderr
             records.append(json.loads(path.read_text())["checks"])
         assert records[0] == records[1]

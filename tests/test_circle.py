@@ -1,12 +1,15 @@
 """Fuzzy circle construction and relation suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fuzzysphere.circle import (build_circle, coordinate_matrix,
                                 ladder_coefficient, min_sharpness,
                                 verify_circle_relations)
-from fuzzysphere.linop import State
+from fuzzysphere.linop import State, expect
+from fuzzysphere.spectral import eig_bisection
 
 
 def test_build_validations():
@@ -42,7 +45,7 @@ def test_ladder_action_small():
     # since n(n+1) = 0 for both
     c = build_circle(1, 4.0)
     psi0 = State.basis(c.dim, c.index(0))
-    out = c.x_plus @ psi0
+    out = c.x_plus @ psi0.coeffs
     assert out[c.index(1)] == pytest.approx(1.0)
     assert ladder_coefficient(1, 4.0) == pytest.approx(np.sqrt(1.5))
 
@@ -50,15 +53,14 @@ def test_ladder_action_small():
 def test_top_state_annihilated():
     c = build_circle(4)
     top = State.basis(c.dim, c.index(4))
-    assert np.linalg.norm(c.x_plus @ top) == 0.0
+    assert np.linalg.norm(c.x_plus @ top.coeffs) == 0.0
 
 
 def test_coordinates_hermitian():
     c = build_circle(3)
-    assert c.x1.is_hermitian()
-    assert c.x2.is_hermitian()
-    assert c.x_squared.is_hermitian()
-    assert np.allclose(c.x_minus.mat, c.x_plus.mat.conj().T)
+    for op in (c.x1, c.x2, c.x_squared):
+        assert np.allclose(op, op.conj().T, rtol=0.0, atol=1e-12)
+    assert np.allclose(c.x_minus, c.x_plus.conj().T)
 
 
 @pytest.mark.parametrize("lam", [1, 2, 3, 5, 8, 13])
@@ -75,18 +77,18 @@ def test_relations_hold_for_larger_k():
 
 def test_relations_catch_tampering():
     c = build_circle(2)
-    mat = np.array(c.x_plus.mat)
+    mat = np.array(c.x_plus)
     mat[0, 1] *= 1.01
-    bad = c.__class__(**{**c.__dict__, "x_plus": c.x_plus.__class__(mat)})
+    bad = dataclasses.replace(c, x_plus=mat)
     rep = verify_circle_relations(bad)
     assert not rep.passed
     assert rep.first_failure() is not None
 
 
 def _with_diagonal_shift(c, index, delta):
-    mat = np.array(c.L.mat)
+    mat = np.array(c.L)
     mat[index, index] += delta
-    return c.__class__(**{**c.__dict__, "L": c.L.__class__(mat)})
+    return dataclasses.replace(c, L=mat)
 
 
 @pytest.mark.parametrize("lam", [3, 100])
@@ -108,7 +110,7 @@ def test_x_squared_edge_projection():
     c = build_circle(lam)
     top = State.basis(c.dim, c.index(lam))
     expected = 1 + lam ** 2 / k - (1 + lam * (lam + 1) / k) / 2
-    assert c.x_squared.expect(top).real == pytest.approx(expected, abs=1e-14)
+    assert expect(c.x_squared, top).real == pytest.approx(expected, abs=1e-14)
 
 
 def test_coordinate_matrix_entries():
@@ -118,9 +120,39 @@ def test_coordinate_matrix_entries():
     # row i couples labels 2-i and 1-i
     expected = [0.5 * ladder_coefficient(n, 36.0) for n in (1, 0, -1, -2)]
     assert np.allclose(t.offdiag, expected)
-    assert np.allclose(t.dense(), c.x1.mat)
+    assert np.allclose(t.dense(), c.x1)
 
 
 def test_coordinate_matrix_toeplitz_limit():
     t = coordinate_matrix(3, toeplitz_limit=True)
     assert np.allclose(t.offdiag, 0.5)
+
+
+def _loop_build(lam, k):
+    """x_+ filled entry by entry, the reference for build_circle's array
+    fill."""
+    dim = 2 * lam + 1
+    xp = np.zeros((dim, dim), dtype=complex)
+    for n in range(-lam, lam):
+        # psi_n sits at index lam-n, psi_{n+1} one row above
+        xp[lam - n - 1, lam - n] = float(np.sqrt(1.0 + n * (n + 1) / k))
+    return xp
+
+
+@pytest.mark.parametrize("k", [None, np.inf])
+def test_build_matches_entrywise_loop(k):
+    for lam in range(1, 13):
+        c = build_circle(lam, k)
+        xp = _loop_build(lam, c.k)
+        assert c.x_plus.tobytes() == xp.tobytes()
+        assert c.x_minus.tobytes() == xp.conj().T.tobytes()
+        t = coordinate_matrix(lam, k)
+        assert t.offdiag.tobytes() == (0.5 * np.diag(xp, 1)).tobytes()
+
+
+@pytest.mark.parametrize("k", [None, np.inf])
+def test_coordinate_spectrum_matches_dense_x1(k):
+    for lam in range(1, 13):
+        got = np.sort(eig_bisection(coordinate_matrix(lam, k)).values)
+        ref = np.linalg.eigvalsh(build_circle(lam, k).x1)
+        assert np.abs(got - ref).max() <= 1e-12

@@ -119,7 +119,7 @@ def _brute_identity_sum(s, family, omega=None, beta=None):
     lam = s.lam
     n_az = 4 * lam + 3
     az = 2 * np.pi * np.arange(n_az) / n_az
-    m = np.real(np.diag(s.L3.mat))
+    m = np.real(np.diag(s.L3))
     if family == "spin":
         seeds = [np.sqrt(2 * l + 1) * State.basis(s.dim, s.index(l, l)).coeffs
                  for l in range(lam + 1)]
@@ -139,7 +139,7 @@ def _brute_identity_sum(s, family, omega=None, beta=None):
     total = np.zeros((s.dim, s.dim), dtype=complex)
     thetas, weights = coherent._polar_nodes(lam)
     for theta, wt in zip(thetas, weights):
-        r = expm_hermitian_generator(s.L2, theta).mat
+        r = expm_hermitian_generator(s.L2, theta)
         for phi in az:
             for psi in psis:
                 for seed in seeds:
@@ -211,15 +211,15 @@ def test_minimizer_sphere():
         # <x> along e3, and the minimizer sits in the L3 = 0 slice
         assert np.hypot(d.x_mean[0], d.x_mean[1]) <= 1e-10
         assert d.x_mean[2] > 0
-        assert np.linalg.norm(s.L3 @ chi) <= 1e-10
+        assert np.linalg.norm(s.L3 @ chi.coeffs) <= 1e-10
 
 
 def _scf_minimum(space):
     """Oracle: dense complex self-consistent field chi <- ground vector of
     x^2 - 2<x>.x from the top eigenvector of the reference coordinate and
     five seeded random starts; the least dispersion reached."""
-    xs = [op.mat for op in space.x_ops]
-    x2 = space.x_squared.mat
+    xs = list(space.x_ops)
+    x2 = space.x_squared
     x_ref = xs[0] if len(xs) == 2 else xs[2]
     rng = np.random.default_rng(0)
     starts = [np.linalg.eigh(x_ref)[1][:, -1]]
@@ -263,7 +263,7 @@ def test_minimizer_matches_scf_oracle(d):
 
 
 def _reference_axis(space):
-    return space.x_ops[0 if len(space.x_ops) == 2 else 2].mat
+    return space.x_ops[0 if len(space.x_ops) == 2 else 2]
 
 
 def _certified_lower_bound(space, npoints=101):
@@ -275,7 +275,7 @@ def _certified_lower_bound(space, npoints=101):
     of affine functions of beta, hence concave and above each chord, so
     beta^2 + chord is below the objective on each grid interval."""
     x_ref = _reference_axis(space)
-    x2 = space.x_squared.mat
+    x2 = space.x_squared
     betas = np.linspace(0.0, np.linalg.eigvalsh(x_ref)[-1], npoints)
     e0 = np.array([np.linalg.eigvalsh(x2 - 2.0 * b * x_ref)[0] for b in betas])
     slopes = np.diff(e0) / np.diff(betas)
@@ -303,7 +303,7 @@ def test_certificate_rejects_wrong_states(lam):
         wrong = [np.linalg.eigh(x_ref)[1][:, -1]]
         if len(space.x_ops) == 3:
             chi, _ = minimize_dispersion(space)
-            h = space.x_squared.mat - 2.0 * dispersion(space, chi).x_mean[2] * x_ref
+            h = space.x_squared - 2.0 * dispersion(space, chi).x_mean[2] * x_ref
             grounds = []
             for m in range(-lam, lam + 1):
                 idx = np.flatnonzero(space.m_of == m)
@@ -333,7 +333,7 @@ def test_minimizer_close_to_top_x_eigenvector():
     for lam in (3, 9):
         s = build_sphere(lam)
         chi, _ = minimize_dispersion(s)
-        vals, vecs = np.linalg.eigh(s.x3.mat)
+        vals, vecs = np.linalg.eigh(s.x3)
         deficits.append(1.0 - abs(np.vdot(vecs[:, -1], chi.coeffs)) ** 2)
     assert deficits[1] < deficits[0] < 0.5
 
@@ -371,6 +371,6 @@ def test_dispersion_rotation_invariant():
                                + 1j * rng.normal(size=s.dim))
         g = EulerAngles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi),
                         rng.uniform(0, 2 * np.pi))
-        rot = State(rotation_operator(s, g) @ chi)
+        rot = State(rotation_operator(s, g) @ chi.coeffs)
         assert dispersion(s, rot).x_var == pytest.approx(
             dispersion(s, chi).x_var, abs=1e-11)
