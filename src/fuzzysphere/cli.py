@@ -28,11 +28,11 @@ from .coherent import (check_heisenberg_circle, dispersion,
                        verify_identity_resolution_sphere, verify_weak_orbit)
 from .lierep import (EulerAngles, verify_so4_reconstruction,
                      verify_su2_reconstruction)
-from .linop import State
+from .linop import random_states
 from .report import CheckRecord, Report
-from .spectral import (TridiagSpec, circle_diag_report, eig_bisection,
-                       eig_bisection_many, sphere_diag_report,
-                       spectrum_invariance_under_phases, toeplitz_spectrum)
+from .spectral import (TridiagSpec, agrees_with_dense, circle_diag_report,
+                       eig_bisection, eig_bisection_many, random_rephasing,
+                       sphere_diag_report, toeplitz_spectrum)
 from .sphere import build_sphere, coordinate_blocks, verify_sphere_relations
 
 SUITES = ("relations", "spectra", "lie", "scs", "minimize")
@@ -66,6 +66,11 @@ def _rng(seed: int, d: int, lam: int, salt: int = 0):
     return np.random.default_rng([seed, d, lam, salt])
 
 
+def _random_euler(rng) -> EulerAngles:
+    return EulerAngles(rng.uniform(0, TWO_PI), rng.uniform(0, np.pi),
+                       rng.uniform(0, TWO_PI))
+
+
 def _scs_records_circle(c, tol, rng):
     checks = []
     beta = rng.uniform(0.0, TWO_PI, c.dim)
@@ -82,11 +87,8 @@ def _scs_records_circle(c, tol, rng):
     val = dispersion(c, phi).x_var
     rep.add(CheckRecord(tag="utileb", lam=c.lam, value=float(val),
                         bound=float(bound), passed=bool(val < bound)))
-    worst = np.inf
-    for _ in range(100):
-        v = rng.normal(size=c.dim) + 1j * rng.normal(size=c.dim)
-        hur = check_heisenberg_circle(c, State.normalized(v), tol=1e-12)
-        worst = min(worst, min(x.value for x in hur.checks))
+    hur = check_heisenberg_circle(c, random_states(rng, c.dim, 100), tol=1e-12)
+    worst = min(x.value for x in hur.checks)
     rep.add(CheckRecord(tag="HURS^1/random", lam=c.lam, value=float(worst),
                         bound=0.0, passed=bool(worst >= -1e-12)))
     return checks + rep.checks
@@ -102,25 +104,19 @@ def _scs_records_sphere(s, tol, rng):
     rep.extend(verify_identity_resolution_sphere(
         s, "phi", beta=rng.uniform(0.0, TWO_PI, lam + 1), tol=tol_res))
 
-    worst_sat = 0.0
-    for l in range(lam + 1):
-        g = EulerAngles(rng.uniform(0, TWO_PI), rng.uniform(0, np.pi),
-                        rng.uniform(0, TWO_PI))
-        d_ = dispersion(s, spin_cs(s, l, g))
-        worst_sat = max(worst_sat, abs(d_.L_var - np.linalg.norm(d_.L_mean)))
-    rep.add_residual("LUR3''/spin-saturation", worst_sat, 1e-9, lam=lam)
+    spins = np.column_stack([spin_cs(s, l, _random_euler(rng)).coeffs
+                             for l in range(lam + 1)])
+    d_ = dispersion(s, spins)
+    worst_sat = np.max(np.abs(d_.L_var - np.linalg.norm(d_.L_mean, axis=0)))
+    rep.add_residual("LUR3''/spin-saturation", float(worst_sat), 1e-9, lam=lam)
 
-    worst = np.inf
-    for _ in range(100):
-        v = rng.normal(size=s.dim) + 1j * rng.normal(size=s.dim)
-        d_ = dispersion(s, State.normalized(v))
-        lmean = float(np.linalg.norm(d_.L_mean))
-        worst = min(worst, d_.l2_mean - lmean * (lmean + 1.0))
-    rep.add(CheckRecord(tag="LUR3''/random", lam=lam, value=float(worst),
+    d_ = dispersion(s, random_states(rng, s.dim, 100))
+    lmean = np.linalg.norm(d_.L_mean, axis=0)
+    worst = float(np.min(d_.l2_mean - lmean * (lmean + 1.0)))
+    rep.add(CheckRecord(tag="LUR3''/random", lam=lam, value=worst,
                         bound=0.0, passed=bool(worst >= -1e-10)))
 
-    g = EulerAngles(rng.uniform(0, TWO_PI), rng.uniform(0, np.pi),
-                    rng.uniform(0, TWO_PI))
+    g = _random_euler(rng)
     pb = strong_scs_sphere_phi(s, rng.uniform(0.0, TWO_PI, lam + 1), g)
     rep.add_residual("LXURphi/L-var",
                      abs(dispersion(s, pb).L_var - lam * (lam + 2) / 2.0),
@@ -152,8 +148,7 @@ def _minimize_records(space, d, tol, rng):
         rep.add_residual("Deltax2qminS^2_L/L3",
                          float(np.linalg.norm(space.L3 @ chi.coeffs)),
                          1e-10, lam=lam)
-        grid = [EulerAngles(rng.uniform(0, TWO_PI), rng.uniform(0, np.pi),
-                            rng.uniform(0, TWO_PI)) for _ in range(6)]
+        grid = [_random_euler(rng) for _ in range(6)]
     rep.extend(verify_weak_orbit(space, chi, grid))
     return rep.checks
 
@@ -185,21 +180,27 @@ def _spectra_records(config: ScanConfig) -> list:
     lo, hi = config.lam_lo, config.lam_hi
     if config.d == 1:
         rep = circle_diag_report(lo, hi, config.k, config.tol)
-        n = 2 * hi + 1
-        t = TridiagSpec(np.full(n - 1, 0.5))
-        resid = float(np.abs(eig_bisection(t).values - toeplitz_spectrum(n)).max())
-        rep.add_residual("valuecos", resid, config.tol, lam=hi)
     else:
         rep = sphere_diag_report(lo, hi, config.k, config.tol)
+    # 20 random tridiagonals for the phase-invariance proposition, each
+    # drawn as n, a, then its phases; they (and the circle's Toeplitz
+    # matrix) are bisected in one kernel call
     rng = _rng(config.seed, config.d, 0, 3)
-    ok = True
+    cases = []
     for _ in range(20):
         n = int(rng.integers(2, 16))
-        a = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
-        ok = ok and spectrum_invariance_under_phases(TridiagSpec(a), rng,
-                                                     config.tol)
-    rep.add_residual("p_nRecurrence/phase-invariance", 0.0 if ok else 1.0,
-                     0.5, lam=hi)
+        t = TridiagSpec(rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
+        cases.append((t, random_rephasing(t, rng)))
+    toeplitz = [TridiagSpec(np.full(2 * hi, 0.5))] if config.d == 1 else []
+    spectra = eig_bisection_many([t for t, _ in cases] + toeplitz,
+                                 min(config.tol, 1e-12))
+    if toeplitz:
+        resid = np.abs(spectra[-1].values - toeplitz_spectrum(2 * hi + 1)).max()
+        rep.add_residual("valuecos", float(resid), config.tol, lam=hi)
+    verdicts = [agrees_with_dense(sp.values, case, config.tol)
+                for sp, case in zip(spectra, cases)]
+    rep.add_residual("p_nRecurrence/phase-invariance",
+                     0.0 if all(verdicts) else 1.0, 0.5, lam=hi)
     return rep.checks
 
 

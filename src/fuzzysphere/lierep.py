@@ -144,16 +144,10 @@ def l2_rotation_blocks(s):
     pairs.
 
     L_2 acts within each angular-momentum level, so each (2l+1)^2 block of
-    the fuzzy sphere (rows psi_l^-l .. psi_l^l) is eigendecomposed once here
-    and only its eigenvalue phases change with theta.  The Madore sphere is
-    a single level and so a single block."""
-    if isinstance(s, FuzzySphere):
-        slices = [slice(s.index(l, -l), s.index(l, l) + 1)
-                  for l in range(s.lam + 1)]
-    else:
-        slices = [slice(0, s.dim)]
-    l2 = s.L2
-    eigs = [(sl, *np.linalg.eigh(l2[sl, sl])) for sl in slices]
+    the fuzzy sphere (a Madore sphere is a single level, so a single block)
+    is eigendecomposed once per space, in its l2_eigh, and only the
+    eigenvalue phases change with theta."""
+    eigs = s.l2_eigh
 
     def blocks(theta: float) -> list:
         return [(sl, (vecs * np.exp(1j * theta * vals)) @ vecs.conj().T)

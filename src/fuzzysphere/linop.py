@@ -3,7 +3,9 @@
 Every operator downstream (coordinates, angular momenta, rotations) is a
 plain complex square ndarray; the spaces hold theirs read-only, made so by
 :func:`readonly`.  States are normalized complex coefficient vectors over
-the same basis, and :class:`State` enforces the normalization.
+the same basis.  Several states travel together as the columns of a
+(dim, n) block; :func:`unit_columns` checks every column's norm, and a
+:class:`State` is that check on a block of one.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ import numpy as np
 
 __all__ = [
     "State",
+    "unit_columns",
+    "normalized_columns",
+    "random_states",
     "readonly",
     "expect",
     "expm_hermitian_generator",
@@ -30,9 +35,43 @@ def readonly(a) -> np.ndarray:
     return a
 
 
+def unit_columns(v) -> np.ndarray:
+    """v as a complex (dim, n) block, after checking that every column has
+    norm 1 within 1e-12; the check is written so that a NaN or infinite
+    norm fails it too."""
+    v = np.asarray(v, dtype=complex)
+    if v.ndim != 2 or v.size < 1:
+        raise ValueError("a block of states must be a nonempty 2-d array")
+    nrm = np.linalg.norm(v, axis=0)
+    unit = np.abs(nrm - 1.0) <= 1e-12
+    if not unit.all():
+        j = int(np.argmin(unit))
+        raise ValueError(f"state norm {nrm[j]} of column {j} deviates from 1 "
+                         "beyond 1e-12")
+    return v
+
+
+def normalized_columns(v) -> np.ndarray:
+    """The columns of v scaled to unit norm; a zero column has no direction
+    and is an error."""
+    v = np.asarray(v, dtype=complex)
+    nrm = np.linalg.norm(v, axis=0)
+    if np.any(nrm == 0.0):
+        raise ValueError("cannot normalize a zero vector")
+    return unit_columns(v / nrm)
+
+
+def random_states(rng, dim: int, count: int) -> np.ndarray:
+    """count random unit states as the columns of a (dim, count) block.
+    They come from one rng.normal call, state by state, each as dim real
+    parts followed by dim imaginary parts."""
+    z = rng.normal(size=(count, 2, dim))
+    return normalized_columns((z[:, 0] + 1j * z[:, 1]).T)
+
+
 @dataclass(frozen=True)
 class State:
-    """Normalized complex coefficient vector."""
+    """Normalized complex coefficient vector: a block of one column."""
 
     coeffs: np.ndarray
 
@@ -40,9 +79,7 @@ class State:
         v = np.asarray(self.coeffs, dtype=complex)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("state must be a nonempty 1-d coefficient vector")
-        nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValueError(f"state norm {nrm} deviates from 1 beyond 1e-12")
+        unit_columns(v[:, None])
         v.setflags(write=False)
         object.__setattr__(self, "coeffs", v)
 
@@ -53,7 +90,9 @@ class State:
     @classmethod
     def normalized(cls, v) -> "State":
         v = np.asarray(v, dtype=complex)
-        return cls(v / np.linalg.norm(v))
+        if v.ndim != 1:
+            raise ValueError("state must be a nonempty 1-d coefficient vector")
+        return cls(normalized_columns(v[:, None])[:, 0])
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "State":

@@ -24,6 +24,8 @@ __all__ = [
     "toeplitz_spectrum",
     "check_spectrum_symmetry",
     "check_interlacing",
+    "random_rephasing",
+    "agrees_with_dense",
     "spectrum_invariance_under_phases",
     "circle_diag_report",
     "sphere_diag_report",
@@ -153,18 +155,31 @@ def check_interlacing(inner: Spectrum, outer: Spectrum) -> bool:
     return bool(np.all(a[:-1] > b) and np.all(b > a[1:]))
 
 
+def random_rephasing(t: TridiagSpec, rng) -> TridiagSpec:
+    """t with each off-diagonal entry turned by its own uniform random
+    phase; it has the same |a_k|^2, so by the proposition the same
+    spectrum."""
+    return TridiagSpec(t.offdiag * np.exp(2j * np.pi * rng.random(t.n - 1)))
+
+
+def agrees_with_dense(values, mats, tol: float) -> bool:
+    """True iff the descending values agree within tol with numpy's dense
+    eigvalsh of every matrix in mats."""
+    return all(np.max(np.abs(values - np.linalg.eigvalsh(m.dense())[::-1])) <= tol
+               for m in mats)
+
+
 def spectrum_invariance_under_phases(t: TridiagSpec, rng=None,
                                      tol: float = 1e-10) -> bool:
     """True iff the bisection spectrum, which sees only |a_k|^2, agrees within
     tol with numpy's dense eigvalsh of the complex hermitian matrix and of a
-    random rephasing of its off-diagonal entries."""
+    random rephasing of its off-diagonal entries.  Many matrices are checked
+    in one kernel call by bisecting them with eig_bisection_many at
+    min(tol, 1e-12) and passing each spectrum to agrees_with_dense."""
     if rng is None:
         rng = np.random.default_rng(0)
     values = eig_bisection(t, min(tol, 1e-12)).values
-    phases = np.exp(2j * np.pi * rng.random(t.n - 1))
-    return all(
-        np.max(np.abs(values - np.linalg.eigvalsh(m.dense())[::-1])) <= tol
-        for m in (t, TridiagSpec(t.offdiag * phases)))
+    return agrees_with_dense(values, (t, random_rephasing(t, rng)), tol)
 
 
 def circle_diag_report(lam_min: int, lam_max: int, k=None,

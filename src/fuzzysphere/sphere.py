@@ -15,6 +15,7 @@ rather than special cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,25 @@ class FuzzySphere:
     @property
     def L_ops(self):
         return (self.L1, self.L2, self.L3)
+
+    @cached_property
+    def l2_eigh(self) -> tuple:
+        """(slice, eigenvalues, eigenvectors) of the L_2 block of each level
+        l = 0..lam (rows psi_l^-l .. psi_l^l); computed on first use, so
+        all the rotations of a space share one eigendecomposition."""
+        return _blocks_eigh(self.L2, [slice(l * l, (l + 1) ** 2)
+                                      for l in range(self.lam + 1)])
+
+
+def _blocks_eigh(a: np.ndarray, slices) -> tuple:
+    """Read-only eigh of each diagonal block a[sl, sl]."""
+    out = []
+    for sl in slices:
+        vals, vecs = np.linalg.eigh(a[sl, sl])
+        vals.setflags(write=False)
+        vecs.setflags(write=False)
+        out.append((sl, vals, vecs))
+    return tuple(out)
 
 
 def _level_weights(lam: int, k: float) -> np.ndarray:
@@ -274,6 +294,11 @@ class MadoreSphere:
     @property
     def L_ops(self):
         return (self.L1, self.L2, self.L3)
+
+    @cached_property
+    def l2_eigh(self) -> tuple:
+        """FuzzySphere.l2_eigh for a single level: one block."""
+        return _blocks_eigh(self.L2, [slice(0, self.dim)])
 
 
 def build_madore(l: float) -> MadoreSphere:

@@ -6,10 +6,11 @@ import json
 import pytest
 
 import fuzzysphere
-from fuzzysphere import cli
+from fuzzysphere import _sturm, cli
 from fuzzysphere.circle import coordinate_matrix
 from fuzzysphere.cli import _parse_lambda, main
-from fuzzysphere.spectral import eig_bisection
+from fuzzysphere.spectral import (TridiagSpec, eig_bisection,
+                                  spectrum_invariance_under_phases)
 from fuzzysphere.sphere import coordinate_blocks
 
 
@@ -221,3 +222,43 @@ def test_plotdata(tmp_path, capsys):
 def test_scs_and_minimize_verbs(capsys):
     assert run(["scs", "--d", "1", "--lambda", "2..3"]) == 0
     assert run(["minimize", "--d", "2", "--lambda", "2"]) == 0
+
+
+def _phase_record(records):
+    return next(r for r in records if r.tag == "p_nRecurrence/phase-invariance")
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("tol", [1e-10, 3e-15])
+def test_spectra_phase_check_matches_per_matrix_verdicts(monkeypatch, d, tol):
+    # the suite's 20 random tridiagonals, drawn again one by one and checked
+    # by the single-matrix path; at tol 3e-15 some of them fail
+    rng = cli._rng(5, d, 0, 3)
+    single = []
+    for _ in range(20):
+        n = int(rng.integers(2, 16))
+        a = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+        single.append(spectrum_invariance_under_phases(TridiagSpec(a), rng, tol))
+
+    batched, kernel_calls = [], []
+    agrees, bisect_many = cli.agrees_with_dense, _sturm.bisect_many
+    monkeypatch.setattr(cli, "agrees_with_dense",
+                        lambda *args: batched.append(agrees(*args)) or batched[-1])
+    monkeypatch.setattr(_sturm, "bisect_many",
+                        lambda *args: kernel_calls.append(len(args[0]))
+                        or bisect_many(*args))
+    config = cli.ScanConfig(d=d, lam_lo=1, lam_hi=3, seed=5, tol=tol)
+    record = _phase_record(cli._spectra_records(config))
+    assert batched == single
+    assert record.passed == all(single)
+    # the diagonal report's call, then one for the 20 (+ Toeplitz) matrices
+    assert kernel_calls[1:] == [21 if d == 1 else 20]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_spectra_phase_check_catches_wrong_bisection(monkeypatch, d):
+    bisect_many = _sturm.bisect_many
+    monkeypatch.setattr(_sturm, "bisect_many",
+                        lambda *args: [v + 1e-6 for v in bisect_many(*args)])
+    config = cli.ScanConfig(d=d, lam_lo=1, lam_hi=3, seed=5)
+    assert not _phase_record(cli._spectra_records(config)).passed

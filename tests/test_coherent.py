@@ -1,5 +1,7 @@
 """Coherent-state families, uncertainty relations, dispersion minimizer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from fuzzysphere.coherent import (check_heisenberg_circle, dispersion,
                                   verify_identity_resolution_sphere,
                                   verify_weak_orbit, weak_scs_orbit)
 from fuzzysphere.lierep import EulerAngles
-from fuzzysphere.linop import State, expm_hermitian_generator
+from fuzzysphere.linop import (State, expect, expm_hermitian_generator,
+                               random_states)
 from fuzzysphere.sphere import build_madore, build_sphere, madore_min_dispersion
 
 
@@ -38,6 +41,77 @@ def test_random_states_obey_circle_hur():
         chi = State.normalized(rng.normal(size=c.dim)
                                + 1j * rng.normal(size=c.dim))
         assert check_heisenberg_circle(c, chi).passed
+
+
+def _block_spaces():
+    yield from (build_circle(lam) for lam in range(1, 17))
+    yield from (build_sphere(lam) for lam in range(1, 10))
+    yield from (build_madore(twol / 2) for twol in range(1, 7))
+
+
+def test_block_moments_match_per_column_expect():
+    rng = np.random.default_rng(21)
+    for space in _block_spaces():
+        block = random_states(rng, space.dim, 7)
+        d = dispersion(space, block)
+        for j in range(block.shape[1]):
+            psi = State(block[:, j])
+            want = {"x_mean": [expect(op, psi).real for op in space.x_ops],
+                    "x2_mean": expect(space.x_squared, psi).real,
+                    "L_mean": [expect(op, psi).real for op in space.L_ops],
+                    "l2_mean": expect(space.l2, psi).real}
+            for name, ref in want.items():
+                got = getattr(d, name)[..., j]
+                scale = max(1.0, float(np.max(np.abs(ref))))
+                assert np.max(np.abs(got - ref)) <= 1e-14 * scale, (space, name)
+            # the variances are the means' own combination, column by column
+            assert d.x_var[j] == d.x2_mean[j] - np.sum(d.x_mean[:, j] ** 2)
+            assert d.L_var[j] == d.l2_mean[j] - np.sum(d.L_mean[:, j] ** 2)
+
+
+def test_block_of_one_is_bitwise_the_state():
+    rng = np.random.default_rng(4)
+    for space in (build_circle(6), build_sphere(4), build_madore(1.5)):
+        v = random_states(rng, space.dim, 1)
+        single, block = dispersion(space, State(v[:, 0])), dispersion(space, v)
+        for name in ("x_mean", "x2_mean", "x_var", "L_mean", "l2_mean", "L_var"):
+            assert np.array_equal(getattr(single, name),
+                                  getattr(block, name)[..., 0]), name
+        assert isinstance(single.x_var, float)
+    c = build_circle(6)
+    v = random_states(rng, c.dim, 1)
+    assert (check_heisenberg_circle(c, State(v[:, 0])).checks
+            == check_heisenberg_circle(c, v).checks)
+
+
+def test_block_rejects_non_unit_column():
+    c = build_circle(3)
+    block = np.array(random_states(np.random.default_rng(0), c.dim, 4))
+    block[:, 2] *= 1.5
+    with pytest.raises(ValueError, match="column 2"):
+        dispersion(c, block)
+    with pytest.raises(ValueError):
+        check_heisenberg_circle(c, block[:, 0])       # 1-d: not a block
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_circle_hur_block_catches_one_offending_state(where):
+    # with L and L^2 zeroed the left-hand sides vanish, so a state with
+    # <x> != 0 breaks HURS^1; the basis states around it, with <x> = 0,
+    # still pass, and the block must fail whichever column holds it
+    c = build_circle(4)
+    broken = dataclasses.replace(c, L=np.zeros_like(c.L),
+                                 l2=np.zeros_like(c.l2))
+    block = np.eye(c.dim, dtype=complex)
+    assert check_heisenberg_circle(broken, block).passed
+    j = {"first": 0, "middle": c.dim // 2, "last": c.dim - 1}[where]
+    bad = np.zeros(c.dim, dtype=complex)
+    bad[[j, j + 1 if j + 1 < c.dim else j - 1]] = np.sqrt(0.5)   # neighbours
+    block[:, j] = bad
+    assert check_heisenberg_circle(c, block).passed
+    rep = check_heisenberg_circle(broken, block)
+    assert not rep.passed
+    assert rep.first_failure().tag.startswith("HURS^1/")
 
 
 def test_strong_circle_family_moments():

@@ -17,7 +17,7 @@ from fuzzysphere.lierep import (EulerAngles, _so4_parts, classical_rotation,
                                 verify_so4_reconstruction,
                                 verify_su2_reconstruction)
 from fuzzysphere.linop import State, expect, expm_hermitian_generator
-from fuzzysphere.sphere import build_madore, build_sphere
+from fuzzysphere.sphere import FuzzySphere, build_madore, build_sphere
 
 
 def test_euler_angle_ranges():
@@ -151,6 +151,46 @@ def test_block_rotation_matches_dense_product(space):
                         rng.uniform(0, 2 * np.pi))
         assert np.abs(rotation_operator(space, g)
                       - _dense_rotation(space, g)).max() <= 1e-13
+
+
+def test_rotations_share_one_eigendecomposition(monkeypatch):
+    from fuzzysphere.coherent import (spin_cs, strong_scs_sphere_phi,
+                                      verify_identity_resolution_sphere,
+                                      weak_scs_orbit)
+    rng = np.random.default_rng(8)
+    gs = [EulerAngles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi),
+                      rng.uniform(0, 2 * np.pi)) for _ in range(4)]
+    for space, levels in ((build_sphere(4), [2 * l + 1 for l in range(5)]),
+                          (build_madore(1.5), [4])):
+        # each rotation as it was built before the space kept its blocks:
+        # every l block eigendecomposed afresh for the one call
+        m = np.real(np.diag(space.L3))
+        want = []
+        for g in gs:
+            u = np.zeros((space.dim, space.dim), dtype=complex)
+            start = 0
+            for n in levels:
+                sl = slice(start, start + n)
+                vals, vecs = np.linalg.eigh(space.L2[sl, sl])
+                u[sl, sl] = (vecs * np.exp(1j * g.theta * vals)) @ vecs.conj().T
+                start += n
+            u *= np.exp(1j * g.phi * m)[:, None]
+            u *= np.exp(1j * g.psi * m)
+            want.append(u)
+
+        sizes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: sizes.append(a.shape[0]) or eigh(a))
+        for g, u in zip(gs, want):
+            assert np.array_equal(rotation_operator(space, g), u)
+        if isinstance(space, FuzzySphere):
+            spin_cs(space, 2, gs[0])
+            strong_scs_sphere_phi(space, np.zeros(space.lam + 1), gs[1])
+            verify_identity_resolution_sphere(space, "spin")
+        weak_scs_orbit(space, State.basis(space.dim, 0), gs)
+        assert sizes == levels          # one eigh per level, for all of them
+        monkeypatch.undo()
 
 
 def test_circle_rotation_matches_dense_exponential():

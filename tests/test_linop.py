@@ -14,7 +14,8 @@ import fuzzysphere
 from fuzzysphere.circle import build_circle
 from fuzzysphere.lierep import reconstruct_so4, reconstruct_su2
 from fuzzysphere.linop import (State, diag_annihilator, expect,
-                               expm_hermitian_generator, frobenius_residual)
+                               expm_hermitian_generator, frobenius_residual,
+                               normalized_columns, random_states, unit_columns)
 from fuzzysphere.sphere import build_madore, build_sphere
 
 
@@ -65,6 +66,49 @@ def test_state_normalization_enforced():
         State(np.array([1.0, 1.0]))
     s = State.normalized([1.0, 1.0])
     assert abs(np.linalg.norm(s.coeffs) - 1.0) < 1e-15
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [[np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0],
+                                 [0.0, 0.0], [1.0, 1e-3]])
+def test_state_rejects_nan_inf_zero_and_non_unit(bad):
+    # a NaN norm must fail the check, not slip past a `> 1e-12` comparison
+    with pytest.raises(ValueError):
+        State(np.array(bad))
+    if bad[1] != 1e-3:
+        with pytest.raises(ValueError):
+            State.normalized(np.array(bad))
+
+
+def test_normalized_rejects_zero_vector():
+    with pytest.raises(ValueError, match="zero vector"):
+        State.normalized(np.zeros(3))
+    with pytest.raises(ValueError, match="zero vector"):
+        normalized_columns(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_unit_columns_checks_every_column():
+    good = random_states(np.random.default_rng(3), 4, 5)
+    assert unit_columns(good) is good
+    for j in (0, 2, 4):
+        for value in (np.nan, np.inf, 0.0, 2.0):
+            block = np.array(good)
+            block[:, j] = value
+            with pytest.raises(ValueError, match=f"column {j}"):
+                unit_columns(block)
+    with pytest.raises(ValueError):
+        unit_columns(good[:, 0])                    # a 1-d vector is not a block
+
+
+def test_random_states_draw_order():
+    # state j is dim real parts then dim imaginary parts, in draw order
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    block = random_states(rng, 3, 4)
+    for j in range(4):
+        v = ref.normal(size=3) + 1j * ref.normal(size=3)
+        assert np.allclose(block[:, j], v / np.linalg.norm(v), rtol=0, atol=1e-15)
+    assert rng.normal() == ref.normal()
 
 
 def test_basis_state_and_overlap():
