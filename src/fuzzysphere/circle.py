@@ -79,6 +79,14 @@ def _sharpness(lam: int, k: float | None) -> float:
     return k
 
 
+def _x_squared(lam: int, k: float, labels: np.ndarray) -> np.ndarray:
+    """x^2 = (x_+ x_- + x_- x_+)/2 in closed form, 1 + L^2/k less half an
+    edge term at n = +-lam, where one of the two ladder steps leaves."""
+    edge = 1.0 + lam * (lam + 1) / k
+    return np.diag(1.0 + labels * labels / k
+                   - edge * (np.abs(labels) == lam) / 2.0).astype(complex)
+
+
 def build_circle(lam: int, k: float | None = None) -> FuzzyCircle:
     """Construct the fuzzy circle at truncation lam (default sharpness is
     the minimal admissible one)."""
@@ -93,7 +101,7 @@ def build_circle(lam: int, k: float | None = None) -> FuzzyCircle:
         lam=lam, k=k, labels=labels, L=readonly(L), l2=readonly(L @ L),
         x_plus=readonly(xp), x_minus=readonly(xm),
         x1=readonly((xp + xm) / 2.0), x2=readonly((xp - xm) / 2.0j),
-        x_squared=readonly((xp @ xm + xm @ xp) / 2.0))
+        x_squared=readonly(_x_squared(lam, k, labels)))
 
 
 def verify_circle_relations(c: FuzzyCircle, tol: float = 1e-10) -> Report:
@@ -101,7 +109,6 @@ def verify_circle_relations(c: FuzzyCircle, tol: float = 1e-10) -> Report:
     rep = Report()
     lam, k, dim = c.lam, c.k, c.dim
     L, xp, xm = c.L, c.x_plus, c.x_minus
-    eye = np.eye(dim)
 
     rep.add_residual("commrelD=2'/[L,x+]", frobenius_residual(L @ xp - xp @ L, xp),
                      tol, lam=lam)
@@ -119,8 +126,9 @@ def verify_circle_relations(c: FuzzyCircle, tol: float = 1e-10) -> Report:
     rep.add_residual("y+y-", frobenius_residual(xp @ xm - xm @ xp, rhs_comm),
                      tol, lam=lam)
 
-    rhs_r2 = eye + L @ L / k - edge * (p_top + p_bot) / 2.0
-    rep.add_residual("defR2D=2", frobenius_residual(c.x_squared, rhs_r2),
+    # x_squared is built in closed form, so the sum of squares is formed here
+    sq = (xp @ xm + xm @ xp) / 2.0
+    rep.add_residual("defR2D=2", frobenius_residual(sq, c.x_squared),
                      tol, lam=lam)
 
     # L is diagonal, so prod_n (L - n) is evaluated entrywise on its diagonal

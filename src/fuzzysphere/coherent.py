@@ -5,9 +5,15 @@ every integrand built from the truncated representation is a trigonometric
 polynomial of bounded degree, uniform azimuthal grids of 4*lam+3 points and
 Gauss-Legendre rules with 4*lam+4 nodes in cos(theta) integrate them exactly,
 so the identity checks are rounding-level assertions rather than convergence
-studies.  The weak families are orbits of the dispersion minimizer.  Its
-minimum is min over beta of beta^2 + E_0(beta), with E_0 the ground energy
-of x^2 - 2 beta x_ref along one reference axis; both terms commute with L_3,
+studies.  Each sum over quadrature nodes is one weave: for diagonal phases
+D_t = diag(e^{i t nu}), sum_t w_t D_t G D_t^dag is the entrywise product
+K * G with K = (B w) B^dag, B[i, t] = e^{i t nu_i}.  The identity holds for
+any nodes and weights, and K is taken from the actual grid, so a rule too
+coarse to integrate a family still shows in the residual.
+
+The weak families are orbits of the dispersion minimizer.  Its minimum is
+min over beta of beta^2 + E_0(beta), with E_0 the ground energy of
+x^2 - 2 beta x_ref along one reference axis; both terms commute with L_3,
 so each step solves one small real block per L_3 sector.  The fixed point
 beta <- <x_ref> starts at the top eigenvalue of x_ref and, E_0 being
 concave, only goes down, so it ends without a tolerance or restarts.
@@ -32,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lierep import (EulerAngles, l2_rotation_blocks, rotation_operator,
-                     rotation_operator_circle)
+from .lierep import EulerAngles, rotation_operator, rotation_operator_circle
 from .linop import State, unit_columns
 from .report import CheckRecord, Report
 
@@ -143,22 +148,26 @@ def strong_scs_circle(c, beta: np.ndarray, alpha: float) -> State:
     return State(_strong_circle_columns(c, beta, [alpha])[:, 0])
 
 
-def _gram(states: np.ndarray, weights) -> np.ndarray:
-    """Weighted sum of projectors onto the columns of `states`."""
-    w = np.asarray(weights, dtype=float)
-    return (states * w) @ states.conj().T
+def _weave(labels, angles, weights=None) -> np.ndarray:
+    """K = (B w) B^dag with B[i, t] = e^{i t labels_i}: the entrywise factor
+    for which sum_t w_t D_t G D_t^dag = K * G, D_t = diag(e^{i t labels}),
+    for every G (unit weights when weights is None)."""
+    b = np.exp(1j * np.outer(labels, angles))
+    w = 1.0 if weights is None else np.asarray(weights)
+    return (b * w) @ b.conj().T
 
 
 def verify_identity_resolution_circle(c, beta=None, npoints: int | None = None,
                                       tol: float = 1e-10) -> Report:
-    """Quadrature check of (2L+1)/(2pi) int dalpha P_alpha^beta = id."""
+    """Quadrature check of (2L+1)/(2pi) int dalpha P_alpha^beta = id; the
+    states are e^{i alpha L} omega_0^beta, so their projectors sum to a weave."""
     if beta is None:
         beta = np.zeros(c.dim)
     if npoints is None:
         npoints = 4 * c.lam + 3
     alphas = TWO_PI * np.arange(npoints) / npoints
-    states = unit_columns(_strong_circle_columns(c, beta, alphas))
-    total = c.dim / npoints * _gram(states, np.ones(npoints))
+    u = _strong_circle_columns(c, beta, [0.0])[:, 0]
+    total = c.dim / npoints * (_weave(c.labels, alphas) * np.outer(u, u.conj()))
     resid = float(np.linalg.norm(total - np.eye(c.dim)))
     rep = Report()
     rep.add_residual("IdResolS^1_L", resid, tol, lam=c.lam)
@@ -173,15 +182,20 @@ def spin_cs(s, l: int, g: EulerAngles) -> State:
     return State(rotation_operator(s, g) @ psi.coeffs)
 
 
-def strong_scs_sphere_phi(s, beta: np.ndarray, g: EulerAngles) -> State:
-    """phi_g^beta: the m=0 superposition with sqrt(2l+1) weights, rotated."""
+def _phi_seed(s, beta) -> np.ndarray:
+    """phi^beta = sum_l e^{i beta_l} sqrt(2l+1)/(lam+1) psi_l^0."""
     beta = np.asarray(beta, dtype=float)
     if beta.size != s.lam + 1:
         raise ValueError(f"beta must have {s.lam + 1} entries, got {beta.size}")
     v = np.zeros(s.dim, dtype=complex)
-    for l in range(s.lam + 1):
-        v[s.index(l, 0)] = np.exp(1j * beta[l]) * np.sqrt(2 * l + 1) / (s.lam + 1)
-    return State(rotation_operator(s, g) @ State(v).coeffs)
+    l = np.arange(s.lam + 1)
+    v[s.m_of == 0] = np.exp(1j * beta) * np.sqrt(2 * l + 1) / (s.lam + 1)
+    return v
+
+
+def strong_scs_sphere_phi(s, beta: np.ndarray, g: EulerAngles) -> State:
+    """phi_g^beta: the m=0 superposition with sqrt(2l+1) weights, rotated."""
+    return State(rotation_operator(s, g) @ State(_phi_seed(s, beta)).coeffs)
 
 
 def random_omega_weights(s, rng) -> np.ndarray:
@@ -206,78 +220,63 @@ _SPHERE_RESOLUTION_TAGS = {"spin": "ResolIdS^2_L",
                            "phi": "ResolIdS^2_Lphi"}
 
 
+def _by_levels(eigs, g: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """V^dag g V, or V g V^dag if inverse, with V the block-diagonal
+    eigenvectors of L_2 in eigs (a space's l2_eigh), applied per level."""
+    out = np.array(g, dtype=complex)
+    for sl, _, vecs in eigs:
+        a = vecs if inverse else vecs.conj().T
+        out[sl] = a @ out[sl]
+        out[:, sl] = out[:, sl] @ a.conj().T
+    return out
+
+
 def _identity_sum_sphere(s, family: str, omega=None, beta=None) -> np.ndarray:
     """Quadrature sum of one strong family's weighted projectors; it is the
     identity exactly when the nodes integrate the family exactly.
 
-    The rotated states are never stacked.  With D_phi = e^{i phi L_3}
-    diagonal, the azimuthal sum sum_phi D_phi G D_phi^dag is the entrywise
-    product W * G with W = A A^dag, A[m, phi] = e^{i phi m}.  W is taken
-    from the grid itself, so a grid too coarse to cancel the off-diagonal
-    terms still shows in W.  Each polar node then costs one block-diagonal
-    exp(i theta L_2) applied on both sides.
+    With pi(g) = e^{i phi L_3} V e^{i theta nu} V^dag e^{i psi L_3} (V, nu
+    the per-level eigenvectors and eigenvalues of L_2), each angle's sum is
+    one weave, which holds term by term for any rule, so a rule too coarse
+    to integrate the family still shows:
+
+        norm * W * (V (K_polar * (V^dag G_0 V)) V^dag),
+
+    W and K_polar the weaves of m and nu.  Only the seed Gram matrix G_0
+    differs: diagonal 2l+1 at psi_l^l (spin), v v^dag for the phi seed v
+    (phi), and the psi sum W * omega omega^dag (omega); the spin and phi
+    seeds have a fixed m, so psi only adds a phase.
     """
-    lam, dim = s.lam, s.dim
+    lam = s.lam
     if family not in _SPHERE_RESOLUTION_TAGS:
         raise ValueError(f"unknown family {family!r}")
     n_az = 4 * lam + 3
     phis = TWO_PI * np.arange(n_az) / n_az
-    thetas, w_th = _polar_nodes(lam)
-    az_phases = np.exp(1j * np.outer(s.m_of, phis))  # columns: e^{i phi L_3}
-    weave = az_phases @ az_phases.conj().T
-    rot_theta = l2_rotation_blocks(s)
-
-    # the third Euler angle is either a pure phase on the seed columns (spin
-    # and phi families) or sampled on its own uniform grid (omega), whose
-    # sum over the seed projectors is again an entrywise product with W
-    gram = None
+    weave = _weave(s.m_of, phis)
     if family == "spin":
-        seeds = np.zeros((dim, lam + 1), dtype=complex)
-        for l in range(lam + 1):
-            seeds[s.index(l, l), l] = np.sqrt(2 * l + 1)
+        gram = np.diag(np.where(s.l_of == s.m_of, 2.0 * s.l_of + 1.0, 0.0))
         norm = TWO_PI / n_az / (4.0 * np.pi)
     elif family == "omega":
         if omega is None:
             raise ValueError("the omega family needs a seed vector")
         omega = np.asarray(omega, dtype=complex)
-        defects = {}
-        for l in range(lam + 1):
-            block = omega[s.index(l, -l):s.index(l, l) + 1]
-            target = (2 * l + 1) / (lam + 1) ** 2
-            defect = abs(float(np.vdot(block, block).real) - target)
-            if defect > 1e-12:
-                defects[l] = defect
-        if defects:
-            raise ValueError(f"weight condition violated, per-l defect: {defects}")
-        # sum over psi of |e^{i psi L_3} omega><...|
+        target = (2 * np.arange(lam + 1) + 1) / (lam + 1) ** 2
+        defect = np.abs(np.bincount(s.l_of, np.abs(omega) ** 2) - target)
+        if np.any(defect > 1e-12):
+            bad = {l: float(d) for l, d in enumerate(defect) if d > 1e-12}
+            raise ValueError(f"weight condition violated, per-l defect: {bad}")
         gram = weave * np.outer(omega, omega.conj())
         norm = (lam + 1) ** 2 * (TWO_PI / n_az) ** 2 / (8.0 * np.pi ** 2)
     else:
-        if beta is None:
-            beta = np.zeros(lam + 1)
-        beta = np.asarray(beta, dtype=float)
-        v = np.zeros(dim, dtype=complex)
-        for l in range(lam + 1):
-            v[s.index(l, 0)] = np.exp(1j * beta[l]) * np.sqrt(2 * l + 1) / (lam + 1)
-        seeds = v[:, None]
+        v = _phi_seed(s, np.zeros(lam + 1) if beta is None else beta)
+        gram = np.outer(v, v.conj())
         norm = (lam + 1) ** 2 * (TWO_PI / n_az) / (4.0 * np.pi)
 
-    total = np.zeros((dim, dim), dtype=complex)
-    for theta, wt in zip(thetas, w_th):
-        blocks = rot_theta(theta)
-        if gram is None:
-            mid = np.empty_like(seeds)
-            for sl, r in blocks:
-                mid[sl] = r @ seeds[sl]
-            total += wt * (mid @ mid.conj().T)
-        else:
-            sandwich = np.empty_like(gram)
-            for sl, r in blocks:
-                sandwich[sl] = r @ gram[sl]
-            for sl, r in blocks:
-                sandwich[:, sl] = sandwich[:, sl] @ r.conj().T
-            total += wt * sandwich
-    return norm * (weave * total)
+    eigs = s.l2_eigh
+    thetas, w_th = _polar_nodes(lam)
+    nu = np.concatenate([vals for _, vals, _ in eigs])
+    polar = _weave(nu, thetas, w_th) * _by_levels(eigs, gram)
+    return norm * (weave * _by_levels(eigs, polar, inverse=True))
 
 
 def verify_identity_resolution_sphere(s, family: str, omega=None, beta=None,

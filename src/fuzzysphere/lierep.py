@@ -24,7 +24,7 @@ from .sphere import FuzzySphere
 
 __all__ = ["EulerAngles", "GeneratorSet", "squeeze_factor_circle",
            "reconstruct_su2", "g_weight", "reconstruct_so4",
-           "l2_rotation_blocks", "rotation_operator",
+           "rotation_operator",
            "rotation_operator_circle", "classical_rotation",
            "classical_rotation_2d", "verify_su2_reconstruction",
            "verify_so4_reconstruction"]
@@ -139,30 +139,15 @@ def reconstruct_so4(s: FuzzySphere) -> GeneratorSet:
                                  "C'": float(np.linalg.norm(cas_prime))})
 
 
-def l2_rotation_blocks(s):
-    """theta -> the diagonal blocks of exp(i theta L_2), as (slice, matrix)
-    pairs.
-
-    L_2 acts within each angular-momentum level, so each (2l+1)^2 block of
-    the fuzzy sphere (a Madore sphere is a single level, so a single block)
-    is eigendecomposed once per space, in its l2_eigh, and only the
-    eigenvalue phases change with theta."""
-    eigs = s.l2_eigh
-
-    def blocks(theta: float) -> list:
-        return [(sl, (vecs * np.exp(1j * theta * vals)) @ vecs.conj().T)
-                for sl, vals, vecs in eigs]
-    return blocks
-
-
 def rotation_operator(s: FuzzySphere, g: EulerAngles) -> np.ndarray:
     """pi(g) = exp(i phi L_3) exp(i theta L_2) exp(i psi L_3); unitary and
     block-diagonal over the angular-momentum levels.  L_3 is diagonal, so
     the outer factors are phases e^{i phi m} on the rows and e^{i psi m} on
-    the columns of the block-diagonal middle factor."""
+    the columns of the block-diagonal middle factor, whose level blocks
+    share the space's one eigendecomposition l2_eigh."""
     u = np.zeros((s.dim, s.dim), dtype=complex)
-    for sl, block in l2_rotation_blocks(s)(g.theta):
-        u[sl, sl] = block
+    for sl, vals, vecs in s.l2_eigh:
+        u[sl, sl] = (vecs * np.exp(1j * g.theta * vals)) @ vecs.conj().T
     m = np.real(np.diag(s.L3))
     u *= np.exp(1j * g.phi * m)[:, None]
     u *= np.exp(1j * g.psi * m)

@@ -128,6 +128,14 @@ def _sharpness(lam: int, k: float | None) -> float:
     return k
 
 
+def _x_squared(lam: int, k: float, l_of: np.ndarray) -> np.ndarray:
+    """x^2 = x_0^2 + (x_+ x_- + x_- x_+)/2 in closed form, 1 + (L^2 + 1)/k
+    less an edge term on the top level, which has no level lam+1 above it."""
+    edge = (1.0 + (lam + 1) ** 2 / k) * (lam + 1) / (2 * lam + 1)
+    return np.diag(1.0 + (l_of * (l_of + 1) + 1.0) / k
+                   - edge * (l_of == lam)).astype(complex)
+
+
 def build_sphere(lam: int, k: float | None = None) -> FuzzySphere:
     """Construct the fuzzy sphere at truncation lam (lam = 0 gives the
     one-dimensional space with vanishing coordinates)."""
@@ -169,7 +177,7 @@ def build_sphere(lam: int, k: float | None = None) -> FuzzySphere:
     x0, xp, xm = xs[0], xs[1], xs[-1]
     x1 = (xp + xm) / 2.0
     x2 = (xp - xm) / 2.0j
-    x_sq = x0 @ x0 + (xp @ xm + xm @ xp) / 2.0
+    x_sq = _x_squared(lam, k, l_of)
 
     return FuzzySphere(
         lam=lam, k=k, L3=readonly(L3), L_plus=readonly(Lp), L1=readonly(L1),
@@ -185,7 +193,6 @@ def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
     x = [s.x1, s.x2, s.x3]
     L = [s.L1, s.L2, s.L3]
     dim = s.dim
-    eye = np.eye(dim)
 
     r = max(frobenius_residual(m.conj().T, m) for m in x + L)
     rep.add_residual("rf3D4/hermitean", r, tol, lam=lam)
@@ -227,9 +234,9 @@ def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
     rep.add_residual("xx/bracket", r_xx, tol, lam=lam)
     rep.add_residual("xx/bracket-ordering", r_ord, tol, lam=lam)
 
-    edge = (1.0 + (lam + 1) ** 2 / k) * (lam + 1) / (2 * lam + 1)
-    rhs = eye + (s.l2 + eye) / k - edge * np.diag(top)
-    rep.add_residual("xx/r2", frobenius_residual(s.x_squared, rhs), tol, lam=lam)
+    # x_squared is built in closed form, so the sum of squares is formed here
+    sq = s.x3 @ s.x3 + (s.x_plus @ s.x_minus + s.x_minus @ s.x_plus) / 2.0
+    rep.add_residual("xx/r2", frobenius_residual(sq, s.x_squared), tol, lam=lam)
 
     lsq = sum(L[i] @ L[i] for i in range(3))
     rep.add_residual("D=3Basis/L2", frobenius_residual(lsq, s.l2), tol, lam=lam)

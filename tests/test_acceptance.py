@@ -128,7 +128,7 @@ def test_criterion_07_identity_resolutions(capsys):
             beta = rng.uniform(0, 2 * np.pi, c.dim)
             rep = verify_identity_resolution_circle(c, beta, tol=1e-10)
             assert rep.passed, rep.first_failure()
-        for lam in range(1, 11):
+        for lam in range(1, 21):
             s = build_sphere(lam)
             assert verify_identity_resolution_sphere(s, "spin", tol=1e-8).passed
             omega = random_omega_weights(s, rng)

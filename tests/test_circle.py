@@ -85,6 +85,20 @@ def test_relations_catch_tampering():
     assert rep.first_failure() is not None
 
 
+@pytest.mark.parametrize("field", ["x_plus", "x_minus", "x_squared"])
+def test_r2_catches_perturbed_ladder_or_square(field):
+    # x_squared is stored in closed form, so defR2D=2 must see a change on
+    # either side of x^2 = (x_+ x_- + x_- x_+)/2
+    c = build_circle(3)
+    mat = np.array(getattr(c, field))
+    row, col = np.argwhere(mat != 0)[0]
+    mat[row, col] *= 1.01
+    bad = dataclasses.replace(c, **{field: mat})
+    rec = next(r for r in verify_circle_relations(bad).checks
+               if r.tag == "defR2D=2")
+    assert not rec.passed
+
+
 def _with_diagonal_shift(c, index, delta):
     mat = np.array(c.L)
     mat[index, index] += delta

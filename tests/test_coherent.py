@@ -153,6 +153,17 @@ def test_strong_circle_beta_length_checked():
         strong_scs_circle(c, np.zeros(3), 0.0)
 
 
+@pytest.mark.parametrize("size", [3, 9])
+def test_phi_beta_length_checked(size):
+    # beta has one entry per level l = 0..lam; the state and the identity
+    # sum share one seed and one check
+    s = build_sphere(3)
+    with pytest.raises(ValueError, match="beta must have 4 entries"):
+        strong_scs_sphere_phi(s, np.zeros(size), EulerAngles(0, 0, 0))
+    with pytest.raises(ValueError, match="beta must have 4 entries"):
+        verify_identity_resolution_sphere(s, "phi", beta=np.zeros(size))
+
+
 def test_spin_cs_saturates_sphere_ur():
     # pi(g) psi_l^l has (Delta L)^2 = l and <x3> driven by the weight c_{l}
     s = build_sphere(4)

@@ -2,6 +2,7 @@
 
 import dataclasses
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -121,6 +122,37 @@ def test_so4_disjoint_pairs_commute():
     a = gen.generators[(1, 2)]
     b = gen.generators[(3, 4)]
     assert np.linalg.norm(a @ b - b @ a) <= 1e-12
+
+
+def _wigner_small_d(l: int, beta: float) -> np.ndarray:
+    """Racah's closed sum for d^l_{m'm}(beta), rows m' and columns m
+    ascending; independent of any eigendecomposition."""
+    c, sn = np.cos(beta / 2), np.sin(beta / 2)
+    d = np.zeros((2 * l + 1, 2 * l + 1))
+    for i, mp in enumerate(range(-l, l + 1)):
+        for j, m in enumerate(range(-l, l + 1)):
+            pref = np.sqrt(float(factorial(l + mp) * factorial(l - mp)
+                                 * factorial(l + m) * factorial(l - m)))
+            for t in range(max(0, m - mp), min(l + m, l - mp) + 1):
+                den = (factorial(l + m - t) * factorial(t)
+                       * factorial(mp - m + t) * factorial(l - mp - t))
+                d[i, j] += ((-1) ** (mp - m + t) * pref / den
+                            * c ** (2 * l + m - mp - 2 * t)
+                            * sn ** (mp - m + 2 * t))
+    return d
+
+
+@pytest.mark.parametrize("lam", range(1, 9))
+def test_rotation_matches_wigner_small_d(lam):
+    # exp(i theta L_2) on level l is d^l(-theta) in the ascending m basis
+    s = build_sphere(lam)
+    for theta in (0.0, 0.3, 1.1, np.pi / 2, 2.5, np.pi):
+        u = rotation_operator(s, EulerAngles(0.0, theta, 0.0))
+        want = np.zeros((s.dim, s.dim))
+        for l in range(lam + 1):
+            sl = slice(s.index(l, -l), s.index(l, l) + 1)
+            want[sl, sl] = _wigner_small_d(l, -theta)
+        assert np.abs(u - want).max() <= 1e-13
 
 
 def test_rotation_identity_and_phases():

@@ -110,6 +110,20 @@ def test_annihilator_polynomials_catch_perturbed_diagonal(op, tag):
     assert not rec.passed and np.isfinite(rec.residual)
 
 
+@pytest.mark.parametrize("field", ["x_plus", "x_minus", "x3", "x_squared"])
+def test_r2_catches_perturbed_coordinate_or_square(field):
+    # x_squared is stored in closed form, so xx/r2 must see a change on
+    # either side of x^2 = x_0^2 + (x_+ x_- + x_- x_+)/2
+    s = build_sphere(3)
+    mat = np.array(getattr(s, field))
+    row, col = np.argwhere(mat != 0)[0]
+    mat[row, col] *= 1.01
+    bad = dataclasses.replace(s, **{field: mat})
+    rec = next(c for c in verify_sphere_relations(bad).checks
+               if c.tag == "xx/r2")
+    assert not rec.passed
+
+
 def test_x_squared_is_function_of_l():
     lam = 5
     s = build_sphere(lam)
