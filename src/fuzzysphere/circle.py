@@ -140,16 +140,12 @@ def verify_circle_relations(c: FuzzyCircle, tol: float = 1e-10) -> Report:
     return rep
 
 
-def coordinate_matrix(lam: int, k: float | None = None,
-                      toeplitz_limit: bool = False) -> TridiagSpec:
+def coordinate_matrix(lam: int, k: float | None = None) -> TridiagSpec:
     """The symmetric tridiagonal matrix of x1 in the descending basis
     {psi_lam, ..., psi_-lam}, from (lam, k) alone; k defaults and is
-    validated as in build_circle.  With toeplitz_limit=True returns the
-    analytic k->infinity matrix (all off-diagonals 1/2)."""
+    validated as in build_circle.  k = inf gives the Toeplitz limit, every
+    off-diagonal exactly 1/2."""
     k = _sharpness(lam, k)
-    if toeplitz_limit:
-        off = np.full(2 * lam, 0.5)
-    else:
-        # row i couples psi_{lam-i} and psi_{lam-i-1}
-        off = 0.5 * ladder_coefficient(np.arange(lam - 1, -lam - 1, -1), k)
+    # row i couples psi_{lam-i} and psi_{lam-i-1}
+    off = 0.5 * ladder_coefficient(np.arange(lam - 1, -lam - 1, -1), k)
     return TridiagSpec(off)

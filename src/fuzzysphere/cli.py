@@ -30,9 +30,9 @@ from .lierep import (EulerAngles, verify_so4_reconstruction,
                      verify_su2_reconstruction)
 from .linop import random_states
 from .report import CheckRecord, Report
-from .spectral import (TridiagSpec, agrees_with_dense, circle_diag_report,
-                       eig_bisection, eig_bisection_many, random_rephasing,
-                       sphere_diag_report, toeplitz_spectrum)
+from .spectral import (TridiagSpec, agrees_with_dense, alpha1_bound,
+                       circle_diag_report, eig_bisection_many,
+                       random_rephasing, sphere_diag_report, toeplitz_spectrum)
 from .sphere import build_sphere, coordinate_blocks, verify_sphere_relations
 
 SUITES = ("relations", "spectra", "lie", "scs", "minimize")
@@ -128,24 +128,25 @@ def _scs_records_sphere(s, tol, rng):
     return rep.checks
 
 
+def _dispersion_bound(d: int, lam: int) -> float:
+    """The bound on the dispersion minimum, for the circle (d=1) or sphere."""
+    return (3.5 if d == 1 else 11.0) / (lam + 1) ** 2
+
+
 def _minimize_records(space, d, tol, rng):
     lam = space.lam
     chi, val = minimize_dispersion(space)
+    tag = f"Deltax2qminS^{d}_L"
+    bound = _dispersion_bound(d, lam)
     rep = Report()
+    rep.add(CheckRecord(tag=tag, lam=lam, value=float(val), bound=float(bound),
+                        passed=bool(0.0 < val < bound)))
+    rep.add_residual(f"{tag}/stationarity", minimizer_certificate(space, chi),
+                     1e-10, lam=lam)
     if d == 1:
-        bound = 3.5 / (lam + 1) ** 2
-        rep.add(CheckRecord(tag="Deltax2qminS^1_L", lam=lam, value=float(val),
-                            bound=float(bound), passed=bool(0.0 < val < bound)))
-        rep.add_residual("Deltax2qminS^1_L/stationarity",
-                         minimizer_certificate(space, chi), 1e-10, lam=lam)
         grid = rng.uniform(0.0, TWO_PI, 6)
     else:
-        bound = 11.0 / (lam + 1) ** 2
-        rep.add(CheckRecord(tag="Deltax2qminS^2_L", lam=lam, value=float(val),
-                            bound=float(bound), passed=bool(0.0 < val < bound)))
-        rep.add_residual("Deltax2qminS^2_L/stationarity",
-                         minimizer_certificate(space, chi), 1e-10, lam=lam)
-        rep.add_residual("Deltax2qminS^2_L/L3",
+        rep.add_residual(f"{tag}/L3",
                          float(np.linalg.norm(space.L3 @ chi.coeffs)),
                          1e-10, lam=lam)
         grid = [_random_euler(rng) for _ in range(6)]
@@ -161,16 +162,11 @@ def _records_for_lambda(args) -> list:
         verify = verify_circle_relations if d == 1 else verify_sphere_relations
         checks += verify(space, tol).checks
     if "lie" in suites:
-        if d == 1:
-            checks += verify_su2_reconstruction(space, tol).checks
-        else:
-            checks += verify_so4_reconstruction(space, tol).checks
+        verify = verify_su2_reconstruction if d == 1 else verify_so4_reconstruction
+        checks += verify(space, tol).checks
     if "scs" in suites:
-        rng = _rng(seed, d, lam, 1)
-        if d == 1:
-            checks += _scs_records_circle(space, tol, rng)
-        else:
-            checks += _scs_records_sphere(space, tol, rng)
+        scs = _scs_records_circle if d == 1 else _scs_records_sphere
+        checks += scs(space, tol, _rng(seed, d, lam, 1))
     if "minimize" in suites:
         checks += _minimize_records(space, d, tol, _rng(seed, d, lam, 2))
     return checks
@@ -178,10 +174,8 @@ def _records_for_lambda(args) -> list:
 
 def _spectra_records(config: ScanConfig) -> list:
     lo, hi = config.lam_lo, config.lam_hi
-    if config.d == 1:
-        rep = circle_diag_report(lo, hi, config.k, config.tol)
-    else:
-        rep = sphere_diag_report(lo, hi, config.k, config.tol)
+    diag_report = circle_diag_report if config.d == 1 else sphere_diag_report
+    rep = diag_report(lo, hi, config.k, config.tol)
     # 20 random tridiagonals for the phase-invariance proposition, each
     # drawn as n, a, then its phases; they (and the circle's Toeplitz
     # matrix) are bisected in one kernel call
@@ -191,7 +185,7 @@ def _spectra_records(config: ScanConfig) -> list:
         n = int(rng.integers(2, 16))
         t = TridiagSpec(rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
         cases.append((t, random_rephasing(t, rng)))
-    toeplitz = [TridiagSpec(np.full(2 * hi, 0.5))] if config.d == 1 else []
+    toeplitz = [coordinate_matrix(hi, np.inf)] if config.d == 1 else []
     spectra = eig_bisection_many([t for t, _ in cases] + toeplitz,
                                  min(config.tol, 1e-12))
     if toeplitz:
@@ -199,8 +193,7 @@ def _spectra_records(config: ScanConfig) -> list:
         rep.add_residual("valuecos", float(resid), config.tol, lam=hi)
     verdicts = [agrees_with_dense(sp.values, case, config.tol)
                 for sp, case in zip(spectra, cases)]
-    rep.add_residual("p_nRecurrence/phase-invariance",
-                     0.0 if all(verdicts) else 1.0, 0.5, lam=hi)
+    rep.add_verdict("p_nRecurrence/phase-invariance", all(verdicts), hi)
     return rep.checks
 
 
@@ -266,20 +259,17 @@ def write_spectra_csv(config: ScanConfig, path: str) -> int:
 def emit_plot_data(config: ScanConfig, path: str) -> int:
     """Long-format plot-ready CSV: dispersion minima with their bound,
     top eigenvalues with the theorem bound, and the interlacing ladder."""
+    lams = range(config.lam_lo, config.lam_hi + 1)
+    mats = [coordinate_matrix(lam, config.k) if config.d == 1
+            else coordinate_blocks(lam, config.k)[0] for lam in lams]
     rows = []
-    for lam in range(config.lam_lo, config.lam_hi + 1):
-        space = _build_space(config.d, lam, config.k)
-        _, val = minimize_dispersion(space)
-        cap = 3.5 if config.d == 1 else 11.0
+    for lam, spec in zip(lams, eig_bisection_many(mats)):
+        _, val = minimize_dispersion(_build_space(config.d, lam, config.k))
         rows.append(("dispersion", lam, lam, val))
-        rows.append(("dispersion-bound", lam, lam, cap / (lam + 1) ** 2))
-        if config.d == 1:
-            spec = eig_bisection(coordinate_matrix(lam, config.k))
-            bound = 1.0 - np.pi ** 2 / (8.0 * (lam + 1) ** 2)
-        else:
-            spec = eig_bisection(coordinate_blocks(lam, config.k)[0])
-            bound = 1.0 - np.pi ** 2 / (2.0 * (lam + 2) ** 2) if lam >= 2 else None
+        rows.append(("dispersion-bound", lam, lam,
+                     _dispersion_bound(config.d, lam)))
         rows.append(("alpha1", lam, lam, spec.values[0]))
+        bound = alpha1_bound(config.d, lam)
         if bound is not None:
             rows.append(("alpha1-bound", lam, lam, bound))
         for v in spec.values:
@@ -378,14 +368,11 @@ def main(argv=None) -> int:
             n = emit_plot_data(cfg, args.csv_path)
             print(f"wrote {n} rows to {args.csv_path}")
             return 0
-        if args.verb == "scs":
-            cfg = _config_from_args(args, ["scs"])
-        elif args.verb == "minimize":
-            cfg = _config_from_args(args, ["minimize"])
+        if args.verb in ("scs", "minimize"):
+            suites = [args.verb]
         else:
             suites = list(SUITES) if args.suite == "all" else [args.suite]
-            cfg = _config_from_args(args, suites)
-        code, _ = run_scan(cfg)
+        code, _ = run_scan(_config_from_args(args, suites))
         return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,10 +13,11 @@ coarse to integrate a family still shows in the residual.
 
 The weak families are orbits of the dispersion minimizer.  Its minimum is
 min over beta of beta^2 + E_0(beta), with E_0 the ground energy of
-x^2 - 2 beta x_ref along one reference axis; both terms commute with L_3,
-so each step solves one small real block per L_3 sector.  The fixed point
-beta <- <x_ref> starts at the top eigenvalue of x_ref and, E_0 being
-concave, only goes down, so it ends without a tolerance or restarts.
+x^2 - 2 beta x_ref along one reference axis; each step solves one small
+real block, that of the L_3 sector holding the top eigenvalue of x_ref,
+which is the lowest sector at every beta.  The fixed point beta <- <x_ref>
+starts at that eigenvalue and, E_0 being concave, only goes down, so it
+ends without a tolerance or restarts.
 
 The moments behind the uncertainty relations are taken over a block of
 states at once: `dispersion` and `check_heisenberg_circle` accept a State
@@ -314,6 +315,16 @@ def minimize_dispersion(space):
     iteration cap and no restarts (a strictly falling sequence of floats in
     [0, alpha_1] is finite).  The minimizer is that ground vector, so <x>
     already points along the reference axis.
+
+    For beta in [0, alpha_1] the lowest block is the sector holding
+    alpha_1, so only that block is diagonalized.  On the fuzzy sphere it is
+    m = 0: sector m has the diagonal x^2(l) and the off-diagonal
+    -2 beta c_l A_l^{0,m} <= 0, smaller in size as |m| grows, so by
+    Perron-Frobenius its ground energy is no lower than that of the m = 0
+    block cut to l >= |m|, and by Cauchy interlacing that is no lower than
+    the whole m = 0 block's (alpha_1 lies in m = 0 too, as the check
+    diag-sphere/alpha1-monotone shows).  On the Madore sphere the 1x1
+    sector m = l is the lowest for beta > 0; the circle has one sector.
     """
     if len(space.x_ops) == 2:
         x_ref, sectors = space.x1, [np.arange(space.dim)]
@@ -323,17 +334,13 @@ def minimize_dispersion(space):
         # dict.fromkeys rather than np.unique, whose first call alone raises
         # the process's resident memory by about 1.3 MiB
         sectors = [np.flatnonzero(m == v) for v in dict.fromkeys(m.tolist())]
-    x2 = space.x_squared
-    blocks = [(idx, np.real(x2[np.ix_(idx, idx)]),
-               np.real(x_ref[np.ix_(idx, idx)])) for idx in sectors]
-    beta = max(np.linalg.eigvalsh(xr)[-1] for _, _, xr in blocks)
+    tops = [np.linalg.eigvalsh(np.real(x_ref[np.ix_(idx, idx)]))[-1]
+            for idx in sectors]
+    idx = sectors[int(np.argmax(tops))]
+    q, xr = (np.real(a[np.ix_(idx, idx)]) for a in (space.x_squared, x_ref))
+    beta = max(tops)
     while True:
-        ground = None
-        for idx, q, xr in blocks:
-            vals, vecs = np.linalg.eigh(q - 2.0 * beta * xr)
-            if ground is None or vals[0] < ground[0]:
-                ground = (vals[0], idx, vecs[:, 0], xr)
-        _, idx, v, xr = ground
+        v = np.linalg.eigh(q - 2.0 * beta * xr)[1][:, 0]
         mean = float(v @ xr @ v)
         if not mean < beta:
             break

@@ -63,26 +63,32 @@ class GeneratorSet:
     casimir: dict
 
 
-def squeeze_factor_circle(s: float, lam: int, k: float) -> float:
-    """f_+(s); the lowering factor is f_-(s) = f_+(s+1)."""
+def squeeze_factor_circle(s, lam: int, k: float):
+    """f_+(s); the lowering factor is f_-(s) = f_+(s+1).  s may be an
+    array of labels."""
+    s = np.asarray(s)
     den = lam * (lam + 1) - s * (s - 1)
-    if den <= 0:
-        raise ValueError(f"squeeze factor undefined at s={s} for lam={lam}")
-    return float(np.sqrt((1.0 + s * (s - 1) / k) / den))
+    if np.any(den <= 0):
+        raise ValueError(f"squeeze factor undefined at s={s[den <= 0]} "
+                         f"for lam={lam}")
+    return np.sqrt((1.0 + s * (s - 1) / k) / den)
+
+
+def _su2_ladder(c: FuzzyCircle):
+    """E_+ = x_+ / (sqrt(2) f_+(E_0)) and the row weights sqrt(2) f_+(n) it
+    was divided by, for the rows n > -lam (the bottom row of x_+ is empty)."""
+    w = np.sqrt(2.0) * squeeze_factor_circle(c.labels[:-1], c.lam, c.k)
+    ep = np.array(c.x_plus)
+    ep[:-1] /= w[:, None]
+    return readonly(ep), w
 
 
 def reconstruct_su2(c: FuzzyCircle) -> GeneratorSet:
     """Invert x_+ = sqrt(2) f_+(E_0) E_+ on the fuzzy circle."""
-    lam, k = c.lam, c.k
-    ep = np.array(c.x_plus)
-    for r in range(c.dim):
-        row = ep[r]
-        if np.any(row != 0):
-            n_r = c.labels[r]
-            ep[r] = row / (np.sqrt(2.0) * squeeze_factor_circle(n_r, lam, k))
+    ep, _ = _su2_ladder(c)
     cas = ep @ ep.conj().T + c.l2 + ep.conj().T @ ep
     return GeneratorSet(algebra="su2",
-                        generators={"E+": readonly(ep),
+                        generators={"E+": ep,
                                     "E-": readonly(ep.conj().T), "E0": c.L},
                         casimir={"C": float(np.real(np.trace(cas)) / c.dim)})
 
@@ -106,10 +112,10 @@ def g_weight(l: int, lam: int, k: float) -> float:
 def _so4_parts(s: FuzzySphere):
     """Invert x_i = g(lambda) Lhat_{4i} g(lambda); returns the generators
     Lhat_{HI} (H < I), their full antisymmetric table and the matrices of
-    both Casimirs, sum Lhat_{HI}^2 and eps_{HIJK} Lhat_{HI} Lhat_{JK}."""
-    lam, k = s.lam, s.k
-    ginv = np.array([1.0 / g_weight(int(l), lam, k) for l in s.l_of])
-    dress = np.outer(ginv, ginv)
+    both Casimirs, sum Lhat_{HI}^2 and eps_{HIJK} Lhat_{HI} Lhat_{JK}, and
+    the dressing weight g(l) of every basis vector."""
+    g = np.array([g_weight(l, s.lam, s.k) for l in range(s.lam + 1)])[s.l_of]
+    dress = np.outer(1.0 / g, 1.0 / g)
 
     gens = {(1, 2): s.L3, (1, 3): readonly(-s.L2), (2, 3): s.L1}
     for i, xi in enumerate((s.x1, s.x2, s.x3), start=1):
@@ -127,13 +133,13 @@ def _so4_parts(s: FuzzySphere):
     cas_prime = np.zeros((s.dim, s.dim), dtype=complex)
     for a, b, sign in _PAIRINGS:
         cas_prime += 4.0 * sign * (full[a] @ full[b] + full[b] @ full[a])
-    return gens, full, cas, cas_prime
+    return gens, full, cas, cas_prime, g
 
 
 def reconstruct_so4(s: FuzzySphere) -> GeneratorSet:
     """Invert x_i = g(lambda) Lhat_{4i} g(lambda) and assemble the full
     antisymmetric generator family Lhat_{HI}, 1 <= H < I <= 4."""
-    gens, _, cas, cas_prime = _so4_parts(s)
+    gens, _, cas, cas_prime, _ = _so4_parts(s)
     return GeneratorSet(algebra="so4", generators=gens,
                         casimir={"C": float(np.real(np.trace(cas)) / s.dim),
                                  "C'": float(np.linalg.norm(cas_prime))})
@@ -181,8 +187,8 @@ def verify_su2_reconstruction(c: FuzzyCircle, tol: float = 1e-10) -> Report:
     """Cartan-Weyl relations, scalar Casimir and squeeze round-trip."""
     rep = Report()
     lam = c.lam
-    gen = reconstruct_su2(c)
-    ep, em, e0 = (gen.generators[k] for k in ("E+", "E-", "E0"))
+    ep, w = _su2_ladder(c)
+    em, e0 = ep.conj().T, c.L
     eye = np.eye(c.dim)
 
     rep.add_residual("su2rel/[E+,E-]", frobenius_residual(ep @ em - em @ ep, e0),
@@ -199,10 +205,7 @@ def verify_su2_reconstruction(c: FuzzyCircle, tol: float = 1e-10) -> Report:
 
     # forward squeeze re-applied to the reconstructed ladder
     xp_back = np.array(ep)
-    for r in range(c.dim):
-        if np.any(ep[r] != 0):
-            xp_back[r] = ep[r] * (np.sqrt(2.0)
-                                  * squeeze_factor_circle(c.labels[r], lam, c.k))
+    xp_back[:-1] *= w[:, None]
     rep.add_residual("transfD2/roundtrip", frobenius_residual(xp_back, c.x_plus),
                      tol, lam=lam)
     keep = np.abs(c.labels) != lam
@@ -219,22 +222,19 @@ def verify_so4_reconstruction(s: FuzzySphere, tol: float = 1e-9) -> Report:
     round-trip."""
     rep = Report()
     lam = s.lam
-    gens, full, cas, cas_prime = _so4_parts(s)
+    gens, full, cas, cas_prime, g = _so4_parts(s)
     eye = np.eye(s.dim)
 
     r_herm = max(frobenius_residual(op.conj().T, op) for op in gens.values())
     rep.add_residual("so4rel/hermitean", r_herm, tol, lam=lam)
-
-    def delta(a, b):
-        return 1.0 if a == b else 0.0
 
     # [A, B] = -[B, A] on both sides and [A, A] = 0, so the 15 unordered
     # pairs of distinct generators cover the whole table
     r_br = 0.0
     for (h, i), (j, kk) in combinations(gens, 2):
         lhs = full[(h, i)] @ full[(j, kk)] - full[(j, kk)] @ full[(h, i)]
-        rhs = 1j * (delta(h, j) * full[(i, kk)] - delta(h, kk) * full[(i, j)]
-                    - delta(i, j) * full[(h, kk)] + delta(i, kk) * full[(h, j)])
+        rhs = 1j * ((h == j) * full[(i, kk)] - (h == kk) * full[(i, j)]
+                    - (i == j) * full[(h, kk)] + (i == kk) * full[(h, j)])
         r_br = max(r_br, frobenius_residual(lhs, rhs))
     rep.add_residual("so4rel/brackets", r_br, tol, lam=lam)
 
@@ -243,8 +243,7 @@ def verify_so4_reconstruction(s: FuzzySphere, tol: float = 1e-9) -> Report:
     rep.add_residual("isomD3/casimir-prime", float(np.linalg.norm(cas_prime)),
                      tol, lam=lam)
 
-    gdiag = np.array([g_weight(int(l), lam, s.k) for l in s.l_of])
-    dress = np.outer(gdiag, gdiag)
+    dress = np.outer(g, g)
     r_rt, r_rt_off = 0.0, 0.0
     keep = s.l_of != lam
     off_edge = np.outer(keep, keep)             # P X P with P = 1 - P_lam

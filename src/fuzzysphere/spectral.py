@@ -26,6 +26,7 @@ __all__ = [
     "check_interlacing",
     "random_rephasing",
     "agrees_with_dense",
+    "alpha1_bound",
     "spectrum_invariance_under_phases",
     "circle_diag_report",
     "sphere_diag_report",
@@ -182,6 +183,14 @@ def spectrum_invariance_under_phases(t: TridiagSpec, rng=None,
     return agrees_with_dense(values, (t, random_rephasing(t, rng)), tol)
 
 
+def alpha1_bound(d: int, lam: int) -> float | None:
+    """The theorems' lower bound on the top coordinate eigenvalue: on the
+    circle (d = 1), and on the sphere (d = 2) from lam = 2 on (else None)."""
+    if d == 1:
+        return 1.0 - np.pi ** 2 / (8.0 * (lam + 1) ** 2)
+    return 1.0 - np.pi ** 2 / (2.0 * (lam + 2) ** 2) if lam >= 2 else None
+
+
 def circle_diag_report(lam_min: int, lam_max: int, k=None,
                        tol: float = 1e-10) -> Report:
     """Spectrum symmetry, interlacing of the positive halves, top-eigenvalue
@@ -195,22 +204,21 @@ def circle_diag_report(lam_min: int, lam_max: int, k=None,
         [coordinate_matrix(lam, k) for lam in lams], bis_tol)))
     for lam in range(lam_min, lam_max + 1):
         s_now, s_next = circle_spectra[lam], circle_spectra[lam + 1]
-        sym = check_spectrum_symmetry(s_now, tol)
-        report.add_residual("diag-circle/symmetry", 0.0 if sym else 1.0, 0.5, lam=lam)
+        report.add_verdict("diag-circle/symmetry",
+                           check_spectrum_symmetry(s_now, tol), lam)
         # the theorem interlaces the positive halves (sizes differ by 2 overall)
         top_in = Spectrum.from_values(s_now.values[:lam])
         top_out = Spectrum.from_values(s_next.values[:lam + 1])
-        inter = check_interlacing(top_in, top_out)
-        report.add_residual("diag-circle/interlacing", 0.0 if inter else 1.0,
-                            0.5, lam=lam)
-        bound = 1.0 - np.pi ** 2 / (8.0 * (lam + 1) ** 2)
+        report.add_verdict("diag-circle/interlacing",
+                           check_interlacing(top_in, top_out), lam)
+        bound = alpha1_bound(1, lam)
         a1 = s_now.values[0]
         report.add(CheckRecord(tag="diag-circle/alpha1-bound", lam=lam,
                                value=float(a1), bound=float(bound),
                                passed=bool(a1 >= bound)))
         gaps = -np.diff(s_now.values)
-        simple = bool(gaps.min(initial=np.inf) > SIMPLE_GAP_FACTOR * bis_tol)
-        report.add_residual("diag-circle/simple", 0.0 if simple else 1.0, 0.5, lam=lam)
+        report.add_verdict("diag-circle/simple", gaps.min(initial=np.inf)
+                           > SIMPLE_GAP_FACTOR * bis_tol, lam)
     return report
 
 
@@ -228,25 +236,20 @@ def sphere_diag_report(lam_min: int, lam_max: int, k=None,
     for lam in range(lam_min, lam_max + 1):
         alpha1 = []
         for m in range(0, lam + 1):
-            s_now = spectra[lam, m]
-            s_next = spectra[lam + 1, m]
+            s_now, s_next = spectra[lam, m], spectra[lam + 1, m]
             alpha1.append(s_now.values[0])
-            sym = check_spectrum_symmetry(s_now, tol)
-            report.add_residual("diag-sphere/symmetry", 0.0 if sym else 1.0,
-                                0.5, lam=lam, m=m)
-            inter = check_interlacing(s_now, s_next)
-            report.add_residual("diag-sphere/interlacing", 0.0 if inter else 1.0,
-                                0.5, lam=lam, m=m)
+            report.add_verdict("diag-sphere/symmetry",
+                               check_spectrum_symmetry(s_now, tol), lam, m)
+            report.add_verdict("diag-sphere/interlacing",
+                               check_interlacing(s_now, s_next), lam, m)
             if s_now.n > 1:
                 gaps = -np.diff(s_now.values)
-                simple = bool(gaps.min() > SIMPLE_GAP_FACTOR * bis_tol)
-                report.add_residual("diag-sphere/simple", 0.0 if simple else 1.0,
-                                    0.5, lam=lam, m=m)
-        mono = bool(np.all(np.diff(alpha1) < 0))
-        report.add_residual("diag-sphere/alpha1-monotone", 0.0 if mono else 1.0,
-                            0.5, lam=lam)
-        if lam >= 2:
-            bound = 1.0 - np.pi ** 2 / (2.0 * (lam + 2) ** 2)
+                report.add_verdict("diag-sphere/simple", gaps.min()
+                                   > SIMPLE_GAP_FACTOR * bis_tol, lam, m)
+        report.add_verdict("diag-sphere/alpha1-monotone",
+                           np.all(np.diff(alpha1) < 0), lam)
+        bound = alpha1_bound(2, lam)
+        if bound is not None:
             report.add(CheckRecord(tag="diag-sphere/alpha1-bound", lam=lam, m=0,
                                    value=float(alpha1[0]), bound=float(bound),
                                    passed=bool(alpha1[0] >= bound)))

@@ -138,8 +138,10 @@ def test_coordinate_matrix_entries():
 
 
 def test_coordinate_matrix_toeplitz_limit():
-    t = coordinate_matrix(3, toeplitz_limit=True)
-    assert np.allclose(t.offdiag, 0.5)
+    # k = inf is the Toeplitz limit: every off-diagonal is exactly 1/2
+    for lam in (1, 3, 50, 200):
+        t = coordinate_matrix(lam, np.inf)
+        assert np.array_equal(t.offdiag, np.full(2 * lam, 0.5))
 
 
 def _loop_build(lam, k):

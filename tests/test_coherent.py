@@ -403,6 +403,51 @@ def test_certificate_rejects_wrong_states(lam):
             assert minimizer_certificate(space, State.normalized(v)) > 1e-10
 
 
+def _sector_rule_spaces():
+    for lam in range(1, 21):
+        yield build_sphere(lam)
+        yield build_sphere(lam, np.inf)
+    for l in (0.5, 1.0, 1.5, 2.0, 3.0):
+        yield build_madore(l)
+
+
+def test_top_sector_is_lowest_for_every_searched_beta():
+    # the rule minimize_dispersion rests on, from dense eigvalsh alone: for
+    # 0 <= beta <= alpha_1, no L3 sector of x^2 - 2 beta x3 has a lower
+    # ground energy than the sector holding x3's top eigenvalue, which is
+    # m = 0 on the fuzzy sphere and m = l on the Madore sphere
+    for space in _sector_rule_spaces():
+        m = np.real(np.diag(space.L3))
+        ms = np.unique(m)
+        sectors = [np.flatnonzero(m == v) for v in ms]
+        x2, x3 = np.real(space.x_squared), np.real(space.x3)
+        tops = [np.linalg.eigvalsh(x3[np.ix_(i, i)])[-1] for i in sectors]
+        top = int(np.argmax(tops))
+        assert ms[top] == getattr(space, "l", 0.0), space
+        betas = np.linspace(0.0, tops[top], 21)[:, None, None]
+        grounds = np.array([np.linalg.eigvalsh(
+            x2[np.ix_(i, i)] - 2.0 * betas * x3[np.ix_(i, i)])[:, 0]
+            for i in sectors])
+        assert np.all(grounds >= grounds[top] - 1e-12), space
+
+
+def test_minimizer_diagonalizes_only_the_top_sector(monkeypatch):
+    # every step solves the m = 0 block, of size lam+1, and nothing else
+    spaces = [build_sphere(lam) for lam in range(1, 13)]
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    for s in spaces:
+        shapes.clear()
+        minimize_dispersion(s)
+        assert shapes and set(shapes) == {(s.lam + 1, s.lam + 1)}, s.lam
+
+
 def test_minimizer_scaling_slope():
     lams = np.array([4, 8, 16])
     mins = np.array([minimize_dispersion(build_circle(int(l)))[1]

@@ -101,7 +101,7 @@ def test_so4_casimir_prime_matches_levi_civita_sum(lam):
     # the 3-pairing form against eps_{HIJK} L_HI L_JK over all 24
     # permutations, on generators that do not commute across disjoint pairs
     s = _tampered_sphere(lam, 5)
-    _, full, _, cas_prime = _so4_parts(s)
+    _, full, _, cas_prime, _ = _so4_parts(s)
     assert np.linalg.norm(full[(1, 4)] @ full[(2, 3)]
                           - full[(2, 3)] @ full[(1, 4)]) > 1e-3
     ref = np.zeros_like(cas_prime)
