@@ -15,18 +15,17 @@ from .lierep import (EulerAngles, GeneratorSet, reconstruct_so4,
                      reconstruct_su2, rotation_operator)
 from .linop import State
 from .report import CheckRecord, Report
-from .spectral import Spectrum, TridiagSpec, eig_bisection, verify_diag_theorems
+from .spectral import Spectrum, TridiagSpec, eig_bisection
 from .sphere import (FuzzySphere, MadoreSphere, build_madore, build_sphere,
-                     coordinate_blocks, madore_min_dispersion,
-                     verify_sphere_relations)
+                     coordinate_blocks, verify_sphere_relations)
 
 __all__ = [
     "BACKEND", "__version__",
     "State", "CheckRecord", "Report",
     "FuzzyCircle", "build_circle", "coordinate_matrix", "verify_circle_relations",
     "FuzzySphere", "MadoreSphere", "build_sphere", "build_madore",
-    "coordinate_blocks", "madore_min_dispersion", "verify_sphere_relations",
-    "TridiagSpec", "Spectrum", "eig_bisection", "verify_diag_theorems",
+    "coordinate_blocks", "verify_sphere_relations",
+    "TridiagSpec", "Spectrum", "eig_bisection",
     "EulerAngles", "GeneratorSet", "reconstruct_su2", "reconstruct_so4",
     "rotation_operator",
     "DispersionReport", "dispersion", "minimize_dispersion",

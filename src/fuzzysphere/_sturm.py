@@ -1,20 +1,30 @@
 """Sturm-count multisection kernel for zero-diagonal hermitian tridiagonals.
 
-The characteristic polynomials of the nested leading blocks obey
+For a shift a, the pivots of the factorization T - a = L D L^T are
 
-    p_0 = 1,  p_1 = a,  p_{k+1}(a) = a * p_k(a) - |a_k|^2 * p_{k-1}(a),
+    q_1 = -a,  q_{k+1} = -a - |a_k|^2 / q_k,
 
-and the number of sign changes along (p_0(a), ..., p_n(a)) counts the
-eigenvalues >= a.  One vectorized recurrence, run over a ragged batch of
-matrices padded to the largest size, serves both the multisection driver
-and the single-shift evaluation of p_n.
+and by Sylvester's law of inertia the number of negative pivots is the
+number of eigenvalues below a, so n minus it counts the eigenvalues >= a.
+This is the count LAPACK's dstebz uses; Kahan (1966) and Demmel, Dhillon and
+Ren (1995) show that it is correct in floating point.  It needs no
+rescaling and gives no value of the characteristic polynomial.
+
+A zero pivot means a is an eigenvalue of the leading block; it is set to
++TINY before it is counted, the sign of the pivot at a shift just below a, so
+an exact eigenvalue counts as >= a.  (-TINY would count it below a: on an odd
+zero-diagonal block, where 0 is an eigenvalue, the count at 0 would be one
+short.)  The division by a TINY pivot may overflow to -inf, harmlessly: the
+next pivot is then -a, its limit as the shift rises to a.  One vectorized
+loop, run over a ragged batch of matrices padded to the largest size, serves
+the multisection driver.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BACKEND", "bisect_all", "bisect_many", "charpoly_value_and_count"]
+__all__ = ["BACKEND", "bisect_all", "bisect_many"]
 
 BACKEND = "numpy"
 
@@ -23,47 +33,30 @@ BACKEND = "numpy"
 SECTIONS = 16
 _GRID = np.arange(SECTIONS + 1) / SECTIONS
 
+# what a zero pivot is set to before it is counted
+TINY = np.finfo(float).tiny
 
-def _recurrence(absa2: np.ndarray, sizes: np.ndarray, alphas: np.ndarray,
-                scales: list | None = None):
-    """Sturm counts (eigenvalues >= alpha) and the rescaled p_n(alpha) for
-    each shift in alphas (rows x shifts).  Row r belongs to a matrix of size
-    sizes[r] whose |a_k|^2 are absa2[r, :sizes[r] - 1]; absa2 is padded to
-    the largest size and the steps past a row's own size are left out of
-    its count.  Appends the per-step scales that undo the rescaling to
-    scales, if given."""
-    p_prev, p = np.ones_like(alphas), alphas
-    neg = np.zeros(alphas.shape, dtype=bool)  # p_0 = 1 is positive
-    counts = np.zeros(alphas.shape, dtype=np.int64)
+
+def _counts(absa2: np.ndarray, sizes: np.ndarray, alphas: np.ndarray):
+    """Sturm counts (eigenvalues >= alpha) for each shift in alphas (rows x
+    shifts).  Row r belongs to a matrix of size sizes[r] whose |a_k|^2 are
+    absa2[r, :sizes[r] - 1]; absa2 is padded to the largest size and the
+    pivots past a row's own size are left out of its count."""
     sizes = sizes[:, None]
     steps, shortest = absa2.shape[1], sizes.min()
-    for k in range(steps + 1):
-        # a vanishing p_k sits strictly between two nonzero neighbours of
-        # opposite sign; counting it opposite to its predecessor is correct
-        change = ((p < 0) != neg) | (p == 0)
-        if k >= shortest:
-            change &= k < sizes  # the length mask: row r stops at sizes[r]
-        counts += change
-        neg ^= change
-        if k < steps:
-            # rescale to avoid overflow; only signs and the ratio matter
-            scale = np.maximum(np.abs(p), 1.0)
-            if scales is not None:
-                scales.append(scale)
-            q = p / scale
-            p, p_prev = alphas * q - absa2[:, k, None] * (p_prev / scale), q
-    return counts, p
-
-
-def charpoly_value_and_count(absa2: np.ndarray, alpha: float):
-    """p_n(alpha), saturated to +-inf once it passes e^700, and the number
-    of eigenvalues >= alpha."""
-    scales = []
-    counts, p = _recurrence(absa2[None, :], np.array([absa2.size + 1]),
-                            np.array([[alpha]]), scales)
-    logscale = sum(np.log(s[0, 0]) for s in scales)
-    value = p[0, 0] * np.exp(logscale) if logscale < 700.0 else np.sign(p[0, 0]) * np.inf
-    return value, int(counts[0, 0])
+    below = np.zeros(alphas.shape, dtype=np.int64)
+    q = -alphas
+    # zero pivots are replaced before any division, so only overflow occurs
+    with np.errstate(over="ignore"):
+        for k in range(steps + 1):
+            if k:
+                q = -alphas - absa2[:, k - 1, None] / q
+            q[q == 0] = TINY
+            neg = q < 0
+            if k >= shortest:
+                neg &= k < sizes  # the length mask: row r stops at sizes[r]
+            below += neg
+    return sizes - below
 
 
 def bisect_many(absa2s, radii, tol: float) -> list:
@@ -97,7 +90,7 @@ def bisect_many(absa2s, radii, tol: float) -> list:
         m = owner[rows]
         grid = lo[rows, None] + (hi[rows] - lo[rows])[:, None] * _GRID
         grid[:, -1] = hi[rows]
-        counts = _recurrence(absa2[m], sizes[m], grid[:, 1:-1])[0]
+        counts = _counts(absa2[m], sizes[m], grid[:, 1:-1])
         # cut points still at or below the eigenvalue, up to the first above
         below = np.logical_and.accumulate(counts >= rank[rows, None], axis=1)
         cut = below.sum(axis=1)

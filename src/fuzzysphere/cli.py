@@ -346,6 +346,8 @@ def main(argv=None) -> int:
         parser.error(f"tolerance must be positive and finite, got {args.tol}")
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
 
     try:
         if args.verb == "build":

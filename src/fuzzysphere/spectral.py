@@ -1,9 +1,9 @@
 """Spectral toolkit for hermitian tridiagonal matrices with zero diagonal.
 
-Covers the three-term characteristic-polynomial recurrence, Sturm-count
-bisection for all eigenvalues, spectrum symmetry / interlacing / simplicity
-checks, and the combined theorem verifier for the coordinate matrices of the
-fuzzy circle and sphere.
+Covers Sturm-count bisection for all eigenvalues (the counts come from the
+negative pivots of an LDL^T factorization, in _sturm), spectrum symmetry /
+interlacing / simplicity checks, and the theorem reports for the coordinate
+matrices of the fuzzy circle and sphere.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .report import CheckRecord, Report
 __all__ = [
     "TridiagSpec",
     "Spectrum",
-    "charpoly_eval",
     "eig_bisection",
     "eig_bisection_many",
     "toeplitz_spectrum",
@@ -30,7 +29,6 @@ __all__ = [
     "spectrum_invariance_under_phases",
     "circle_diag_report",
     "sphere_diag_report",
-    "verify_diag_theorems",
 ]
 
 SIMPLE_GAP_FACTOR = 10.0
@@ -68,47 +66,24 @@ class TridiagSpec:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Real eigenvalues in descending order with near-degeneracy flags."""
+    """Real eigenvalues in descending order."""
 
     values: np.ndarray
-    degenerate: np.ndarray
 
     def __post_init__(self):
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
-        d = np.atleast_1d(np.asarray(self.degenerate, dtype=bool))
-        if v.size != d.size:
-            raise ValueError("values and degeneracy flags must match in length")
         if np.any(np.diff(v) > 0):
             raise ValueError("spectrum values must be descending")
         v.setflags(write=False)
-        d.setflags(write=False)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "degenerate", d)
 
     @property
     def n(self) -> int:
         return self.values.size
 
     @classmethod
-    def from_values(cls, values, gap_tol: float = 0.0) -> "Spectrum":
-        v = np.sort(np.atleast_1d(np.asarray(values, dtype=float)))[::-1]
-        flags = np.zeros(v.size, dtype=bool)
-        if v.size > 1 and gap_tol > 0:
-            close = -np.diff(v) <= gap_tol  # v is descending
-            flags[:-1] |= close
-            flags[1:] |= close
-        return cls(v, flags)
-
-
-def charpoly_eval(t: TridiagSpec, alpha: float):
-    """Evaluate the characteristic polynomial recurrence at alpha.
-
-    Returns (value, sign_changes) where sign_changes counts the eigenvalues
-    >= alpha (Sturm count).  The value is computed with per-step rescaling
-    and saturates to +-inf if it overflows.
-    """
-    value, changes = _sturm.charpoly_value_and_count(t.abs2(), float(alpha))
-    return float(value), int(changes)
+    def from_values(cls, values) -> "Spectrum":
+        return cls(np.sort(np.atleast_1d(np.asarray(values, dtype=float)))[::-1])
 
 
 def _check_bisection_tol(tol: float):
@@ -120,7 +95,7 @@ def eig_bisection(t: TridiagSpec, tol: float = 1e-12) -> Spectrum:
     """All eigenvalues by Sturm-count bisection, to absolute accuracy tol."""
     _check_bisection_tol(tol)
     values = _sturm.bisect_all(t.abs2(), t.gershgorin_radius() + tol, tol)
-    return Spectrum.from_values(values, gap_tol=SIMPLE_GAP_FACTOR * tol)
+    return Spectrum.from_values(values)
 
 
 def eig_bisection_many(specs, tol: float = 1e-12) -> list[Spectrum]:
@@ -129,8 +104,7 @@ def eig_bisection_many(specs, tol: float = 1e-12) -> list[Spectrum]:
     _check_bisection_tol(tol)
     values = _sturm.bisect_many([t.abs2() for t in specs],
                                 [t.gershgorin_radius() + tol for t in specs], tol)
-    return [Spectrum.from_values(v, gap_tol=SIMPLE_GAP_FACTOR * tol)
-            for v in values]
+    return [Spectrum.from_values(v) for v in values]
 
 
 def toeplitz_spectrum(n: int) -> np.ndarray:
@@ -255,13 +229,3 @@ def sphere_diag_report(lam_min: int, lam_max: int, k=None,
                                    passed=bool(alpha1[0] >= bound)))
     return report
 
-
-def verify_diag_theorems(lam_max: int, k=None, tol: float = 1e-10) -> Report:
-    """Verify the coordinate-spectrum theorems for the circle and the sphere
-    up to truncation lam_max: symmetry, strict interlacing in the truncation,
-    top-eigenvalue lower bounds, m-monotonicity and simplicity."""
-    if lam_max < 2:
-        raise ValueError("lam_max must be at least 2")
-    report = circle_diag_report(1, lam_max, k, tol)
-    report.extend(sphere_diag_report(1, lam_max, k, tol))
-    return report

@@ -26,7 +26,7 @@ from .spectral import TridiagSpec
 
 __all__ = ["FuzzySphere", "MadoreSphere", "build_sphere",
            "verify_sphere_relations", "coordinate_blocks", "build_madore",
-           "madore_min_dispersion", "min_sharpness", "clebsch_a"]
+           "min_sharpness", "clebsch_a"]
 
 EPS = np.array([[[0, 0, 0], [0, 0, 1], [0, -1, 0]],
                 [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
@@ -329,9 +329,3 @@ def build_madore(l: float) -> MadoreSphere:
         x2=readonly(x2), x3=readonly(x3),
         x_squared=readonly(sum(xi @ xi for xi in (x1, x2, x3))))
 
-
-def madore_min_dispersion(ms: MadoreSphere) -> float:
-    """Minimum spatial dispersion over normalized states; equals 1/(l+1)."""
-    from .coherent import minimize_dispersion
-    _, value = minimize_dispersion(ms)
-    return value

@@ -28,8 +28,7 @@ from fuzzysphere.spectral import (TridiagSpec, agrees_with_dense,
                                   eig_bisection, eig_bisection_many,
                                   random_rephasing, sphere_diag_report,
                                   toeplitz_spectrum)
-from fuzzysphere.sphere import (build_madore, build_sphere,
-                                madore_min_dispersion, verify_sphere_relations)
+from fuzzysphere.sphere import build_madore, build_sphere, verify_sphere_relations
 
 
 @contextmanager
@@ -188,7 +187,7 @@ def test_criterion_09_dispersion_bounds(capsys):
             assert dispersion(s, p0).x_var < 1.0 / (lam + 1)
         for twol in range(1, 31):
             l = twol / 2.0
-            got = madore_min_dispersion(build_madore(l))
+            got = minimize_dispersion(build_madore(l))[1]
             assert abs(got - 1.0 / (l + 1.0)) <= 1e-8
 
 

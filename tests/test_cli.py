@@ -82,6 +82,18 @@ def test_pool_size_capped(jobs, lams, cpus, size, monkeypatch, capsys):
     assert _RecordingPool.sizes == ([] if size is None else [size])
 
 
+@pytest.mark.parametrize("verb", ["build", "verify", "spectrum", "scs",
+                                  "minimize", "plotdata"])
+def test_negative_seed_exits_two(verb, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        run([verb, "--d", "1", "--lambda", "1..2", "--seed", "-1",
+             "--csv", str(out)])
+    assert exc.value.code == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["build", "--lambda", "2", "--k", "nan"],
     ["verify", "--lambda", "2", "--suite", "relations", "--k", "nan"],

@@ -17,7 +17,7 @@ from fuzzysphere.coherent import (check_heisenberg_circle, dispersion,
 from fuzzysphere.lierep import EulerAngles
 from fuzzysphere.linop import (State, expect, expm_hermitian_generator,
                                random_states)
-from fuzzysphere.sphere import build_madore, build_sphere, madore_min_dispersion
+from fuzzysphere.sphere import build_madore, build_sphere
 
 
 def test_basis_states_saturate_circle_hur():
@@ -470,7 +470,7 @@ def test_minimizer_close_to_top_x_eigenvector():
 
 def test_madore_min_matches_closed_form():
     for l in (0.5, 1.0, 3.5, 8.0):
-        got = madore_min_dispersion(build_madore(l))
+        got = minimize_dispersion(build_madore(l))[1]
         assert got == pytest.approx(1 / (l + 1), abs=1e-9)
 
 

@@ -1,4 +1,4 @@
-"""Tridiagonal spectral toolkit: recurrence, bisection, symmetry,
+"""Tridiagonal spectral toolkit: Sturm counts, bisection, symmetry,
 interlacing, phase invariance."""
 
 import os
@@ -12,48 +12,76 @@ from hypothesis import strategies as st
 
 from fuzzysphere import _sturm
 from fuzzysphere.circle import coordinate_matrix
-from fuzzysphere.spectral import (Spectrum, TridiagSpec, charpoly_eval,
-                                  check_interlacing, check_spectrum_symmetry,
-                                  circle_diag_report, eig_bisection,
-                                  eig_bisection_many, sphere_diag_report,
+from fuzzysphere.spectral import (Spectrum, TridiagSpec, check_interlacing,
+                                  check_spectrum_symmetry, circle_diag_report,
+                                  eig_bisection, eig_bisection_many,
+                                  sphere_diag_report,
                                   spectrum_invariance_under_phases,
-                                  toeplitz_spectrum, verify_diag_theorems)
+                                  toeplitz_spectrum)
+from fuzzysphere.sphere import coordinate_blocks
+
+
+def count(t: TridiagSpec, alpha: float) -> int:
+    """The kernel's number of eigenvalues of t that are >= alpha."""
+    return int(_sturm._counts(t.abs2()[None, :], np.array([t.n]),
+                              np.array([[alpha]]))[0, 0])
 
 
 def test_charpoly_trivial_sizes():
-    t1 = TridiagSpec(np.zeros(0))
-    val, _ = charpoly_eval(t1, 0.5)
-    assert val == pytest.approx(0.5)       # p_1(a) = a
+    t1 = TridiagSpec(np.zeros(0))          # the 1x1 zero matrix
+    assert [count(t1, a) for a in (0.5, 0.0, -0.5)] == [0, 1, 1]
 
-    t2 = TridiagSpec([1.0])
-    val, _ = charpoly_eval(t2, 2.0)
-    assert val == pytest.approx(3.0)       # a^2 - 1
+    t2 = TridiagSpec([1.0])                # eigenvalues +-1
+    assert [count(t2, a) for a in (2.0, 1.0, 0.0, -1.0, -2.0)] == [0, 1, 1, 2, 2]
 
 
 def test_charpoly_matches_toeplitz_roots():
-    # n=3, a = (1/2, 1/2): p_3(a) = a^3 - a/2 with roots 0, +-1/sqrt(2)
+    # n=3, a = (1/2, 1/2): p_3(a) = a^3 - a/2 with roots 0, +-1/sqrt(2);
+    # the count drops by one across the floats next to each rounded root,
+    # and right above the exact root 0
     t = TridiagSpec([0.5, 0.5])
     for root in (0.0, 1 / np.sqrt(2), -1 / np.sqrt(2)):
-        val, _ = charpoly_eval(t, root)
-        assert abs(val) < 1e-12
+        below, above = np.nextafter(root, -np.inf), np.nextafter(root, np.inf)
+        assert count(t, below) - count(t, above) == 1
+    assert count(t, 0.0) - count(t, np.nextafter(0.0, np.inf)) == 1
 
 
 def test_sturm_count_bounds():
     t = TridiagSpec([0.5, 0.5, 0.5])
     big = t.gershgorin_radius() + 1.0
-    assert charpoly_eval(t, big)[1] == 0
-    assert charpoly_eval(t, -big)[1] == t.n
+    assert count(t, big) == 0
+    assert count(t, -big) == t.n
 
 
 @pytest.mark.parametrize("offdiag, alpha, expected", [
-    ([1.0], 1.0, (0.0, 1)),                    # an exact eigenvalue is counted
-    ([0.5, 0.5], 0.0, (-0.0, 2)),
-    (np.full(2000, 10.0), 3.0, (-np.inf, 905)),  # saturated value
+    ([1.0], 1.0, 1),                    # an exact eigenvalue is counted
+    ([0.5, 0.5], 0.0, 2),
+    (np.full(2000, 10.0), 3.0, 905),    # 2000 steps through huge pivots
 ])
 def test_sturm_count_includes_alpha(offdiag, alpha, expected):
-    val, count = charpoly_eval(TridiagSpec(offdiag), alpha)
-    assert count == expected[1]
-    assert val == expected[0] and np.signbit(val) == np.signbit(expected[0])
+    assert count(TridiagSpec(offdiag), alpha) == expected
+
+
+@pytest.mark.parametrize("mutated", [False, True])
+def test_zero_pivot_counts_as_positive(mutated, monkeypatch):
+    # a zero pivot stands for the pivot at a shift just below an exact
+    # eigenvalue, which is positive, so it must be set to +tiny; with -tiny
+    # the zero eigenvalue of every odd zero-diagonal block drops out of the
+    # count at 0 and out of its bisection bracket
+    if mutated:
+        monkeypatch.setattr(_sturm, "TINY", -np.finfo(float).tiny)
+    right = not mutated
+    for n in (1, 3, 5, 21):
+        got = count(TridiagSpec(np.full(n - 1, 0.5)), 0.0)
+        assert (got == (n + 1) // 2) == right
+    tol = 1e-12
+    for lam, m in ((1, 1), (4, 0), (9, 3), (20, 2)):
+        t = coordinate_blocks(lam)[m]
+        assert t.n % 2 == 1
+        values = _sturm.bisect_all(t.abs2(), t.gershgorin_radius() + tol, tol)
+        zero = values[t.n // 2]
+        assert abs(zero) <= tol
+        assert (0.0 <= zero) == right
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 51, 201])
@@ -129,7 +157,6 @@ def test_ragged_batch_is_bitwise_per_matrix(tol):
     for t, got in zip(specs, many):
         alone = eig_bisection(t, tol)
         assert np.array_equal(got.values, alone.values)
-        assert np.array_equal(got.degenerate, alone.degenerate)
     radii = [t.gershgorin_radius() + tol for t in specs]
     raw = _sturm.bisect_many([t.abs2() for t in specs], radii, tol)
     for t, r, got in zip(specs, radii, raw):
@@ -204,13 +231,12 @@ def test_phase_invariance_random(n, seed):
 
 
 def test_diag_theorem_reports():
-    rep = verify_diag_theorems(6)
+    rep = circle_diag_report(1, 6)
+    rep.extend(sphere_diag_report(1, 6))
     assert rep.passed
     tags = {c.tag for c in rep.checks}
     assert "diag-circle/alpha1-bound" in tags
     assert "diag-sphere/alpha1-monotone" in tags
-    with pytest.raises(ValueError):
-        verify_diag_theorems(1)
 
 
 def test_circle_diag_bound_example():
@@ -239,8 +265,6 @@ def test_arccos_gap_shrinks():
 
 def test_spectrum_type_validations():
     with pytest.raises(ValueError):
-        Spectrum(np.array([0.0, 1.0]), np.array([False, False]))  # ascending
-    with pytest.raises(ValueError):
-        Spectrum(np.array([1.0, 0.0]), np.array([False]))
-    s = Spectrum.from_values([3.0, 3.0 + 1e-15, 1.0], gap_tol=1e-12)
-    assert list(s.degenerate) == [True, True, False]
+        Spectrum(np.array([0.0, 1.0]))  # ascending
+    s = Spectrum.from_values([3.0, 3.0 + 1e-15, 1.0])
+    assert list(s.values) == [3.0 + 1e-15, 3.0, 1.0]

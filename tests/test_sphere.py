@@ -6,10 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fuzzysphere.coherent import minimize_dispersion
 from fuzzysphere.linop import State, expect
 from fuzzysphere.sphere import (build_madore, build_sphere, clebsch_a,
-                                coordinate_blocks, madore_min_dispersion,
-                                verify_sphere_relations)
+                                coordinate_blocks, verify_sphere_relations)
 from fuzzysphere.spectral import eig_bisection
 
 
@@ -185,8 +185,8 @@ def test_madore_bracket():
 
 @pytest.mark.parametrize("l,expected", [(0.5, 2 / 3), (1.0, 0.5), (10.0, 1 / 11)])
 def test_madore_min_dispersion(l, expected):
-    assert madore_min_dispersion(build_madore(l)) == pytest.approx(expected,
-                                                                   abs=1e-8)
+    assert minimize_dispersion(build_madore(l))[1] == pytest.approx(expected,
+                                                                    abs=1e-8)
 
 
 def test_madore_top_eigenvalue_below_one():
