@@ -11,9 +11,7 @@ from .circle import FuzzyCircle, build_circle, coordinate_matrix, verify_circle_
 from .coherent import (DispersionReport, dispersion,
                        minimize_dispersion, spin_cs, strong_scs_circle,
                        strong_scs_sphere_phi, weak_scs_orbit)
-from .lierep import (EulerAngles, GeneratorSet, reconstruct_so4,
-                     reconstruct_su2, rotation_operator)
-from .linop import State
+from .lierep import EulerAngles, rotation_operator
 from .report import CheckRecord, Report
 from .spectral import Spectrum, TridiagSpec, eig_bisection
 from .sphere import (FuzzySphere, MadoreSphere, build_madore, build_sphere,
@@ -21,13 +19,12 @@ from .sphere import (FuzzySphere, MadoreSphere, build_madore, build_sphere,
 
 __all__ = [
     "BACKEND", "__version__",
-    "State", "CheckRecord", "Report",
+    "CheckRecord", "Report",
     "FuzzyCircle", "build_circle", "coordinate_matrix", "verify_circle_relations",
     "FuzzySphere", "MadoreSphere", "build_sphere", "build_madore",
     "coordinate_blocks", "verify_sphere_relations",
     "TridiagSpec", "Spectrum", "eig_bisection",
-    "EulerAngles", "GeneratorSet", "reconstruct_su2", "reconstruct_so4",
-    "rotation_operator",
+    "EulerAngles", "rotation_operator",
     "DispersionReport", "dispersion", "minimize_dispersion",
     "spin_cs", "strong_scs_circle", "strong_scs_sphere_phi", "weak_scs_orbit",
 ]

@@ -104,7 +104,7 @@ def _scs_records_sphere(s, tol, rng):
     rep.extend(verify_identity_resolution_sphere(
         s, "phi", beta=rng.uniform(0.0, TWO_PI, lam + 1), tol=tol_res))
 
-    spins = np.column_stack([spin_cs(s, l, _random_euler(rng)).coeffs
+    spins = np.column_stack([spin_cs(s, l, _random_euler(rng))
                              for l in range(lam + 1)])
     d_ = dispersion(s, spins)
     worst_sat = np.max(np.abs(d_.L_var - np.linalg.norm(d_.L_mean, axis=0)))
@@ -147,7 +147,7 @@ def _minimize_records(space, d, tol, rng):
         grid = rng.uniform(0.0, TWO_PI, 6)
     else:
         rep.add_residual(f"{tag}/L3",
-                         float(np.linalg.norm(space.L3 @ chi.coeffs)),
+                         float(np.linalg.norm(space.L3 @ chi)),
                          1e-10, lam=lam)
         grid = [_random_euler(rng) for _ in range(6)]
     rep.extend(verify_weak_orbit(space, chi, grid))

@@ -19,13 +19,13 @@ which is the lowest sector at every beta.  The fixed point beta <- <x_ref>
 starts at that eigenvalue and, E_0 being concave, only goes down, so it
 ends without a tolerance or restarts.
 
-The moments behind the uncertainty relations are taken over a block of
-states at once: `dispersion` and `check_heisenberg_circle` accept a State
-or a (dim, n) block of unit columns, and each operator's expectations over
-the block come from one matrix product and one contraction with V^*.  A
-State is a block of one and goes through the same code, so the
-random-state checks cost one pass per block rather than one call per
-state.
+A state is a complex 1-d unit vector and a family of states a (dim, n)
+block of unit columns.  Every public function that takes states checks
+them on entry: a 1-d vector is a block of one, and every column must have
+norm 1.  The moments behind the uncertainty relations are taken over a
+whole block at once: each operator's expectations come from one matrix
+product and one contraction with V^*, so the random-state checks cost one
+pass per block rather than one call per state.
 
 All functions accept any space exposing the read-only complex arrays x_ops
 (the coordinates), L_ops (the angular momenta), l2 (L^2) and x_squared (the
@@ -35,12 +35,13 @@ comparator all do, and the three-dimensional ones also expose L3 and x3.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lierep import EulerAngles, rotation_operator, rotation_operator_circle
-from .linop import State, unit_columns
+from .linop import unit_columns
 from .report import CheckRecord, Report
 
 __all__ = ["DispersionReport", "dispersion",
@@ -68,10 +69,18 @@ class DispersionReport:
 
 
 def _columns(psi) -> np.ndarray:
-    """psi as a (dim, n) block of unit columns: a State is a block of one."""
-    if isinstance(psi, State):
-        return psi.coeffs[:, None]
-    return unit_columns(psi)
+    """psi as a (dim, n) block of unit columns: a 1-d vector is a block of
+    one."""
+    v = np.asarray(psi, dtype=complex)
+    return unit_columns(v[:, None] if v.ndim == 1 else v)
+
+
+def _state(chi) -> np.ndarray:
+    """chi, one state, as a checked 1-d unit vector."""
+    v = _columns(chi)
+    if v.shape[1] != 1:
+        raise ValueError(f"expected one state, got a block of {v.shape[1]}")
+    return v[:, 0]
 
 
 def _block_moments(space, v: np.ndarray, extra=()) -> tuple:
@@ -93,12 +102,12 @@ def _block_moments(space, v: np.ndarray, extra=()) -> tuple:
 
 
 def dispersion(space, psi) -> DispersionReport:
-    """Moments of psi, a State or a (dim, n) block of unit columns; the
-    dispersions are the O(D)-invariant variances.  A State's report holds
-    plain numbers and length-D mean vectors, exactly the first column of
-    its block-of-one report."""
+    """Moments of psi, a unit vector or a (dim, n) block of unit columns;
+    the dispersions are the O(D)-invariant variances.  A vector's report
+    holds plain numbers and length-D mean vectors, exactly the first column
+    of its block-of-one report."""
     fields, _ = _block_moments(space, _columns(psi))
-    if isinstance(psi, State):
+    if np.ndim(psi) == 1:
         fields = [f[:, 0] if f.ndim == 2 else float(f[0]) for f in fields]
     return DispersionReport(*fields)
 
@@ -114,7 +123,7 @@ def _slack_record(tag, lhs, rhs, lam, tol) -> CheckRecord:
 
 def check_heisenberg_circle(c, psi, tol: float = 1e-12) -> Report:
     """The three covariant uncertainty inequalities on the fuzzy circle, for
-    a State or for every column of a block of unit states.  For a block,
+    a unit vector or for every column of a block of unit states.  For a block,
     each of the three records holds its worst column, so the report passes
     exactly when every state passes all three."""
     (x_mean, _, x_var, _, _, L_var), (sq1, sq2) = _block_moments(
@@ -143,10 +152,10 @@ def _strong_circle_columns(c, beta, alphas) -> np.ndarray:
     return np.exp(1j * phases) / np.sqrt(c.dim)
 
 
-def strong_scs_circle(c, beta: np.ndarray, alpha: float) -> State:
+def strong_scs_circle(c, beta: np.ndarray, alpha: float) -> np.ndarray:
     """omega_alpha^beta = sum_n e^{i(alpha n + beta_n)} psi_n / sqrt(2L+1);
     beta is indexed like the basis (n descending from lam to -lam)."""
-    return State(_strong_circle_columns(c, beta, [alpha])[:, 0])
+    return _strong_circle_columns(c, beta, [alpha])[:, 0]
 
 
 def _weave(labels, angles, weights=None) -> np.ndarray:
@@ -175,12 +184,12 @@ def verify_identity_resolution_circle(c, beta=None, npoints: int | None = None,
     return rep
 
 
-def spin_cs(s, l: int, g: EulerAngles) -> State:
-    """Rotated highest-weight state pi(g) psi_l^l."""
+def spin_cs(s, l: int, g: EulerAngles) -> np.ndarray:
+    """Rotated highest-weight state pi(g) psi_l^l: a column of pi(g), copied
+    so that the whole matrix is not kept alive with it."""
     if not 0 <= l <= s.lam:
         raise ValueError(f"l={l} out of range 0..{s.lam}")
-    psi = State.basis(s.dim, s.index(l, l))
-    return State(rotation_operator(s, g) @ psi.coeffs)
+    return rotation_operator(s, g)[:, s.index(l, l)].copy()
 
 
 def _phi_seed(s, beta) -> np.ndarray:
@@ -194,9 +203,9 @@ def _phi_seed(s, beta) -> np.ndarray:
     return v
 
 
-def strong_scs_sphere_phi(s, beta: np.ndarray, g: EulerAngles) -> State:
+def strong_scs_sphere_phi(s, beta: np.ndarray, g: EulerAngles) -> np.ndarray:
     """phi_g^beta: the m=0 superposition with sqrt(2l+1) weights, rotated."""
-    return State(rotation_operator(s, g) @ State(_phi_seed(s, beta)).coeffs)
+    return rotation_operator(s, g) @ _phi_seed(s, beta)
 
 
 def random_omega_weights(s, rng) -> np.ndarray:
@@ -210,10 +219,15 @@ def random_omega_weights(s, rng) -> np.ndarray:
     return v
 
 
+@functools.cache
 def _polar_nodes(lam: int):
-    """Gauss-Legendre nodes/weights in cos(theta), mapped to theta."""
+    """Gauss-Legendre nodes/weights in cos(theta), mapped to theta; computed
+    once per lam and shared, read-only, by the three sphere families."""
     nodes, weights = np.polynomial.legendre.leggauss(4 * lam + 4)
-    return np.arccos(nodes), weights
+    thetas = np.arccos(nodes)
+    thetas.setflags(write=False)
+    weights.setflags(write=False)
+    return thetas, weights
 
 
 _SPHERE_RESOLUTION_TAGS = {"spin": "ResolIdS^2_L",
@@ -300,7 +314,8 @@ def verify_identity_resolution_sphere(s, family: str, omega=None, beta=None,
 
 
 def minimize_dispersion(space):
-    """Minimize (Delta x)^2 over unit states; returns (state, minimum).
+    """Minimize (Delta x)^2 over unit states; returns (chi, minimum), chi a
+    unit vector.
 
     For every unit state and vector b, <x^2> - 2 b.<x> + |b|^2 equals
     (Delta x)^2 + |<x> - b|^2, so the minimum is min_b |b|^2 + E_0(b) with
@@ -347,44 +362,46 @@ def minimize_dispersion(space):
         beta = mean
     chi = np.zeros(space.dim, dtype=complex)
     chi[idx] = v
-    chi = State(chi)
     return chi, float(dispersion(space, chi).x_var)
 
 
-def minimizer_certificate(space, chi: State) -> float:
-    """Stationarity residual: distance of chi from the ground eigenspace of
-    H_eff at its own mean position."""
-    b = dispersion(space, chi).x_mean
+def minimizer_certificate(space, chi) -> float:
+    """Stationarity residual: distance of the unit vector chi from the
+    ground eigenspace of H_eff at its own mean position."""
+    v = _state(chi)
+    b = dispersion(space, v).x_mean
     h = space.x_squared - 2.0 * sum(bi * xi for bi, xi in zip(b, space.x_ops))
     e0 = np.linalg.eigvalsh(h)[0]
-    v = chi.coeffs
     return float(np.linalg.norm(h @ v - e0 * v))
 
 
-def weak_scs_orbit(space, chi: State, grid) -> list:
-    """Orbit [pi(g) chi for g in grid] of the minimizer over group elements
-    (angles alpha for the circle, EulerAngles for the sphere)."""
-    members = []
-    for g in grid:
+def weak_scs_orbit(space, chi, grid) -> np.ndarray:
+    """Orbit of the unit vector chi over group elements (angles alpha for
+    the circle, EulerAngles for the sphere): column j is pi(grid[j]) chi."""
+    chi = _state(chi)
+    orbit = np.empty((chi.size, len(grid)), dtype=complex)
+    for j, g in enumerate(grid):
         if isinstance(g, EulerAngles):
             u = rotation_operator(space, g)
         else:
             u = rotation_operator_circle(space, float(g))
-        members.append(State(u @ chi.coeffs))
-    return members
+        orbit[:, j] = u @ chi
+    return orbit
 
 
-def verify_weak_orbit(space, chi: State, grid, tol_var: float = 1e-10,
+def verify_weak_orbit(space, chi, grid, tol_var: float = 1e-10,
                       tol_dir: float = 1e-9) -> Report:
-    """On every orbit member the dispersion is unchanged and <x> points along
-    the classically rotated reference direction."""
+    """On every orbit member of the unit vector chi the dispersion is
+    unchanged and <x> points along the classically rotated reference
+    direction."""
     from .lierep import classical_rotation, classical_rotation_2d
     rep = Report()
-    # chi and its orbit as one block: column 0 is chi itself
-    orbit = [chi.coeffs] + [m.coeffs for m in weak_scs_orbit(space, chi, grid)]
-    d = dispersion(space, np.column_stack(orbit))
+    # chi and its orbit as one block: column 0 is chi itself (weak_scs_orbit
+    # checks chi first)
+    block = np.column_stack([chi, weak_scs_orbit(space, chi, grid)])
+    d = dispersion(space, block)
     r = np.linalg.norm(d.x_mean[:, 0])
-    u = np.zeros((len(space.x_ops), len(orbit)))
+    u = np.zeros((len(space.x_ops), block.shape[1]))
     for j, g in enumerate(grid, start=1):
         if isinstance(g, EulerAngles):
             u[:, j] = classical_rotation(g) @ np.array([0.0, 0.0, 1.0])

@@ -22,10 +22,8 @@ from .linop import frobenius_residual, readonly
 from .report import Report
 from .sphere import FuzzySphere
 
-__all__ = ["EulerAngles", "GeneratorSet", "squeeze_factor_circle",
-           "reconstruct_su2", "g_weight", "reconstruct_so4",
-           "rotation_operator",
-           "rotation_operator_circle", "classical_rotation",
+__all__ = ["EulerAngles", "squeeze_factor_circle", "g_weight",
+           "rotation_operator", "rotation_operator_circle", "classical_rotation",
            "classical_rotation_2d", "verify_su2_reconstruction",
            "verify_so4_reconstruction"]
 
@@ -54,15 +52,6 @@ class EulerAngles:
         object.__setattr__(self, "psi", float(self.psi) % TWO_PI)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """A reconstructed Cartan-Weyl generator family with its Casimir values."""
-
-    algebra: str                # "su2" or "so4"
-    generators: dict            # label -> read-only complex array
-    casimir: dict
-
-
 def squeeze_factor_circle(s, lam: int, k: float):
     """f_+(s); the lowering factor is f_-(s) = f_+(s+1).  s may be an
     array of labels."""
@@ -72,25 +61,6 @@ def squeeze_factor_circle(s, lam: int, k: float):
         raise ValueError(f"squeeze factor undefined at s={s[den <= 0]} "
                          f"for lam={lam}")
     return np.sqrt((1.0 + s * (s - 1) / k) / den)
-
-
-def _su2_ladder(c: FuzzyCircle):
-    """E_+ = x_+ / (sqrt(2) f_+(E_0)) and the row weights sqrt(2) f_+(n) it
-    was divided by, for the rows n > -lam (the bottom row of x_+ is empty)."""
-    w = np.sqrt(2.0) * squeeze_factor_circle(c.labels[:-1], c.lam, c.k)
-    ep = np.array(c.x_plus)
-    ep[:-1] /= w[:, None]
-    return readonly(ep), w
-
-
-def reconstruct_su2(c: FuzzyCircle) -> GeneratorSet:
-    """Invert x_+ = sqrt(2) f_+(E_0) E_+ on the fuzzy circle."""
-    ep, _ = _su2_ladder(c)
-    cas = ep @ ep.conj().T + c.l2 + ep.conj().T @ ep
-    return GeneratorSet(algebra="su2",
-                        generators={"E+": ep,
-                                    "E-": readonly(ep.conj().T), "E0": c.L},
-                        casimir={"C": float(np.real(np.trace(cas)) / c.dim)})
 
 
 def g_weight(l: int, lam: int, k: float) -> float:
@@ -136,15 +106,6 @@ def _so4_parts(s: FuzzySphere):
     return gens, full, cas, cas_prime, g
 
 
-def reconstruct_so4(s: FuzzySphere) -> GeneratorSet:
-    """Invert x_i = g(lambda) Lhat_{4i} g(lambda) and assemble the full
-    antisymmetric generator family Lhat_{HI}, 1 <= H < I <= 4."""
-    gens, _, cas, cas_prime, _ = _so4_parts(s)
-    return GeneratorSet(algebra="so4", generators=gens,
-                        casimir={"C": float(np.real(np.trace(cas)) / s.dim),
-                                 "C'": float(np.linalg.norm(cas_prime))})
-
-
 def rotation_operator(s: FuzzySphere, g: EulerAngles) -> np.ndarray:
     """pi(g) = exp(i phi L_3) exp(i theta L_2) exp(i psi L_3); unitary and
     block-diagonal over the angular-momentum levels.  L_3 is diagonal, so
@@ -184,11 +145,19 @@ def classical_rotation_2d(alpha: float) -> np.ndarray:
 
 
 def verify_su2_reconstruction(c: FuzzyCircle, tol: float = 1e-10) -> Report:
-    """Cartan-Weyl relations, scalar Casimir and squeeze round-trip."""
+    """Cartan-Weyl relations, scalar Casimir and squeeze round-trip.  The
+    ladders are reconstructed separately, E_+ = x_+ / (sqrt(2) f_+(E_0))
+    and E_- = x_- / (sqrt(2) f_-(E_0)) with f_-(s) = f_+(s+1), each on the
+    rows its coordinate reaches (x_+ leaves the bottom row empty, x_- the
+    top one), so su2rel/adjoint compares two independent reconstructions."""
     rep = Report()
-    lam = c.lam
-    ep, w = _su2_ladder(c)
-    em, e0 = ep.conj().T, c.L
+    lam, k = c.lam, c.k
+    w = np.sqrt(2.0) * squeeze_factor_circle(c.labels[:-1], lam, k)
+    w_minus = np.sqrt(2.0) * squeeze_factor_circle(c.labels[1:] + 1, lam, k)
+    ep, em = np.array(c.x_plus), np.array(c.x_minus)
+    ep[:-1] /= w[:, None]
+    em[1:] /= w_minus[:, None]
+    e0 = c.L
     eye = np.eye(c.dim)
 
     rep.add_residual("su2rel/[E+,E-]", frobenius_residual(ep @ em - em @ ep, e0),

@@ -2,25 +2,21 @@
 
 Every operator downstream (coordinates, angular momenta, rotations) is a
 plain complex square ndarray; the spaces hold theirs read-only, made so by
-:func:`readonly`.  States are normalized complex coefficient vectors over
-the same basis.  Several states travel together as the columns of a
-(dim, n) block; :func:`unit_columns` checks every column's norm, and a
-:class:`State` is that check on a block of one.
+:func:`readonly`.  A state is a complex 1-d unit vector over the same
+basis, and several states travel together as the columns of a (dim, n)
+block; :func:`unit_columns` checks every column's norm, and a single
+state is checked as a block of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "State",
     "unit_columns",
     "normalized_columns",
     "random_states",
     "readonly",
-    "expect",
     "expm_hermitian_generator",
     "frobenius_residual",
     "diag_annihilator",
@@ -67,46 +63,6 @@ def random_states(rng, dim: int, count: int) -> np.ndarray:
     parts followed by dim imaginary parts."""
     z = rng.normal(size=(count, 2, dim))
     return normalized_columns((z[:, 0] + 1j * z[:, 1]).T)
-
-
-@dataclass(frozen=True)
-class State:
-    """Normalized complex coefficient vector: a block of one column."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.coeffs, dtype=complex)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("state must be a nonempty 1-d coefficient vector")
-        unit_columns(v[:, None])
-        v.setflags(write=False)
-        object.__setattr__(self, "coeffs", v)
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.size
-
-    @classmethod
-    def normalized(cls, v) -> "State":
-        v = np.asarray(v, dtype=complex)
-        if v.ndim != 1:
-            raise ValueError("state must be a nonempty 1-d coefficient vector")
-        return cls(normalized_columns(v[:, None])[:, 0])
-
-    @classmethod
-    def basis(cls, dim: int, index: int) -> "State":
-        v = np.zeros(dim, dtype=complex)
-        v[index] = 1.0
-        return cls(v)
-
-    def overlap(self, other: "State") -> complex:
-        return complex(self.coeffs.conj() @ other.coeffs)
-
-
-def expect(a: np.ndarray, psi: State) -> complex:
-    """<psi| a |psi>."""
-    return complex(psi.coeffs.conj() @ (a @ psi.coeffs))
 
 
 def expm_hermitian_generator(h: np.ndarray, t: float) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +151,21 @@ def test_verify_all_suites_sphere(tmp_path, capsys):
     code = run(["verify", "--d", "2", "--lambda", "2..3", "--suite", "all",
                 "--seed", "5"])
     assert code == 0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_tag_set_matches_benchmark_reference(d, tmp_path, capsys):
+    # no change may add, drop or rename a check: the (tag, lambda, m) keys
+    # of a full report equal those the benchmark's correctness gate expects
+    path = tmp_path / "report.json"
+    assert run(["verify", "--d", str(d), "--lambda", "1..3", "--suite", "all",
+                "--seed", "0", "--json", str(path)]) == 0
+    ref = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+    want = json.loads((ref / f"d{d}-lambda1-3.json").read_text())["keys"]
+    got = {(r["tag"], r["lambda"], r.get("m"))
+           for r in json.loads(path.read_text())["checks"]}
+    assert got == {tuple(k) for k in want}
+    assert len(got) == {1: 86, 2: 117}[d]
 
 
 def test_reports_deterministic(tmp_path, capsys):

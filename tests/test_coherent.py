@@ -15,8 +15,7 @@ from fuzzysphere.coherent import (check_heisenberg_circle, dispersion,
                                   verify_identity_resolution_sphere,
                                   verify_weak_orbit, weak_scs_orbit)
 from fuzzysphere.lierep import EulerAngles
-from fuzzysphere.linop import (State, expect, expm_hermitian_generator,
-                               random_states)
+from fuzzysphere.linop import expm_hermitian_generator, random_states
 from fuzzysphere.sphere import build_madore, build_sphere
 
 
@@ -24,7 +23,7 @@ def test_basis_states_saturate_circle_hur():
     # on psi_n both sides of every inequality vanish: <x> = 0 and Delta L = 0
     c = build_circle(4)
     for n in range(-4, 5):
-        psi = State.basis(c.dim, c.index(n))
+        psi = np.eye(c.dim)[:, c.index(n)]
         d = dispersion(c, psi)
         assert d.L_var == pytest.approx(0.0, abs=1e-14)
         assert np.allclose(d.x_mean, 0.0, atol=1e-14)
@@ -38,9 +37,8 @@ def test_random_states_obey_circle_hur():
     c = build_circle(5)
     rng = np.random.default_rng(11)
     for _ in range(50):
-        chi = State.normalized(rng.normal(size=c.dim)
-                               + 1j * rng.normal(size=c.dim))
-        assert check_heisenberg_circle(c, chi).passed
+        chi = rng.normal(size=c.dim) + 1j * rng.normal(size=c.dim)
+        assert check_heisenberg_circle(c, chi / np.linalg.norm(chi)).passed
 
 
 def _block_spaces():
@@ -49,17 +47,22 @@ def _block_spaces():
     yield from (build_madore(twol / 2) for twol in range(1, 7))
 
 
+def _expect(op, psi):
+    """<psi| op |psi>, real part: the per-state oracle for the block moments."""
+    return float(np.real(psi.conj() @ (op @ psi)))
+
+
 def test_block_moments_match_per_column_expect():
     rng = np.random.default_rng(21)
     for space in _block_spaces():
         block = random_states(rng, space.dim, 7)
         d = dispersion(space, block)
         for j in range(block.shape[1]):
-            psi = State(block[:, j])
-            want = {"x_mean": [expect(op, psi).real for op in space.x_ops],
-                    "x2_mean": expect(space.x_squared, psi).real,
-                    "L_mean": [expect(op, psi).real for op in space.L_ops],
-                    "l2_mean": expect(space.l2, psi).real}
+            psi = block[:, j]
+            want = {"x_mean": [_expect(op, psi) for op in space.x_ops],
+                    "x2_mean": _expect(space.x_squared, psi),
+                    "L_mean": [_expect(op, psi) for op in space.L_ops],
+                    "l2_mean": _expect(space.l2, psi)}
             for name, ref in want.items():
                 got = getattr(d, name)[..., j]
                 scale = max(1.0, float(np.max(np.abs(ref))))
@@ -73,14 +76,14 @@ def test_block_of_one_is_bitwise_the_state():
     rng = np.random.default_rng(4)
     for space in (build_circle(6), build_sphere(4), build_madore(1.5)):
         v = random_states(rng, space.dim, 1)
-        single, block = dispersion(space, State(v[:, 0])), dispersion(space, v)
+        single, block = dispersion(space, v[:, 0]), dispersion(space, v)
         for name in ("x_mean", "x2_mean", "x_var", "L_mean", "l2_mean", "L_var"):
             assert np.array_equal(getattr(single, name),
                                   getattr(block, name)[..., 0]), name
         assert isinstance(single.x_var, float)
     c = build_circle(6)
     v = random_states(rng, c.dim, 1)
-    assert (check_heisenberg_circle(c, State(v[:, 0])).checks
+    assert (check_heisenberg_circle(c, v[:, 0]).checks
             == check_heisenberg_circle(c, v).checks)
 
 
@@ -90,8 +93,10 @@ def test_block_rejects_non_unit_column():
     block[:, 2] *= 1.5
     with pytest.raises(ValueError, match="column 2"):
         dispersion(c, block)
-    with pytest.raises(ValueError):
-        check_heisenberg_circle(c, block[:, 0])       # 1-d: not a block
+    with pytest.raises(ValueError, match="column 0"):
+        check_heisenberg_circle(c, block[:, 2])       # 1-d: a block of one
+    with pytest.raises(ValueError, match="2-d"):
+        check_heisenberg_circle(c, block[None])       # 3-d: not a block
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -206,7 +211,7 @@ def _brute_identity_sum(s, family, omega=None, beta=None):
     az = 2 * np.pi * np.arange(n_az) / n_az
     m = np.real(np.diag(s.L3))
     if family == "spin":
-        seeds = [np.sqrt(2 * l + 1) * State.basis(s.dim, s.index(l, l)).coeffs
+        seeds = [np.sqrt(2 * l + 1) * np.eye(s.dim)[:, s.index(l, l)]
                  for l in range(lam + 1)]
         psis = [0.0]
         norm = 2 * np.pi / n_az / (4 * np.pi)
@@ -231,6 +236,15 @@ def _brute_identity_sum(s, family, omega=None, beta=None):
                     v = np.exp(1j * phi * m) * (r @ (np.exp(1j * psi * m) * seed))
                     total += wt * np.outer(v, v.conj())
     return norm * total
+
+
+def test_polar_rule_computed_once_per_lambda():
+    thetas, weights = coherent._polar_nodes(3)
+    assert coherent._polar_nodes(3)[0] is thetas
+    assert thetas.size == weights.size == 16
+    for a in (thetas, weights):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def _two_node_rule(lam):
@@ -296,7 +310,7 @@ def test_minimizer_sphere():
         # <x> along e3, and the minimizer sits in the L3 = 0 slice
         assert np.hypot(d.x_mean[0], d.x_mean[1]) <= 1e-10
         assert d.x_mean[2] > 0
-        assert np.linalg.norm(s.L3 @ chi.coeffs) <= 1e-10
+        assert np.linalg.norm(s.L3 @ chi) <= 1e-10
 
 
 def _scf_minimum(space):
@@ -400,7 +414,7 @@ def test_certificate_rejects_wrong_states(lam):
             v[grounds[1][2]] = grounds[1][3]
             wrong.append(v)
         for v in wrong:
-            assert minimizer_certificate(space, State.normalized(v)) > 1e-10
+            assert minimizer_certificate(space, v / np.linalg.norm(v)) > 1e-10
 
 
 def _sector_rule_spaces():
@@ -464,7 +478,7 @@ def test_minimizer_close_to_top_x_eigenvector():
         s = build_sphere(lam)
         chi, _ = minimize_dispersion(s)
         vals, vecs = np.linalg.eigh(s.x3)
-        deficits.append(1.0 - abs(np.vdot(vecs[:, -1], chi.coeffs)) ** 2)
+        deficits.append(1.0 - abs(np.vdot(vecs[:, -1], chi)) ** 2)
     assert deficits[1] < deficits[0] < 0.5
 
 
@@ -480,7 +494,9 @@ def test_weak_orbit_circle():
     grid = np.linspace(0, 2 * np.pi, 7, endpoint=False)
     assert verify_weak_orbit(c, chi, grid).passed
     members = weak_scs_orbit(c, chi, grid)
-    assert len(members) == 7 and all(isinstance(m, State) for m in members)
+    assert members.shape == (c.dim, 7)
+    assert np.allclose(np.linalg.norm(members, axis=0), 1.0, rtol=0, atol=1e-12)
+    assert np.array_equal(members[:, 0], chi)         # grid[0] is alpha = 0
 
 
 def test_weak_orbit_sphere():
@@ -497,10 +513,10 @@ def test_dispersion_rotation_invariant():
     rng = np.random.default_rng(21)
     from fuzzysphere.lierep import rotation_operator
     for _ in range(10):
-        chi = State.normalized(rng.normal(size=s.dim)
-                               + 1j * rng.normal(size=s.dim))
+        chi = rng.normal(size=s.dim) + 1j * rng.normal(size=s.dim)
+        chi /= np.linalg.norm(chi)
         g = EulerAngles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi),
                         rng.uniform(0, 2 * np.pi))
-        rot = State(rotation_operator(s, g) @ chi.coeffs)
+        rot = rotation_operator(s, g) @ chi
         assert dispersion(s, rot).x_var == pytest.approx(
             dispersion(s, chi).x_var, abs=1e-11)

@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 from fuzzysphere.circle import build_circle
 from fuzzysphere.lierep import (EulerAngles, _so4_parts, classical_rotation,
                                 classical_rotation_2d, g_weight,
-                                reconstruct_so4, reconstruct_su2,
                                 rotation_operator, rotation_operator_circle,
                                 squeeze_factor_circle,
                                 verify_so4_reconstruction,
                                 verify_su2_reconstruction)
-from fuzzysphere.linop import State, expect, expm_hermitian_generator
+from fuzzysphere.linop import expm_hermitian_generator
 from fuzzysphere.sphere import FuzzySphere, build_madore, build_sphere
 
 
@@ -50,10 +49,13 @@ def test_squeeze_factor_reflection(lam, s):
 def test_su2_ladder_action_small():
     # lam=1, k=4: x_+ psi_0 = psi_1 and f_+(1) = 1/sqrt(2), so E_+ psi_0 = psi_1
     c = build_circle(1, 4.0)
-    gen = reconstruct_su2(c)
-    out = gen.generators["E+"] @ State.basis(c.dim, c.index(0)).coeffs
+    ep = np.array(c.x_plus)
+    ep[:-1] /= np.sqrt(2.0) * squeeze_factor_circle(c.labels[:-1], 1, 4.0)[:, None]
+    out = ep[:, c.index(0)]
     assert out[c.index(1)] == pytest.approx(1.0)
-    assert gen.casimir["C"] == pytest.approx(2.0)
+    # the Casimir E_+ E_- + E_0^2 + E_- E_+ is lam(lam+1) = 2
+    cas = ep @ ep.conj().T + c.l2 + ep.conj().T @ ep
+    assert np.real(np.trace(cas)) / c.dim == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("lam", [1, 2, 4, 9])
@@ -61,6 +63,17 @@ def test_su2_reconstruction(lam):
     rep = verify_su2_reconstruction(build_circle(lam))
     assert rep.passed
     assert max(c.residual for c in rep.checks) <= 1e-12
+
+
+def test_su2_adjoint_catches_tampered_x_minus():
+    # E_- is reconstructed from x_- with its own factor f_-, so a 0.1% error
+    # in one weight of x_- breaks su2rel/adjoint
+    c = build_circle(4)
+    xm = np.array(c.x_minus)
+    xm[c.index(0), c.index(1)] *= 1.001
+    rep = verify_su2_reconstruction(dataclasses.replace(c, x_minus=xm))
+    adjoint = next(r for r in rep.checks if r.tag == "su2rel/adjoint")
+    assert not adjoint.passed
 
 
 def test_g_weight_values():
@@ -82,9 +95,10 @@ def test_so4_reconstruction(lam):
 
 
 def test_so4_casimir_values():
-    gen = reconstruct_so4(build_sphere(1, 4.0))
-    assert gen.casimir["C"] == pytest.approx(3.0)
-    assert gen.casimir["C'"] == pytest.approx(0.0, abs=1e-12)
+    s = build_sphere(1, 4.0)
+    _, _, cas, cas_prime, _ = _so4_parts(s)
+    assert np.real(np.trace(cas)) / s.dim == pytest.approx(3.0)
+    assert np.linalg.norm(cas_prime) == pytest.approx(0.0, abs=1e-12)
 
 
 def _tampered_sphere(lam, seed):
@@ -118,9 +132,9 @@ def test_so4_brackets_catch_perturbed_generator():
 
 
 def test_so4_disjoint_pairs_commute():
-    gen = reconstruct_so4(build_sphere(3))
-    a = gen.generators[(1, 2)]
-    b = gen.generators[(3, 4)]
+    gens = _so4_parts(build_sphere(3))[0]
+    a = gens[(1, 2)]
+    b = gens[(3, 4)]
     assert np.linalg.norm(a @ b - b @ a) <= 1e-12
 
 
@@ -220,7 +234,7 @@ def test_rotations_share_one_eigendecomposition(monkeypatch):
             spin_cs(space, 2, gs[0])
             strong_scs_sphere_phi(space, np.zeros(space.lam + 1), gs[1])
             verify_identity_resolution_sphere(space, "spin")
-        weak_scs_orbit(space, State.basis(space.dim, 0), gs)
+        weak_scs_orbit(space, np.eye(space.dim)[:, 0], gs)
         assert sizes == levels          # one eigh per level, for all of them
         monkeypatch.undo()
 
@@ -240,6 +254,15 @@ def test_rotation_unitary_and_block_diagonal():
     assert np.linalg.norm(u @ s.l2 - s.l2 @ u) <= 1e-10
 
 
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def _expect(op, psi):
+    """<psi| op |psi>, real part."""
+    return float(np.real(psi.conj() @ (op @ psi)))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0, 2 * np.pi), st.floats(0, np.pi), st.floats(0, 2 * np.pi),
        st.integers(0, 2 ** 31 - 1))
@@ -247,21 +270,21 @@ def test_expectation_transforms_classically(phi, theta, psi, seed):
     s = build_sphere(2)
     g = EulerAngles(phi, theta, psi)
     rng = np.random.default_rng(seed)
-    chi = State.normalized(rng.normal(size=s.dim) + 1j * rng.normal(size=s.dim))
-    rotated = State(rotation_operator(s, g) @ chi.coeffs)
-    before = np.array([expect(op, chi).real for op in s.x_ops])
-    after = np.array([expect(op, rotated).real for op in s.x_ops])
+    chi = _unit(rng.normal(size=s.dim) + 1j * rng.normal(size=s.dim))
+    rotated = rotation_operator(s, g) @ chi
+    before = np.array([_expect(op, chi) for op in s.x_ops])
+    after = np.array([_expect(op, rotated) for op in s.x_ops])
     assert np.allclose(classical_rotation(g) @ before, after, atol=1e-10)
 
 
 def test_circle_expectation_transforms_classically():
     c = build_circle(3)
     rng = np.random.default_rng(5)
-    chi = State.normalized(rng.normal(size=c.dim) + 1j * rng.normal(size=c.dim))
+    chi = _unit(rng.normal(size=c.dim) + 1j * rng.normal(size=c.dim))
     alpha = 1.23
-    rotated = State(rotation_operator_circle(c, alpha) @ chi.coeffs)
-    before = np.array([expect(op, chi).real for op in c.x_ops])
-    after = np.array([expect(op, rotated).real for op in c.x_ops])
+    rotated = rotation_operator_circle(c, alpha) @ chi
+    before = np.array([_expect(op, chi) for op in c.x_ops])
+    after = np.array([_expect(op, rotated) for op in c.x_ops])
     assert np.allclose(classical_rotation_2d(alpha) @ before, after, atol=1e-12)
 
 

@@ -1,5 +1,6 @@
-"""Array/state core: read-only operator arrays, states, expectations,
-exponentials; and the package's public names."""
+"""Array/state core: read-only operator arrays, unit-vector states and
+their checks at every entry point, exponentials; and the package's public
+names."""
 
 import dataclasses
 import importlib
@@ -7,15 +8,16 @@ import pkgutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import fuzzysphere
 from fuzzysphere.circle import build_circle
-from fuzzysphere.lierep import reconstruct_so4, reconstruct_su2
-from fuzzysphere.linop import (State, diag_annihilator, expect,
-                               expm_hermitian_generator, frobenius_residual,
-                               normalized_columns, random_states, unit_columns)
+from fuzzysphere.coherent import (check_heisenberg_circle, dispersion,
+                                  minimizer_certificate, verify_weak_orbit,
+                                  weak_scs_orbit)
+from fuzzysphere.lierep import _so4_parts
+from fuzzysphere.linop import (diag_annihilator, expm_hermitian_generator,
+                               frobenius_residual, normalized_columns,
+                               random_states, unit_columns)
 from fuzzysphere.sphere import build_madore, build_sphere
 
 
@@ -25,18 +27,18 @@ def random_matrix(rng, n):
 
 def _matrices(obj):
     """(name, array) for every 2-d array field of a space, or every
-    generator of a GeneratorSet."""
-    if hasattr(obj, "generators"):
-        return list(obj.generators.items())
+    generator in a dict of them."""
+    if isinstance(obj, dict):
+        return list(obj.items())
     return [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)
             if np.ndim(getattr(obj, f.name)) == 2]
 
 
 def test_operator_immutable():
-    # every matrix field of the three spaces and every reconstructed
+    # every matrix field of the three spaces and every reconstructed so(4)
     # generator is a complex array that refuses writes
     for obj in (build_circle(2), build_sphere(2), build_madore(1.5),
-                reconstruct_su2(build_circle(2)), reconstruct_so4(build_sphere(2))):
+                _so4_parts(build_sphere(2))[0]):
         mats = _matrices(obj)
         assert len(mats) >= 3
         for name, a in mats:
@@ -46,9 +48,9 @@ def test_operator_immutable():
 
 
 def test_matmul_dimension_mismatch():
-    # expect does not broadcast a state over an operator of another size
+    # a state is not broadcast over operators of another size
     with pytest.raises(ValueError):
-        expect(np.eye(2), State.basis(3, 0))
+        dispersion(build_circle(1), np.eye(4)[:, 0])
 
 
 def test_public_names_resolve():
@@ -62,27 +64,51 @@ def test_public_names_resolve():
 
 
 def test_state_normalization_enforced():
-    with pytest.raises(ValueError):
-        State(np.array([1.0, 1.0]))
-    s = State.normalized([1.0, 1.0])
-    assert abs(np.linalg.norm(s.coeffs) - 1.0) < 1e-15
+    with pytest.raises(ValueError, match="deviates from 1"):
+        dispersion(build_circle(1), np.array([1.0, 1.0, 0.0]))
+    v = normalized_columns(np.array([[1.0], [1.0]]))
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-15
+
+
+def _state_entry_points(c):
+    """Every public function that takes a state, on the circle c."""
+    return {"dispersion": lambda v: dispersion(c, v),
+            "check_heisenberg_circle": lambda v: check_heisenberg_circle(c, v),
+            "minimizer_certificate": lambda v: minimizer_certificate(c, v),
+            "weak_scs_orbit": lambda v: weak_scs_orbit(c, v, [0.5]),
+            "verify_weak_orbit": lambda v: verify_weak_orbit(c, v, [0.5])}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [[np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0],
                                  [0.0, 0.0], [1.0, 1e-3]])
 def test_state_rejects_nan_inf_zero_and_non_unit(bad):
-    # a NaN norm must fail the check, not slip past a `> 1e-12` comparison
-    with pytest.raises(ValueError):
-        State(np.array(bad))
+    # every entry point checks its state's norm; a NaN norm must fail the
+    # check, not slip past a `> 1e-12` comparison
+    c = build_circle(1)
+    v = np.array(bad + [0.0])
+    for entry in _state_entry_points(c).values():
+        with pytest.raises(ValueError, match="deviates from 1"):
+            entry(v)
+    good = np.eye(c.dim)[:, 0]
+    for entry in (dispersion, check_heisenberg_circle):
+        with pytest.raises(ValueError, match="column 1"):
+            entry(c, np.column_stack([good, v]))
     if bad[1] != 1e-3:
         with pytest.raises(ValueError):
-            State.normalized(np.array(bad))
+            normalized_columns(v[:, None])
+
+
+def test_single_state_entry_points_take_one_state():
+    c = build_circle(1)
+    for name in ("minimizer_certificate", "weak_scs_orbit", "verify_weak_orbit"):
+        with pytest.raises(ValueError, match="one state"):
+            _state_entry_points(c)[name](np.eye(c.dim)[:, :2])
 
 
 def test_normalized_rejects_zero_vector():
     with pytest.raises(ValueError, match="zero vector"):
-        State.normalized(np.zeros(3))
+        normalized_columns(np.zeros((3, 1)))
     with pytest.raises(ValueError, match="zero vector"):
         normalized_columns(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
@@ -111,13 +137,6 @@ def test_random_states_draw_order():
     assert rng.normal() == ref.normal()
 
 
-def test_basis_state_and_overlap():
-    e0 = State.basis(3, 0)
-    e1 = State.basis(3, 1)
-    assert e0.overlap(e1) == 0
-    assert e0.overlap(e0) == 1
-
-
 def test_expm_unitary():
     rng = np.random.default_rng(2)
     m = random_matrix(rng, 5)
@@ -133,16 +152,6 @@ def test_frobenius_residual():
     a = np.eye(3)
     assert frobenius_residual(a, a) == 0.0
     assert frobenius_residual(2 * a, a) == pytest.approx(np.sqrt(3) / (1 + np.sqrt(3)))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 8), st.integers(0, 2 ** 31 - 1))
-def test_expect_matches_quadratic_form(n, seed):
-    rng = np.random.default_rng(seed)
-    m = random_matrix(rng, n)
-    psi = State.normalized(rng.normal(size=n) + 1j * rng.normal(size=n))
-    direct = psi.coeffs.conj() @ m @ psi.coeffs
-    assert expect(m, psi) == pytest.approx(direct)
 
 
 def test_diag_annihilator():
