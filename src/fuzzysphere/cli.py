@@ -197,6 +197,14 @@ def _spectra_records(config: ScanConfig) -> list:
     return rep.checks
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one, else the machine's count (1 if unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_scan(config: ScanConfig) -> tuple[int, Report]:
     """Run the selected suites and write the artifacts; returns the exit
     status and the assembled report."""
@@ -205,13 +213,20 @@ def run_scan(config: ScanConfig) -> tuple[int, Report]:
     if per_lam:
         tasks = [(config.d, lam, config.k, config.tol, config.seed, per_lam)
                  for lam in range(config.lam_lo, config.lam_hi + 1)]
-        # a fork pool starts all its workers at the first submit, so it is
-        # never sized beyond the tasks or the CPUs
-        workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
+        # The parent runs the first (smallest) truncation itself, so the
+        # forked workers inherit its lazy imports and first-call set-up; the
+        # pool gets the rest largest lambda first, and their records go back
+        # in lambda order.  A fork pool starts all its workers at the first
+        # submit, so it is never sized beyond its tasks or the CPUs this
+        # process may run on.  Forked workers keep the parent's BLAS
+        # threads: set OPENBLAS_NUM_THREADS=1 when using --jobs.
+        workers = min(config.jobs, len(tasks) - 1, _usable_cpus())
         if workers > 1:
+            report.checks.extend(_records_for_lambda(tasks[0]))
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for checks in pool.map(_records_for_lambda, tasks):
-                    report.checks.extend(checks)
+                rest = list(pool.map(_records_for_lambda, tasks[:0:-1]))
+            for checks in reversed(rest):
+                report.checks.extend(checks)
         else:
             for t in tasks:
                 report.checks.extend(_records_for_lambda(t))

@@ -51,12 +51,14 @@ def test_usage_errors_exit_two():
 
 
 class _RecordingPool:
-    """In-process stand-in for ProcessPoolExecutor: records max_workers."""
+    """In-process stand-in for ProcessPoolExecutor: appends to `events` a
+    ("pool", max_workers) when created and a ("map", lambdas) when given
+    its tasks."""
 
-    sizes: list = []
+    events: list = []
 
     def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+        self.events.append(("pool", max_workers))
 
     def __enter__(self):
         return self
@@ -65,22 +67,71 @@ class _RecordingPool:
         return False
 
     def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.events.append(("map", [t[1] for t in tasks]))
         return map(fn, tasks)
 
 
+def _record_pools(monkeypatch, cpus) -> list:
+    """Swap in _RecordingPool and show the CLI `cpus` usable CPUs (None: no
+    affinity mask and an unknown CPU count); returns the event list."""
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "events", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+    return _RecordingPool.events
+
+
 @pytest.mark.parametrize("jobs,lams,cpus,size", [
-    ("5000", "1..2", 64, 2),      # capped by the number of tasks
+    ("5000", "1..3", 64, 2),      # capped by the tasks after the first
+    ("5000", "1..2", 64, None),   # one task left: the parent runs both
     ("8", "1..5", 3, 3),          # capped by the CPUs
     ("2", "1..5", 64, 2),         # as asked
     ("4", "1..5", None, None),    # an unknown CPU count runs serially
 ])
 def test_pool_size_capped(jobs, lams, cpus, size, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    events = _record_pools(monkeypatch, cpus)
     assert run(["verify", "--lambda", lams, "--suite", "relations",
                 "--jobs", jobs]) == 0
-    assert _RecordingPool.sizes == ([] if size is None else [size])
+    sizes = [n for kind, n in events if kind == "pool"]
+    assert sizes == ([] if size is None else [size])
+
+
+@pytest.mark.skipif(not hasattr(cli.os, "sched_setaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_pool_sized_by_cpu_affinity(monkeypatch, capsys):
+    # one usable CPU means no pool, however many CPUs the machine has
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "events", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    cpus = cli.os.sched_getaffinity(0)
+    cli.os.sched_setaffinity(0, {min(cpus)})
+    try:
+        assert run(["verify", "--lambda", "1..5", "--suite", "relations",
+                    "--jobs", "2"]) == 0
+    finally:
+        cli.os.sched_setaffinity(0, cpus)
+    assert _RecordingPool.events == []
+
+
+def test_parent_runs_first_truncation_and_pool_the_rest_largest_first(
+        monkeypatch, tmp_path, capsys):
+    events = _record_pools(monkeypatch, 64)
+    task = cli._records_for_lambda
+    monkeypatch.setattr(cli, "_records_for_lambda",
+                        lambda args: events.append(("run", args[1]))
+                        or task(args))
+    path = tmp_path / "r.json"
+    assert run(["verify", "--lambda", "1..5", "--suite", "relations",
+                "--jobs", "2", "--json", str(path)]) == 0
+    assert events == [("run", 1), ("pool", 2), ("map", [5, 4, 3, 2]),
+                      ("run", 5), ("run", 4), ("run", 3), ("run", 2)]
+    lams = [r["lambda"] for r in json.loads(path.read_text())["checks"]]
+    assert lams == sorted(lams) and set(lams) == {1, 2, 3, 4, 5}
 
 
 @pytest.mark.parametrize("verb", ["build", "verify", "spectrum", "scs",
@@ -179,14 +230,18 @@ def test_reports_deterministic(tmp_path, capsys):
 
 
 def test_reports_independent_of_jobs(tmp_path, capsys):
-    paths = [tmp_path / "serial.json", tmp_path / "parallel.json"]
-    for p, jobs in zip(paths, ("1", "3")):
-        assert run(["verify", "--d", "1", "--lambda", "1..4",
-                    "--suite", "minimize", "--seed", "3", "--jobs", jobs,
-                    "--json", str(p)]) == 0
-    a = json.loads(paths[0].read_text())
-    b = json.loads(paths[1].read_text())
-    assert a["checks"] == b["checks"]
+    # 1..4 forks a pool given two CPUs; with one or two truncations the
+    # parent runs them all
+    for d, suite, lams in [("1", "minimize", "1..4"), ("2", "all", "1..4"),
+                           ("2", "all", "3"), ("2", "all", "1..2")]:
+        checks = []
+        for jobs in ("1", "2", "3"):
+            path = tmp_path / f"d{d}-{lams}-jobs{jobs}.json"
+            assert run(["verify", "--d", d, "--lambda", lams, "--suite", suite,
+                        "--seed", "3", "--jobs", jobs,
+                        "--json", str(path)]) == 0
+            checks.append(json.loads(path.read_text())["checks"])
+        assert checks[0] == checks[1] == checks[2], (d, suite, lams)
 
 
 def test_spectrum_csv_row_count(tmp_path, capsys):
