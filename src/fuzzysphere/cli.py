@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -197,6 +198,40 @@ def _spectra_records(config: ScanConfig) -> list:
     return rep.checks
 
 
+# In a pool worker, the (counter, tasks) queue of the run_scan it serves; set
+# by the pool initializer, so that it reaches workers under any start method.
+_queue: tuple = ()
+
+
+def _join_queue(counter, tasks) -> None:
+    global _queue
+    _queue = (counter, tasks)
+
+
+def _take_tasks(counter, tasks) -> dict:
+    """Run the next task nobody has taken, until none is left; returns the
+    records by lambda.  `counter` is the shared index of the next task.  A
+    raise empties the queue first, so the other processes stop taking."""
+    done = {}
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(tasks):
+            return done
+        try:
+            done[tasks[i][1]] = _records_for_lambda(tasks[i])
+        except BaseException:
+            with counter.get_lock():
+                counter.value = len(tasks)
+            raise
+
+
+def _worker_share() -> dict:
+    """A pool worker's one job: its share of the queue it joined."""
+    return _take_tasks(*_queue)
+
+
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on: its affinity mask where
     the platform has one, else the machine's count (1 if unknown)."""
@@ -213,20 +248,28 @@ def run_scan(config: ScanConfig) -> tuple[int, Report]:
     if per_lam:
         tasks = [(config.d, lam, config.k, config.tol, config.seed, per_lam)
                  for lam in range(config.lam_lo, config.lam_hi + 1)]
-        # The parent runs the first (smallest) truncation itself, so the
-        # forked workers inherit its lazy imports and first-call set-up; the
-        # pool gets the rest largest lambda first, and their records go back
-        # in lambda order.  A fork pool starts all its workers at the first
-        # submit, so it is never sized beyond its tasks or the CPUs this
-        # process may run on.  Forked workers keep the parent's BLAS
-        # threads: set OPENBLAS_NUM_THREADS=1 when using --jobs.
-        workers = min(config.jobs, len(tasks) - 1, _usable_cpus())
-        if workers > 1:
+        # --jobs N means N working processes, this one included.  This one
+        # runs the first (smallest) truncation alone, so the workers it then
+        # forks inherit its lazy imports and first-call set-up.  After that
+        # every process, this one too, takes the largest truncation nobody
+        # has taken yet from one shared queue, and the records go back in
+        # lambda order.  There are never more processes than the truncations
+        # after the first or the CPUs this process may run on.  Forked
+        # workers keep the parent's BLAS threads: set OPENBLAS_NUM_THREADS=1
+        # when using --jobs.
+        procs = min(config.jobs, len(tasks) - 1, _usable_cpus())
+        if procs > 1:
             report.checks.extend(_records_for_lambda(tasks[0]))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rest = list(pool.map(_records_for_lambda, tasks[:0:-1]))
-            for checks in reversed(rest):
-                report.checks.extend(checks)
+            queue = (multiprocessing.Value("i", 0), tasks[:0:-1])
+            with ProcessPoolExecutor(max_workers=procs - 1,
+                                     initializer=_join_queue,
+                                     initargs=queue) as pool:
+                shares = [pool.submit(_worker_share) for _ in range(procs - 1)]
+                done = _take_tasks(*queue)
+                for share in shares:
+                    done.update(share.result())
+            for lam in sorted(done):
+                report.checks.extend(done[lam])
         else:
             for t in tasks:
                 report.checks.extend(_records_for_lambda(t))

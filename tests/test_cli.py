@@ -2,6 +2,10 @@
 
 import csv
 import json
+import multiprocessing
+import os
+import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -52,13 +56,16 @@ def test_usage_errors_exit_two():
 
 class _RecordingPool:
     """In-process stand-in for ProcessPoolExecutor: appends to `events` a
-    ("pool", max_workers) when created and a ("map", lambdas) when given
-    its tasks."""
+    ("pool", max_workers) when created and a ("submit",) per job.  Its
+    initializer runs at creation; with `eager` a job runs when submitted,
+    else when its result is asked for."""
 
     events: list = []
+    eager = False
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer, initargs):
         self.events.append(("pool", max_workers))
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -66,10 +73,14 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        tasks = list(tasks)
-        self.events.append(("map", [t[1] for t in tasks]))
-        return map(fn, tasks)
+    def submit(self, fn):
+        self.events.append(("submit",))
+        future = Future()
+        if self.eager:
+            future.set_result(fn())
+        else:
+            future.result = fn
+        return future
 
 
 def _record_pools(monkeypatch, cpus) -> list:
@@ -77,6 +88,7 @@ def _record_pools(monkeypatch, cpus) -> list:
     affinity mask and an unknown CPU count); returns the event list."""
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "events", [])
+    monkeypatch.setattr(cli, "_queue", ())
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     if cpus is None:
         monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
@@ -87,18 +99,20 @@ def _record_pools(monkeypatch, cpus) -> list:
 
 
 @pytest.mark.parametrize("jobs,lams,cpus,size", [
-    ("5000", "1..3", 64, 2),      # capped by the tasks after the first
+    ("5000", "1..3", 64, 1),      # capped by the tasks after the first
+    ("5000", "1..4", 64, 2),
     ("5000", "1..2", 64, None),   # one task left: the parent runs both
-    ("8", "1..5", 3, 3),          # capped by the CPUs
-    ("2", "1..5", 64, 2),         # as asked
+    ("8", "1..5", 3, 2),          # capped by the CPUs, the parent one of them
+    ("2", "1..5", 64, 1),         # as asked, the parent one of them
     ("4", "1..5", None, None),    # an unknown CPU count runs serially
 ])
 def test_pool_size_capped(jobs, lams, cpus, size, monkeypatch, capsys):
     events = _record_pools(monkeypatch, cpus)
     assert run(["verify", "--lambda", lams, "--suite", "relations",
                 "--jobs", jobs]) == 0
-    sizes = [n for kind, n in events if kind == "pool"]
+    sizes = [e[1] for e in events if e[0] == "pool"]
     assert sizes == ([] if size is None else [size])
+    assert events.count(("submit",)) == (size or 0)
 
 
 @pytest.mark.skipif(not hasattr(cli.os, "sched_setaffinity"),
@@ -118,7 +132,7 @@ def test_pool_sized_by_cpu_affinity(monkeypatch, capsys):
     assert _RecordingPool.events == []
 
 
-def test_parent_runs_first_truncation_and_pool_the_rest_largest_first(
+def test_parent_runs_first_truncation_then_shares_largest_first_queue(
         monkeypatch, tmp_path, capsys):
     events = _record_pools(monkeypatch, 64)
     task = cli._records_for_lambda
@@ -126,12 +140,81 @@ def test_parent_runs_first_truncation_and_pool_the_rest_largest_first(
                         lambda args: events.append(("run", args[1]))
                         or task(args))
     path = tmp_path / "r.json"
-    assert run(["verify", "--lambda", "1..5", "--suite", "relations",
-                "--jobs", "2", "--json", str(path)]) == 0
-    assert events == [("run", 1), ("pool", 2), ("map", [5, 4, 3, 2]),
-                      ("run", 5), ("run", 4), ("run", 3), ("run", 2)]
-    lams = [r["lambda"] for r in json.loads(path.read_text())["checks"]]
-    assert lams == sorted(lams) and set(lams) == {1, 2, 3, 4, 5}
+    runs = [("run", 5), ("run", 4), ("run", 3), ("run", 2)]
+    pool = [("pool", 2), ("submit",), ("submit",)]
+    # lazy: the parent takes every task before the workers' jobs run;
+    # eager: the first worker's job takes them all as it is submitted
+    for eager, want in [(False, pool + runs),
+                        (True, pool[:2] + runs + pool[2:])]:
+        events.clear()
+        monkeypatch.setattr(_RecordingPool, "eager", eager)
+        assert run(["verify", "--lambda", "1..5", "--suite", "relations",
+                    "--jobs", "3", "--json", str(path)]) == 0
+        assert events == [("run", 1)] + want, eager
+        lams = [r["lambda"] for r in json.loads(path.read_text())["checks"]]
+        assert lams == sorted(lams) and set(lams) == {1, 2, 3, 4, 5}
+
+
+def _fork_is_default() -> bool:
+    method = multiprocessing.get_start_method(allow_none=True)
+    return (method or multiprocessing.get_all_start_methods()[0]) == "fork"
+
+
+@pytest.mark.skipif(not _fork_is_default(),
+                    reason="the patched task reaches the workers by fork")
+def test_raise_in_forked_worker_raises_promptly(monkeypatch, tmp_path, capsys):
+    # a worker's raise empties the queue: the parent, which waits in each
+    # task until a worker has started one, stops taking and re-raises
+    parent, started = os.getpid(), tmp_path / "started"
+    task = cli._records_for_lambda
+    ran = []
+
+    def flaky(args):
+        if os.getpid() != parent:
+            started.touch()
+            raise RuntimeError(f"boom at {args[1]}")
+        if args[1] > 1:
+            deadline = time.monotonic() + 60
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        ran.append(args[1])
+        return task(args)
+
+    monkeypatch.setattr(cli, "_records_for_lambda", flaky)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="boom at"):
+        run(["verify", "--lambda", "1..12", "--suite", "relations",
+             "--jobs", "2"])
+    assert time.monotonic() - t0 < 30
+    assert started.exists() and len(ran) < 11
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not _fork_is_default(),
+                    reason="the patched task reaches the workers by fork")
+def test_raise_in_parent_share_shuts_pool_down(monkeypatch, tmp_path,
+                                               capsys):
+    # the parent's raise empties the queue: each worker, slow on purpose,
+    # finishes at most the one task it may have taken, then the pool closes
+    parent = os.getpid()
+    task = cli._records_for_lambda
+
+    def flaky(args):
+        if os.getpid() == parent and args[1] > 1:
+            raise RuntimeError("parent boom")
+        if os.getpid() != parent:
+            (tmp_path / str(args[1])).touch()
+            time.sleep(0.5)
+        return task(args)
+
+    monkeypatch.setattr(cli, "_records_for_lambda", flaky)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    with pytest.raises(RuntimeError, match="parent boom"):
+        run(["verify", "--lambda", "1..6", "--suite", "relations",
+             "--jobs", "3"])
+    assert multiprocessing.active_children() == []
+    assert len(list(tmp_path.iterdir())) <= 2
 
 
 @pytest.mark.parametrize("verb", ["build", "verify", "spectrum", "scs",
@@ -230,9 +313,10 @@ def test_reports_deterministic(tmp_path, capsys):
 
 
 def test_reports_independent_of_jobs(tmp_path, capsys):
-    # 1..4 forks a pool given two CPUs; with one or two truncations the
-    # parent runs them all
-    for d, suite, lams in [("1", "minimize", "1..4"), ("2", "all", "1..4"),
+    # 1..3 is the smallest range that forks a worker given two CPUs; with
+    # one or two truncations the parent runs them all
+    for d, suite, lams in [("1", "minimize", "1..4"), ("1", "all", "1..6"),
+                           ("2", "all", "1..4"), ("2", "all", "1..3"),
                            ("2", "all", "3"), ("2", "all", "1..2")]:
         checks = []
         for jobs in ("1", "2", "3"):
