@@ -4,22 +4,25 @@ The circle coordinates are squeezed su(2) ladder operators,
 x_+- = sqrt(2) f_+-(E_0) E_+-, and the sphere coordinates are dressed so(4)
 generators, x_i = g(lambda) Lhat_{4i} g(lambda) with a positive diagonal
 weight g.  Both squeeze factors are invertible on the truncated space, so the
-generator sets are reconstructed here by entrywise division and then checked
-against the Cartan-Weyl relations and the Casimir values that label the
-representation.  Rotations enter as pi(g) = exp(i phi L_3) exp(i theta L_2)
+generator sets are reconstructed here by entrywise division (on the sphere,
+each coordinate shift term divided by g at its source and at its target)
+and then checked against the Cartan-Weyl relations and the Casimir values
+that label the representation.  Rotations enter as pi(g) = exp(i phi L_3) exp(i theta L_2)
 exp(i psi L_3) together with their classical 3x3 counterparts.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .circle import FuzzyCircle
-from .linop import frobenius_residual, readonly
+from .linop import frobenius_residual
 from .report import Report
+from .shift import ZERO, Op, cartesian, check_residuals, compile_checks, stored_ops
 from .sphere import FuzzySphere
 
 __all__ = ["EulerAngles", "squeeze_factor_circle", "g_weight",
@@ -77,33 +80,6 @@ def g_weight(l: int, lam: int, k: float) -> float:
     for j in range((l - 1) // 2 + 1):
         ratio *= (1.0 + (l - 2 * j) ** 2 / k) / (1.0 + (l - 1 - 2 * j) ** 2 / k)
     return float(np.sqrt(num / den * ratio))
-
-
-def _so4_parts(s: FuzzySphere):
-    """Invert x_i = g(lambda) Lhat_{4i} g(lambda); returns the generators
-    Lhat_{HI} (H < I), their full antisymmetric table and the matrices of
-    both Casimirs, sum Lhat_{HI}^2 and eps_{HIJK} Lhat_{HI} Lhat_{JK}, and
-    the dressing weight g(l) of every basis vector."""
-    g = np.array([g_weight(l, s.lam, s.k) for l in range(s.lam + 1)])[s.l_of]
-    dress = np.outer(1.0 / g, 1.0 / g)
-
-    gens = {(1, 2): s.L3, (1, 3): readonly(-s.L2), (2, 3): s.L1}
-    for i, xi in enumerate((s.x1, s.x2, s.x3), start=1):
-        gens[(i, 4)] = readonly(-dress * xi)
-
-    full = {}
-    for (h, i), op in gens.items():
-        full[(h, i)] = op
-        full[(i, h)] = -op
-    for h in range(1, 5):
-        full[(h, h)] = np.zeros((s.dim, s.dim), dtype=complex)
-    cas = np.zeros((s.dim, s.dim), dtype=complex)
-    for op in gens.values():
-        cas += op @ op
-    cas_prime = np.zeros((s.dim, s.dim), dtype=complex)
-    for a, b, sign in _PAIRINGS:
-        cas_prime += 4.0 * sign * (full[a] @ full[b] + full[b] @ full[a])
-    return gens, full, cas, cas_prime, g
 
 
 def rotation_operator(s: FuzzySphere, g: EulerAngles) -> np.ndarray:
@@ -186,41 +162,86 @@ def verify_su2_reconstruction(c: FuzzyCircle, tol: float = 1e-10) -> Report:
     return rep
 
 
-def verify_so4_reconstruction(s: FuzzySphere, tol: float = 1e-9) -> Report:
-    """so(4) bracket table, hermiticity, both Casimirs and the dressing
-    round-trip."""
-    rep = Report()
-    lam = s.lam
-    gens, full, cas, cas_prime, g = _so4_parts(s)
-    eye = np.eye(s.dim)
+@functools.cache
+def _so4_tables(term_keys: tuple):
+    """The so(4) rows compiled for spheres whose terms are labelled
+    term_keys, with the coordinate rows and their labels.  After the terms
+    the weight table holds four blocks, each with one row per coordinate
+    term w from l to l': the dressed weight -w / (g(l') g(l)), the round
+    trip g(l') g(l) times minus that, then w and the round trip each times
+    the mask l != lam of the source; and then the mask itself and the
+    Casimir value lam (lam + 2)."""
+    n = len(term_keys)
+    x_rows = [j for j, key in enumerate(term_keys)
+              if key[0] in ("x_plus", "x_minus", "x3")]
+    x_keys = tuple(term_keys[j] for j in x_rows)
+    nx = len(x_keys)
 
-    r_herm = max(frobenius_residual(op.conj().T, op) for op in gens.values())
-    rep.add_residual("so4rel/hermitean", r_herm, tol, lam=lam)
+    def coords(first_row):
+        ops = stored_ops(x_keys, first_row)
+        return cartesian(ops["x_plus"], ops["x_minus"], ops["x3"])
 
+    ops = stored_ops(term_keys)
+    lp = ops["L_plus"]
+    L1, L2, L3 = cartesian(lp, lp.H, ops["L3"])
+    x = cartesian(ops["x_plus"], ops["x_minus"], ops["x3"])
+    dressed, back, x_kept, back_kept = (coords(n + b * nx) for b in range(4))
+    keep = Op.atom(n + 4 * nx, ZERO)
+    cas = Op.atom(n + 4 * nx + 1, ZERO)
+
+    gens = {(1, 2): L3, (1, 3): -L2, (2, 3): L1}
+    for i in range(3):
+        gens[(i + 1, 4)] = dressed[i]
+    full = {}
+    for (h, i), op in gens.items():
+        full[(h, i)] = op
+        full[(i, h)] = -op
+    for h in range(1, 5):
+        full[(h, h)] = Op()
+
+    rows = [("so4rel/hermitean", op.H, op) for op in gens.values()]
     # [A, B] = -[B, A] on both sides and [A, A] = 0, so the 15 unordered
     # pairs of distinct generators cover the whole table
-    r_br = 0.0
     for (h, i), (j, kk) in combinations(gens, 2):
         lhs = full[(h, i)] @ full[(j, kk)] - full[(j, kk)] @ full[(h, i)]
         rhs = 1j * ((h == j) * full[(i, kk)] - (h == kk) * full[(i, j)]
                     - (i == j) * full[(h, kk)] + (i == kk) * full[(h, j)])
-        r_br = max(r_br, frobenius_residual(lhs, rhs))
-    rep.add_residual("so4rel/brackets", r_br, tol, lam=lam)
+        rows.append(("so4rel/brackets", lhs, rhs))
+    sq = Op()
+    for op in gens.values():
+        sq = sq + op @ op
+    rows.append(("isomD3/casimir", sq, cas))
+    prime = Op()
+    for a, b, sign in _PAIRINGS:
+        prime = prime + 4.0 * sign * (full[a] @ full[b] + full[b] @ full[a])
+    rows.append(("isomD3/casimir-prime", prime, Op()))
+    # P X P with P = 1 - P_lam: the source mask is in the kept rows, the
+    # target mask is the factor keep
+    rows += [("transfD3/roundtrip", back[i], x[i]) for i in range(3)]
+    rows += [("transfD3/roundtrip-offedge", keep @ back_kept[i], keep @ x_kept[i])
+             for i in range(3)]
+    return compile_checks(rows, n + 4 * nx + 2), np.array(x_rows), x_keys
 
-    rep.add_residual("isomD3/casimir",
-                     frobenius_residual(cas, lam * (lam + 2) * eye), tol, lam=lam)
-    rep.add_residual("isomD3/casimir-prime", float(np.linalg.norm(cas_prime)),
-                     tol, lam=lam)
 
-    dress = np.outer(g, g)
-    r_rt, r_rt_off = 0.0, 0.0
+def verify_so4_reconstruction(s: FuzzySphere, tol: float = 1e-9) -> Report:
+    """so(4) bracket table, hermiticity, both Casimirs and the dressing
+    round-trip, evaluated on the shift terms alone.  The generators are
+    Lhat_{12} = L_3, Lhat_{13} = -L_2, Lhat_{23} = L_1 and Lhat_{i4}, the
+    inverse of x_i = g(lambda) Lhat_{4i} g(lambda): each coordinate term
+    is divided by g at its source and at its target."""
+    rep = Report()
+    lam = s.lam
+    tab, x_rows, x_keys = _so4_tables(s.term_keys)
+
+    g = np.array([g_weight(l, lam, s.k) for l in range(lam + 1)])[s.l_of]
+    g_pad = np.append(g, 1.0)                 # at the missing target dim
+    t = s.targets([key[1:] for key in x_keys])
+    w = s.terms[x_rows]
+    dressed = -((1.0 / g_pad)[t] * (1.0 / g)) * w
+    back = (g_pad[t] * g) * -dressed
     keep = s.l_of != lam
-    off_edge = np.outer(keep, keep)             # P X P with P = 1 - P_lam
-    for i, xi in enumerate((s.x1, s.x2, s.x3), start=1):
-        x_back = dress * (-full[(i, 4)])        # g(l') Lhat_{4i} g(l)
-        r_rt = max(r_rt, frobenius_residual(x_back, xi))
-        r_rt_off = max(r_rt_off, frobenius_residual(x_back * off_edge,
-                                                    xi * off_edge))
-    rep.add_residual("transfD3/roundtrip", r_rt, tol, lam=lam)
-    rep.add_residual("transfD3/roundtrip-offedge", r_rt_off, tol, lam=lam)
+    weights = np.concatenate([s.terms, dressed, back, w * keep, back * keep,
+                              keep[None], np.full((1, s.dim), lam * (lam + 2.0))])
+    for tag, r in zip(tab.tags, check_residuals(tab, weights, s.targets)):
+        rep.add_residual(tag, r, tol, lam=lam)
     return rep

@@ -14,14 +14,16 @@ rather than special cases.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .circle import min_sharpness
-from .linop import diag_annihilator, frobenius_residual, readonly
+from .linop import diag_annihilator, readonly
 from .report import Report
+from .shift import ZERO, Op, cartesian, check_residuals, compile_checks, power_norms, stored_ops
 from .spectral import TridiagSpec
 
 __all__ = ["FuzzySphere", "MadoreSphere", "build_sphere",
@@ -52,21 +54,26 @@ def clebsch_a(l, a: int, m):
     return -w if a == -1 else w
 
 
+# the stored shift terms of every sphere, one weight row each, as
+# (operator, dl, dm): x_a moves psi_l^m to psi_{l-1}^{m+a} and
+# psi_{l+1}^{m+a}, L_+ to psi_l^{m+1}; L_3, L.L and x.x are diagonal.  The
+# a = 0 component x_0 is stored as x3
+TERM_KEYS = (("x3", -1, 0), ("x3", 1, 0), ("x_plus", -1, 1), ("x_plus", 1, 1),
+             ("x_minus", -1, -1), ("x_minus", 1, -1), ("L_plus", 0, 1),
+             ("L3", 0, 0), ("l2", 0, 0), ("x_squared", 0, 0))
+
+
 @dataclass(frozen=True)
 class FuzzySphere:
+    """The sphere as read-only shift terms: row j of `terms` is the weight,
+    over the source basis index, of the term of operator term_keys[j][0]
+    that shifts (l, m) by term_keys[j][1:] (TERM_KEYS for a build).  Every
+    dense operator is scattered from these weights on first use."""
+
     lam: int
     k: float
-    L3: np.ndarray
-    L_plus: np.ndarray
-    L1: np.ndarray
-    L2: np.ndarray
-    l2: np.ndarray              # L.L, diagonal l(l+1)
-    x_plus: np.ndarray
-    x_minus: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    x3: np.ndarray              # the a = 0 component x_0
-    x_squared: np.ndarray
+    term_keys: tuple
+    terms: np.ndarray
     l_of: np.ndarray            # level l of each basis vector (read-only)
     m_of: np.ndarray            # L_3 eigenvalue m of each basis vector (read-only)
 
@@ -79,6 +86,91 @@ class FuzzySphere:
         if not (0 <= l <= self.lam and -l <= m <= l):
             raise ValueError(f"label (l={l}, m={m}) out of range for lam={self.lam}")
         return l * l + l + m
+
+    def targets(self, keys, sources=None) -> np.ndarray:
+        """Target table, one row per key (dl, dm) and one column per source
+        basis index (all of them by default): the index of
+        psi_{l+dl}^{m+dm} for the source psi_l^m, or dim where that label
+        does not exist."""
+        grid, base, stride = self._index_grid
+        keys = np.asarray(keys, dtype=int).reshape(-1, 2)
+        lam = self.lam
+        # a shift this far leaves the space from every source, and stays
+        # inside the grid's border of invalid labels
+        dl = np.minimum(np.maximum(keys[:, 0], -lam - 1), lam + 1)
+        dm = np.minimum(np.maximum(keys[:, 1], -2 * lam - 1), 2 * lam + 1)
+        at = base if sources is None else base[sources]
+        return grid[at + (dl * stride + dm)[:, None]]
+
+    @cached_property
+    def _index_grid(self) -> tuple:
+        """(grid, base, stride): the flat grid holds the basis index of each
+        label (l, m), l in [-lam-1, 2lam+1], m in [-3lam-1, 3lam+1], or dim
+        where it does not exist; base[i] is the grid position of source i
+        and a shift by (dl, dm) adds dl * stride + dm to it."""
+        lam = self.lam
+        stride = 6 * lam + 3
+        grid = np.full((3 * lam + 3, stride), self.dim)
+        base = (self.l_of + lam + 1) * stride + self.m_of + 3 * lam + 1
+        grid.flat[base] = np.arange(self.dim)
+        return grid.ravel(), base, stride
+
+    def _scatter(self, op: str) -> np.ndarray:
+        """The dense matrix of op, its nonzero term weights written into
+        (target, source)."""
+        rows = [j for j, key in enumerate(self.term_keys) if key[0] == op]
+        t = self.targets([self.term_keys[j][1:] for j in rows])
+        w = self.terms[rows]
+        nz = (w != 0.0) & (t < self.dim)
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        np.add.at(out, (t[nz], np.nonzero(nz)[1]), w[nz])
+        return readonly(out)
+
+    @cached_property
+    def L3(self) -> np.ndarray:
+        return self._scatter("L3")
+
+    @cached_property
+    def L_plus(self) -> np.ndarray:
+        return self._scatter("L_plus")
+
+    @cached_property
+    def L1(self) -> np.ndarray:
+        return readonly((self.L_plus + self.L_plus.conj().T) / 2.0)
+
+    @cached_property
+    def L2(self) -> np.ndarray:
+        return readonly((self.L_plus - self.L_plus.conj().T) / 2.0j)
+
+    @cached_property
+    def l2(self) -> np.ndarray:
+        """L.L, diagonal l(l+1)."""
+        return self._scatter("l2")
+
+    @cached_property
+    def x_plus(self) -> np.ndarray:
+        return self._scatter("x_plus")
+
+    @cached_property
+    def x_minus(self) -> np.ndarray:
+        return self._scatter("x_minus")
+
+    @cached_property
+    def x1(self) -> np.ndarray:
+        return readonly((self.x_plus + self.x_minus) / 2.0)
+
+    @cached_property
+    def x2(self) -> np.ndarray:
+        return readonly((self.x_plus - self.x_minus) / 2.0j)
+
+    @cached_property
+    def x3(self) -> np.ndarray:
+        """The a = 0 component x_0."""
+        return self._scatter("x3")
+
+    @cached_property
+    def x_squared(self) -> np.ndarray:
+        return self._scatter("x_squared")
 
     @property
     def x_ops(self):
@@ -129,136 +221,119 @@ def _sharpness(lam: int, k: float | None) -> float:
 
 
 def _x_squared(lam: int, k: float, l_of: np.ndarray) -> np.ndarray:
-    """x^2 = x_0^2 + (x_+ x_- + x_- x_+)/2 in closed form, 1 + (L^2 + 1)/k
-    less an edge term on the top level, which has no level lam+1 above it."""
+    """The diagonal of x^2 = x_0^2 + (x_+ x_- + x_- x_+)/2 in closed form,
+    1 + (L^2 + 1)/k less an edge term on the top level, which has no level
+    lam+1 above it."""
     edge = (1.0 + (lam + 1) ** 2 / k) * (lam + 1) / (2 * lam + 1)
-    return np.diag(1.0 + (l_of * (l_of + 1) + 1.0) / k
-                   - edge * (l_of == lam)).astype(complex)
+    return 1.0 + (l_of * (l_of + 1) + 1.0) / k - edge * (l_of == lam)
 
 
 def build_sphere(lam: int, k: float | None = None) -> FuzzySphere:
     """Construct the fuzzy sphere at truncation lam (lam = 0 gives the
     one-dimensional space with vanishing coordinates)."""
     k = _sharpness(lam, k)
-    dim = (lam + 1) ** 2
 
     l_of = np.concatenate([np.full(2 * l + 1, l) for l in range(lam + 1)])
     m_of = np.concatenate([np.arange(-l, l + 1) for l in range(lam + 1)])
     l_of.setflags(write=False)
     m_of.setflags(write=False)
 
-    L3 = np.diag(m_of.astype(complex))
-    l2 = np.diag((l_of * (l_of + 1)).astype(complex))
-
-    # L_+ psi_l^m = sqrt((l-m)(l+m+1)) psi_l^{m+1}, the next basis vector,
-    # so L_+ is the first subdiagonal; the weight vanishes at m = l, so no
-    # entry crosses into the next level
-    raise_w = np.sqrt((l_of - m_of) * (l_of + m_of + 1))
-    Lp = np.diag(raise_w[:-1].astype(complex), -1)
-    Lm = Lp.conj().T
-    L1 = (Lp + Lm) / 2.0
-    L2 = (Lp - Lm) / 2.0j
-
-    # column l^2 + l + m of x_a holds c_l A_l^{a,m} in row (l-1)^2 + (l-1) +
-    # m+a and c_{l+1} B_l^{a,m} in row (l+1)^2 + (l+1) + m+a; only nonzero
-    # weights are written, so absent neighbours leave no entry
+    # x_a psi_l^m has c_l A_l^{a,m} on psi_{l-1}^{m+a} and c_{l+1} B_l^{a,m}
+    # on psi_{l+1}^{m+a}; L_+ psi_l^m = sqrt((l-m)(l+m+1)) psi_l^{m+1}.  Each
+    # weight vanishes where its target does not exist
     c = _level_weights(lam, k)
-    cols = np.arange(dim)
-    xs = {}
+    rows = []
     for a in (0, 1, -1):
-        xa = np.zeros((dim, dim), dtype=complex)
-        down = c[l_of] * clebsch_a(l_of, a, m_of)
-        up = c[l_of + 1] * clebsch_a(l_of + 1, -a, m_of + a)  # B_l^{a,m}
-        for w, rows in ((down, l_of * (l_of - 1) + m_of + a),
-                        (up, (l_of + 1) * (l_of + 2) + m_of + a)):
-            nz = w != 0.0
-            xa[rows[nz], cols[nz]] = w[nz]
-        xs[a] = xa
-    x0, xp, xm = xs[0], xs[1], xs[-1]
-    x1 = (xp + xm) / 2.0
-    x2 = (xp - xm) / 2.0j
-    x_sq = _x_squared(lam, k, l_of)
-
-    return FuzzySphere(
-        lam=lam, k=k, L3=readonly(L3), L_plus=readonly(Lp), L1=readonly(L1),
-        L2=readonly(L2), l2=readonly(l2), x_plus=readonly(xp),
-        x_minus=readonly(xm), x1=readonly(x1), x2=readonly(x2),
-        x3=readonly(x0), x_squared=readonly(x_sq), l_of=l_of, m_of=m_of)
+        rows.append(c[l_of] * clebsch_a(l_of, a, m_of))
+        rows.append(c[l_of + 1] * clebsch_a(l_of + 1, -a, m_of + a))  # B_l^{a,m}
+    rows += [np.sqrt((l_of - m_of) * (l_of + m_of + 1)), m_of,
+             l_of * (l_of + 1), _x_squared(lam, k, l_of)]
+    return FuzzySphere(lam=lam, k=k, term_keys=TERM_KEYS,
+                       terms=readonly(np.array(rows, dtype=complex)),
+                       l_of=l_of, m_of=m_of)
 
 
-def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
-    """Residuals of the defining relations; pass iff all are <= tol."""
-    rep = Report()
-    lam, k = s.lam, s.k
-    x = [s.x1, s.x2, s.x3]
-    L = [s.L1, s.L2, s.L3]
-    dim = s.dim
+@functools.cache
+def _relation_tables(term_keys: tuple):
+    """The relation rows compiled for spheres whose terms are labelled
+    term_keys; the weight table is the terms, then the diagonal f of the
+    coordinate bracket.  Also the rows of x_+ and x_-."""
+    n = len(term_keys)
+    ops = stored_ops(term_keys)
+    lp = ops["L_plus"]
+    x = cartesian(ops["x_plus"], ops["x_minus"], ops["x3"])
+    L = cartesian(lp, lp.H, ops["L3"])
+    f = Op.atom(n, ZERO)
+    zero = Op()
 
-    r = max(frobenius_residual(m.conj().T, m) for m in x + L)
-    rep.add_residual("rf3D4/hermitean", r, tol, lam=lam)
-
-    def eps_sum(ops, i, j):
-        out = np.zeros((dim, dim), dtype=complex)
+    def eps_sum(v, i, j):
+        out = Op()
         for h in range(3):
             if EPS[i, j, h] != 0.0:
-                out += EPS[i, j, h] * ops[h]
+                out = out + EPS[i, j, h] * v[h]
         return out
 
     # [L_i, x_j] is not antisymmetric in (i, j), so all 9 pairs are tested;
     # the antisymmetric brackets below vanish at i = j and negate exactly
-    # under (i, j) -> (j, i), so the 3 pairs i < j give every residual
+    # under (i, j) -> (j, i), so the 3 pairs i < j give every residual.
+    # The correction factor f = -1/k + K P_lam of the coordinate bracket is
+    # diagonal and commutes with every L_h, so the symmetrized form is
+    # tested and the two orderings are compared
     pairs = [(0, 1), (0, 2), (1, 2)]
-    r_lx = max(frobenius_residual(L[i] @ x[j] - x[j] @ L[i], 1j * eps_sum(x, i, j))
-               for i in range(3) for j in range(3))
-    rep.add_residual("rf3D4/[L,x]", r_lx, tol, lam=lam)
-    r_ll = max(frobenius_residual(L[i] @ L[j] - L[j] @ L[i], 1j * eps_sum(L, i, j))
-               for i, j in pairs)
-    rep.add_residual("rf3D4/[L,L]", r_ll, tol, lam=lam)
-    xdotl = sum(x[i] @ L[i] for i in range(3))
-    rep.add_residual("rf3D4/x.L", frobenius_residual(xdotl, np.zeros_like(xdotl)),
-                     tol, lam=lam)
-
-    # coordinate bracket; the correction factor -1/k + K P_lam is diagonal
-    # and commutes with every L_h, so the symmetrized form is tested and the
-    # two orderings are compared
-    K = 1.0 / k + (1.0 + lam * lam / k) / (2 * lam + 1)
-    top = (s.l_of == lam).astype(float)
-    f = -1.0 / k + K * top
-    r_xx, r_ord = 0.0, 0.0
-    for i, j in pairs:
-        lh = eps_sum(L, i, j)
-        lh_f, f_lh = lh * f, f[:, None] * lh
-        sym = 1j * (lh_f + f_lh) / 2.0
-        r_xx = max(r_xx, frobenius_residual(x[i] @ x[j] - x[j] @ x[i], sym))
-        r_ord = max(r_ord, frobenius_residual(lh_f, f_lh))
-    rep.add_residual("xx/bracket", r_xx, tol, lam=lam)
-    rep.add_residual("xx/bracket-ordering", r_ord, tol, lam=lam)
-
+    rows = [("rf3D4/hermitean", a.H, a) for a in x + L]
+    rows += [("rf3D4/[L,x]", L[i] @ x[j] - x[j] @ L[i], 1j * eps_sum(x, i, j))
+             for i in range(3) for j in range(3)]
+    rows += [("rf3D4/[L,L]", L[i] @ L[j] - L[j] @ L[i], 1j * eps_sum(L, i, j))
+             for i, j in pairs]
+    xdotl = x[0] @ L[0] + x[1] @ L[1] + x[2] @ L[2]
+    rows.append(("rf3D4/x.L", xdotl, zero))
+    rows += [("xx/bracket", x[i] @ x[j] - x[j] @ x[i],
+              0.5j * (eps_sum(L, i, j) @ f + f @ eps_sum(L, i, j)))
+             for i, j in pairs]
+    rows += [("xx/bracket-ordering", eps_sum(L, i, j) @ f, f @ eps_sum(L, i, j))
+             for i, j in pairs]
     # x_squared is built in closed form, so the sum of squares is formed here
-    sq = s.x3 @ s.x3 + (s.x_plus @ s.x_minus + s.x_minus @ s.x_plus) / 2.0
-    rep.add_residual("xx/r2", frobenius_residual(sq, s.x_squared), tol, lam=lam)
+    sq = x[2] @ x[2] + 0.5 * (ops["x_plus"] @ ops["x_minus"]
+                              + ops["x_minus"] @ ops["x_plus"])
+    rows.append(("xx/r2", sq, ops["x_squared"]))
+    rows.append(("D=3Basis/L2", L[0] @ L[0] + L[1] @ L[1] + L[2] @ L[2],
+                 ops["l2"]))
+    rows_of = {name: [j for j, key in enumerate(term_keys) if key[0] == name]
+               for name in ("x_plus", "x_minus", "l2", "L3")}
+    ladders = rows_of["x_plus"] + rows_of["x_minus"]
+    ladder_ops = [0] * len(rows_of["x_plus"]) + [1] * len(rows_of["x_minus"])
+    return (compile_checks(rows, n + 1), rows_of["l2"], rows_of["L3"],
+            (ladders, [term_keys[j][1:] for j in ladders], ladder_ops))
 
-    lsq = sum(L[i] @ L[i] for i in range(3))
-    rep.add_residual("D=3Basis/L2", frobenius_residual(lsq, s.l2), tol, lam=lam)
+
+def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
+    """Residuals of the defining relations; pass iff all are <= tol.  They
+    are evaluated on the shift terms alone."""
+    rep = Report()
+    lam, k = s.lam, s.k
+    tab, l2_rows, l3_rows, (ladders, ladder_keys, ladder_ops) = \
+        _relation_tables(s.term_keys)
+
+    K = 1.0 / k + (1.0 + lam * lam / k) / (2 * lam + 1)
+    f = -1.0 / k + K * (s.l_of == lam)
+    weights = np.concatenate([s.terms, f[None]])
+    for tag, r in zip(tab.tags, check_residuals(tab, weights, s.targets)):
+        rep.add_residual(tag, r, tol, lam=lam)
 
     # both annihilator polynomials act on diagonal operators, so they are
     # evaluated entrywise on the diagonals
-    poly = diag_annihilator(np.real(np.diag(s.l2)),
-                            [l * (l + 1) for l in range(lam + 1)])
+    d_l2, d_l3 = (np.real(s.terms[rows].sum(axis=0)) for rows in (l2_rows, l3_rows))
+    poly = diag_annihilator(d_l2, [l * (l + 1) for l in range(lam + 1)])
     rep.add_residual("rf3D3/L2-poly", float(np.abs(poly).max()), tol, lam=lam)
-    d_l3 = np.real(np.diag(s.L3))
     worst = 0.0
     for l in range(lam + 1):
         val = diag_annihilator(d_l3[s.l_of == l], range(-l, l + 1))
         worst = max(worst, float(np.abs(val).max()))
     rep.add_residual("rf3D3/L3-poly", worst, tol, lam=lam)
 
-    nil_p = np.linalg.matrix_power(s.x_plus, 2 * lam + 1)
-    nil_m = np.linalg.matrix_power(s.x_minus, 2 * lam + 1)
-    rep.add_residual("rf3D3/nilpotent",
-                     max(frobenius_residual(nil_p, np.zeros_like(nil_p)),
-                         frobenius_residual(nil_m, np.zeros_like(nil_m))),
-                     tol, lam=lam)
+    nil = power_norms(s.terms[ladders], ladder_keys, ladder_ops, 2 * lam + 1,
+                      s.targets).max()
+    rep.add_residual("rf3D3/nilpotent", nil, tol, lam=lam)
     return rep
 
 

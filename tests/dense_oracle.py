@@ -1,0 +1,160 @@
+"""Dense oracle for the relation and so(4) suites.
+
+The suites in fuzzysphere.sphere and fuzzysphere.lierep read only the shift
+terms of a sphere.  These are the same checks formed as dense dim x dim
+products of the sphere's dense operators (which are scattered from those
+terms), so the tests can compare the two record by record.  They cost
+O(dim^3), so keep them to small truncations.
+"""
+
+from itertools import combinations
+
+import numpy as np
+
+from fuzzysphere.lierep import _PAIRINGS, g_weight
+from fuzzysphere.linop import diag_annihilator, frobenius_residual, readonly
+from fuzzysphere.report import Report
+from fuzzysphere.sphere import EPS
+
+
+def verify_sphere_relations(s, tol: float = 1e-10) -> Report:
+    """Residuals of the defining relations; pass iff all are <= tol."""
+    rep = Report()
+    lam, k = s.lam, s.k
+    x = [s.x1, s.x2, s.x3]
+    L = [s.L1, s.L2, s.L3]
+    dim = s.dim
+
+    r = max(frobenius_residual(m.conj().T, m) for m in x + L)
+    rep.add_residual("rf3D4/hermitean", r, tol, lam=lam)
+
+    def eps_sum(ops, i, j):
+        out = np.zeros((dim, dim), dtype=complex)
+        for h in range(3):
+            if EPS[i, j, h] != 0.0:
+                out += EPS[i, j, h] * ops[h]
+        return out
+
+    # [L_i, x_j] is not antisymmetric in (i, j), so all 9 pairs are tested;
+    # the antisymmetric brackets below vanish at i = j and negate exactly
+    # under (i, j) -> (j, i), so the 3 pairs i < j give every residual
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    r_lx = max(frobenius_residual(L[i] @ x[j] - x[j] @ L[i], 1j * eps_sum(x, i, j))
+               for i in range(3) for j in range(3))
+    rep.add_residual("rf3D4/[L,x]", r_lx, tol, lam=lam)
+    r_ll = max(frobenius_residual(L[i] @ L[j] - L[j] @ L[i], 1j * eps_sum(L, i, j))
+               for i, j in pairs)
+    rep.add_residual("rf3D4/[L,L]", r_ll, tol, lam=lam)
+    xdotl = sum(x[i] @ L[i] for i in range(3))
+    rep.add_residual("rf3D4/x.L", frobenius_residual(xdotl, np.zeros_like(xdotl)),
+                     tol, lam=lam)
+
+    # coordinate bracket; the correction factor -1/k + K P_lam is diagonal
+    # and commutes with every L_h, so the symmetrized form is tested and the
+    # two orderings are compared
+    K = 1.0 / k + (1.0 + lam * lam / k) / (2 * lam + 1)
+    top = (s.l_of == lam).astype(float)
+    f = -1.0 / k + K * top
+    r_xx, r_ord = 0.0, 0.0
+    for i, j in pairs:
+        lh = eps_sum(L, i, j)
+        lh_f, f_lh = lh * f, f[:, None] * lh
+        sym = 1j * (lh_f + f_lh) / 2.0
+        r_xx = max(r_xx, frobenius_residual(x[i] @ x[j] - x[j] @ x[i], sym))
+        r_ord = max(r_ord, frobenius_residual(lh_f, f_lh))
+    rep.add_residual("xx/bracket", r_xx, tol, lam=lam)
+    rep.add_residual("xx/bracket-ordering", r_ord, tol, lam=lam)
+
+    # x_squared is built in closed form, so the sum of squares is formed here
+    sq = s.x3 @ s.x3 + (s.x_plus @ s.x_minus + s.x_minus @ s.x_plus) / 2.0
+    rep.add_residual("xx/r2", frobenius_residual(sq, s.x_squared), tol, lam=lam)
+
+    lsq = sum(L[i] @ L[i] for i in range(3))
+    rep.add_residual("D=3Basis/L2", frobenius_residual(lsq, s.l2), tol, lam=lam)
+
+    # both annihilator polynomials act on diagonal operators, so they are
+    # evaluated entrywise on the diagonals
+    poly = diag_annihilator(np.real(np.diag(s.l2)),
+                            [l * (l + 1) for l in range(lam + 1)])
+    rep.add_residual("rf3D3/L2-poly", float(np.abs(poly).max()), tol, lam=lam)
+    d_l3 = np.real(np.diag(s.L3))
+    worst = 0.0
+    for l in range(lam + 1):
+        val = diag_annihilator(d_l3[s.l_of == l], range(-l, l + 1))
+        worst = max(worst, float(np.abs(val).max()))
+    rep.add_residual("rf3D3/L3-poly", worst, tol, lam=lam)
+
+    nil_p = np.linalg.matrix_power(s.x_plus, 2 * lam + 1)
+    nil_m = np.linalg.matrix_power(s.x_minus, 2 * lam + 1)
+    rep.add_residual("rf3D3/nilpotent",
+                     max(frobenius_residual(nil_p, np.zeros_like(nil_p)),
+                         frobenius_residual(nil_m, np.zeros_like(nil_m))),
+                     tol, lam=lam)
+    return rep
+
+
+def so4_parts(s):
+    """Invert x_i = g(lambda) Lhat_{4i} g(lambda); returns the generators
+    Lhat_{HI} (H < I), their full antisymmetric table and the matrices of
+    both Casimirs, sum Lhat_{HI}^2 and eps_{HIJK} Lhat_{HI} Lhat_{JK}, and
+    the dressing weight g(l) of every basis vector."""
+    g = np.array([g_weight(l, s.lam, s.k) for l in range(s.lam + 1)])[s.l_of]
+    dress = np.outer(1.0 / g, 1.0 / g)
+
+    gens = {(1, 2): s.L3, (1, 3): readonly(-s.L2), (2, 3): s.L1}
+    for i, xi in enumerate((s.x1, s.x2, s.x3), start=1):
+        gens[(i, 4)] = readonly(-dress * xi)
+
+    full = {}
+    for (h, i), op in gens.items():
+        full[(h, i)] = op
+        full[(i, h)] = -op
+    for h in range(1, 5):
+        full[(h, h)] = np.zeros((s.dim, s.dim), dtype=complex)
+    cas = np.zeros((s.dim, s.dim), dtype=complex)
+    for op in gens.values():
+        cas += op @ op
+    cas_prime = np.zeros((s.dim, s.dim), dtype=complex)
+    for a, b, sign in _PAIRINGS:
+        cas_prime += 4.0 * sign * (full[a] @ full[b] + full[b] @ full[a])
+    return gens, full, cas, cas_prime, g
+
+
+def verify_so4_reconstruction(s, tol: float = 1e-9) -> Report:
+    """so(4) bracket table, hermiticity, both Casimirs and the dressing
+    round-trip."""
+    rep = Report()
+    lam = s.lam
+    gens, full, cas, cas_prime, g = so4_parts(s)
+    eye = np.eye(s.dim)
+
+    r_herm = max(frobenius_residual(op.conj().T, op) for op in gens.values())
+    rep.add_residual("so4rel/hermitean", r_herm, tol, lam=lam)
+
+    # [A, B] = -[B, A] on both sides and [A, A] = 0, so the 15 unordered
+    # pairs of distinct generators cover the whole table
+    r_br = 0.0
+    for (h, i), (j, kk) in combinations(gens, 2):
+        lhs = full[(h, i)] @ full[(j, kk)] - full[(j, kk)] @ full[(h, i)]
+        rhs = 1j * ((h == j) * full[(i, kk)] - (h == kk) * full[(i, j)]
+                    - (i == j) * full[(h, kk)] + (i == kk) * full[(h, j)])
+        r_br = max(r_br, frobenius_residual(lhs, rhs))
+    rep.add_residual("so4rel/brackets", r_br, tol, lam=lam)
+
+    rep.add_residual("isomD3/casimir",
+                     frobenius_residual(cas, lam * (lam + 2) * eye), tol, lam=lam)
+    rep.add_residual("isomD3/casimir-prime", float(np.linalg.norm(cas_prime)),
+                     tol, lam=lam)
+
+    dress = np.outer(g, g)
+    r_rt, r_rt_off = 0.0, 0.0
+    keep = s.l_of != lam
+    off_edge = np.outer(keep, keep)             # P X P with P = 1 - P_lam
+    for i, xi in enumerate((s.x1, s.x2, s.x3), start=1):
+        x_back = dress * (-full[(i, 4)])        # g(l') Lhat_{4i} g(l)
+        r_rt = max(r_rt, frobenius_residual(x_back, xi))
+        r_rt_off = max(r_rt_off, frobenius_residual(x_back * off_edge,
+                                                    xi * off_edge))
+    rep.add_residual("transfD3/roundtrip", r_rt, tol, lam=lam)
+    rep.add_residual("transfD3/roundtrip-offedge", r_rt_off, tol, lam=lam)
+    return rep

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzysphere.circle import build_circle
-from fuzzysphere.lierep import (EulerAngles, _so4_parts, classical_rotation,
+from dense_oracle import so4_parts
+from fuzzysphere.lierep import (EulerAngles, classical_rotation,
                                 classical_rotation_2d, g_weight,
                                 rotation_operator, rotation_operator_circle,
                                 squeeze_factor_circle,
@@ -96,26 +97,31 @@ def test_so4_reconstruction(lam):
 
 def test_so4_casimir_values():
     s = build_sphere(1, 4.0)
-    _, _, cas, cas_prime, _ = _so4_parts(s)
+    _, _, cas, cas_prime, _ = so4_parts(s)
     assert np.real(np.trace(cas)) / s.dim == pytest.approx(3.0)
     assert np.linalg.norm(cas_prime) == pytest.approx(0.0, abs=1e-12)
 
 
 def _tampered_sphere(lam, seed):
-    """A sphere whose coordinates carry a random hermitian perturbation, so
-    its reconstructed generators obey no so(4) relation."""
+    """A sphere whose coordinate term weights carry a random complex 1%
+    perturbation, so its reconstructed generators obey no so(4) relation."""
     s = build_sphere(lam)
     rng = np.random.default_rng(seed)
-    noise = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
-    return dataclasses.replace(s, x1=s.x1 + 1e-2 * (noise + noise.conj().T))
+    terms = np.array(s.terms)
+    coords = [j for j, key in enumerate(s.term_keys)
+              if key[0] in ("x_plus", "x_minus", "x3")]
+    shape = (len(coords), s.dim)
+    terms[coords] *= 1.0 + 1e-2 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return dataclasses.replace(s, terms=terms)
 
 
 @pytest.mark.parametrize("lam", [2, 4])
 def test_so4_casimir_prime_matches_levi_civita_sum(lam):
     # the 3-pairing form against eps_{HIJK} L_HI L_JK over all 24
-    # permutations, on generators that do not commute across disjoint pairs
+    # permutations, on generators that do not commute across disjoint
+    # pairs: the dense oracle's matrix and the term suite's norm of it
     s = _tampered_sphere(lam, 5)
-    _, full, _, cas_prime, _ = _so4_parts(s)
+    _, full, _, cas_prime, _ = so4_parts(s)
     assert np.linalg.norm(full[(1, 4)] @ full[(2, 3)]
                           - full[(2, 3)] @ full[(1, 4)]) > 1e-3
     ref = np.zeros_like(cas_prime)
@@ -123,6 +129,9 @@ def test_so4_casimir_prime_matches_levi_civita_sum(lam):
         sign = (-1) ** sum(p[a] > p[b] for a in range(4) for b in range(a + 1, 4))
         ref += sign * (full[p[:2]] @ full[p[2:]])
     assert np.linalg.norm(cas_prime - ref) <= 1e-12 * (1 + np.linalg.norm(ref))
+    rec = next(c for c in verify_so4_reconstruction(s).checks
+               if c.tag == "isomD3/casimir-prime")
+    assert abs(rec.residual - np.linalg.norm(ref)) <= 1e-12 * (1 + np.linalg.norm(ref))
 
 
 def test_so4_brackets_catch_perturbed_generator():
@@ -132,7 +141,7 @@ def test_so4_brackets_catch_perturbed_generator():
 
 
 def test_so4_disjoint_pairs_commute():
-    gens = _so4_parts(build_sphere(3))[0]
+    gens = so4_parts(build_sphere(3))[0]
     a = gens[(1, 2)]
     b = gens[(3, 4)]
     assert np.linalg.norm(a @ b - b @ a) <= 1e-12

@@ -14,31 +14,33 @@ from fuzzysphere.circle import build_circle
 from fuzzysphere.coherent import (check_heisenberg_circle, dispersion,
                                   minimizer_certificate, verify_weak_orbit,
                                   weak_scs_orbit)
-from fuzzysphere.lierep import _so4_parts
 from fuzzysphere.linop import (diag_annihilator, expm_hermitian_generator,
                                frobenius_residual, normalized_columns,
                                random_states, unit_columns)
-from fuzzysphere.sphere import build_madore, build_sphere
+from fuzzysphere.sphere import FuzzySphere, build_madore, build_sphere
 
 
 def random_matrix(rng, n):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
 
+# the sphere's shift terms and the dense operators scattered from them
+SPHERE_ARRAYS = ("terms", "L3", "L_plus", "L1", "L2", "l2", "x_plus",
+                 "x_minus", "x1", "x2", "x3", "x_squared")
+
+
 def _matrices(obj):
-    """(name, array) for every 2-d array field of a space, or every
-    generator in a dict of them."""
-    if isinstance(obj, dict):
-        return list(obj.items())
+    """(name, array) for every 2-d array of a space."""
+    if isinstance(obj, FuzzySphere):
+        return [(name, getattr(obj, name)) for name in SPHERE_ARRAYS]
     return [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)
             if np.ndim(getattr(obj, f.name)) == 2]
 
 
 def test_operator_immutable():
-    # every matrix field of the three spaces and every reconstructed so(4)
-    # generator is a complex array that refuses writes
-    for obj in (build_circle(2), build_sphere(2), build_madore(1.5),
-                _so4_parts(build_sphere(2))[0]):
+    # every matrix of the three spaces, and the sphere's shift terms, is a
+    # complex array that refuses writes
+    for obj in (build_circle(2), build_sphere(2), build_madore(1.5)):
         mats = _matrices(obj)
         assert len(mats) >= 3
         for name, a in mats:

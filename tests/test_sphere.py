@@ -89,10 +89,11 @@ def test_relations_hold(lam, k):
 
 
 def test_relations_catch_tampering():
+    # the x_3 entry from psi_0^0 to psi_1^0, stored as a term weight
     s = build_sphere(2)
-    mat = np.array(s.x3)
-    mat[s.index(1, 0), s.index(0, 0)] *= 1.01
-    bad = dataclasses.replace(s, x3=mat)
+    terms = np.array(s.terms)
+    terms[s.term_keys.index(("x3", 1, 0)), s.index(0, 0)] *= 1.01
+    bad = dataclasses.replace(s, terms=terms)
     rep = verify_sphere_relations(bad)
     assert not rep.passed
 
@@ -101,10 +102,9 @@ def test_relations_catch_tampering():
                                      ("L3", "rf3D3/L3-poly")])
 def test_annihilator_polynomials_catch_perturbed_diagonal(op, tag):
     s = build_sphere(6)
-    mat = np.array(getattr(s, op))
-    i = s.index(3, 1)
-    mat[i, i] += 1e-8
-    bad = dataclasses.replace(s, **{op: mat})
+    terms = np.array(s.terms)
+    terms[s.term_keys.index((op, 0, 0)), s.index(3, 1)] += 1e-8
+    bad = dataclasses.replace(s, terms=terms)
     rec = next(c for c in verify_sphere_relations(bad).checks if c.tag == tag)
     assert not rec.passed and np.isfinite(rec.residual)
 
@@ -114,10 +114,10 @@ def test_r2_catches_perturbed_coordinate_or_square(field):
     # x_squared is stored in closed form, so xx/r2 must see a change on
     # either side of x^2 = x_0^2 + (x_+ x_- + x_- x_+)/2
     s = build_sphere(3)
-    mat = np.array(getattr(s, field))
-    row, col = np.argwhere(mat != 0)[0]
-    mat[row, col] *= 1.01
-    bad = dataclasses.replace(s, **{field: mat})
+    terms = np.array(s.terms)
+    j = next(j for j, key in enumerate(s.term_keys) if key[0] == field)
+    terms[j, np.flatnonzero(terms[j])[0]] *= 1.01
+    bad = dataclasses.replace(s, terms=terms)
     rec = next(c for c in verify_sphere_relations(bad).checks
                if c.tag == "xx/r2")
     assert not rec.passed
