@@ -22,7 +22,6 @@ import numpy as np
 from .circle import FuzzyCircle
 from .linop import frobenius_residual
 from .report import Report
-from .shift import ZERO, Op, cartesian, check_residuals, compile_checks, stored_ops
 from .sphere import FuzzySphere
 
 __all__ = ["EulerAngles", "squeeze_factor_circle", "g_weight",
@@ -165,12 +164,15 @@ def verify_su2_reconstruction(c: FuzzyCircle, tol: float = 1e-10) -> Report:
 @functools.cache
 def _so4_tables(term_keys: tuple):
     """The so(4) rows compiled for spheres whose terms are labelled
-    term_keys, with the coordinate rows and their labels.  After the terms
+    term_keys, with the coordinate rows and their shifts.  After the terms
     the weight table holds four blocks, each with one row per coordinate
     term w from l to l': the dressed weight -w / (g(l') g(l)), the round
     trip g(l') g(l) times minus that, then w and the round trip each times
     the mask l != lam of the source; and then the mask itself and the
-    Casimir value lam (lam + 2)."""
+    Casimir value lam (lam + 2).  The shift algebra is imported here, on
+    first use, as in sphere.py."""
+    from .shift import ZERO, Op, cartesian, compile_checks, stored_ops
+
     n = len(term_keys)
     x_rows = [j for j, key in enumerate(term_keys)
               if key[0] in ("x_plus", "x_minus", "x3")]
@@ -220,7 +222,8 @@ def _so4_tables(term_keys: tuple):
     rows += [("transfD3/roundtrip", back[i], x[i]) for i in range(3)]
     rows += [("transfD3/roundtrip-offedge", keep @ back_kept[i], keep @ x_kept[i])
              for i in range(3)]
-    return compile_checks(rows, n + 4 * nx + 2), np.array(x_rows), x_keys
+    return (compile_checks(rows, n + 4 * nx + 2), np.array(x_rows),
+            np.array([key[1:] for key in x_keys]))
 
 
 def verify_so4_reconstruction(s: FuzzySphere, tol: float = 1e-9) -> Report:
@@ -229,13 +232,15 @@ def verify_so4_reconstruction(s: FuzzySphere, tol: float = 1e-9) -> Report:
     Lhat_{12} = L_3, Lhat_{13} = -L_2, Lhat_{23} = L_1 and Lhat_{i4}, the
     inverse of x_i = g(lambda) Lhat_{4i} g(lambda): each coordinate term
     is divided by g at its source and at its target."""
+    from .shift import check_residuals
+
     rep = Report()
     lam = s.lam
-    tab, x_rows, x_keys = _so4_tables(s.term_keys)
+    tab, x_rows, x_shifts = _so4_tables(s.term_keys)
 
     g = np.array([g_weight(l, lam, s.k) for l in range(lam + 1)])[s.l_of]
     g_pad = np.append(g, 1.0)                 # at the missing target dim
-    t = s.targets([key[1:] for key in x_keys])
+    t = s.targets(x_shifts)
     w = s.terms[x_rows]
     dressed = -((1.0 / g_pad)[t] * (1.0 / g)) * w
     back = (g_pad[t] * g) * -dressed

@@ -23,8 +23,11 @@ import numpy as np
 from .circle import min_sharpness
 from .linop import diag_annihilator, readonly
 from .report import Report
-from .shift import ZERO, Op, cartesian, check_residuals, compile_checks, power_norms, stored_ops
 from .spectral import TridiagSpec
+
+# .shift is imported where the relation suite uses it: every command
+# imports this module, and only the relation and so(4) suites need the
+# shift algebra, so the others do not pay for loading it at start-up
 
 __all__ = ["FuzzySphere", "MadoreSphere", "build_sphere",
            "verify_sphere_relations", "coordinate_blocks", "build_madore",
@@ -61,6 +64,12 @@ def clebsch_a(l, a: int, m):
 TERM_KEYS = (("x3", -1, 0), ("x3", 1, 0), ("x_plus", -1, 1), ("x_plus", 1, 1),
              ("x_minus", -1, -1), ("x_minus", 1, -1), ("L_plus", 0, 1),
              ("L3", 0, 0), ("l2", 0, 0), ("x_squared", 0, 0))
+
+
+def _scattered(op: str) -> cached_property:
+    """The dense matrix of operator op, its nonzero term weights written
+    into (target, source), made on first use."""
+    return cached_property(lambda s: s._scatter(op))
 
 
 @dataclass(frozen=True)
@@ -116,8 +125,6 @@ class FuzzySphere:
         return grid.ravel(), base, stride
 
     def _scatter(self, op: str) -> np.ndarray:
-        """The dense matrix of op, its nonzero term weights written into
-        (target, source)."""
         rows = [j for j, key in enumerate(self.term_keys) if key[0] == op]
         t = self.targets([self.term_keys[j][1:] for j in rows])
         w = self.terms[rows]
@@ -126,13 +133,14 @@ class FuzzySphere:
         np.add.at(out, (t[nz], np.nonzero(nz)[1]), w[nz])
         return readonly(out)
 
-    @cached_property
-    def L3(self) -> np.ndarray:
-        return self._scatter("L3")
-
-    @cached_property
-    def L_plus(self) -> np.ndarray:
-        return self._scatter("L_plus")
+    # the dense operators, each scattered from its terms on first use
+    L3 = _scattered("L3")
+    L_plus = _scattered("L_plus")
+    l2 = _scattered("l2")                  # L.L, diagonal l(l+1)
+    x_plus = _scattered("x_plus")
+    x_minus = _scattered("x_minus")
+    x3 = _scattered("x3")                  # the a = 0 component x_0
+    x_squared = _scattered("x_squared")
 
     @cached_property
     def L1(self) -> np.ndarray:
@@ -143,34 +151,12 @@ class FuzzySphere:
         return readonly((self.L_plus - self.L_plus.conj().T) / 2.0j)
 
     @cached_property
-    def l2(self) -> np.ndarray:
-        """L.L, diagonal l(l+1)."""
-        return self._scatter("l2")
-
-    @cached_property
-    def x_plus(self) -> np.ndarray:
-        return self._scatter("x_plus")
-
-    @cached_property
-    def x_minus(self) -> np.ndarray:
-        return self._scatter("x_minus")
-
-    @cached_property
     def x1(self) -> np.ndarray:
         return readonly((self.x_plus + self.x_minus) / 2.0)
 
     @cached_property
     def x2(self) -> np.ndarray:
         return readonly((self.x_plus - self.x_minus) / 2.0j)
-
-    @cached_property
-    def x3(self) -> np.ndarray:
-        """The a = 0 component x_0."""
-        return self._scatter("x3")
-
-    @cached_property
-    def x_squared(self) -> np.ndarray:
-        return self._scatter("x_squared")
 
     @property
     def x_ops(self):
@@ -258,6 +244,8 @@ def _relation_tables(term_keys: tuple):
     """The relation rows compiled for spheres whose terms are labelled
     term_keys; the weight table is the terms, then the diagonal f of the
     coordinate bracket.  Also the rows of x_+ and x_-."""
+    from .shift import ZERO, Op, cartesian, compile_checks, stored_ops
+
     n = len(term_keys)
     ops = stored_ops(term_keys)
     lp = ops["L_plus"]
@@ -309,6 +297,8 @@ def _relation_tables(term_keys: tuple):
 def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
     """Residuals of the defining relations; pass iff all are <= tol.  They
     are evaluated on the shift terms alone."""
+    from .shift import check_residuals, power_norms
+
     rep = Report()
     lam, k = s.lam, s.k
     tab, l2_rows, l3_rows, (ladders, ladder_keys, ladder_ops) = \

@@ -67,17 +67,21 @@ def test_terms_match_dense_build(k):
 
 
 def test_tables_compiled_on_first_use_not_at_import():
-    code = ("import fuzzysphere.cli\n"
+    # and the shift algebra is not even loaded: commands that never run
+    # the relation or so(4) suites do not pay for it
+    code = ("import sys\n"
+            "import fuzzysphere.cli\n"
             "from fuzzysphere.sphere import _relation_tables\n"
             "from fuzzysphere.lierep import _so4_tables\n"
             "print(_relation_tables.cache_info().currsize,"
-            " _so4_tables.cache_info().currsize)")
+            " _so4_tables.cache_info().currsize,"
+            " 'fuzzysphere.shift' in sys.modules)")
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0", "0", "False"]
 
 
 def test_x3_weight_breaks_l_x_bracket():
