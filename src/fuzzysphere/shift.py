@@ -189,25 +189,40 @@ def check_residuals(tab: CheckTables, weights: np.ndarray, targets) -> np.ndarra
     return np.maximum.reduceat(np.sqrt(d2) / (1.0 + np.sqrt(r2)), tab.tag_starts)
 
 
-def power_norms(weights: np.ndarray, keys, ops, n: int, targets) -> np.ndarray:
+def power_norms(weights: np.ndarray, keys, ops, n: int, targets,
+                can_shift) -> np.ndarray:
     """||A_q^n||_F, n >= 1, for each operator A_q, q = 0..max(ops): row j
     of weights (shape (K, dim)) is a term of A_{ops[j]} that shifts by
-    keys[j], and targets(keys, sources) is the target table of those
-    sources.  Each power is composed one factor at a time, A^j = A A^{j-1}
-    from A^0 = 1, all operators in the same step; keys and sources whose
-    weights all vanish are dropped, so a step holds O(keys * dim) numbers.
-    Key components must lie within +-2^20."""
+    keys[j].  targets(keys, sources) is the target table of those sources,
+    and can_shift(lo, hi) tells, for each row, whether some shift between
+    lo and hi (componentwise) moves some basis vector onto another.
+
+    Each power is composed one factor at a time, A^j = A A^{j-1} from
+    A^0 = 1, all operators in the same step.  A key of A^j is dropped when
+    its weights all vanish, and also when the n - j factors still to come,
+    whose shifts sum to a point of the box spanned by n - j times the
+    operator's least and greatest key, cannot bring it onto a shift that
+    moves anything: its part of A^n is exactly zero.  Sources whose
+    weights all vanish are dropped too, so a step holds O(keys * dim)
+    numbers.  Key components must lie within +-2^20."""
     count, dim = weights.shape
     a = np.zeros((count, dim + 1), dtype=complex)
     a[:, :dim] = weights
     keys = np.asarray(keys, dtype=int).reshape(-1, 2)
     ops = np.asarray(ops, dtype=int)
     n_ops = int(ops.max()) + 1
+    lo = np.array([keys[ops == q].min(axis=0) for q in range(n_ops)])
+    hi = np.array([keys[ops == q].max(axis=0) for q in range(n_ops)])
     # the terms of one operator are its 0th, 1st, ... term
     rank = np.array([np.count_nonzero(ops[:j] == ops[j]) for j in range(count)])
     cur_ops, cur_keys = np.arange(n_ops), np.zeros((n_ops, 2), dtype=int)
     cur, src = np.ones((n_ops, dim), dtype=complex), np.arange(dim)
-    for _ in range(n):
+    for step in range(n):
+        rest = n - step
+        reach = can_shift(cur_keys + rest * lo[cur_ops], cur_keys + rest * hi[cur_ops])
+        cur_ops, cur_keys, cur = cur_ops[reach], cur_keys[reach], cur[reach]
+        if not len(cur_ops):
+            break
         rows, cols = np.nonzero(ops[:, None] == cur_ops)
         prod = cur[cols] * a[rows[:, None], targets(cur_keys[cols], src)]
         new_ops, new_keys = cur_ops[cols], keys[rows] + cur_keys[cols]
@@ -223,6 +238,4 @@ def power_norms(weights: np.ndarray, keys, ops, n: int, targets) -> np.ndarray:
         live, used = cur.any(axis=1), cur.any(axis=0)
         cur_ops, cur_keys = new_ops[first][live], new_keys[first][live]
         cur, src = cur[live][:, used], src[used]
-        if not cur.size:
-            break
     return np.sqrt(np.bincount(cur_ops, _sq_norms(cur), minlength=n_ops))

@@ -112,9 +112,9 @@ def test_power_norms_match_dense_powers():
     names = ["x_plus", "x3", "L_plus"]
     ladders = [j for j, key in enumerate(bad.term_keys) if key[0] in names]
     ops = [names.index(bad.term_keys[j][0]) for j in ladders]
-    for n in (1, 2, 5):
+    for n in (1, 2, 5, 7):
         got = power_norms(bad.terms[ladders], [bad.term_keys[j][1:] for j in ladders],
-                          ops, n, bad.targets)
+                          ops, n, bad.targets, bad.can_shift)
         want = [np.linalg.norm(np.linalg.matrix_power(getattr(bad, name), n))
                 for name in names]
         assert np.allclose(got, want, rtol=1e-12, atol=0)
