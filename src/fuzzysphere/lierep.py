@@ -7,8 +7,9 @@ weight g.  Both squeeze factors are invertible on the truncated space, so the
 generator sets are reconstructed here by entrywise division (on the sphere,
 each coordinate shift term divided by g at its source and at its target)
 and then checked against the Cartan-Weyl relations and the Casimir values
-that label the representation.  Rotations enter as pi(g) = exp(i phi L_3) exp(i theta L_2)
-exp(i psi L_3) together with their classical 3x3 counterparts.
+that label the representation.  Rotations enter as
+pi(g) = exp(i phi L_3) exp(i theta L_2) exp(i psi L_3) together with their
+classical 3x3 counterparts.
 """
 
 from __future__ import annotations

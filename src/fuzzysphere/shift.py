@@ -170,6 +170,8 @@ def check_residuals(tab: CheckTables, weights: np.ndarray, targets) -> np.ndarra
     for weights of shape (tab.n_weights, dim) and targets(keys) the
     (K, dim) target table."""
     n, dim = weights.shape
+    if n != tab.n_weights:
+        raise ValueError(f"{n} weight rows for tables compiled for {tab.n_weights}")
     width = dim + 1
     table = np.zeros((2 * n + 1, width), dtype=complex)
     table[:n, :dim] = weights
