@@ -261,7 +261,6 @@ def _relation_tables(term_keys: tuple):
     x = cartesian(ops["x_plus"], ops["x_minus"], ops["x3"])
     L = cartesian(lp, lp.H, ops["L3"])
     f = Op.atom(n, ZERO)
-    zero = Op()
 
     def eps_sum(v, i, j):
         out = Op()
@@ -283,7 +282,7 @@ def _relation_tables(term_keys: tuple):
     rows += [("rf3D4/[L,L]", L[i] @ L[j] - L[j] @ L[i], 1j * eps_sum(L, i, j))
              for i, j in pairs]
     xdotl = x[0] @ L[0] + x[1] @ L[1] + x[2] @ L[2]
-    rows.append(("rf3D4/x.L", xdotl, zero))
+    rows.append(("rf3D4/x.L", xdotl, Op()))
     rows += [("xx/bracket", x[i] @ x[j] - x[j] @ x[i],
               0.5j * (eps_sum(L, i, j) @ f + f @ eps_sum(L, i, j)))
              for i, j in pairs]
