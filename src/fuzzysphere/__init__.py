@@ -11,20 +11,20 @@ from .circle import FuzzyCircle, build_circle, coordinate_matrix, verify_circle_
 from .coherent import (DispersionReport, dispersion,
                        minimize_dispersion, spin_cs, strong_scs_circle,
                        strong_scs_sphere_phi, weak_scs_orbit)
-from .lierep import EulerAngles, rotation_operator
+from .lierep import EulerAngles, rotate
 from .report import CheckRecord, Report
 from .spectral import Spectrum, TridiagSpec, eig_bisection
-from .sphere import (FuzzySphere, MadoreSphere, build_madore, build_sphere,
-                     coordinate_blocks, verify_sphere_relations)
+from .sphere import (FuzzySphere, build_sphere, coordinate_blocks,
+                     verify_sphere_relations)
 
 __all__ = [
     "BACKEND", "__version__",
     "CheckRecord", "Report",
     "FuzzyCircle", "build_circle", "coordinate_matrix", "verify_circle_relations",
-    "FuzzySphere", "MadoreSphere", "build_sphere", "build_madore",
+    "FuzzySphere", "build_sphere",
     "coordinate_blocks", "verify_sphere_relations",
     "TridiagSpec", "Spectrum", "eig_bisection",
-    "EulerAngles", "rotation_operator",
+    "EulerAngles", "rotate",
     "DispersionReport", "dispersion", "minimize_dispersion",
     "spin_cs", "strong_scs_circle", "strong_scs_sphere_phi", "weak_scs_orbit",
 ]

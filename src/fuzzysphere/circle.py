@@ -57,14 +57,31 @@ class FuzzyCircle:
             raise ValueError(f"label n={n} out of range for lam={self.lam}")
         return self.lam - n
 
-    # uniform space protocol used by the coherent-state machinery
-    @property
-    def x_ops(self):
-        return (self.x1, self.x2)
+    # the coherent-state calls, on the dense matrices (dim is 2 lam + 1)
+    def expect(self, ops, v: np.ndarray) -> np.ndarray:
+        """<A> of each column of the (dim, n) block v, one row per matrix A
+        in ops; with the states as contiguous rows, each sum over the basis
+        is numpy's pairwise sum."""
+        rows = np.ascontiguousarray(v.T)
+        conj = rows.conj()
+        return np.array([np.real(np.sum(conj * (rows @ a.T), axis=1))
+                         for a in ops])
 
-    @property
-    def L_ops(self):
-        return (self.L,)
+    def moments(self, v: np.ndarray) -> tuple:
+        """(<x>, <x^2>, <L>, <L^2>) of each column of v, <x> (2, n), <L> (1, n)."""
+        m = self.expect((self.x1, self.x2, self.L, self.x_squared, self.l2), v)
+        return m[:2], m[3], m[2:3], m[4]
+
+    def sectors(self) -> list:
+        """One sector, the whole space: [(indices, real x^2, real x_1)]."""
+        return [(np.arange(self.dim), np.real(self.x_squared), np.real(self.x1))]
+
+    def h_eff(self, b, v: np.ndarray) -> tuple:
+        """(E_0, H(b) v) for H(b) = x^2 - 2 b.x and a 1-d v, E_0 its
+        lowest eigenvalue."""
+        h = self.x_squared - 2.0 * sum(bi * xi for bi, xi
+                                       in zip(b, (self.x1, self.x2)))
+        return np.linalg.eigvalsh(h)[0], h @ v
 
 
 def _sharpness(lam: int, k: float | None) -> float:

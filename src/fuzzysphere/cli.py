@@ -148,7 +148,7 @@ def _minimize_records(space, d, tol, rng):
         grid = rng.uniform(0.0, TWO_PI, 6)
     else:
         rep.add_residual(f"{tag}/L3",
-                         float(np.linalg.norm(space.L3 @ chi)),
+                         float(np.linalg.norm(space.m_of * chi)),
                          1e-10, lam=lam)
         grid = [_random_euler(rng) for _ in range(6)]
     rep.extend(verify_weak_orbit(space, chi, grid))

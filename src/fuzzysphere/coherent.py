@@ -22,15 +22,13 @@ ends without a tolerance or restarts.
 A state is a complex 1-d unit vector and a family of states a (dim, n)
 block of unit columns.  Every public function that takes states checks
 them on entry: a 1-d vector is a block of one, and every column must have
-norm 1.  The moments behind the uncertainty relations are taken over a
-whole block at once: each operator's expectations come from one matrix
-product and one contraction with V^*, so the random-state checks cost one
-pass per block rather than one call per state.
+norm 1.  Moments are taken over a whole block at once.
 
-All functions accept any space exposing the read-only complex arrays x_ops
-(the coordinates), L_ops (the angular momenta), l2 (L^2) and x_squared (the
-square distance); the fuzzy circle, the fuzzy sphere and the Madore
-comparator all do, and the three-dimensional ones also expose L3 and x3.
+Every function takes any space that answers moments(v) (<x>, <x^2>, <L>
+and <L^2> of a block), sectors() (the L_3 sectors as (indices, x^2 block,
+x_ref block)) and h_eff(b, v) (the ground energy of H(b) = x^2 - 2 b.x,
+and H(b) v): the circle from its dense matrices, the sphere from its
+shift terms and coordinate blocks.  Rotations are lierep.rotate.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lierep import EulerAngles, rotation_operator, rotation_operator_circle
+from .lierep import EulerAngles, rotate
 from .linop import unit_columns
 from .report import CheckRecord, Report
 
@@ -83,30 +81,14 @@ def _state(chi) -> np.ndarray:
     return v[:, 0]
 
 
-def _block_moments(space, v: np.ndarray, extra=()) -> tuple:
-    """DispersionReport fields of the columns of v, and <A> of each operator
-    in extra, all from one pass over the block.  The states are laid out as
-    contiguous rows, so each sum over the basis is numpy's pairwise sum,
-    as accurate as one BLAS dot product per state."""
-    rows = np.ascontiguousarray(v.T)
-    conj = rows.conj()
-
-    def means(ops):
-        return np.array([np.real(np.sum(conj * (rows @ a.T), axis=1))
-                         for a in ops])
-    x_mean, L_mean = means(space.x_ops), means(space.L_ops)
-    x2, l2, *more = means((space.x_squared, space.l2, *extra))
-    fields = (x_mean, x2, x2 - np.sum(x_mean * x_mean, axis=0),
-              L_mean, l2, l2 - np.sum(L_mean * L_mean, axis=0))
-    return fields, more
-
-
 def dispersion(space, psi) -> DispersionReport:
     """Moments of psi, a unit vector or a (dim, n) block of unit columns;
     the dispersions are the O(D)-invariant variances.  A vector's report
     holds plain numbers and length-D mean vectors, exactly the first column
     of its block-of-one report."""
-    fields, _ = _block_moments(space, _columns(psi))
+    x_mean, x2, L_mean, l2 = space.moments(_columns(psi))
+    fields = (x_mean, x2, x2 - np.sum(x_mean * x_mean, axis=0),
+              L_mean, l2, l2 - np.sum(L_mean * L_mean, axis=0))
     if np.ndim(psi) == 1:
         fields = [f[:, 0] if f.ndim == 2 else float(f[0]) for f in fields]
     return DispersionReport(*fields)
@@ -126,10 +108,11 @@ def check_heisenberg_circle(c, psi, tol: float = 1e-12) -> Report:
     a unit vector or for every column of a block of unit states.  For a block,
     each of the three records holds its worst column, so the report passes
     exactly when every state passes all three."""
-    (x_mean, _, x_var, _, _, L_var), (sq1, sq2) = _block_moments(
-        c, _columns(psi), (c.x1 @ c.x1, c.x2 @ c.x2))
-    ex1, ex2 = x_mean
-    dL = np.sqrt(np.maximum(L_var, 0.0))
+    v = _columns(psi)
+    d = dispersion(c, v)
+    sq1, sq2 = c.expect((c.x1 @ c.x1, c.x2 @ c.x2), v)
+    ex1, ex2 = d.x_mean
+    dL = np.sqrt(np.maximum(d.L_var, 0.0))
     var1 = np.maximum(sq1 - ex1 ** 2, 0.0)
     var2 = np.maximum(sq2 - ex2 ** 2, 0.0)
     rep = Report()
@@ -137,7 +120,7 @@ def check_heisenberg_circle(c, psi, tol: float = 1e-12) -> Report:
                           c.lam, tol))
     rep.add(_slack_record("HURS^1/Lx2", dL * np.sqrt(var2), np.abs(ex1) / 2.0,
                           c.lam, tol))
-    rep.add(_slack_record("HURS^1/product", L_var * x_var,
+    rep.add(_slack_record("HURS^1/product", d.L_var * d.x_var,
                           (ex1 ** 2 + ex2 ** 2) / 4.0, c.lam, tol))
     return rep
 
@@ -185,11 +168,12 @@ def verify_identity_resolution_circle(c, beta=None, npoints: int | None = None,
 
 
 def spin_cs(s, l: int, g: EulerAngles) -> np.ndarray:
-    """Rotated highest-weight state pi(g) psi_l^l: a column of pi(g), copied
-    so that the whole matrix is not kept alive with it."""
+    """Rotated highest-weight state pi(g) psi_l^l."""
     if not 0 <= l <= s.lam:
         raise ValueError(f"l={l} out of range 0..{s.lam}")
-    return rotation_operator(s, g)[:, s.index(l, l)].copy()
+    v = np.zeros(s.dim, dtype=complex)
+    v[s.index(l, l)] = 1.0
+    return rotate(s, g, v)
 
 
 def _phi_seed(s, beta) -> np.ndarray:
@@ -205,7 +189,7 @@ def _phi_seed(s, beta) -> np.ndarray:
 
 def strong_scs_sphere_phi(s, beta: np.ndarray, g: EulerAngles) -> np.ndarray:
     """phi_g^beta: the m=0 superposition with sqrt(2l+1) weights, rotated."""
-    return rotation_operator(s, g) @ _phi_seed(s, beta)
+    return rotate(s, g, _phi_seed(s, beta))
 
 
 def random_omega_weights(s, rng) -> np.ndarray:
@@ -338,21 +322,13 @@ def minimize_dispersion(space):
     Perron-Frobenius its ground energy is no lower than that of the m = 0
     block cut to l >= |m|, and by Cauchy interlacing that is no lower than
     the whole m = 0 block's (alpha_1 lies in m = 0 too, as the check
-    diag-sphere/alpha1-monotone shows).  On the Madore sphere the 1x1
-    sector m = l is the lowest for beta > 0; the circle has one sector.
+    diag-sphere/alpha1-monotone shows).  The sphere lists the sectors
+    m >= 0 only, as sector -m has the blocks of sector m; the circle has
+    one sector.
     """
-    if len(space.x_ops) == 2:
-        x_ref, sectors = space.x1, [np.arange(space.dim)]
-    else:
-        m = np.real(np.diag(space.L3))
-        x_ref = space.x3
-        # dict.fromkeys rather than np.unique, whose first call alone raises
-        # the process's resident memory by about 1.3 MiB
-        sectors = [np.flatnonzero(m == v) for v in dict.fromkeys(m.tolist())]
-    tops = [np.linalg.eigvalsh(np.real(x_ref[np.ix_(idx, idx)]))[-1]
-            for idx in sectors]
-    idx = sectors[int(np.argmax(tops))]
-    q, xr = (np.real(a[np.ix_(idx, idx)]) for a in (space.x_squared, x_ref))
+    sectors = space.sectors()
+    tops = [np.linalg.eigvalsh(xr)[-1] for _, _, xr in sectors]
+    idx, q, xr = sectors[int(np.argmax(tops))]
     beta = max(tops)
     while True:
         v = np.linalg.eigh(q - 2.0 * beta * xr)[1][:, 0]
@@ -366,13 +342,12 @@ def minimize_dispersion(space):
 
 
 def minimizer_certificate(space, chi) -> float:
-    """Stationarity residual: distance of the unit vector chi from the
-    ground eigenspace of H_eff at its own mean position."""
+    """Stationarity residual ||H(b) chi - E_0 chi||: the distance of the
+    unit vector chi from the ground eigenspace of H(b) = x^2 - 2 b.x at its
+    own mean position b."""
     v = _state(chi)
-    b = dispersion(space, v).x_mean
-    h = space.x_squared - 2.0 * sum(bi * xi for bi, xi in zip(b, space.x_ops))
-    e0 = np.linalg.eigvalsh(h)[0]
-    return float(np.linalg.norm(h @ v - e0 * v))
+    e0, hv = space.h_eff(dispersion(space, v).x_mean, v)
+    return float(np.linalg.norm(hv - e0 * v))
 
 
 def weak_scs_orbit(space, chi, grid) -> np.ndarray:
@@ -381,11 +356,7 @@ def weak_scs_orbit(space, chi, grid) -> np.ndarray:
     chi = _state(chi)
     orbit = np.empty((chi.size, len(grid)), dtype=complex)
     for j, g in enumerate(grid):
-        if isinstance(g, EulerAngles):
-            u = rotation_operator(space, g)
-        else:
-            u = rotation_operator_circle(space, float(g))
-        orbit[:, j] = u @ chi
+        orbit[:, j] = rotate(space, g, chi)
     return orbit
 
 
@@ -401,7 +372,7 @@ def verify_weak_orbit(space, chi, grid, tol_var: float = 1e-10,
     block = np.column_stack([chi, weak_scs_orbit(space, chi, grid)])
     d = dispersion(space, block)
     r = np.linalg.norm(d.x_mean[:, 0])
-    u = np.zeros((len(space.x_ops), block.shape[1]))
+    u = np.zeros(d.x_mean.shape)
     for j, g in enumerate(grid, start=1):
         if isinstance(g, EulerAngles):
             u[:, j] = classical_rotation(g) @ np.array([0.0, 0.0, 1.0])
@@ -410,7 +381,6 @@ def verify_weak_orbit(space, chi, grid, tol_var: float = 1e-10,
     worst_var = float(np.max(np.abs(d.x_var[1:] - d.x_var[0]), initial=0.0))
     worst_dir = float(np.max(np.linalg.norm(d.x_mean - r * u, axis=0)[1:],
                              initial=0.0))
-    lam = getattr(space, "lam", None)
-    rep.add_residual("weak-orbit/dispersion", worst_var, tol_var, lam=lam)
-    rep.add_residual("weak-orbit/direction", worst_dir, tol_dir, lam=lam)
+    rep.add_residual("weak-orbit/dispersion", worst_var, tol_var, lam=space.lam)
+    rep.add_residual("weak-orbit/direction", worst_dir, tol_dir, lam=space.lam)
     return rep

@@ -26,7 +26,7 @@ from .report import Report
 from .sphere import FuzzySphere
 
 __all__ = ["EulerAngles", "squeeze_factor_circle", "g_weight",
-           "rotation_operator", "rotation_operator_circle", "classical_rotation",
+           "rotate", "classical_rotation",
            "classical_rotation_2d", "verify_su2_reconstruction",
            "verify_so4_reconstruction"]
 
@@ -67,39 +67,32 @@ def squeeze_factor_circle(s, lam: int, k: float):
 
 
 def g_weight(l: int, lam: int, k: float) -> float:
-    """Diagonal dressing weight g(l) in finite-product form."""
+    """Diagonal dressing weight g(l).  g(l)^2 is 1/(lam - l + 1) times the
+    ratios (lam + l - 2h)/(lam + l + 1 - 2h), h < l, and the ratios of
+    sharpness factors (1 + (l - 2j)^2/k)/(1 + (l - 1 - 2j)^2/k); every
+    factor lies near 1, so no partial product overflows at any lam."""
     if not 0 <= l <= lam:
         raise ValueError(f"l={l} out of range 0..{lam}")
-    num = 1.0
+    g2 = 1.0 / (lam - l + 1)
     for h in range(l):
-        num *= lam + l - 2 * h
-    den = 1.0
-    for h in range(l + 1):
-        den *= lam + l + 1 - 2 * h
-    ratio = 1.0
+        g2 *= (lam + l - 2 * h) / (lam + l + 1 - 2 * h)
     for j in range((l - 1) // 2 + 1):
-        ratio *= (1.0 + (l - 2 * j) ** 2 / k) / (1.0 + (l - 1 - 2 * j) ** 2 / k)
-    return float(np.sqrt(num / den * ratio))
+        g2 *= (1.0 + (l - 2 * j) ** 2 / k) / (1.0 + (l - 1 - 2 * j) ** 2 / k)
+    return float(np.sqrt(g2))
 
 
-def rotation_operator(s: FuzzySphere, g: EulerAngles) -> np.ndarray:
-    """pi(g) = exp(i phi L_3) exp(i theta L_2) exp(i psi L_3); unitary and
-    block-diagonal over the angular-momentum levels.  L_3 is diagonal, so
-    the outer factors are phases e^{i phi m} on the rows and e^{i psi m} on
-    the columns of the block-diagonal middle factor, whose level blocks
-    share the space's one eigendecomposition l2_eigh."""
-    u = np.zeros((s.dim, s.dim), dtype=complex)
-    for sl, vals, vecs in s.l2_eigh:
-        u[sl, sl] = (vecs * np.exp(1j * g.theta * vals)) @ vecs.conj().T
-    m = np.real(np.diag(s.L3))
-    u *= np.exp(1j * g.phi * m)[:, None]
-    u *= np.exp(1j * g.psi * m)
-    return u
-
-
-def rotation_operator_circle(c: FuzzyCircle, alpha: float) -> np.ndarray:
-    """exp(i alpha L); diagonal phases e^{i alpha n}."""
-    return np.diag(np.exp(1j * alpha * c.labels))
+def rotate(space, g, v: np.ndarray) -> np.ndarray:
+    """pi(g) v for a state or a (dim, n) block v.  On a sphere g is an
+    EulerAngles and pi(g) = exp(i phi L_3) exp(i theta L_2) exp(i psi L_3):
+    the phases e^{i psi m}, then each level's V e^{i theta nu} V^dag from
+    l2_eigh, then e^{i phi m}.  On the circle pi(alpha) = exp(i alpha L)."""
+    if not isinstance(g, EulerAngles):
+        return np.diag(np.exp(1j * float(g) * space.labels)) @ v
+    out = np.exp(1j * g.psi * space.m_of)[:, None] * v.reshape(len(v), -1)
+    for sl, vals, vecs in space.l2_eigh:
+        out[sl] = (vecs * np.exp(1j * g.theta * vals)) @ (vecs.conj().T @ out[sl])
+    out *= np.exp(1j * g.phi * space.m_of)[:, None]
+    return out.reshape(v.shape)
 
 
 def classical_rotation(g: EulerAngles) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Dense complex array core.
 
-Every operator downstream (coordinates, angular momenta, rotations) is a
-plain complex square ndarray; the spaces hold theirs read-only, made so by
+The circle's operators are plain complex square ndarrays and the sphere's
+shift terms a complex weight table; both are held read-only, made so by
 :func:`readonly`.  A state is a complex 1-d unit vector over the same
 basis, and several states travel together as the columns of a (dim, n)
 block; :func:`unit_columns` checks every column's norm, and a single
@@ -17,7 +17,6 @@ __all__ = [
     "normalized_columns",
     "random_states",
     "readonly",
-    "expm_hermitian_generator",
     "frobenius_residual",
     "diag_annihilator",
 ]
@@ -63,14 +62,6 @@ def random_states(rng, dim: int, count: int) -> np.ndarray:
     parts followed by dim imaginary parts."""
     z = rng.normal(size=(count, 2, dim))
     return normalized_columns((z[:, 0] + 1j * z[:, 1]).T)
-
-
-def expm_hermitian_generator(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(i*t*h) for hermitian h, via eigendecomposition; exactly unitary
-    up to rounding."""
-    vals, vecs = np.linalg.eigh(h)
-    phases = np.exp(1j * t * vals)
-    return (vecs * phases) @ vecs.conj().T
 
 
 def frobenius_residual(a, b) -> float:

@@ -1,4 +1,4 @@
-"""The O(3)-covariant fuzzy sphere and the Madore comparator.
+"""The O(3)-covariant fuzzy sphere.
 
 The carrier space at truncation lam is spanned by the angular-momentum
 eigenvectors psi_l^m, l = 0..lam, m = -l..l, stored with l ascending and m
@@ -29,9 +29,8 @@ from .spectral import TridiagSpec
 # imports this module, and only the relation and so(4) suites need the
 # shift algebra, so the others do not pay for loading it at start-up
 
-__all__ = ["FuzzySphere", "MadoreSphere", "build_sphere",
-           "verify_sphere_relations", "coordinate_blocks", "build_madore",
-           "min_sharpness", "clebsch_a"]
+__all__ = ["FuzzySphere", "build_sphere", "verify_sphere_relations",
+           "coordinate_blocks", "min_sharpness", "clebsch_a"]
 
 EPS = np.array([[[0, 0, 0], [0, 0, 1], [0, -1, 0]],
                 [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
@@ -66,18 +65,13 @@ TERM_KEYS = (("x3", -1, 0), ("x3", 1, 0), ("x_plus", -1, 1), ("x_plus", 1, 1),
              ("L3", 0, 0), ("l2", 0, 0), ("x_squared", 0, 0))
 
 
-def _scattered(op: str) -> cached_property:
-    """The dense matrix of operator op, its nonzero term weights written
-    into (target, source), made on first use."""
-    return cached_property(lambda s: s._scatter(op))
-
-
 @dataclass(frozen=True)
 class FuzzySphere:
     """The sphere as read-only shift terms: row j of `terms` is the weight,
     over the source basis index, of the term of operator term_keys[j][0]
-    that shifts (l, m) by term_keys[j][1:] (TERM_KEYS for a build).  Every
-    dense operator is scattered from these weights on first use."""
+    that shifts (l, m) by term_keys[j][1:] (TERM_KEYS for a build).  No
+    operator is kept as a dense matrix: every product with a state is a sum
+    of shifts, and every rotation and sector is read level by level."""
 
     lam: int
     k: float
@@ -133,66 +127,76 @@ class FuzzySphere:
         grid.flat[base] = np.arange(self.dim)
         return grid.ravel(), base, stride
 
-    def _scatter(self, op: str) -> np.ndarray:
-        rows = [j for j, key in enumerate(self.term_keys) if key[0] == op]
-        t = self.targets([self.term_keys[j][1:] for j in rows])
-        w = self.terms[rows]
-        nz = (w != 0.0) & (t < self.dim)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        np.add.at(out, (t[nz], np.nonzero(nz)[1]), w[nz])
-        return readonly(out)
-
-    # the dense operators, each scattered from its terms on first use
-    L3 = _scattered("L3")
-    L_plus = _scattered("L_plus")
-    l2 = _scattered("l2")                  # L.L, diagonal l(l+1)
-    x_plus = _scattered("x_plus")
-    x_minus = _scattered("x_minus")
-    x3 = _scattered("x3")                  # the a = 0 component x_0
-    x_squared = _scattered("x_squared")
-
     @cached_property
-    def L1(self) -> np.ndarray:
-        return readonly((self.L_plus + self.L_plus.conj().T) / 2.0)
+    def _gather(self) -> tuple:
+        """(src, w): term j moves basis vector src[j, i] onto i with weight
+        w[j, i]; src is dim and w 0 where no basis vector moves onto i."""
+        src = self.targets([(-dl, -dm) for _, dl, dm in self.term_keys])
+        return src, np.take_along_axis(np.pad(self.terms, ((0, 0), (0, 1))),
+                                       src, axis=1)
 
-    @cached_property
-    def L2(self) -> np.ndarray:
-        return readonly((self.L_plus - self.L_plus.conj().T) / 2.0j)
+    def _apply(self, rows: np.ndarray, ops) -> list:
+        """Each operator in ops applied to each row of rows, a (n, dim)
+        array of states: the sum of its terms, each one gather."""
+        src, w = self._gather
+        padded = np.zeros((rows.shape[0], self.dim + 1), dtype=complex)
+        padded[:, :-1] = rows
+        out = dict.fromkeys(ops, 0.0)
+        for j, (name, _, _) in enumerate(self.term_keys):
+            if name in out:
+                out[name] = out[name] + w[j] * padded[:, src[j]]
+        return [out[op] for op in ops]
 
-    @cached_property
-    def x1(self) -> np.ndarray:
-        return readonly((self.x_plus + self.x_minus) / 2.0)
+    def moments(self, v: np.ndarray) -> tuple:
+        """(<x>, <x^2>, <L>, <L^2>) of each column of the (dim, n) block v,
+        the vectors (3, n), from <x_+> = <x_1> + i <x_2> and likewise L_+;
+        over contiguous rows, so each sum is numpy's pairwise sum."""
+        rows = np.ascontiguousarray(v.T)
+        conj = rows.conj()
+        xp, x3, lp, l3, l2, x2 = (
+            np.sum(conj * a, axis=1) for a in self._apply(
+                rows, ("x_plus", "x3", "L_plus", "L3", "l2", "x_squared")))
+        return (np.array([xp.real, xp.imag, x3.real]), x2.real,
+                np.array([lp.real, lp.imag, l3.real]), l2.real)
 
-    @cached_property
-    def x2(self) -> np.ndarray:
-        return readonly((self.x_plus - self.x_minus) / 2.0j)
+    def sectors(self) -> list:
+        """The L_3 sectors m = 0..lam as (indices of psi_l^m, real x^2 and
+        x_3 blocks there); sector -m has the same blocks, so is not listed."""
+        x2 = np.real(self.terms[self.term_keys.index(("x_squared", 0, 0))])
+        out = []
+        for m, block in coordinate_blocks(self.lam, self.k).items():
+            idx = np.flatnonzero(self.m_of == m)
+            out.append((idx, np.diag(x2[idx]), np.real(block.dense())))
+        return out
 
-    @property
-    def x_ops(self):
-        return (self.x1, self.x2, self.x3)
-
-    @property
-    def L_ops(self):
-        return (self.L1, self.L2, self.L3)
+    def h_eff(self, b, v: np.ndarray) -> tuple:
+        """(E_0, H(b) v) for H(b) = x^2 - 2 b.x and a 1-d v.  By O(3)
+        covariance H(b) has the spectrum of x^2 - 2 |b| x_3, so E_0 is the
+        lowest over the sectors; -2 (b_1 x_1 + b_2 x_2) v is
+        -(b_1 - i b_2) x_+ v - (b_1 + i b_2) x_- v."""
+        r, bp = float(np.linalg.norm(b)), b[0] - 1j * b[1]
+        e0 = min(np.linalg.eigvalsh(q - 2.0 * r * x3)[0]
+                 for _, q, x3 in self.sectors())
+        sq, xp, xm, x3 = self._apply(v[None, :], ("x_squared", "x_plus",
+                                                  "x_minus", "x3"))
+        return e0, (sq - bp * xp - np.conj(bp) * xm - 2.0 * b[2] * x3)[0]
 
     @cached_property
     def l2_eigh(self) -> tuple:
         """(slice, eigenvalues, eigenvectors) of the L_2 block of each level
-        l = 0..lam (rows psi_l^-l .. psi_l^l); computed on first use, so
-        all the rotations of a space share one eigendecomposition."""
-        return _blocks_eigh(self.L2, [slice(l * l, (l + 1) ** 2)
-                                      for l in range(self.lam + 1)])
-
-
-def _blocks_eigh(a: np.ndarray, slices) -> tuple:
-    """Read-only eigh of each diagonal block a[sl, sl]."""
-    out = []
-    for sl in slices:
-        vals, vecs = np.linalg.eigh(a[sl, sl])
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        out.append((sl, vals, vecs))
-    return tuple(out)
+        l = 0..lam (rows psi_l^-l .. psi_l^l), L_2 = (L_+ - L_+^dag)/2i from
+        the level's L_+ weights; computed on first use, so all the
+        rotations of a space share one eigendecomposition."""
+        lp = self.terms[self.term_keys.index(("L_plus", 0, 1))]
+        out = []
+        for l in range(self.lam + 1):
+            sl = slice(l * l, (l + 1) ** 2)
+            up = np.diag(lp[sl][:-1], -1)           # psi_l^m to psi_l^{m+1}
+            vals, vecs = np.linalg.eigh((up - up.conj().T) / 2.0j)
+            vals.setflags(write=False)
+            vecs.setflags(write=False)
+            out.append((sl, vals, vecs))
+        return tuple(out)
 
 
 def _level_weights(lam: int, k: float) -> np.ndarray:
@@ -346,59 +350,3 @@ def coordinate_blocks(lam: int, k: float | None = None) -> dict[int, TridiagSpec
         l = np.arange(m + 1, lam + 1)   # entry l-1-m couples psi_{l-1}^m, psi_l^m
         blocks[m] = TridiagSpec(c[l] * clebsch_a(l, 0, m))
     return blocks
-
-
-@dataclass(frozen=True)
-class MadoreSphere:
-    """Spin-l fuzzy sphere with coordinates L_i / sqrt(l(l+1)); the square
-    distance is exactly the identity."""
-
-    l: float
-    L1: np.ndarray
-    L2: np.ndarray
-    L3: np.ndarray
-    l2: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    x3: np.ndarray
-    x_squared: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(round(2 * self.l + 1))
-
-    @property
-    def x_ops(self):
-        return (self.x1, self.x2, self.x3)
-
-    @property
-    def L_ops(self):
-        return (self.L1, self.L2, self.L3)
-
-    @cached_property
-    def l2_eigh(self) -> tuple:
-        """FuzzySphere.l2_eigh for a single level: one block."""
-        return _blocks_eigh(self.L2, [slice(0, self.dim)])
-
-
-def build_madore(l: float) -> MadoreSphere:
-    """Spin-l comparator; l may be any positive half-integer."""
-    two_l = 2 * l
-    if two_l <= 0 or abs(two_l - round(two_l)) > 1e-12:
-        raise ValueError(f"l must be a positive half-integer, got {l}")
-    n = int(round(two_l)) + 1
-    ms = l - np.arange(n)               # m = l, l-1, ..., -l
-    L3 = np.diag(ms.astype(complex))
-    # L_+ raises m = ms[i] to ms[i-1], one row up
-    Lp = np.diag(np.sqrt((l - ms[1:]) * (l + ms[1:] + 1)).astype(complex), 1)
-    Lm = Lp.conj().T
-    L1 = (Lp + Lm) / 2.0
-    L2 = (Lp - Lm) / 2.0j
-    scale = 1.0 / np.sqrt(l * (l + 1))
-    x1, x2, x3 = scale * L1, scale * L2, scale * L3
-    return MadoreSphere(
-        l=l, L1=readonly(L1), L2=readonly(L2), L3=readonly(L3),
-        l2=readonly(L1 @ L1 + L2 @ L2 + L3 @ L3), x1=readonly(x1),
-        x2=readonly(x2), x3=readonly(x3),
-        x_squared=readonly(sum(xi @ xi for xi in (x1, x2, x3))))
-

@@ -1,10 +1,12 @@
-"""Dense oracle for the relation and so(4) suites.
+"""Dense oracle for the sphere's term suites, moments and rotations.
 
-The suites in fuzzysphere.sphere and fuzzysphere.lierep read only the shift
-terms of a sphere.  These are the same checks formed as dense dim x dim
-products of the sphere's dense operators (which are scattered from those
-terms), so the tests can compare the two record by record.  They cost
-O(dim^3), so keep them to small truncations.
+The sphere keeps its operators only as shift terms.  `dense` scatters any
+of them into a dim x dim matrix, and the checks below are the relation
+and so(4) suites formed as dense products of those matrices, so the tests
+can compare the two record by record.  `rotation_operator` is pi(g) as a
+dense matrix, and `expm_hermitian_generator` the exponential of a dense
+generator.  They cost O(dim^2) memory and up to O(dim^3) time, so keep
+them to small truncations (lambda <= 12).
 """
 
 from itertools import combinations
@@ -14,15 +16,81 @@ import numpy as np
 from fuzzysphere.lierep import _PAIRINGS, g_weight
 from fuzzysphere.linop import diag_annihilator, frobenius_residual, readonly
 from fuzzysphere.report import Report
-from fuzzysphere.sphere import EPS
+from fuzzysphere.sphere import EPS, FuzzySphere
+
+
+def dense(space, name: str) -> np.ndarray:
+    """The read-only dense matrix of operator `name`.  On a sphere it is
+    scattered from the term weights of a stored operator (a TERM_KEYS
+    name), or formed as L1 = (L_+ + L_+^dag)/2, L2 = (L_+ - L_+^dag)/2i,
+    x1 = (x_+ + x_-)/2 or x2 = (x_+ - x_-)/2i; the circle and the Madore
+    sphere keep their matrices as fields."""
+    if not isinstance(space, FuzzySphere):
+        return getattr(space, name)
+    if name in ("L1", "L2", "x1", "x2"):
+        plus = dense(space, name[0] + "_plus")
+        minus = plus.conj().T if name[0] == "L" else dense(space, "x_minus")
+        return readonly((plus + minus) / 2.0 if name[1] == "1"
+                        else (plus - minus) / 2.0j)
+    rows = [j for j, key in enumerate(space.term_keys) if key[0] == name]
+    if not rows:
+        raise KeyError(name)
+    t = space.targets([space.term_keys[j][1:] for j in rows])
+    w = space.terms[rows]
+    nz = (w != 0.0) & (t < space.dim)
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    np.add.at(out, (t[nz], np.nonzero(nz)[1]), w[nz])
+    return readonly(out)
+
+
+def x_ops(space) -> tuple:
+    """The dense coordinates: (x1, x2) on the circle, (x1, x2, x3) else."""
+    names = ("x1", "x2") if hasattr(space, "labels") else ("x1", "x2", "x3")
+    return tuple(dense(space, n) for n in names)
+
+
+def L_ops(space) -> tuple:
+    """The dense angular momenta: (L,) on the circle, (L1, L2, L3) else."""
+    if hasattr(space, "labels"):
+        return (space.L,)
+    return tuple(dense(space, n) for n in ("L1", "L2", "L3"))
+
+
+def expect(ops, v: np.ndarray) -> np.ndarray:
+    """<A> of each column of the block v for each dense A in ops, one row
+    per operator."""
+    rows = np.ascontiguousarray(v.T)
+    conj = rows.conj()
+    return np.array([np.real(np.sum(conj * (rows @ a.T), axis=1)) for a in ops])
+
+
+def expm_hermitian_generator(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(i*t*h) for hermitian h, via eigendecomposition; exactly unitary
+    up to rounding."""
+    vals, vecs = np.linalg.eigh(h)
+    phases = np.exp(1j * t * vals)
+    return (vecs * phases) @ vecs.conj().T
+
+
+def rotation_operator(s, g) -> np.ndarray:
+    """pi(g) = exp(i phi L_3) exp(i theta L_2) exp(i psi L_3) as a dense
+    matrix: the level blocks of the space's l2_eigh exponentiated, with the
+    phases e^{i phi m} on the rows and e^{i psi m} on the columns."""
+    u = np.zeros((s.dim, s.dim), dtype=complex)
+    for sl, vals, vecs in s.l2_eigh:
+        u[sl, sl] = (vecs * np.exp(1j * g.theta * vals)) @ vecs.conj().T
+    u *= np.exp(1j * g.phi * s.m_of)[:, None]
+    u *= np.exp(1j * g.psi * s.m_of)
+    return u
 
 
 def verify_sphere_relations(s, tol: float = 1e-10) -> Report:
     """Residuals of the defining relations; pass iff all are <= tol."""
     rep = Report()
     lam, k = s.lam, s.k
-    x = [s.x1, s.x2, s.x3]
-    L = [s.L1, s.L2, s.L3]
+    x = list(x_ops(s))
+    L = list(L_ops(s))
+    x_plus, x_minus, l2 = (dense(s, n) for n in ("x_plus", "x_minus", "l2"))
     dim = s.dim
 
     r = max(frobenius_residual(m.conj().T, m) for m in x + L)
@@ -66,26 +134,27 @@ def verify_sphere_relations(s, tol: float = 1e-10) -> Report:
     rep.add_residual("xx/bracket-ordering", r_ord, tol, lam=lam)
 
     # x_squared is built in closed form, so the sum of squares is formed here
-    sq = s.x3 @ s.x3 + (s.x_plus @ s.x_minus + s.x_minus @ s.x_plus) / 2.0
-    rep.add_residual("xx/r2", frobenius_residual(sq, s.x_squared), tol, lam=lam)
+    sq = x[2] @ x[2] + (x_plus @ x_minus + x_minus @ x_plus) / 2.0
+    rep.add_residual("xx/r2", frobenius_residual(sq, dense(s, "x_squared")),
+                     tol, lam=lam)
 
     lsq = sum(L[i] @ L[i] for i in range(3))
-    rep.add_residual("D=3Basis/L2", frobenius_residual(lsq, s.l2), tol, lam=lam)
+    rep.add_residual("D=3Basis/L2", frobenius_residual(lsq, l2), tol, lam=lam)
 
     # both annihilator polynomials act on diagonal operators, so they are
     # evaluated entrywise on the diagonals
-    poly = diag_annihilator(np.real(np.diag(s.l2)),
+    poly = diag_annihilator(np.real(np.diag(l2)),
                             [l * (l + 1) for l in range(lam + 1)])
     rep.add_residual("rf3D3/L2-poly", float(np.abs(poly).max()), tol, lam=lam)
-    d_l3 = np.real(np.diag(s.L3))
+    d_l3 = np.real(np.diag(L[2]))
     worst = 0.0
     for l in range(lam + 1):
         val = diag_annihilator(d_l3[s.l_of == l], range(-l, l + 1))
         worst = max(worst, float(np.abs(val).max()))
     rep.add_residual("rf3D3/L3-poly", worst, tol, lam=lam)
 
-    nil_p = np.linalg.matrix_power(s.x_plus, 2 * lam + 1)
-    nil_m = np.linalg.matrix_power(s.x_minus, 2 * lam + 1)
+    nil_p = np.linalg.matrix_power(x_plus, 2 * lam + 1)
+    nil_m = np.linalg.matrix_power(x_minus, 2 * lam + 1)
     rep.add_residual("rf3D3/nilpotent",
                      max(frobenius_residual(nil_p, np.zeros_like(nil_p)),
                          frobenius_residual(nil_m, np.zeros_like(nil_m))),
@@ -101,8 +170,9 @@ def so4_parts(s):
     g = np.array([g_weight(l, s.lam, s.k) for l in range(s.lam + 1)])[s.l_of]
     dress = np.outer(1.0 / g, 1.0 / g)
 
-    gens = {(1, 2): s.L3, (1, 3): readonly(-s.L2), (2, 3): s.L1}
-    for i, xi in enumerate((s.x1, s.x2, s.x3), start=1):
+    L1, L2, L3 = L_ops(s)
+    gens = {(1, 2): L3, (1, 3): readonly(-L2), (2, 3): L1}
+    for i, xi in enumerate(x_ops(s), start=1):
         gens[(i, 4)] = readonly(-dress * xi)
 
     full = {}
@@ -150,7 +220,7 @@ def verify_so4_reconstruction(s, tol: float = 1e-9) -> Report:
     r_rt, r_rt_off = 0.0, 0.0
     keep = s.l_of != lam
     off_edge = np.outer(keep, keep)             # P X P with P = 1 - P_lam
-    for i, xi in enumerate((s.x1, s.x2, s.x3), start=1):
+    for i, xi in enumerate(x_ops(s), start=1):
         x_back = dress * (-full[(i, 4)])        # g(l') Lhat_{4i} g(l)
         r_rt = max(r_rt, frobenius_residual(x_back, xi))
         r_rt_off = max(r_rt_off, frobenius_residual(x_back * off_edge,

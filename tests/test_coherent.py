@@ -14,9 +14,11 @@ from fuzzysphere.coherent import (check_heisenberg_circle, dispersion,
                                   verify_identity_resolution_circle,
                                   verify_identity_resolution_sphere,
                                   verify_weak_orbit, weak_scs_orbit)
-from fuzzysphere.lierep import EulerAngles
-from fuzzysphere.linop import expm_hermitian_generator, random_states
-from fuzzysphere.sphere import build_madore, build_sphere
+from dense_oracle import L_ops, dense, expm_hermitian_generator, x_ops
+from fuzzysphere.lierep import EulerAngles, rotate
+from fuzzysphere.linop import random_states
+from fuzzysphere.sphere import FuzzySphere, build_sphere
+from madore import build_madore
 
 
 def test_basis_states_saturate_circle_hur():
@@ -43,7 +45,8 @@ def test_random_states_obey_circle_hur():
 
 def _block_spaces():
     yield from (build_circle(lam) for lam in range(1, 17))
-    yield from (build_sphere(lam) for lam in range(1, 10))
+    yield from (build_sphere(lam, k) for lam in range(1, 13)
+                for k in (None, np.inf))
     yield from (build_madore(twol / 2) for twol in range(1, 7))
 
 
@@ -53,16 +56,17 @@ def _expect(op, psi):
 
 
 def test_block_moments_match_per_column_expect():
+    # the sphere's moments are term gathers; the oracle is the dense product
     rng = np.random.default_rng(21)
     for space in _block_spaces():
         block = random_states(rng, space.dim, 7)
         d = dispersion(space, block)
         for j in range(block.shape[1]):
             psi = block[:, j]
-            want = {"x_mean": [_expect(op, psi) for op in space.x_ops],
-                    "x2_mean": _expect(space.x_squared, psi),
-                    "L_mean": [_expect(op, psi) for op in space.L_ops],
-                    "l2_mean": _expect(space.l2, psi)}
+            want = {"x_mean": [_expect(op, psi) for op in x_ops(space)],
+                    "x2_mean": _expect(dense(space, "x_squared"), psi),
+                    "L_mean": [_expect(op, psi) for op in L_ops(space)],
+                    "l2_mean": _expect(dense(space, "l2"), psi)}
             for name, ref in want.items():
                 got = getattr(d, name)[..., j]
                 scale = max(1.0, float(np.max(np.abs(ref))))
@@ -209,7 +213,7 @@ def _brute_identity_sum(s, family, omega=None, beta=None):
     lam = s.lam
     n_az = 4 * lam + 3
     az = 2 * np.pi * np.arange(n_az) / n_az
-    m = np.real(np.diag(s.L3))
+    m = s.m_of
     if family == "spin":
         seeds = [np.sqrt(2 * l + 1) * np.eye(s.dim)[:, s.index(l, l)]
                  for l in range(lam + 1)]
@@ -229,7 +233,7 @@ def _brute_identity_sum(s, family, omega=None, beta=None):
     total = np.zeros((s.dim, s.dim), dtype=complex)
     thetas, weights = coherent._polar_nodes(lam)
     for theta, wt in zip(thetas, weights):
-        r = expm_hermitian_generator(s.L2, theta)
+        r = expm_hermitian_generator(dense(s, "L2"), theta)
         for phi in az:
             for psi in psis:
                 for seed in seeds:
@@ -310,15 +314,15 @@ def test_minimizer_sphere():
         # <x> along e3, and the minimizer sits in the L3 = 0 slice
         assert np.hypot(d.x_mean[0], d.x_mean[1]) <= 1e-10
         assert d.x_mean[2] > 0
-        assert np.linalg.norm(s.L3 @ chi) <= 1e-10
+        assert np.linalg.norm(dense(s, "L3") @ chi) <= 1e-10
 
 
 def _scf_minimum(space):
     """Oracle: dense complex self-consistent field chi <- ground vector of
     x^2 - 2<x>.x from the top eigenvector of the reference coordinate and
     five seeded random starts; the least dispersion reached."""
-    xs = list(space.x_ops)
-    x2 = space.x_squared
+    xs = list(x_ops(space))
+    x2 = dense(space, "x_squared")
     x_ref = xs[0] if len(xs) == 2 else xs[2]
     rng = np.random.default_rng(0)
     starts = [np.linalg.eigh(x_ref)[1][:, -1]]
@@ -362,7 +366,7 @@ def test_minimizer_matches_scf_oracle(d):
 
 
 def _reference_axis(space):
-    return space.x_ops[0 if len(space.x_ops) == 2 else 2]
+    return x_ops(space)[-1 if isinstance(space, FuzzySphere) else 0]
 
 
 def _certified_lower_bound(space, npoints=101):
@@ -374,7 +378,7 @@ def _certified_lower_bound(space, npoints=101):
     of affine functions of beta, hence concave and above each chord, so
     beta^2 + chord is below the objective on each grid interval."""
     x_ref = _reference_axis(space)
-    x2 = space.x_squared
+    x2 = dense(space, "x_squared")
     betas = np.linspace(0.0, np.linalg.eigvalsh(x_ref)[-1], npoints)
     e0 = np.array([np.linalg.eigvalsh(x2 - 2.0 * b * x_ref)[0] for b in betas])
     slopes = np.diff(e0) / np.diff(betas)
@@ -400,9 +404,10 @@ def test_certificate_rejects_wrong_states(lam):
     for space in (build_circle(lam), build_sphere(lam)):
         x_ref = _reference_axis(space)
         wrong = [np.linalg.eigh(x_ref)[1][:, -1]]
-        if len(space.x_ops) == 3:
+        if isinstance(space, FuzzySphere):
             chi, _ = minimize_dispersion(space)
-            h = space.x_squared - 2.0 * dispersion(space, chi).x_mean[2] * x_ref
+            h = (dense(space, "x_squared")
+                 - 2.0 * dispersion(space, chi).x_mean[2] * x_ref)
             grounds = []
             for m in range(-lam, lam + 1):
                 idx = np.flatnonzero(space.m_of == m)
@@ -415,6 +420,25 @@ def test_certificate_rejects_wrong_states(lam):
             wrong.append(v)
         for v in wrong:
             assert minimizer_certificate(space, v / np.linalg.norm(v)) > 1e-10
+
+
+@pytest.mark.parametrize("k", [None, np.inf])
+def test_sector_ground_energy_matches_dense_h_eff(k):
+    # h_eff takes E_0 of H(b) = x^2 - 2 b.x as the lowest over the L_3
+    # sectors of x^2 - 2|b| x_3, and H(b) v from the terms; the oracle is
+    # the dense H(b), its eigvalsh and its product, for random b and v
+    rng = np.random.default_rng(31)
+    for lam in range(1, 13):
+        s = build_sphere(lam, k)
+        x2, xs = dense(s, "x_squared"), x_ops(s)
+        for _ in range(3):
+            b = rng.normal(size=3) * rng.uniform(0.0, 1.0)
+            v = random_states(rng, s.dim, 1)[:, 0]
+            h = x2 - 2.0 * sum(bi * xi for bi, xi in zip(b, xs))
+            e0, hv = s.h_eff(b, v)
+            want = np.linalg.eigvalsh(h)[0]
+            assert abs(e0 - want) <= 1e-13 * (1.0 + abs(want)), (lam, b)
+            assert np.abs(hv - h @ v).max() <= 1e-14, (lam, b)
 
 
 def _sector_rule_spaces():
@@ -431,10 +455,10 @@ def test_top_sector_is_lowest_for_every_searched_beta():
     # ground energy than the sector holding x3's top eigenvalue, which is
     # m = 0 on the fuzzy sphere and m = l on the Madore sphere
     for space in _sector_rule_spaces():
-        m = np.real(np.diag(space.L3))
+        m = np.real(np.diag(dense(space, "L3")))
         ms = np.unique(m)
         sectors = [np.flatnonzero(m == v) for v in ms]
-        x2, x3 = np.real(space.x_squared), np.real(space.x3)
+        x2, x3 = (np.real(dense(space, n)) for n in ("x_squared", "x3"))
         tops = [np.linalg.eigvalsh(x3[np.ix_(i, i)])[-1] for i in sectors]
         top = int(np.argmax(tops))
         assert ms[top] == getattr(space, "l", 0.0), space
@@ -477,7 +501,7 @@ def test_minimizer_close_to_top_x_eigenvector():
     for lam in (3, 9):
         s = build_sphere(lam)
         chi, _ = minimize_dispersion(s)
-        vals, vecs = np.linalg.eigh(s.x3)
+        vals, vecs = np.linalg.eigh(dense(s, "x3"))
         deficits.append(1.0 - abs(np.vdot(vecs[:, -1], chi)) ** 2)
     assert deficits[1] < deficits[0] < 0.5
 
@@ -511,12 +535,59 @@ def test_weak_orbit_sphere():
 def test_dispersion_rotation_invariant():
     s = build_sphere(2)
     rng = np.random.default_rng(21)
-    from fuzzysphere.lierep import rotation_operator
     for _ in range(10):
         chi = rng.normal(size=s.dim) + 1j * rng.normal(size=s.dim)
         chi /= np.linalg.norm(chi)
         g = EulerAngles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi),
                         rng.uniform(0, 2 * np.pi))
-        rot = rotation_operator(s, g) @ chi
+        rot = rotate(s, g, chi)
         assert dispersion(s, rot).x_var == pytest.approx(
             dispersion(s, chi).x_var, abs=1e-11)
+
+
+def test_minimize_suite_at_lambda_60():
+    # the whole minimize suite, with no dim x dim operator, at a size where
+    # one dense field would be 221 MB
+    from fuzzysphere.cli import _minimize_records
+    s = build_sphere(60)
+    records = _minimize_records(s, 2, 1e-10, np.random.default_rng(7))
+    assert [r.tag for r in records][:3] == [
+        "Deltax2qminS^2_L", "Deltax2qminS^2_L/stationarity",
+        "Deltax2qminS^2_L/L3"]
+    assert all(r.passed for r in records), [r for r in records if not r.passed]
+
+
+def _arrays(obj, seen):
+    """Every numpy array reachable from obj through attributes, dicts,
+    lists and tuples."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _arrays(v, seen)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _arrays(v, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _arrays(vars(obj), seen)
+
+
+def test_sphere_keeps_no_dense_operator():
+    # after the minimize suite and the scs suite's rotations and moments,
+    # nothing reachable from the sphere has dim^2 entries
+    from fuzzysphere.cli import _minimize_records, _random_euler
+    s = build_sphere(8)
+    rng = np.random.default_rng(3)
+    _minimize_records(s, 2, 1e-10, rng)
+    spins = np.column_stack([spin_cs(s, l, _random_euler(rng))
+                             for l in range(s.lam + 1)])
+    dispersion(s, spins)
+    dispersion(s, random_states(rng, s.dim, 100))
+    dispersion(s, strong_scs_sphere_phi(s, np.zeros(s.lam + 1),
+                                        _random_euler(rng)))
+    arrays = list(_arrays(s, set()))
+    assert "l2_eigh" in vars(s) and len(arrays) > s.lam
+    assert max(a.size for a in arrays) < s.dim ** 2

@@ -9,16 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import (dense, expm_hermitian_generator, rotation_operator,
+                          so4_parts, x_ops)
 from fuzzysphere.circle import build_circle
-from dense_oracle import so4_parts
 from fuzzysphere.lierep import (EulerAngles, classical_rotation,
-                                classical_rotation_2d, g_weight,
-                                rotation_operator, rotation_operator_circle,
+                                classical_rotation_2d, g_weight, rotate,
                                 squeeze_factor_circle,
                                 verify_so4_reconstruction,
                                 verify_su2_reconstruction)
-from fuzzysphere.linop import expm_hermitian_generator
-from fuzzysphere.sphere import FuzzySphere, build_madore, build_sphere
+from fuzzysphere.sphere import FuzzySphere, build_sphere
+from madore import build_madore
 
 
 def test_euler_angle_ranges():
@@ -86,6 +86,49 @@ def test_g_weight_values():
         k = float(lam * lam * (lam + 1) ** 2)
         for l in range(lam + 1):
             assert 0.0 < g_weight(l, lam, k) < np.inf
+
+
+def _g_weight_products(l, lam, k):
+    """g(l) with its numerator and denominator as separate products of up
+    to lam + 1 factors, the form that overflows from lam 150 on."""
+    num = 1.0
+    for h in range(l):
+        num *= lam + l - 2 * h
+    den = 1.0
+    for h in range(l + 1):
+        den *= lam + l + 1 - 2 * h
+    ratio = 1.0
+    for j in range((l - 1) // 2 + 1):
+        ratio *= (1.0 + (l - 2 * j) ** 2 / k) / (1.0 + (l - 1 - 2 * j) ** 2 / k)
+    return float(np.sqrt(num / den * ratio))
+
+
+@pytest.mark.parametrize("k_of", [lambda lam: max(1.0, lam ** 2 * (lam + 1) ** 2),
+                                  lambda lam: np.inf], ids=["kmin", "inf"])
+def test_g_weight_ratio_form_matches_products(k_of):
+    # the largest difference over every lam <= 140 is 1.88e-15, at (117, 93)
+    for lam in list(range(0, 141, 10)) + [117, 130]:
+        k = k_of(lam)
+        for l in range(lam + 1):
+            want = _g_weight_products(l, lam, k)
+            assert abs(g_weight(l, lam, k) - want) <= 2e-15 * want, (lam, l)
+
+
+def test_g_weight_finite_at_large_lambda():
+    # the product form gives g(150) = 0.0 at lam 150 and inf from lam 155
+    assert _g_weight_products(150, 150, 150.0 ** 2 * 151 ** 2) == 0.0
+    for lam in (150, 155, 300):
+        for k in (float(lam ** 2 * (lam + 1) ** 2), np.inf):
+            g = [g_weight(l, lam, k) for l in range(lam + 1)]
+            assert all(0.0 < x < np.inf for x in g), lam
+
+
+def test_so4_records_finite_at_lambda_150():
+    # with g finite every residual is finite; casimir-prime is left out,
+    # since its absolute bound is crossed from lam 87 on by rounding alone
+    rep = verify_so4_reconstruction(build_sphere(150), tol=1e-10)
+    assert all(np.isfinite(c.residual) for c in rep.checks)
+    assert all(c.passed for c in rep.checks if c.tag != "isomD3/casimir-prime")
 
 
 @pytest.mark.parametrize("lam", [1, 2, 4, 7])
@@ -170,7 +213,7 @@ def test_rotation_matches_wigner_small_d(lam):
     # exp(i theta L_2) on level l is d^l(-theta) in the ascending m basis
     s = build_sphere(lam)
     for theta in (0.0, 0.3, 1.1, np.pi / 2, 2.5, np.pi):
-        u = rotation_operator(s, EulerAngles(0.0, theta, 0.0))
+        u = rotate(s, EulerAngles(0.0, theta, 0.0), np.eye(s.dim))
         want = np.zeros((s.dim, s.dim))
         for l in range(lam + 1):
             sl = slice(s.index(l, -l), s.index(l, l) + 1)
@@ -180,19 +223,19 @@ def test_rotation_matches_wigner_small_d(lam):
 
 def test_rotation_identity_and_phases():
     s = build_sphere(2)
-    assert np.allclose(rotation_operator(s, EulerAngles(0, 0, 0)),
+    assert np.allclose(rotate(s, EulerAngles(0, 0, 0), np.eye(s.dim)),
                        np.eye(s.dim), atol=1e-14)
     g = EulerAngles(0.8, 0.0, 0.0)
-    u = rotation_operator(s, g)
+    u = rotate(s, g, np.eye(s.dim))
     m_of = np.concatenate([np.arange(-l, l + 1) for l in range(3)])
     assert np.allclose(u, np.diag(np.exp(1j * 0.8 * m_of)), atol=1e-13)
 
 
 def _dense_rotation(space, g):
     """Oracle: the three exponentials as dense eigendecompositions."""
-    return (expm_hermitian_generator(space.L3, g.phi)
-            @ expm_hermitian_generator(space.L2, g.theta)
-            @ expm_hermitian_generator(space.L3, g.psi))
+    return (expm_hermitian_generator(dense(space, "L3"), g.phi)
+            @ expm_hermitian_generator(dense(space, "L2"), g.theta)
+            @ expm_hermitian_generator(dense(space, "L3"), g.psi))
 
 
 @pytest.mark.parametrize("space", [build_sphere(lam) for lam in range(7)]
@@ -200,12 +243,44 @@ def _dense_rotation(space, g):
                          ids=[f"sphere{lam}" for lam in range(7)]
                          + [f"madore{l}" for l in (0.5, 1.5, 2.0)])
 def test_block_rotation_matches_dense_product(space):
+    # rotate applied to the identity and to a block of states, against the
+    # three exponentials and against the dense pi(g) of the oracle
     rng = np.random.default_rng(space.dim)
     for _ in range(5):
         g = EulerAngles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi),
                         rng.uniform(0, 2 * np.pi))
-        assert np.abs(rotation_operator(space, g)
-                      - _dense_rotation(space, g)).max() <= 1e-13
+        u = _dense_rotation(space, g)
+        assert np.abs(rotate(space, g, np.eye(space.dim)) - u).max() <= 1e-13
+        assert np.abs(rotation_operator(space, g) - u).max() <= 1e-13
+
+
+@pytest.mark.parametrize("k", [None, np.inf])
+def test_rotate_matches_dense_rotation_operator(k):
+    # a state, a block and their rotations up to lam = 12
+    rng = np.random.default_rng(12)
+    for lam in range(13):
+        s = build_sphere(lam, k)
+        block = rng.normal(size=(s.dim, 3)) + 1j * rng.normal(size=(s.dim, 3))
+        g = EulerAngles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi),
+                        rng.uniform(0, 2 * np.pi))
+        want = rotation_operator(s, g) @ block
+        assert np.abs(rotate(s, g, block) - want).max() <= 1e-13
+        assert np.abs(rotate(s, g, block[:, 1]) - want[:, 1]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("k", [None, np.inf])
+def test_l2_eigh_matches_dense_l2_blocks(k):
+    # each level's block is formed from the L_+ weights; it is bitwise the
+    # block of the dense L_2, and so is its eigendecomposition
+    for lam in range(13):
+        s = build_sphere(lam, k)
+        l2 = dense(s, "L2")
+        assert len(s.l2_eigh) == lam + 1
+        for l, (sl, vals, vecs) in enumerate(s.l2_eigh):
+            assert sl == slice(l * l, (l + 1) ** 2)
+            want_vals, want_vecs = np.linalg.eigh(l2[sl, sl])
+            assert np.array_equal(vals, want_vals)
+            assert np.array_equal(vecs, want_vecs)
 
 
 def test_rotations_share_one_eigendecomposition(monkeypatch):
@@ -219,14 +294,15 @@ def test_rotations_share_one_eigendecomposition(monkeypatch):
                           (build_madore(1.5), [4])):
         # each rotation as it was built before the space kept its blocks:
         # every l block eigendecomposed afresh for the one call
-        m = np.real(np.diag(space.L3))
+        m = np.real(np.diag(dense(space, "L3")))
+        l2 = dense(space, "L2")
         want = []
         for g in gs:
             u = np.zeros((space.dim, space.dim), dtype=complex)
             start = 0
             for n in levels:
                 sl = slice(start, start + n)
-                vals, vecs = np.linalg.eigh(space.L2[sl, sl])
+                vals, vecs = np.linalg.eigh(l2[sl, sl])
                 u[sl, sl] = (vecs * np.exp(1j * g.theta * vals)) @ vecs.conj().T
                 start += n
             u *= np.exp(1j * g.phi * m)[:, None]
@@ -238,7 +314,7 @@ def test_rotations_share_one_eigendecomposition(monkeypatch):
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a: sizes.append(a.shape[0]) or eigh(a))
         for g, u in zip(gs, want):
-            assert np.array_equal(rotation_operator(space, g), u)
+            assert np.abs(rotate(space, g, np.eye(space.dim)) - u).max() <= 1e-14
         if isinstance(space, FuzzySphere):
             spin_cs(space, 2, gs[0])
             strong_scs_sphere_phi(space, np.zeros(space.lam + 1), gs[1])
@@ -251,16 +327,17 @@ def test_rotations_share_one_eigendecomposition(monkeypatch):
 def test_circle_rotation_matches_dense_exponential():
     c = build_circle(5)
     for alpha in (0.0, 1.3, -4.2):
-        assert np.abs(rotation_operator_circle(c, alpha)
+        assert np.abs(rotate(c, alpha, np.eye(c.dim))
                       - expm_hermitian_generator(c.L, alpha)).max() <= 1e-14
 
 
 def test_rotation_unitary_and_block_diagonal():
     s = build_sphere(3)
     g = EulerAngles(1.2, 0.7, 2.9)
-    u = rotation_operator(s, g)
+    u = rotate(s, g, np.eye(s.dim))
+    l2 = dense(s, "l2")
     assert np.allclose(u.conj().T @ u, np.eye(s.dim), atol=1e-12)
-    assert np.linalg.norm(u @ s.l2 - s.l2 @ u) <= 1e-10
+    assert np.linalg.norm(u @ l2 - l2 @ u) <= 1e-10
 
 
 def _unit(v):
@@ -280,9 +357,9 @@ def test_expectation_transforms_classically(phi, theta, psi, seed):
     g = EulerAngles(phi, theta, psi)
     rng = np.random.default_rng(seed)
     chi = _unit(rng.normal(size=s.dim) + 1j * rng.normal(size=s.dim))
-    rotated = rotation_operator(s, g) @ chi
-    before = np.array([_expect(op, chi) for op in s.x_ops])
-    after = np.array([_expect(op, rotated) for op in s.x_ops])
+    rotated = rotate(s, g, chi)
+    before = np.array([_expect(op, chi) for op in x_ops(s)])
+    after = np.array([_expect(op, rotated) for op in x_ops(s)])
     assert np.allclose(classical_rotation(g) @ before, after, atol=1e-10)
 
 
@@ -291,9 +368,9 @@ def test_circle_expectation_transforms_classically():
     rng = np.random.default_rng(5)
     chi = _unit(rng.normal(size=c.dim) + 1j * rng.normal(size=c.dim))
     alpha = 1.23
-    rotated = rotation_operator_circle(c, alpha) @ chi
-    before = np.array([_expect(op, chi) for op in c.x_ops])
-    after = np.array([_expect(op, rotated) for op in c.x_ops])
+    rotated = rotate(c, alpha, chi)
+    before = np.array([_expect(op, chi) for op in x_ops(c)])
+    after = np.array([_expect(op, rotated) for op in x_ops(c)])
     assert np.allclose(classical_rotation_2d(alpha) @ before, after, atol=1e-12)
 
 
@@ -309,7 +386,8 @@ def test_rotation_homomorphism_numerically():
     s = build_sphere(2)
     g1 = EulerAngles(0.3, 0.9, 1.4)
     g2 = EulerAngles(2.2, 0.4, 5.1)
-    u = rotation_operator(s, g1) @ rotation_operator(s, g2)
+    u = rotate(s, g1, rotate(s, g2, np.eye(s.dim)))
     # the product is unitary and still commutes with L^2
+    l2 = dense(s, "l2")
     assert np.allclose(u.conj().T @ u, np.eye(s.dim), atol=1e-12)
-    assert np.linalg.norm(u @ s.l2 - s.l2 @ u) <= 1e-10
+    assert np.linalg.norm(u @ l2 - l2 @ u) <= 1e-10

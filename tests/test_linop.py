@@ -14,32 +14,31 @@ from fuzzysphere.circle import build_circle
 from fuzzysphere.coherent import (check_heisenberg_circle, dispersion,
                                   minimizer_certificate, verify_weak_orbit,
                                   weak_scs_orbit)
-from fuzzysphere.linop import (diag_annihilator, expm_hermitian_generator,
-                               frobenius_residual, normalized_columns,
-                               random_states, unit_columns)
-from fuzzysphere.sphere import FuzzySphere, build_madore, build_sphere
+from dense_oracle import expm_hermitian_generator
+from fuzzysphere.linop import (diag_annihilator, frobenius_residual,
+                               normalized_columns, random_states,
+                               unit_columns)
+from fuzzysphere.sphere import FuzzySphere, build_sphere
+from madore import build_madore
 
 
 def random_matrix(rng, n):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
 
-# the sphere's shift terms and the dense operators scattered from them
-SPHERE_ARRAYS = ("terms", "L3", "L_plus", "L1", "L2", "l2", "x_plus",
-                 "x_minus", "x1", "x2", "x3", "x_squared")
-
-
 def _matrices(obj):
-    """(name, array) for every 2-d array of a space."""
+    """(name, array) for every 2-d array of a space: on the sphere, its
+    shift terms and the eigenvectors of its L_2 level blocks."""
     if isinstance(obj, FuzzySphere):
-        return [(name, getattr(obj, name)) for name in SPHERE_ARRAYS]
+        return [("terms", obj.terms)] + [(f"l2_eigh[{l}]", vecs) for l, (_, _, vecs)
+                                         in enumerate(obj.l2_eigh)]
     return [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)
             if np.ndim(getattr(obj, f.name)) == 2]
 
 
 def test_operator_immutable():
-    # every matrix of the three spaces, and the sphere's shift terms, is a
-    # complex array that refuses writes
+    # every matrix of the three spaces, the sphere's shift terms among
+    # them, is a complex array that refuses writes
     for obj in (build_circle(2), build_sphere(2), build_madore(1.5)):
         mats = _matrices(obj)
         assert len(mats) >= 3

@@ -46,15 +46,16 @@ def test_suites_match_dense_oracle(k):
 
 @pytest.mark.parametrize("k", [None, np.inf])
 def test_terms_match_dense_build(k):
-    # every nonzero entry of a dense ladder or coordinate is the weight of
-    # the term whose key is its (dl, dm), and no weight lies off its key's
-    # support
+    # every nonzero entry of a dense ladder or coordinate (the oracle's
+    # scatter, which test_sphere compares with an entrywise loop build) is
+    # the weight of the term whose key is its (dl, dm), and no weight lies
+    # off its key's support
     for lam in range(13):
         s = build_sphere(lam, k)
         for op in ("x3", "x_plus", "x_minus", "L_plus"):
             rows = {key[1:]: j for j, key in enumerate(s.term_keys)
                     if key[0] == op}
-            dense = getattr(s, op)
+            dense = dense_oracle.dense(s, op)
             tgt, src = np.nonzero(dense)
             for t, i in zip(tgt, src):
                 key = (s.l_of[t] - s.l_of[i], s.m_of[t] - s.m_of[i])
@@ -115,8 +116,8 @@ def test_power_norms_match_dense_powers():
     for n in (1, 2, 5, 7):
         got = power_norms(bad.terms[ladders], [bad.term_keys[j][1:] for j in ladders],
                           ops, n, bad.targets, bad.can_shift)
-        want = [np.linalg.norm(np.linalg.matrix_power(getattr(bad, name), n))
-                for name in names]
+        want = [np.linalg.norm(np.linalg.matrix_power(
+            dense_oracle.dense(bad, name), n)) for name in names]
         assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 

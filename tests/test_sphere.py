@@ -6,10 +6,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dense_oracle import dense, x_ops
 from fuzzysphere.coherent import minimize_dispersion
-from fuzzysphere.sphere import (build_madore, build_sphere, clebsch_a,
-                                coordinate_blocks, verify_sphere_relations)
+from fuzzysphere.sphere import (build_sphere, clebsch_a, coordinate_blocks,
+                                verify_sphere_relations)
 from fuzzysphere.spectral import eig_bisection
+from madore import build_madore
 
 
 def test_build_validations():
@@ -26,7 +28,7 @@ def test_build_validations():
 def test_degenerate_point():
     s = build_sphere(0)
     assert s.dim == 1
-    for op in s.x_ops:
+    for op in x_ops(s):
         assert np.all(op == 0)
     assert verify_sphere_relations(s).passed
 
@@ -52,21 +54,21 @@ def test_basis_indexing():
 def test_diagonal_operators():
     s = build_sphere(3)
     psi = np.eye(s.dim)[:, s.index(2, -1)]
-    assert np.real(psi @ s.l2 @ psi) == pytest.approx(6.0)
-    assert np.real(psi @ s.L3 @ psi) == pytest.approx(-1.0)
+    assert np.real(psi @ dense(s, "l2") @ psi) == pytest.approx(6.0)
+    assert np.real(psi @ dense(s, "L3") @ psi) == pytest.approx(-1.0)
 
 
 def test_ladder_edges():
     s = build_sphere(3)
     for l in range(4):
         top = np.eye(s.dim)[:, s.index(l, l)]
-        assert np.linalg.norm(s.L_plus @ top) == 0.0
+        assert np.linalg.norm(dense(s, "L_plus") @ top) == 0.0
 
 
 def test_coordinate_action_example():
     # lam=1, k=4: x_0 psi_0^0 = sqrt(5/12) psi_1^0
     s = build_sphere(1, 4.0)
-    out = s.x3 @ np.eye(s.dim)[:, s.index(0, 0)]
+    out = dense(s, "x3") @ np.eye(s.dim)[:, s.index(0, 0)]
     assert out[s.index(1, 0)] == pytest.approx(np.sqrt(5 / 12))
     assert np.linalg.norm(out) == pytest.approx(np.sqrt(5 / 12))
 
@@ -126,8 +128,9 @@ def test_r2_catches_perturbed_coordinate_or_square(field):
 def test_x_squared_is_function_of_l():
     lam = 5
     s = build_sphere(lam)
-    d = np.real(np.diag(s.x_squared))
-    assert np.abs(s.x_squared - np.diag(np.diag(s.x_squared))).max() < 1e-14
+    x2 = dense(s, "x_squared")
+    d = np.real(np.diag(x2))
+    assert np.abs(x2 - np.diag(np.diag(x2))).max() < 1e-14
     for l in range(lam):
         sl = slice(l * l, (l + 1) ** 2)
         assert np.allclose(d[sl], 1 + (l * (l + 1) + 1) / s.k)
@@ -135,7 +138,8 @@ def test_x_squared_is_function_of_l():
 
 def test_x0_commutes_with_l3():
     s = build_sphere(4)
-    comm = s.x3 @ s.L3 - s.L3 @ s.x3            # x_3 is the a = 0 component x_0
+    x3, L3 = dense(s, "x3"), dense(s, "L3")
+    comm = x3 @ L3 - L3 @ x3                    # x_3 is the a = 0 component x_0
     assert np.linalg.norm(comm) <= 1e-12
 
 
@@ -154,8 +158,25 @@ def test_blocks_match_dense_x3_for_both_signs_of_m():
     blocks = coordinate_blocks(3)
     for m in range(-3, 4):
         idx = [s.index(l, m) for l in range(abs(m), 4)]
-        sub = s.x3[np.ix_(idx, idx)]
+        sub = dense(s, "x3")[np.ix_(idx, idx)]
         assert np.allclose(sub, blocks[abs(m)].dense())
+
+
+@pytest.mark.parametrize("k", [None, np.inf])
+def test_sectors_are_the_dense_cuts(k):
+    # the minimizer's sector blocks are bitwise the real parts of the dense
+    # x^2 and x_3 cut to psi_l^m, l = m..lam, and sector -m has them too
+    for lam in range(13):
+        s = build_sphere(lam, k)
+        x2, x3 = dense(s, "x_squared"), dense(s, "x3")
+        sectors = s.sectors()
+        assert len(sectors) == lam + 1
+        for m, (idx, q, xr) in enumerate(sectors):
+            assert list(idx) == [s.index(l, m) for l in range(m, lam + 1)]
+            for sign in (1, -1):
+                cut = [s.index(l, sign * m) for l in range(m, lam + 1)]
+                assert np.array_equal(q, np.real(x2[np.ix_(cut, cut)]))
+                assert np.array_equal(xr, np.real(x3[np.ix_(cut, cut)]))
 
 
 def test_madore_build():
@@ -239,9 +260,9 @@ def test_build_matches_entrywise_loop(k):
     for lam in range(13):
         s = build_sphere(lam, k)
         Lp, xs = _loop_build(lam, s.k)
-        for got, ref in ((s.L_plus, Lp), (s.x3, xs[0]), (s.x_plus, xs[1]),
-                         (s.x_minus, xs[-1])):
-            assert got.tobytes() == ref.tobytes()
+        for name, ref in (("L_plus", Lp), ("x3", xs[0]), ("x_plus", xs[1]),
+                          ("x_minus", xs[-1])):
+            assert dense(s, name).tobytes() == ref.tobytes()
         for m, t in coordinate_blocks(lam, k).items():
             idx = [s.index(l, m) for l in range(m, lam + 1)]
             ref = np.diag(xs[0][np.ix_(idx, idx)], -1)
@@ -254,5 +275,5 @@ def test_block_spectra_match_dense_x3(k):
         vals = []
         for m, t in coordinate_blocks(lam, k).items():
             vals += list(eig_bisection(t).values) * (2 if m > 0 else 1)
-        ref = np.linalg.eigvalsh(build_sphere(lam, k).x3)
+        ref = np.linalg.eigvalsh(dense(build_sphere(lam, k), "x3"))
         assert np.abs(np.sort(vals) - ref).max() <= 1e-12
