@@ -81,8 +81,10 @@ def _scs_records_circle(c, tol, rng):
     rep = Report()
     rep.add_residual("IdResolS^1_L/L-mean", abs(float(d_.L_mean[0])), 1e-12,
                      lam=c.lam)
-    rep.add_residual("IdResolS^1_L/L-var",
-                     abs(d_.L_var - c.lam * (c.lam + 1) / 3.0), 1e-12, lam=c.lam)
+    # (Delta L)^2 is near lam (lam + 1) / 3, so its bound scales with it
+    var = c.lam * (c.lam + 1) / 3.0
+    rep.add_residual("IdResolS^1_L/L-var", abs(d_.L_var - var),
+                     1e-12 * (1.0 + var), lam=c.lam)
     phi = strong_scs_circle(c, np.zeros(c.dim), float(rng.uniform(0.0, TWO_PI)))
     bound = (0.5 + 1.0 / (3.0 * c.lam)) / (c.lam + 1)
     val = dispersion(c, phi).x_var

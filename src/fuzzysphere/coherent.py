@@ -9,7 +9,17 @@ studies.  Each sum over quadrature nodes is one weave: for diagonal phases
 D_t = diag(e^{i t nu}), sum_t w_t D_t G D_t^dag is the entrywise product
 K * G with K = (B w) B^dag, B[i, t] = e^{i t nu_i}.  The identity holds for
 any nodes and weights, and K is taken from the actual grid, so a rule too
-coarse to integrate a family still shows in the residual.
+coarse to integrate a family still shows in the residual.  The Gauss-
+Legendre rule comes from the Legendre Jacobi matrix (Golub-Welsch).
+
+On the sphere no sum is formed as a dim x dim array.  The azimuthal weave
+is kappa(m_i - m_j), read from the 4*lam+1 values kappa(D) of the actual
+grid.  The spin family's sum is one (2l+1)^2 block per level; the phi
+seed is rank one, so its sum is Z w Z^dag with one column of Z per polar
+node; the omega sum is reassociated as V (K_polar * (V^dag G_0 V)) V^dag.
+The phi and omega sums are formed a chunk of whole levels of rows at a
+time, and each chunk's entries of S - I are added to the residual, so the
+residual is the exact Frobenius norm of S - I.
 
 The weak families are orbits of the dispersion minimizer.  Its minimum is
 min over beta of beta^2 + E_0(beta), with E_0 the ground energy of
@@ -168,12 +178,17 @@ def verify_identity_resolution_circle(c, beta=None, npoints: int | None = None,
 
 
 def spin_cs(s, l: int, g: EulerAngles) -> np.ndarray:
-    """Rotated highest-weight state pi(g) psi_l^l."""
+    """Rotated highest-weight state pi(g) psi_l^l, formed on level l alone:
+    e^{i phi m} V_l (e^{i theta nu} * V_l^dag psi_l^l) e^{i psi l}, with
+    V_l, nu the level's L_2 eigenvectors and eigenvalues."""
     if not 0 <= l <= s.lam:
         raise ValueError(f"l={l} out of range 0..{s.lam}")
+    sl, vals, vecs = s.l2_eigh[l]
+    top = np.exp(1j * g.psi * l) * vecs[-1].conj()      # V_l^dag psi_l^l
     v = np.zeros(s.dim, dtype=complex)
-    v[s.index(l, l)] = 1.0
-    return rotate(s, g, v)
+    v[sl] = (vecs * np.exp(1j * g.theta * vals)) @ top
+    v[sl] *= np.exp(1j * g.phi * s.m_of[sl])
+    return v
 
 
 def _phi_seed(s, beta) -> np.ndarray:
@@ -203,11 +218,22 @@ def random_omega_weights(s, rng) -> np.ndarray:
     return v
 
 
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] by
+    Golub-Welsch (1969): the nodes are the eigenvalues of the Jacobi matrix
+    of the Legendre recurrence, with off-diagonal k / sqrt(4k^2 - 1), and
+    each weight is 2 v_0^2, v_0 the first entry of its unit eigenvector."""
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 * vecs[0] ** 2
+
+
 @functools.cache
 def _polar_nodes(lam: int):
     """Gauss-Legendre nodes/weights in cos(theta), mapped to theta; computed
     once per lam and shared, read-only, by the three sphere families."""
-    nodes, weights = np.polynomial.legendre.leggauss(4 * lam + 4)
+    nodes, weights = _gauss_legendre(4 * lam + 4)
     thetas = np.arccos(nodes)
     thetas.setflags(write=False)
     weights.setflags(write=False)
@@ -218,64 +244,120 @@ _SPHERE_RESOLUTION_TAGS = {"spin": "ResolIdS^2_L",
                            "omega": "ResolIdS^2_Lomegagen",
                            "phi": "ResolIdS^2_Lphi"}
 
+# entries of the rows x dim chunk of the phi and omega sums that is formed
+# at a time (whole levels, at least one); at lam <= 9 the whole sum is one
+# chunk
+_CHUNK_ENTRIES = 1 << 14
 
-def _by_levels(eigs, g: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """V^dag g V, or V g V^dag if inverse, with V the block-diagonal
-    eigenvectors of L_2 in eigs (a space's l2_eigh), applied per level."""
-    out = np.array(g, dtype=complex)
+
+def _level_chunks(lam: int):
+    """Slices of the rows of whole levels, each run of levels as long as its
+    rows x dim chunk holds at most _CHUNK_ENTRIES entries (a level that
+    alone holds more is a run of its own)."""
+    dim, start = (lam + 1) ** 2, 0
+    for l in range(lam + 1):
+        if l == lam or ((l + 2) ** 2 - start * start) * dim > _CHUNK_ENTRIES:
+            yield slice(start * start, (l + 1) ** 2)
+            start = l + 1
+
+
+def _by_levels(eigs, x: np.ndarray, rows: slice, inverse: bool = False):
+    """Rows `rows` (whole levels) of V^dag G V, or of V G V^dag if inverse,
+    from the same rows x of G; V the block-diagonal eigenvectors of L_2 in
+    eigs (a space's l2_eigh)."""
+    out = np.empty_like(x)
     for sl, _, vecs in eigs:
-        a = vecs if inverse else vecs.conj().T
-        out[sl] = a @ out[sl]
-        out[:, sl] = out[:, sl] @ a.conj().T
+        out[:, sl] = x[:, sl] @ (vecs.conj().T if inverse else vecs)
+    for sl, _, vecs in eigs:
+        if rows.start <= sl.start < rows.stop:
+            at = slice(sl.start - rows.start, sl.stop - rows.start)
+            out[at] = (vecs if inverse else vecs.conj().T) @ out[at]
     return out
 
 
-def _identity_sum_sphere(s, family: str, omega=None, beta=None) -> np.ndarray:
-    """Quadrature sum of one strong family's weighted projectors; it is the
-    identity exactly when the nodes integrate the family exactly.
+def _sphere_blocks(s, family, seed, kappa, polar, w_th):
+    """(rows, cols, Y[rows, cols]) for every block of Y that is not zero by
+    construction, Y = V (K_polar * (V^dag G_0 V)) V^dag with K_polar[i, j] =
+    (polar w_th polar^dag)[i, j], polar[i, t] = e^{i theta_t nu_i}."""
+    lam, eigs = s.lam, s.l2_eigh
+    every = slice(0, s.dim)
+    if family == "omega":
+        # G_0 is the psi sum W * omega omega^dag, taken a chunk of rows at
+        # a time like the rest
+        seed_h, polar_h = seed.conj(), polar.conj().T
+        for r in _level_chunks(lam):
+            gram = (kappa[s.m_of[r][:, None] - s.m_of + 2 * lam]
+                    * np.outer(seed[r], seed_h))
+            k_polar = (polar[r] * w_th) @ polar_h
+            yield r, every, _by_levels(
+                eigs, k_polar * _by_levels(eigs, gram, r), r, inverse=True)
+        return
+    # the spin and phi seeds u have a fixed m on each level, so their psi
+    # sum is a phase and Y = Z w Z^dag with Z = V (polar * V^dag u)
+    z = np.concatenate([vecs @ (polar[sl] * (vecs.conj().T @ seed[sl])[:, None])
+                        for sl, _, vecs in eigs])
+    if family == "spin":
+        # the seed Gram is level-diagonal, so Y is one block per level
+        for sl, _, _ in eigs:
+            yield sl, sl, (z[sl] * w_th) @ z[sl].conj().T
+    else:
+        z_h = z.conj().T
+        for r in _level_chunks(lam):
+            yield r, every, (z[r] * w_th) @ z_h
+
+
+def _identity_residual_sphere(s, family: str, omega=None, beta=None) -> float:
+    """||S - I||_F for S the quadrature sum of one strong family's weighted
+    projectors; it is 0 exactly when the nodes integrate the family exactly.
 
     With pi(g) = e^{i phi L_3} V e^{i theta nu} V^dag e^{i psi L_3} (V, nu
     the per-level eigenvectors and eigenvalues of L_2), each angle's sum is
     one weave, which holds term by term for any rule, so a rule too coarse
     to integrate the family still shows:
 
-        norm * W * (V (K_polar * (V^dag G_0 V)) V^dag),
+        S = norm * W * (V (K_polar * (V^dag G_0 V)) V^dag),
 
-    W and K_polar the weaves of m and nu.  Only the seed Gram matrix G_0
+    K_polar the Gauss-Legendre weave of nu and W the azimuthal weave of m,
+    W[i, j] = kappa(m_i - m_j) with kappa(D) = sum_t e^{i phi_t D} taken
+    from the actual grid, D = -2 lam..2 lam.  Only the seed Gram matrix G_0
     differs: diagonal 2l+1 at psi_l^l (spin), v v^dag for the phi seed v
-    (phi), and the psi sum W * omega omega^dag (omega); the spin and phi
-    seeds have a fixed m, so psi only adds a phase.
+    (phi), and the psi sum W * omega omega^dag (omega).  S is formed block
+    by block (a level for spin, chunks of whole levels of rows for phi and
+    omega) and every entry of S - I is summed; no dim x dim array is made.
     """
-    lam = s.lam
     if family not in _SPHERE_RESOLUTION_TAGS:
         raise ValueError(f"unknown family {family!r}")
+    lam = s.lam
     n_az = 4 * lam + 3
-    phis = TWO_PI * np.arange(n_az) / n_az
-    weave = _weave(s.m_of, phis)
     if family == "spin":
-        gram = np.diag(np.where(s.l_of == s.m_of, 2.0 * s.l_of + 1.0, 0.0))
+        seed = np.where(s.l_of == s.m_of, np.sqrt(2.0 * s.l_of + 1.0), 0.0)
         norm = TWO_PI / n_az / (4.0 * np.pi)
     elif family == "omega":
         if omega is None:
             raise ValueError("the omega family needs a seed vector")
-        omega = np.asarray(omega, dtype=complex)
+        seed = np.asarray(omega, dtype=complex)
         target = (2 * np.arange(lam + 1) + 1) / (lam + 1) ** 2
-        defect = np.abs(np.bincount(s.l_of, np.abs(omega) ** 2) - target)
+        defect = np.abs(np.bincount(s.l_of, np.abs(seed) ** 2) - target)
         if np.any(defect > 1e-12):
             bad = {l: float(d) for l, d in enumerate(defect) if d > 1e-12}
             raise ValueError(f"weight condition violated, per-l defect: {bad}")
-        gram = weave * np.outer(omega, omega.conj())
         norm = (lam + 1) ** 2 * (TWO_PI / n_az) ** 2 / (8.0 * np.pi ** 2)
     else:
-        v = _phi_seed(s, np.zeros(lam + 1) if beta is None else beta)
-        gram = np.outer(v, v.conj())
+        seed = _phi_seed(s, np.zeros(lam + 1) if beta is None else beta)
         norm = (lam + 1) ** 2 * (TWO_PI / n_az) / (4.0 * np.pi)
 
-    eigs = s.l2_eigh
+    phis = TWO_PI * np.arange(n_az) / n_az
+    kappa = np.exp(1j * np.outer(np.arange(-2 * lam, 2 * lam + 1), phis)).sum(axis=1)
     thetas, w_th = _polar_nodes(lam)
-    nu = np.concatenate([vals for _, vals, _ in eigs])
-    polar = _weave(nu, thetas, w_th) * _by_levels(eigs, gram)
-    return norm * (weave * _by_levels(eigs, polar, inverse=True))
+    nu = np.concatenate([vals for _, vals, _ in s.l2_eigh])
+    polar = np.exp(1j * np.outer(nu, thetas))
+    total = 0.0
+    for rows, cols, y in _sphere_blocks(s, family, seed, kappa, polar, w_th):
+        t = norm * (kappa[s.m_of[rows][:, None] - s.m_of[cols] + 2 * lam] * y)
+        diag = np.arange(rows.start, rows.stop)
+        t[diag - rows.start, diag - cols.start] -= 1.0
+        total += np.vdot(t, t).real
+    return float(np.sqrt(total))
 
 
 def verify_identity_resolution_sphere(s, family: str, omega=None, beta=None,
@@ -288,12 +370,11 @@ def verify_identity_resolution_sphere(s, family: str, omega=None, beta=None,
     family "omega": (lam+1)^2/(8pi^2) over SO(3) with a seed omega obeying
     the per-level weight condition.
     family "phi": (lam+1)^2/(4pi) over S^2 with the m=0 seed phi^beta.
+    The record's residual is ||S - I||_F, S the quadrature sum.
     """
-    total = _identity_sum_sphere(s, family, omega, beta)
+    resid = _identity_residual_sphere(s, family, omega, beta)
     rep = Report()
-    rep.add_residual(_SPHERE_RESOLUTION_TAGS[family],
-                     float(np.linalg.norm(total - np.eye(s.dim))), tol,
-                     lam=s.lam)
+    rep.add_residual(_SPHERE_RESOLUTION_TAGS[family], resid, tol, lam=s.lam)
     return rep
 
 

@@ -4,15 +4,17 @@ The sphere keeps its operators only as shift terms.  `dense` scatters any
 of them into a dim x dim matrix, and the checks below are the relation
 and so(4) suites formed as dense products of those matrices, so the tests
 can compare the two record by record.  `rotation_operator` is pi(g) as a
-dense matrix, and `expm_hermitian_generator` the exponential of a dense
-generator.  They cost O(dim^2) memory and up to O(dim^3) time, so keep
-them to small truncations (lambda <= 12).
+dense matrix, `expm_hermitian_generator` the exponential of a dense
+generator, and `identity_sum_sphere` a strong family's whole quadrature
+sum.  They cost O(dim^2) memory and up to O(dim^3) time, so keep them to
+small truncations (lambda <= 12).
 """
 
 from itertools import combinations
 
 import numpy as np
 
+from fuzzysphere import coherent
 from fuzzysphere.lierep import _PAIRINGS, g_weight
 from fuzzysphere.linop import diag_annihilator, frobenius_residual, readonly
 from fuzzysphere.report import Report
@@ -82,6 +84,43 @@ def rotation_operator(s, g) -> np.ndarray:
     u *= np.exp(1j * g.phi * s.m_of)[:, None]
     u *= np.exp(1j * g.psi * s.m_of)
     return u
+
+
+def by_levels(eigs, g: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """V^dag g V, or V g V^dag if inverse, with V the block-diagonal
+    eigenvectors of L_2 in eigs (a space's l2_eigh), applied per level."""
+    out = np.array(g, dtype=complex)
+    for sl, _, vecs in eigs:
+        a = vecs if inverse else vecs.conj().T
+        out[sl] = a @ out[sl]
+        out[:, sl] = out[:, sl] @ a.conj().T
+    return out
+
+
+def identity_sum_sphere(s, family: str, omega=None, beta=None) -> np.ndarray:
+    """The quadrature sum of one strong family's weighted projectors as one
+    dense matrix, norm * W * (V (K_polar * (V^dag G_0 V)) V^dag), with W and
+    K_polar the dense weaves of m and of the L_2 eigenvalues nu: G_0 is
+    diagonal 2l+1 at psi_l^l (spin), v v^dag for the phi seed v (phi), or
+    the psi sum W * omega omega^dag (omega)."""
+    lam = s.lam
+    n_az = 4 * lam + 3
+    weave = coherent._weave(s.m_of, coherent.TWO_PI * np.arange(n_az) / n_az)
+    if family == "spin":
+        gram = np.diag(np.where(s.l_of == s.m_of, 2.0 * s.l_of + 1.0, 0.0))
+        norm = coherent.TWO_PI / n_az / (4.0 * np.pi)
+    elif family == "omega":
+        gram = weave * np.outer(omega, np.conj(omega))
+        norm = (lam + 1) ** 2 * (coherent.TWO_PI / n_az) ** 2 / (8.0 * np.pi ** 2)
+    else:
+        v = coherent._phi_seed(s, np.zeros(lam + 1) if beta is None else beta)
+        gram = np.outer(v, v.conj())
+        norm = (lam + 1) ** 2 * (coherent.TWO_PI / n_az) / (4.0 * np.pi)
+    eigs = s.l2_eigh
+    thetas, w_th = coherent._polar_nodes(lam)  # read at call time: tests patch it
+    nu = np.concatenate([vals for _, vals, _ in eigs])
+    polar = coherent._weave(nu, thetas, w_th) * by_levels(eigs, gram)
+    return norm * (weave * by_levels(eigs, polar, inverse=True))
 
 
 def verify_sphere_relations(s, tol: float = 1e-10) -> Report:

@@ -429,3 +429,22 @@ def test_spectra_phase_check_catches_wrong_bisection(monkeypatch, d):
                         lambda *args: [v + 1e-6 for v in bisect_many(*args)])
     config = cli.ScanConfig(d=d, lam_lo=1, lam_hi=3, seed=5)
     assert not _phase_record(cli._spectra_records(config)).passed
+
+
+def test_circle_l_var_bound_scales_with_the_value(monkeypatch):
+    # (Delta L)^2 of a strong state is lam (lam + 1) / 3, 4760 at lam 119,
+    # where an absolute 1e-12 is two units in its last place
+    import numpy as np
+    from fuzzysphere.circle import build_circle
+
+    def l_var(c):
+        records = cli._scs_records_circle(c, 1e-10, cli._rng(7, 1, c.lam, 1))
+        return next(r for r in records if r.tag == "IdResolS^1_L/L-var")
+
+    c = build_circle(119)
+    rec = l_var(c)
+    assert rec.bound == 1e-12 * (1.0 + 119 * 120 / 3.0) and rec.passed
+    # a basis state has (Delta L)^2 = 0, so it fails the record
+    monkeypatch.setattr(cli, "strong_scs_circle",
+                        lambda c, beta, alpha: np.eye(c.dim)[:, 0].astype(complex))
+    assert not l_var(c).passed

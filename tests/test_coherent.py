@@ -1,6 +1,11 @@
 """Coherent-state families, uncertainty relations, dispersion minimizer."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +19,7 @@ from fuzzysphere.coherent import (check_heisenberg_circle, dispersion,
                                   verify_identity_resolution_circle,
                                   verify_identity_resolution_sphere,
                                   verify_weak_orbit, weak_scs_orbit)
-from dense_oracle import L_ops, dense, expm_hermitian_generator, x_ops
+from dense_oracle import L_ops, dense, identity_sum_sphere, x_ops
 from fuzzysphere.lierep import EulerAngles, rotate
 from fuzzysphere.linop import random_states
 from fuzzysphere.sphere import FuzzySphere, build_sphere
@@ -184,6 +189,18 @@ def test_spin_cs_saturates_sphere_ur():
         spin_cs(s, 5, EulerAngles(0, 0, 0))
 
 
+def test_spin_cs_is_the_rotated_top_state():
+    # formed on level l alone, it is pi(g) psi_l^l and vanishes off level l
+    s = build_sphere(6)
+    rng = np.random.default_rng(9)
+    for l in range(s.lam + 1):
+        g = EulerAngles(*rng.uniform(0, np.pi, 3))
+        want = rotate(s, g, np.eye(s.dim)[:, s.index(l, l)])
+        got = spin_cs(s, l, g)
+        assert np.abs(got - want).max() <= 1e-14
+        assert not np.any(got[s.l_of != l])
+
+
 def test_phi_family_moments():
     lam = 5
     s = build_sphere(lam)
@@ -208,37 +225,39 @@ def test_sphere_identity_resolutions(lam):
 
 
 def _brute_identity_sum(s, family, omega=None, beta=None):
-    """Oracle: one weighted projector per quadrature point (theta, phi) or
-    (theta, phi, psi), with exp(i theta L_2) from a dense eigensolve."""
+    """Oracle: the quadrature sum point by point.  Each polar node's
+    exp(i theta L_2) comes from one dense eigensolve of the whole L_2 and
+    is applied to every seed (the m = l states for spin, the omega seed at
+    each psi node, the phi seed), whose projectors are summed with the
+    node's weight; then the phases of each azimuthal node are applied to
+    that sum, node by node."""
     lam = s.lam
     n_az = 4 * lam + 3
     az = 2 * np.pi * np.arange(n_az) / n_az
     m = s.m_of
     if family == "spin":
-        seeds = [np.sqrt(2 * l + 1) * np.eye(s.dim)[:, s.index(l, l)]
-                 for l in range(lam + 1)]
-        psis = [0.0]
+        seeds = np.column_stack([np.sqrt(2 * l + 1) * np.eye(s.dim)[:, s.index(l, l)]
+                                 for l in range(lam + 1)])
         norm = 2 * np.pi / n_az / (4 * np.pi)
     elif family == "omega":
-        seeds = [omega]
-        psis = az
+        seeds = np.column_stack([np.exp(1j * psi * m) * omega for psi in az])
         norm = (lam + 1) ** 2 * (2 * np.pi / n_az) ** 2 / (8 * np.pi ** 2)
     else:
-        v = np.zeros(s.dim, dtype=complex)
+        v = np.zeros((s.dim, 1), dtype=complex)
         for l in range(lam + 1):
             v[s.index(l, 0)] = np.exp(1j * beta[l]) * np.sqrt(2 * l + 1) / (lam + 1)
-        seeds = [v]
-        psis = [0.0]
+        seeds = v
         norm = (lam + 1) ** 2 * (2 * np.pi / n_az) / (4 * np.pi)
-    total = np.zeros((s.dim, s.dim), dtype=complex)
+    vals, vecs = np.linalg.eigh(dense(s, "L2"))
+    polar = np.zeros((s.dim, s.dim), dtype=complex)
     thetas, weights = coherent._polar_nodes(lam)
     for theta, wt in zip(thetas, weights):
-        r = expm_hermitian_generator(dense(s, "L2"), theta)
-        for phi in az:
-            for psi in psis:
-                for seed in seeds:
-                    v = np.exp(1j * phi * m) * (r @ (np.exp(1j * psi * m) * seed))
-                    total += wt * np.outer(v, v.conj())
+        y = (vecs * np.exp(1j * theta * vals)) @ (vecs.conj().T @ seeds)
+        polar += wt * (y @ y.conj().T)
+    total = np.zeros((s.dim, s.dim), dtype=complex)
+    for phi in az:
+        d = np.exp(1j * phi * m)
+        total += d[:, None] * polar * d.conj()
     return norm * total
 
 
@@ -251,26 +270,106 @@ def test_polar_rule_computed_once_per_lambda():
             a[0] = 0.0
 
 
+def _legendre(x, n):
+    """P_0 .. P_{n-1} at the points x, one row each, by Bonnet's recurrence."""
+    p = np.zeros((n, x.size))
+    p[0] = 1.0
+    p[1] = x
+    for j in range(1, n - 1):
+        p[j + 1] = ((2 * j + 1) * x * p[j] - j * p[j - 1]) / (j + 1)
+    return p
+
+
+@pytest.mark.parametrize("n", [8, 40, 164, 404])
+def test_golub_welsch_rule_is_gauss_legendre(n):
+    # n = 4 lam + 4 for lam 1, 9, 40 and 100.  n nodes integrate every
+    # P_j P_k, j, k < n, exactly: the Gram matrix is diag(2 / (2j + 1))
+    nodes, weights = coherent._gauss_legendre(n)
+    p = _legendre(nodes, n)
+    gram = (p * weights) @ p.T
+    assert np.abs(gram - np.diag(2.0 / (2 * np.arange(n) + 1))).max() <= 1e-14
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+    assert np.abs(nodes - ref_nodes).max() <= 1e-15
+    assert np.abs(weights - ref_weights).max() <= 1e-13
+
+
+def test_sphere_suites_never_load_numpy_polynomial():
+    code = ("import contextlib, io, sys\n"
+            "from fuzzysphere.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['verify', '--d', '2', '--lambda', '1..3',"
+            " '--suite', 'all'])\n"
+            "print(code, 'numpy.polynomial' in sys.modules)\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "False"]
+
+
 def _two_node_rule(lam):
-    nodes, weights = np.polynomial.legendre.leggauss(2)
+    nodes, weights = coherent._gauss_legendre(2)
     return np.arccos(nodes), weights
 
 
 @pytest.mark.parametrize("coarse", [False, True])
-@pytest.mark.parametrize("lam", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("lam", range(1, 13))
 def test_identity_sum_matches_brute_force(lam, coarse, monkeypatch):
-    # the reassociated sum equals the per-point sum for any polar rule,
-    # including one too coarse to give the identity
+    # the blockwise residual is ||S - I||_F of the per-point sum S for any
+    # polar rule, including one too coarse to give the identity, and so is
+    # the dense reassociated sum of the test oracle
     if coarse:
         monkeypatch.setattr(coherent, "_polar_nodes", _two_node_rule)
-    s = build_sphere(lam)
-    rng = np.random.default_rng(100 + lam)
+    for k in (None, np.inf):
+        s = build_sphere(lam, k)
+        rng = np.random.default_rng(100 + lam)
+        args = {"spin": {}, "omega": {"omega": random_omega_weights(s, rng)},
+                "phi": {"beta": rng.uniform(0, 2 * np.pi, lam + 1)}}
+        for family, kw in args.items():
+            want = _brute_identity_sum(s, family, **kw)
+            assert np.abs(identity_sum_sphere(s, family, **kw) - want).max() <= 1e-12
+            got = coherent._identity_residual_sphere(s, family, **kw)
+            assert abs(got - np.linalg.norm(want - np.eye(s.dim))) <= 1e-12, \
+                (family, k)
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 30])
+def test_identity_residual_independent_of_chunks(chunk, monkeypatch):
+    # one level per chunk, or the whole sum as one chunk, against the dense
+    # oracle at a truncation that the default size cuts into several chunks
+    s = build_sphere(16)
+    assert len(list(coherent._level_chunks(s.lam))) > 1
+    monkeypatch.setattr(coherent, "_CHUNK_ENTRIES", chunk)
+    rows = [(r.start, r.stop) for r in coherent._level_chunks(s.lam)]
+    assert rows[0][0] == 0 and rows[-1][1] == s.dim
+    assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
+    assert len(rows) == (s.lam + 1 if chunk == 1 else 1)
+    rng = np.random.default_rng(5)
     args = {"spin": {}, "omega": {"omega": random_omega_weights(s, rng)},
-            "phi": {"beta": rng.uniform(0, 2 * np.pi, lam + 1)}}
+            "phi": {"beta": rng.uniform(0, 2 * np.pi, s.lam + 1)}}
     for family, kw in args.items():
-        got = coherent._identity_sum_sphere(s, family, **kw)
-        want = _brute_identity_sum(s, family, **kw)
-        assert np.abs(got - want).max() <= 1e-12
+        want = np.linalg.norm(identity_sum_sphere(s, family, **kw) - np.eye(s.dim))
+        got = coherent._identity_residual_sphere(s, family, **kw)
+        assert abs(got - want) <= 1e-12, family
+
+
+def test_identity_checks_stay_below_one_dense_array():
+    # at lam 30 one dense dim x dim complex array is 14.8 MB; each check
+    # forms its sum block by block, so none peaks at that
+    s = build_sphere(30)
+    rng = np.random.default_rng(6)
+    args = {"spin": {}, "omega": {"omega": random_omega_weights(s, rng)},
+            "phi": {"beta": rng.uniform(0, 2 * np.pi, s.lam + 1)}}
+    dense_bytes = s.dim ** 2 * np.dtype(complex).itemsize
+    for family, kw in args.items():
+        tracemalloc.start()
+        try:
+            assert verify_identity_resolution_sphere(s, family, **kw).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes, (family, peak)
 
 
 def test_sphere_resolution_needs_enough_polar_nodes(monkeypatch):

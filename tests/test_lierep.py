@@ -284,6 +284,7 @@ def test_l2_eigh_matches_dense_l2_blocks(k):
 
 
 def test_rotations_share_one_eigendecomposition(monkeypatch):
+    from fuzzysphere import coherent
     from fuzzysphere.coherent import (spin_cs, strong_scs_sphere_phi,
                                       verify_identity_resolution_sphere,
                                       weak_scs_orbit)
@@ -309,6 +310,9 @@ def test_rotations_share_one_eigendecomposition(monkeypatch):
             u *= np.exp(1j * g.psi * m)
             want.append(u)
 
+        # the polar rule of the identity check is cached per lambda and
+        # takes an eigh of its own, so it is made before the count starts
+        coherent._polar_nodes(4)
         sizes = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
