@@ -178,17 +178,12 @@ def verify_identity_resolution_circle(c, beta=None, npoints: int | None = None,
 
 
 def spin_cs(s, l: int, g: EulerAngles) -> np.ndarray:
-    """Rotated highest-weight state pi(g) psi_l^l, formed on level l alone:
-    e^{i phi m} V_l (e^{i theta nu} * V_l^dag psi_l^l) e^{i psi l}, with
-    V_l, nu the level's L_2 eigenvectors and eigenvalues."""
+    """Rotated highest-weight state pi(g) psi_l^l."""
     if not 0 <= l <= s.lam:
         raise ValueError(f"l={l} out of range 0..{s.lam}")
-    sl, vals, vecs = s.l2_eigh[l]
-    top = np.exp(1j * g.psi * l) * vecs[-1].conj()      # V_l^dag psi_l^l
     v = np.zeros(s.dim, dtype=complex)
-    v[sl] = (vecs * np.exp(1j * g.theta * vals)) @ top
-    v[sl] *= np.exp(1j * g.phi * s.m_of[sl])
-    return v
+    v[s.index(l, l)] = 1.0
+    return rotate(s, g, v)
 
 
 def _phi_seed(s, beta) -> np.ndarray:
@@ -245,8 +240,10 @@ _SPHERE_RESOLUTION_TAGS = {"spin": "ResolIdS^2_L",
                            "phi": "ResolIdS^2_Lphi"}
 
 # entries of the rows x dim chunk of the phi and omega sums that is formed
-# at a time (whole levels, at least one); at lam <= 9 the whole sum is one
-# chunk
+# at a time (whole levels, at least one).  At lam <= 10 the whole sum is one
+# chunk, which at lam 1..9 takes the two checks about a third less time
+# than one level per chunk; from lam 30 up nearly every level is a chunk
+# of its own, and large lam runs as fast with one level per chunk
 _CHUNK_ENTRIES = 1 << 14
 
 
