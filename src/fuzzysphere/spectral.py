@@ -87,8 +87,8 @@ class Spectrum:
 
 
 def _check_bisection_tol(tol: float):
-    if tol <= 0:
-        raise ValueError("bisection tolerance must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("bisection tolerance must be positive and finite")
 
 
 def eig_bisection(t: TridiagSpec, tol: float = 1e-12) -> Spectrum:
@@ -148,9 +148,10 @@ def spectrum_invariance_under_phases(t: TridiagSpec, rng=None,
                                      tol: float = 1e-10) -> bool:
     """True iff the bisection spectrum, which sees only |a_k|^2, agrees within
     tol with numpy's dense eigvalsh of the complex hermitian matrix and of a
-    random rephasing of its off-diagonal entries.  Many matrices are checked
-    in one kernel call by bisecting them with eig_bisection_many at
-    min(tol, 1e-12) and passing each spectrum to agrees_with_dense."""
+    random rephasing of its off-diagonal entries.  It bisects t alone, at
+    min(tol, 1e-12); to check many matrices in one kernel call, bisect them
+    with eig_bisection_many and pass each spectrum to agrees_with_dense, as
+    the CLI's spectra suite does."""
     if rng is None:
         rng = np.random.default_rng(0)
     values = eig_bisection(t, min(tol, 1e-12)).values

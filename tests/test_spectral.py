@@ -23,8 +23,9 @@ from fuzzysphere.sphere import coordinate_blocks
 
 def count(t: TridiagSpec, alpha: float) -> int:
     """The kernel's number of eigenvalues of t that are >= alpha."""
-    return int(_sturm._counts(t.abs2()[None, :], np.array([t.n]),
-                              np.array([[alpha]]))[0, 0])
+    below = _sturm._below(t.abs2()[:, None], np.array([0]), np.array([t.n]),
+                          np.array([[alpha]]))
+    return t.n - int(below[0, 0])
 
 
 def test_charpoly_trivial_sizes():
@@ -133,10 +134,11 @@ def test_bisection_ends_below_float_spacing():
 
 
 def test_bisection_tolerance_validated():
-    with pytest.raises(ValueError):
-        eig_bisection(TridiagSpec([1.0]), tol=0.0)
-    with pytest.raises(ValueError):
-        eig_bisection_many([TridiagSpec([1.0])], tol=0.0)
+    for tol in (0.0, -1e-12, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            eig_bisection(TridiagSpec([1.0, 2.0]), tol=tol)
+        with pytest.raises(ValueError):
+            eig_bisection_many([TridiagSpec([1.0])], tol=tol)
 
 
 def _random_specs(rng, sizes):
