@@ -4,8 +4,9 @@ Every coordinate and angular-momentum component of the fuzzy sphere moves
 psi_l^m to psi_{l+dl}^{m+dm} for a few keys (dl, dm), with one weight per
 source basis vector, so a product of two of them is again a sum of shifts
 and costs O(dim) per key pair.  A target table T, row j for key j, holds
-the basis index that the key moves each source to, or dim where that label
-does not exist (FuzzySphere.targets).  Here every weight row carries one
+the basis index of the label that the key moves each source to, or dim
+where that label does not exist; FuzzySphere.targets computes it from the
+labels (l, m) alone.  Here every weight row carries one
 trailing zero at index dim, and T one more source, dim, that maps to dim,
 so a gather through T reads 0 off the space.  A term must weigh 0
 wherever its target does not exist, as a dense matrix has no entry there.
@@ -17,7 +18,9 @@ by -key.  An `Op` is a linear combination of atoms and of products of two
 atoms.  `compile_checks` turns check rows `lhs - rhs` into flat index
 tables once, independent of lambda; `check_residuals` then evaluates every
 row at one truncation with one gather, one multiply and one
-`np.add.reduceat`, and no Python loop over terms or pairs.
+`np.add.reduceat`, and no Python loop over terms or pairs.  `power_norm`
+composes the powers of one operator, held as {(dl, dm): weights over the
+sources}, one factor at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["Op", "cartesian", "stored_ops", "CheckTables", "compile_checks",
-           "check_residuals", "power_norms"]
+           "check_residuals", "power_norm"]
 
 ZERO = (0, 0)
 
@@ -191,53 +194,33 @@ def check_residuals(tab: CheckTables, weights: np.ndarray, targets) -> np.ndarra
     return np.maximum.reduceat(np.sqrt(d2) / (1.0 + np.sqrt(r2)), tab.tag_starts)
 
 
-def power_norms(weights: np.ndarray, keys, ops, n: int, targets,
-                can_shift) -> np.ndarray:
-    """||A_q^n||_F, n >= 1, for each operator A_q, q = 0..max(ops): row j
-    of weights (shape (K, dim)) is a term of A_{ops[j]} that shifts by
-    keys[j].  targets(keys, sources) is the target table of those sources,
-    and can_shift(lo, hi) tells, for each row, whether some shift between
-    lo and hi (componentwise) moves some basis vector onto another.
+def power_norm(weights: np.ndarray, term_keys, name: str, n: int, targets,
+               can_shift) -> float:
+    """||A^n||_F, n >= 1, for the operator A = name: row j of weights is
+    the term that shifts by (dl, dm) for term_keys[j] = (name, dl, dm).
+    targets(keys) is the target table, and can_shift(lo, hi) tells, for
+    each row, whether some shift between lo and hi moves some basis vector
+    onto another.
 
-    Each power is composed one factor at a time, A^j = A A^{j-1} from
-    A^0 = 1, all operators in the same step.  A key of A^j is dropped when
-    its weights all vanish, and also when the n - j factors still to come,
-    whose shifts sum to a point of the box spanned by n - j times the
-    operator's least and greatest key, cannot bring it onto a shift that
-    moves anything: its part of A^n is exactly zero.  Sources whose
-    weights all vanish are dropped too, so a step holds O(keys * dim)
-    numbers.  Key components must lie within +-2^20."""
-    count, dim = weights.shape
-    a = np.zeros((count, dim + 1), dtype=complex)
-    a[:, :dim] = weights
-    keys = np.asarray(keys, dtype=int).reshape(-1, 2)
-    ops = np.asarray(ops, dtype=int)
-    n_ops = int(ops.max()) + 1
-    lo = np.array([keys[ops == q].min(axis=0) for q in range(n_ops)])
-    hi = np.array([keys[ops == q].max(axis=0) for q in range(n_ops)])
-    # the terms of one operator are its 0th, 1st, ... term
-    rank = np.array([np.count_nonzero(ops[:j] == ops[j]) for j in range(count)])
-    cur_ops, cur_keys = np.arange(n_ops), np.zeros((n_ops, 2), dtype=int)
-    cur, src = np.ones((n_ops, dim), dtype=complex), np.arange(dim)
-    for step in range(n):
-        rest = n - step
-        reach = can_shift(cur_keys + rest * lo[cur_ops], cur_keys + rest * hi[cur_ops])
-        cur_ops, cur_keys, cur = cur_ops[reach], cur_keys[reach], cur[reach]
-        if not len(cur_ops):
+    A^j = A A^{j-1} is formed one factor at a time, with one target row per
+    key and step.  A key is dropped when its weights all vanish, and when
+    the n - j factors still to come, whose shifts lie in the box of n - j
+    times A's least and greatest key, cannot bring it onto a shift that
+    moves anything: its part of A^n is exactly zero."""
+    rows = [j for j, key in enumerate(term_keys) if key[0] == name]
+    keys = [term_keys[j][1:] for j in rows]
+    lo, hi = np.min(keys, axis=0), np.max(keys, axis=0)
+    a = np.pad(weights[rows], ((0, 0), (0, 1)))
+    power = {ZERO: np.ones(weights.shape[1], dtype=complex)}
+    for rest in range(n, 0, -1):
+        at = np.array(list(power))
+        reach = can_shift(at + rest * lo, at + rest * hi)
+        power = {key: w for (key, w), ok in zip(power.items(), reach) if ok}
+        if not power:
             break
-        rows, cols = np.nonzero(ops[:, None] == cur_ops)
-        prod = cur[cols] * a[rows[:, None], targets(cur_keys[cols], src)]
-        new_ops, new_keys = cur_ops[cols], keys[rows] + cur_keys[cols]
-        _, first, slot = np.unique((new_ops << 42) + (new_keys[:, 0] << 21)
-                                   + new_keys[:, 1],
-                                   return_index=True, return_inverse=True)
-        # the i-th term of an operator moves each key of its power to a
-        # different key, so the products scatter without collisions and the
-        # terms are summed afterwards
-        acc = np.zeros((rank.max() + 1, len(first), len(src)), dtype=complex)
-        acc[rank[rows], slot] = prod
-        cur = acc.sum(axis=0)
-        live, used = cur.any(axis=1), cur.any(axis=0)
-        cur_ops, cur_keys = new_ops[first][live], new_keys[first][live]
-        cur, src = cur[live][:, used], src[used]
-    return np.sqrt(np.bincount(cur_ops, _sq_norms(cur), minlength=n_ops))
+        nxt = {}
+        for (key, w), t in zip(power.items(), targets(list(power))):
+            for d, row in zip(keys, a):
+                nxt[_plus(key, d)] = nxt.get(_plus(key, d), 0.0) + w * row[t]
+        power = {key: w for key, w in nxt.items() if w.any()}
+    return float(np.sqrt(sum(np.vdot(w, w).real for w in power.values())))

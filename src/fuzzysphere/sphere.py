@@ -67,11 +67,12 @@ TERM_KEYS = (("x3", -1, 0), ("x3", 1, 0), ("x_plus", -1, 1), ("x_plus", 1, 1),
 
 @dataclass(frozen=True)
 class FuzzySphere:
-    """The sphere as read-only shift terms: row j of `terms` is the weight,
-    over the source basis index, of the term of operator term_keys[j][0]
-    that shifts (l, m) by term_keys[j][1:] (TERM_KEYS for a build).  No
-    operator is kept as a dense matrix: every product with a state is a sum
-    of shifts, and every rotation and sector is read level by level."""
+    """The sphere as read-only shift terms, its only operator data: row j
+    of `terms` is the weight, over the source basis index, of the term of
+    operator term_keys[j][0] that shifts (l, m) by term_keys[j][1:]
+    (TERM_KEYS for a build).  Every product with a state is a sum of
+    shifts, and every rotation and sector block is cut from the terms, so
+    replacing them changes the whole sphere."""
 
     lam: int
     k: float
@@ -90,20 +91,13 @@ class FuzzySphere:
             raise ValueError(f"label (l={l}, m={m}) out of range for lam={self.lam}")
         return l * l + l + m
 
-    def targets(self, keys, sources=None) -> np.ndarray:
+    def targets(self, keys) -> np.ndarray:
         """Target table, one row per key (dl, dm) and one column per source
-        basis index (all of them by default): the index of
-        psi_{l+dl}^{m+dm} for the source psi_l^m, or dim where that label
-        does not exist."""
-        grid, base, stride = self._index_grid
+        basis index: the index of psi_{l+dl}^{m+dm} for the source psi_l^m,
+        or dim where that label does not exist."""
         keys = np.asarray(keys, dtype=int).reshape(-1, 2)
-        lam = self.lam
-        # a shift this far leaves the space from every source, and stays
-        # inside the grid's border of invalid labels
-        dl = np.minimum(np.maximum(keys[:, 0], -lam - 1), lam + 1)
-        dm = np.minimum(np.maximum(keys[:, 1], -2 * lam - 1), 2 * lam + 1)
-        at = base if sources is None else base[sources]
-        return grid[at + (dl * stride + dm)[:, None]]
+        l, m = self.l_of + keys[:, :1], self.m_of + keys[:, 1:]
+        return np.where((l <= self.lam) & (np.abs(m) <= l), l * l + l + m, self.dim)
 
     def can_shift(self, lo, hi) -> np.ndarray:
         """For each row of lo and hi, whether some shift (dl, dm) with
@@ -113,19 +107,6 @@ class FuzzySphere:
         near = np.minimum(np.maximum(lo, 0), hi)
         return ((np.abs(near[:, 0]) <= self.lam)
                 & (np.abs(near).sum(axis=1) <= 2 * self.lam))
-
-    @cached_property
-    def _index_grid(self) -> tuple:
-        """(grid, base, stride): the flat grid holds the basis index of each
-        label (l, m), l in [-lam-1, 2lam+1], m in [-3lam-1, 3lam+1], or dim
-        where it does not exist; base[i] is the grid position of source i
-        and a shift by (dl, dm) adds dl * stride + dm to it."""
-        lam = self.lam
-        stride = 6 * lam + 3
-        grid = np.full((3 * lam + 3, stride), self.dim)
-        base = (self.l_of + lam + 1) * stride + self.m_of + 3 * lam + 1
-        grid.flat[base] = np.arange(self.dim)
-        return grid.ravel(), base, stride
 
     @cached_property
     def _gather(self) -> tuple:
@@ -159,15 +140,31 @@ class FuzzySphere:
         return (np.array([xp.real, xp.imag, x3.real]), x2.real,
                 np.array([lp.real, lp.imag, l3.real]), l2.real)
 
-    def sectors(self) -> list:
-        """The L_3 sectors m = 0..lam as (indices of psi_l^m, real x^2 and
-        x_3 blocks there); sector -m has the same blocks, so is not listed."""
+    def sectors(self) -> tuple:
+        """The L_3 sectors m = 0..lam as read-only (indices of psi_l^m, real
+        x^2 and x_3 blocks there), cut from the terms on first use; sector
+        -m has the same blocks, so is not listed."""
+        return self._sectors
+
+    @cached_property
+    def _sectors(self) -> tuple:
         x2 = np.real(self.terms[self.term_keys.index(("x_squared", 0, 0))])
         out = []
-        for m, block in coordinate_blocks(self.lam, self.k).items():
+        for m, block in self._x3_blocks().items():
             idx = np.flatnonzero(self.m_of == m)
-            out.append((idx, np.diag(x2[idx]), np.real(block.dense())))
-        return out
+            cut = (idx, np.diag(x2[idx]), np.real(block.dense()))
+            for a in cut:
+                a.setflags(write=False)
+            out.append(cut)
+        return tuple(out)
+
+    def _x3_blocks(self) -> dict:
+        """{m: TridiagSpec of x_3 on psi_l^m, l = m..lam}, m = 0..lam: the
+        l-lowering x_3 term's weight at psi_l^m couples psi_{l-1}^m, psi_l^m."""
+        down = self.terms[self.term_keys.index(("x3", -1, 0))]
+        l = np.arange(self.lam + 1)
+        at = l * l + l                          # the index of psi_l^0
+        return {m: TridiagSpec(down[at[m + 1:] + m]) for m in range(self.lam + 1)}
 
     def h_eff(self, b, v: np.ndarray) -> tuple:
         """(E_0, H(b) v) for H(b) = x^2 - 2 b.x and a 1-d v.  By O(3)
@@ -199,26 +196,6 @@ class FuzzySphere:
         return tuple(out)
 
 
-def _level_weights(lam: int, k: float) -> np.ndarray:
-    """c_l for l = 0..lam+1: sqrt(1 + l^2/k), and 0 at l = 0 and lam+1."""
-    l = np.arange(lam + 2)
-    c = np.sqrt(1.0 + l * l / k)
-    c[0] = c[-1] = 0.0
-    return c
-
-
-def _sharpness(lam: int, k: float | None) -> float:
-    """The validated sharpness at truncation lam (lam = 0 is admitted as
-    the degenerate one-dimensional case); None gives max(k_min, 1)."""
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    kmin = min_sharpness(lam)
-    k = max(kmin, 1.0) if k is None else float(k)
-    if k <= 0 or not k >= kmin * (1 - 1e-12):  # also rejects nan
-        raise ValueError(f"k={k} below the admissible minimum {kmin}")
-    return k
-
-
 def _x_squared(lam: int, k: float, l_of: np.ndarray) -> np.ndarray:
     """The diagonal of x^2 = x_0^2 + (x_+ x_- + x_- x_+)/2 in closed form,
     1 + (L^2 + 1)/k less an edge term on the top level, which has no level
@@ -229,8 +206,14 @@ def _x_squared(lam: int, k: float, l_of: np.ndarray) -> np.ndarray:
 
 def build_sphere(lam: int, k: float | None = None) -> FuzzySphere:
     """Construct the fuzzy sphere at truncation lam (lam = 0 gives the
-    one-dimensional space with vanishing coordinates)."""
-    k = _sharpness(lam, k)
+    one-dimensional space with vanishing coordinates); k defaults to
+    max(k_min, 1) and may not lie below k_min."""
+    if lam < 0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    kmin = min_sharpness(lam)
+    k = max(kmin, 1.0) if k is None else float(k)
+    if k <= 0 or not k >= kmin * (1 - 1e-12):  # also rejects nan
+        raise ValueError(f"k={k} below the admissible minimum {kmin}")
 
     l_of = np.concatenate([np.full(2 * l + 1, l) for l in range(lam + 1)])
     m_of = np.concatenate([np.arange(-l, l + 1) for l in range(lam + 1)])
@@ -240,7 +223,9 @@ def build_sphere(lam: int, k: float | None = None) -> FuzzySphere:
     # x_a psi_l^m has c_l A_l^{a,m} on psi_{l-1}^{m+a} and c_{l+1} B_l^{a,m}
     # on psi_{l+1}^{m+a}; L_+ psi_l^m = sqrt((l-m)(l+m+1)) psi_l^{m+1}.  Each
     # weight vanishes where its target does not exist
-    c = _level_weights(lam, k)
+    l = np.arange(lam + 2)
+    c = np.sqrt(1.0 + l * l / k)
+    c[0] = c[-1] = 0.0
     rows = []
     for a in (0, 1, -1):
         rows.append(c[l_of] * clebsch_a(l_of, a, m_of))
@@ -256,7 +241,7 @@ def build_sphere(lam: int, k: float | None = None) -> FuzzySphere:
 def _relation_tables(term_keys: tuple):
     """The relation rows compiled for spheres whose terms are labelled
     term_keys; the weight table is the terms, then the diagonal f of the
-    coordinate bracket.  Also the rows of x_+ and x_-."""
+    coordinate bracket.  Also the rows of L.L and L_3."""
     from .shift import ZERO, Op, cartesian, compile_checks, stored_ops
 
     n = len(term_keys)
@@ -299,22 +284,18 @@ def _relation_tables(term_keys: tuple):
     rows.append(("D=3Basis/L2", L[0] @ L[0] + L[1] @ L[1] + L[2] @ L[2],
                  ops["l2"]))
     rows_of = {name: [j for j, key in enumerate(term_keys) if key[0] == name]
-               for name in ("x_plus", "x_minus", "l2", "L3")}
-    ladders = rows_of["x_plus"] + rows_of["x_minus"]
-    ladder_ops = [0] * len(rows_of["x_plus"]) + [1] * len(rows_of["x_minus"])
-    return (compile_checks(rows, n + 1), rows_of["l2"], rows_of["L3"],
-            (ladders, [term_keys[j][1:] for j in ladders], ladder_ops))
+               for name in ("l2", "L3")}
+    return compile_checks(rows, n + 1), rows_of["l2"], rows_of["L3"]
 
 
 def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
     """Residuals of the defining relations; pass iff all are <= tol.  They
     are evaluated on the shift terms alone."""
-    from .shift import check_residuals, power_norms
+    from .shift import check_residuals, power_norm
 
     rep = Report()
     lam, k = s.lam, s.k
-    tab, l2_rows, l3_rows, (ladders, ladder_keys, ladder_ops) = \
-        _relation_tables(s.term_keys)
+    tab, l2_rows, l3_rows = _relation_tables(s.term_keys)
 
     K = 1.0 / k + (1.0 + lam * lam / k) / (2 * lam + 1)
     f = -1.0 / k + K * (s.l_of == lam)
@@ -333,20 +314,14 @@ def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
         worst = max(worst, float(np.abs(val).max()))
     rep.add_residual("rf3D3/L3-poly", worst, tol, lam=lam)
 
-    nil = power_norms(s.terms[ladders], ladder_keys, ladder_ops, 2 * lam + 1,
-                      s.targets, s.can_shift).max()
+    nil = max(power_norm(s.terms, s.term_keys, name, 2 * lam + 1, s.targets,
+                         s.can_shift) for name in ("x_plus", "x_minus"))
     rep.add_residual("rf3D3/nilpotent", nil, tol, lam=lam)
     return rep
 
 
 def coordinate_blocks(lam: int, k: float | None = None) -> dict[int, TridiagSpec]:
     """Tridiagonal blocks X_m of x_3 on span{psi_l^m, l = m..lam}, m >= 0
-    (the block for -m coincides with the one for m), from (lam, k) alone;
-    k defaults and is validated as in build_sphere."""
-    k = _sharpness(lam, k)
-    c = _level_weights(lam, k)
-    blocks = {}
-    for m in range(0, lam + 1):
-        l = np.arange(m + 1, lam + 1)   # entry l-1-m couples psi_{l-1}^m, psi_l^m
-        blocks[m] = TridiagSpec(c[l] * clebsch_a(l, 0, m))
-    return blocks
+    (the block for -m coincides with the one for m), cut from the terms of
+    build_sphere(lam, k), which defaults and validates k."""
+    return build_sphere(lam, k)._x3_blocks()

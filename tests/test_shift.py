@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import dense_oracle
-from fuzzysphere import lierep
+from fuzzysphere import lierep, shift
 from fuzzysphere.lierep import verify_so4_reconstruction
-from fuzzysphere.shift import power_norms
+from fuzzysphere.shift import power_norm
 from fuzzysphere.sphere import build_sphere, verify_sphere_relations
 
 SUITES = [(verify_sphere_relations, dense_oracle.verify_sphere_relations),
@@ -107,18 +107,37 @@ def test_misplaced_term_breaks_nilpotency():
 def test_power_norms_match_dense_powers():
     # on random complex weights, so that no power vanishes
     rng = np.random.default_rng(3)
-    s = build_sphere(3)
-    noise = rng.normal(size=s.terms.shape) + 1j * rng.normal(size=s.terms.shape)
-    bad = dataclasses.replace(s, terms=s.terms * (1.0 + noise))
-    names = ["x_plus", "x3", "L_plus"]
-    ladders = [j for j, key in enumerate(bad.term_keys) if key[0] in names]
-    ops = [names.index(bad.term_keys[j][0]) for j in ladders]
-    for n in (1, 2, 5, 7):
-        got = power_norms(bad.terms[ladders], [bad.term_keys[j][1:] for j in ladders],
-                          ops, n, bad.targets, bad.can_shift)
-        want = [np.linalg.norm(np.linalg.matrix_power(
-            dense_oracle.dense(bad, name), n)) for name in names]
-        assert np.allclose(got, want, rtol=1e-12, atol=0)
+    names = ["x_plus", "x_minus", "x3", "L_plus"]
+    for k in (None, np.inf):
+        s = build_sphere(3, k)
+        noise = rng.normal(size=s.terms.shape) + 1j * rng.normal(size=s.terms.shape)
+        bad = dataclasses.replace(s, terms=s.terms * (1.0 + noise))
+        for n in (1, 2, 5, 7):
+            got = [power_norm(bad.terms, bad.term_keys, name, n, bad.targets,
+                              bad.can_shift) for name in names]
+            want = [np.linalg.norm(np.linalg.matrix_power(
+                dense_oracle.dense(bad, name), n)) for name in names]
+            assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_nilpotency_decided_before_any_product(monkeypatch):
+    # every x_+- key moves m by one, so the grading alone shows that
+    # x_+-^(2 lam + 1) vanishes: the power is pruned before its first
+    # target lookup, which keeps the check O(1) at any lambda
+    calls, lookups = [], []
+
+    def counted(weights, term_keys, name, n, targets, can_shift):
+        calls.append((name, n))
+        return power_norm(weights, term_keys, name, n,
+                          lambda keys: lookups.append(keys) or targets(keys),
+                          can_shift)
+
+    monkeypatch.setattr(shift, "power_norm", counted)
+    for k in (None, np.inf):
+        rec = _record(verify_sphere_relations(build_sphere(40, k)), "rf3D3/nilpotent")
+        assert rec.passed and rec.residual == 0.0
+    assert calls == [("x_plus", 81), ("x_minus", 81)] * 2
+    assert lookups == []
 
 
 def test_g_weight_breaks_brackets_and_casimir(monkeypatch):

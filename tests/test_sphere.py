@@ -165,18 +165,46 @@ def test_blocks_match_dense_x3_for_both_signs_of_m():
 @pytest.mark.parametrize("k", [None, np.inf])
 def test_sectors_are_the_dense_cuts(k):
     # the minimizer's sector blocks are bitwise the real parts of the dense
-    # x^2 and x_3 cut to psi_l^m, l = m..lam, and sector -m has them too
+    # x^2 and x_3 of the same sphere cut to psi_l^m, l = m..lam, and sector
+    # -m has them too: a sphere whose x_3 terms are scaled gets its own
+    # blocks, and coordinate_blocks gives the blocks of the build
     for lam in range(13):
-        s = build_sphere(lam, k)
-        x2, x3 = dense(s, "x_squared"), dense(s, "x3")
-        sectors = s.sectors()
-        assert len(sectors) == lam + 1
-        for m, (idx, q, xr) in enumerate(sectors):
-            assert list(idx) == [s.index(l, m) for l in range(m, lam + 1)]
-            for sign in (1, -1):
-                cut = [s.index(l, sign * m) for l in range(m, lam + 1)]
-                assert np.array_equal(q, np.real(x2[np.ix_(cut, cut)]))
-                assert np.array_equal(xr, np.real(x3[np.ix_(cut, cut)]))
+        built = build_sphere(lam, k)
+        terms = np.array(built.terms)
+        for key in (("x3", -1, 0), ("x3", 1, 0)):
+            terms[built.term_keys.index(key)] *= 1.5
+        scaled = dataclasses.replace(built, terms=terms)
+        for s in (built, scaled):
+            x2, x3 = dense(s, "x_squared"), dense(s, "x3")
+            sectors = s.sectors()
+            assert len(sectors) == lam + 1
+            for m, (idx, q, xr) in enumerate(sectors):
+                assert list(idx) == [s.index(l, m) for l in range(m, lam + 1)]
+                for sign in (1, -1):
+                    cut = [s.index(l, sign * m) for l in range(m, lam + 1)]
+                    assert np.array_equal(q, np.real(x2[np.ix_(cut, cut)]))
+                    assert np.array_equal(xr, np.real(x3[np.ix_(cut, cut)]))
+        blocks = coordinate_blocks(lam, k)
+        assert sorted(blocks) == list(range(lam + 1))
+        for m, (_, _, xr) in enumerate(built.sectors()):
+            assert np.array_equal(np.real(blocks[m].dense()), xr)
+            assert np.array_equal(scaled.sectors()[m][2], 1.5 * xr)
+
+
+def test_targets_match_label_loop():
+    # dense() scatters through targets, so it cannot see a fault there:
+    # every key of a box well outside the space, label by label
+    for lam in range(7):
+        s = build_sphere(lam)
+        labels = [(l, m) for l in range(lam + 1) for m in range(-l, l + 1)]
+        keys = [(dl, dm) for dl in range(-2 * lam - 3, 2 * lam + 4)
+                for dm in range(-4 * lam - 3, 4 * lam + 4)]
+        want = np.full((len(keys), s.dim), s.dim)
+        for j, (dl, dm) in enumerate(keys):
+            for i, (l, m) in enumerate(labels):
+                if 0 <= l + dl <= lam and abs(m + dm) <= l + dl:
+                    want[j, i] = (l + dl) ** 2 + (l + dl) + m + dm
+        assert np.array_equal(s.targets(keys), want)
 
 
 def test_madore_build():
