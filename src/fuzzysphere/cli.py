@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Verbs: build, verify, spectrum, scs, minimize, plotdata.  Verification
-assembles per-truncation check records into a JSON report; spectra go to CSV
-with one row per eigenvalue.  All randomized checks draw from a generator
-seeded by (--seed, d, lam), so reports are reproducible and independent of
-the degree of parallelism.
+Verbs: build, verify, spectrum, scs, minimize, plotdata, each taking only
+the flags it reads.  `build` prints each truncation's dimension and writes
+no file.  `verify`, `scs` and `minimize` assemble per-truncation check
+records into a report and write it as JSON to `--json`, if given.
+`spectrum` writes the spectra CSV, one row per eigenvalue, and `plotdata`
+the plot-ready CSV, each to its required `--csv`.  All randomized checks
+draw from a generator seeded by (--seed, d, lam), so reports are
+reproducible and independent of the degree of parallelism.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ class ScanConfig:
     seed: int = 0
     suites: list = field(default_factory=lambda: list(SUITES))
     json_path: str | None = None
-    csv_path: str | None = None
     jobs: int = 1
 
     def to_dict(self) -> dict:
@@ -90,7 +92,7 @@ def _scs_records_circle(c, tol, rng):
     val = dispersion(c, phi).x_var
     rep.add(CheckRecord(tag="utileb", lam=c.lam, value=float(val),
                         bound=float(bound), passed=bool(val < bound)))
-    hur = check_heisenberg_circle(c, random_states(rng, c.dim, 100), tol=1e-12)
+    hur = check_heisenberg_circle(c, random_states(rng, c.dim, 100))
     worst = min(x.value for x in hur.checks)
     rep.add(CheckRecord(tag="HURS^1/random", lam=c.lam, value=float(worst),
                         bound=0.0, passed=bool(worst >= -1e-12)))
@@ -136,7 +138,7 @@ def _dispersion_bound(d: int, lam: int) -> float:
     return (3.5 if d == 1 else 11.0) / (lam + 1) ** 2
 
 
-def _minimize_records(space, d, tol, rng):
+def _minimize_records(space, d, rng):
     lam = space.lam
     chi, val = minimize_dispersion(space)
     tag = f"Deltax2qminS^{d}_L"
@@ -171,7 +173,7 @@ def _records_for_lambda(args) -> list:
         scs = _scs_records_circle if d == 1 else _scs_records_sphere
         checks += scs(space, tol, _rng(seed, d, lam, 1))
     if "minimize" in suites:
-        checks += _minimize_records(space, d, tol, _rng(seed, d, lam, 2))
+        checks += _minimize_records(space, d, _rng(seed, d, lam, 2))
     return checks
 
 
@@ -243,7 +245,7 @@ def _usable_cpus() -> int:
 
 
 def run_scan(config: ScanConfig) -> tuple[int, Report]:
-    """Run the selected suites and write the artifacts; returns the exit
+    """Run the selected suites and write the JSON report; returns the exit
     status and the assembled report."""
     report = Report(config=config.to_dict())
     per_lam = [s for s in config.suites if s != "spectra"]
@@ -277,8 +279,6 @@ def run_scan(config: ScanConfig) -> tuple[int, Report]:
                 report.checks.extend(_records_for_lambda(t))
     if "spectra" in config.suites:
         report.checks.extend(_spectra_records(config))
-        if config.csv_path:
-            write_spectra_csv(config, config.csv_path)
 
     if config.json_path:
         stamp = datetime.now(timezone.utc).isoformat()
@@ -292,17 +292,16 @@ def run_scan(config: ScanConfig) -> tuple[int, Report]:
     return 0, report
 
 
-def write_spectra_csv(config: ScanConfig, path: str) -> int:
+def write_spectra_csv(d: int, lams, k, path: str) -> int:
     """One row per eigenvalue: lambda,m,h,eigenvalue (m empty for d=1).
     The whole range is bisected in one batched call; the sphere's -m rows
     repeat the m block's spectrum."""
-    lams = range(config.lam_lo, config.lam_hi + 1)
-    if config.d == 1:
-        mats = {(lam, 0): coordinate_matrix(lam, config.k) for lam in lams}
+    if d == 1:
+        mats = {(lam, 0): coordinate_matrix(lam, k) for lam in lams}
         order = [(lam, "", 0) for lam in lams]
     else:
         mats = {(lam, m): blk for lam in lams
-                for m, blk in coordinate_blocks(lam, config.k).items()}
+                for m, blk in coordinate_blocks(lam, k).items()}
         order = [(lam, m, abs(m)) for lam in lams for m in range(-lam, lam + 1)]
     spectra = dict(zip(mats, eig_bisection_many(list(mats.values()))))
     rows = 0
@@ -316,20 +315,18 @@ def write_spectra_csv(config: ScanConfig, path: str) -> int:
     return rows
 
 
-def emit_plot_data(config: ScanConfig, path: str) -> int:
+def emit_plot_data(d: int, lams, k, path: str) -> int:
     """Long-format plot-ready CSV: dispersion minima with their bound,
     top eigenvalues with the theorem bound, and the interlacing ladder."""
-    lams = range(config.lam_lo, config.lam_hi + 1)
-    mats = [coordinate_matrix(lam, config.k) if config.d == 1
-            else coordinate_blocks(lam, config.k)[0] for lam in lams]
+    mats = [coordinate_matrix(lam, k) if d == 1 else coordinate_blocks(lam, k)[0]
+            for lam in lams]
     rows = []
     for lam, spec in zip(lams, eig_bisection_many(mats)):
-        _, val = minimize_dispersion(_build_space(config.d, lam, config.k))
+        _, val = minimize_dispersion(_build_space(d, lam, k))
         rows.append(("dispersion", lam, lam, val))
-        rows.append(("dispersion-bound", lam, lam,
-                     _dispersion_bound(config.d, lam)))
+        rows.append(("dispersion-bound", lam, lam, _dispersion_bound(d, lam)))
         rows.append(("alpha1", lam, lam, spec.values[0]))
-        bound = alpha1_bound(config.d, lam)
+        bound = alpha1_bound(d, lam)
         if bound is not None:
             rows.append(("alpha1-bound", lam, lam, bound))
         for v in spec.values:
@@ -359,20 +356,6 @@ def _parse_lambda(text: str):
     return lo, hi
 
 
-def _add_common(p):
-    p.add_argument("--d", type=int, choices=(1, 2), default=1,
-                   help="1 = fuzzy circle, 2 = fuzzy sphere")
-    p.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True,
-                   metavar="A..B", help="truncation or truncation range")
-    p.add_argument("--k", type=float, default=None,
-                   help="sharpness override (default: minimal admissible)")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", dest="json_path", default=None)
-    p.add_argument("--csv", dest="csv_path", default=None)
-    p.add_argument("--jobs", type=int, default=1)
-
-
 def _make_parser():
     parser = argparse.ArgumentParser(
         prog="fuzzysphere",
@@ -381,19 +364,24 @@ def _make_parser():
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in ("build", "verify", "spectrum", "scs", "minimize", "plotdata"):
         p = sub.add_parser(verb)
-        _add_common(p)
+        p.add_argument("--d", type=int, choices=(1, 2), default=1,
+                       help="1 = fuzzy circle, 2 = fuzzy sphere")
+        p.add_argument("--lambda", dest="lam", type=_parse_lambda,
+                       required=True, metavar="A..B",
+                       help="truncation or truncation range")
+        p.add_argument("--k", type=float, default=None,
+                       help="sharpness override (default: minimal admissible)")
+        if verb in ("spectrum", "plotdata"):
+            p.add_argument("--csv", dest="csv_path", required=True)
+        if verb in ("verify", "scs"):
+            p.add_argument("--tol", type=float, default=ScanConfig.tol)
+        if verb in ("verify", "scs", "minimize"):
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--json", dest="json_path", default=None)
+            p.add_argument("--jobs", type=int, default=1)
         if verb == "verify":
-            p.add_argument("--suite", default="all",
-                           choices=SUITES + ("all",))
+            p.add_argument("--suite", default="all", choices=SUITES + ("all",))
     return parser
-
-
-def _config_from_args(args, suites) -> ScanConfig:
-    lo, hi = args.lam
-    return ScanConfig(d=args.d, lam_lo=lo, lam_hi=hi, k=args.k, tol=args.tol,
-                      seed=args.seed, suites=suites,
-                      json_path=args.json_path, csv_path=args.csv_path,
-                      jobs=args.jobs)
 
 
 def main(argv=None) -> int:
@@ -402,40 +390,37 @@ def main(argv=None) -> int:
     lo, hi = args.lam
     if lo < 1:
         parser.error(f"lambda must be >= 1, got {lo}")
-    if not 0 < args.tol < np.inf:
+    if "tol" in args and not 0 < args.tol < np.inf:
         parser.error(f"tolerance must be positive and finite, got {args.tol}")
-    if args.jobs < 1:
+    if "jobs" in args and args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.seed < 0:
+    if "seed" in args and args.seed < 0:
         parser.error(f"--seed must be >= 0, got {args.seed}")
 
+    lams = range(lo, hi + 1)
     try:
         if args.verb == "build":
-            for lam in range(lo, hi + 1):
+            for lam in lams:
                 space = _build_space(args.d, lam, args.k)
                 name = "circle" if args.d == 1 else "sphere"
                 print(f"fuzzy {name}: lambda={lam} dim={space.dim} k={space.k:g}")
             return 0
         if args.verb == "spectrum":
-            if not args.csv_path:
-                parser.error("spectrum requires --csv")
-            cfg = _config_from_args(args, ["spectra"])
-            n = write_spectra_csv(cfg, args.csv_path)
+            n = write_spectra_csv(args.d, lams, args.k, args.csv_path)
             print(f"wrote {n} eigenvalue rows to {args.csv_path}")
             return 0
         if args.verb == "plotdata":
-            if not args.csv_path:
-                parser.error("plotdata requires --csv")
-            cfg = _config_from_args(args, [])
-            n = emit_plot_data(cfg, args.csv_path)
+            n = emit_plot_data(args.d, lams, args.k, args.csv_path)
             print(f"wrote {n} rows to {args.csv_path}")
             return 0
-        if args.verb in ("scs", "minimize"):
-            suites = [args.verb]
-        else:
-            suites = list(SUITES) if args.suite == "all" else [args.suite]
-        code, _ = run_scan(_config_from_args(args, suites))
-        return code
+        # scs and minimize run the one suite they are named after
+        suite = getattr(args, "suite", args.verb)
+        suites = list(SUITES) if suite == "all" else [suite]
+        config = ScanConfig(d=args.d, lam_lo=lo, lam_hi=hi, k=args.k,
+                            tol=getattr(args, "tol", ScanConfig.tol),
+                            seed=args.seed, suites=suites,
+                            json_path=args.json_path, jobs=args.jobs)
+        return run_scan(config)[0]
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

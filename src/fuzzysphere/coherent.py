@@ -104,16 +104,16 @@ def dispersion(space, psi) -> DispersionReport:
     return DispersionReport(*fields)
 
 
-def _slack_record(tag, lhs, rhs, lam, tol) -> CheckRecord:
-    """lhs >= rhs up to tol; over a block, the record holds the worst
+def _slack_record(tag, lhs, rhs, lam) -> CheckRecord:
+    """lhs >= rhs up to 1e-12; over a block, the record holds the worst
     column, and a NaN anywhere fails it."""
     slack = float(np.min(lhs - rhs))
     return CheckRecord(tag=tag, lam=lam, value=slack, bound=0.0,
                        residual=float(max(0.0, -slack)),
-                       passed=bool(slack >= -tol))
+                       passed=bool(slack >= -1e-12))
 
 
-def check_heisenberg_circle(c, psi, tol: float = 1e-12) -> Report:
+def check_heisenberg_circle(c, psi) -> Report:
     """The three covariant uncertainty inequalities on the fuzzy circle, for
     a unit vector or for every column of a block of unit states.  For a block,
     each of the three records holds its worst column, so the report passes
@@ -127,11 +127,11 @@ def check_heisenberg_circle(c, psi, tol: float = 1e-12) -> Report:
     var2 = np.maximum(sq2 - ex2 ** 2, 0.0)
     rep = Report()
     rep.add(_slack_record("HURS^1/Lx1", dL * np.sqrt(var1), np.abs(ex2) / 2.0,
-                          c.lam, tol))
+                          c.lam))
     rep.add(_slack_record("HURS^1/Lx2", dL * np.sqrt(var2), np.abs(ex1) / 2.0,
-                          c.lam, tol))
+                          c.lam))
     rep.add(_slack_record("HURS^1/product", d.L_var * d.x_var,
-                          (ex1 ** 2 + ex2 ** 2) / 4.0, c.lam, tol))
+                          (ex1 ** 2 + ex2 ** 2) / 4.0, c.lam))
     return rep
 
 
@@ -438,11 +438,10 @@ def weak_scs_orbit(space, chi, grid) -> np.ndarray:
     return orbit
 
 
-def verify_weak_orbit(space, chi, grid, tol_var: float = 1e-10,
-                      tol_dir: float = 1e-9) -> Report:
+def verify_weak_orbit(space, chi, grid) -> Report:
     """On every orbit member of the unit vector chi the dispersion is
-    unchanged and <x> points along the classically rotated reference
-    direction."""
+    unchanged (to 1e-10) and <x> points along the classically rotated
+    reference direction (to 1e-9)."""
     from .lierep import classical_rotation, classical_rotation_2d
     rep = Report()
     # chi and its orbit as one block: column 0 is chi itself (weak_scs_orbit
@@ -459,6 +458,6 @@ def verify_weak_orbit(space, chi, grid, tol_var: float = 1e-10,
     worst_var = float(np.max(np.abs(d.x_var[1:] - d.x_var[0]), initial=0.0))
     worst_dir = float(np.max(np.linalg.norm(d.x_mean - r * u, axis=0)[1:],
                              initial=0.0))
-    rep.add_residual("weak-orbit/dispersion", worst_var, tol_var, lam=space.lam)
-    rep.add_residual("weak-orbit/direction", worst_dir, tol_dir, lam=space.lam)
+    rep.add_residual("weak-orbit/dispersion", worst_var, 1e-10, lam=space.lam)
+    rep.add_residual("weak-orbit/direction", worst_dir, 1e-9, lam=space.lam)
     return rep

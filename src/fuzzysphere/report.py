@@ -43,8 +43,8 @@ class Report:
         self.checks.append(record)
         return record
 
-    def add_residual(self, tag, residual, tol, lam=None, m=None, value=None):
-        return self.add(CheckRecord(tag=tag, lam=lam, m=m, value=value,
+    def add_residual(self, tag, residual, tol, lam=None, m=None):
+        return self.add(CheckRecord(tag=tag, lam=lam, m=m,
                                     residual=float(residual), bound=float(tol),
                                     passed=bool(residual <= tol)))
 

@@ -4,6 +4,8 @@ import csv
 import json
 import multiprocessing
 import os
+import re
+import shlex
 import time
 from concurrent.futures import Future
 from pathlib import Path
@@ -47,6 +49,9 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         run(["spectrum", "--lambda", "2"])       # missing --csv
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["plotdata", "--lambda", "2"])       # missing --csv
     assert exc.value.code == 2
     for jobs in ("0", "-1"):
         with pytest.raises(SystemExit) as exc:
@@ -220,13 +225,58 @@ def test_raise_in_parent_share_shuts_pool_down(monkeypatch, tmp_path,
 @pytest.mark.parametrize("verb", ["build", "verify", "spectrum", "scs",
                                   "minimize", "plotdata"])
 def test_negative_seed_exits_two(verb, tmp_path, capsys):
+    # build, spectrum and plotdata draw no random numbers, so take no --seed
     out = tmp_path / "out.csv"
+    scan = verb in ("verify", "scs", "minimize")
     with pytest.raises(SystemExit) as exc:
         run([verb, "--d", "1", "--lambda", "1..2", "--seed", "-1",
-             "--csv", str(out)])
+             "--json" if scan else "--csv", str(out)])
     assert exc.value.code == 2
-    assert "--seed must be >= 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if scan:
+        assert "--seed must be >= 0" in err
+    else:
+        assert "unrecognized arguments: --seed -1" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("verb,flag", [
+    *[("build", f) for f in ("--tol", "--seed", "--json", "--csv", "--jobs")],
+    *[(verb, f) for verb in ("spectrum", "plotdata")
+      for f in ("--tol", "--seed", "--json", "--jobs")],
+    *[(verb, "--csv") for verb in ("verify", "scs", "minimize")],
+    ("minimize", "--tol"),
+])
+def test_unread_flags_refused(verb, flag, tmp_path, capsys):
+    # a flag the verb would not read is a usage error, not silently dropped
+    values = {"--tol": "1e-10", "--seed": "0", "--jobs": "1",
+              "--json": str(tmp_path / "flag.json"),
+              "--csv": str(tmp_path / "flag.csv")}
+    # each verb's own output flag, if it has one
+    out = str(tmp_path / "out")
+    own = {"build": [], "spectrum": ["--csv", out], "plotdata": ["--csv", out]}
+    with pytest.raises(SystemExit) as exc:
+        run([verb, "--lambda", "1..2", *own.get(verb, ["--json", out]),
+             flag, values[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_command_lines_parse():
+    # every command in README's "Command line" code blocks is accepted
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    lines = [line.split("fuzzysphere ", 1)[1]
+             for block in re.findall(r"```sh\n(.*?)```", section, re.S)
+             for line in block.splitlines() if "fuzzysphere " in line]
+    assert len(lines) >= 6
+    parser = cli._make_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line))
+        except SystemExit:
+            pytest.fail(f"README command does not parse: fuzzysphere {line}")
 
 
 @pytest.mark.parametrize("argv", [

@@ -648,7 +648,7 @@ def test_minimize_suite_at_lambda_60():
     # one dense field would be 221 MB
     from fuzzysphere.cli import _minimize_records
     s = build_sphere(60)
-    records = _minimize_records(s, 2, 1e-10, np.random.default_rng(7))
+    records = _minimize_records(s, 2, np.random.default_rng(7))
     assert [r.tag for r in records][:3] == [
         "Deltax2qminS^2_L", "Deltax2qminS^2_L/stationarity",
         "Deltax2qminS^2_L/L3"]
@@ -679,7 +679,7 @@ def test_sphere_keeps_no_dense_operator():
     from fuzzysphere.cli import _minimize_records, _random_euler
     s = build_sphere(8)
     rng = np.random.default_rng(3)
-    _minimize_records(s, 2, 1e-10, rng)
+    _minimize_records(s, 2, rng)
     spins = np.column_stack([spin_cs(s, l, _random_euler(rng))
                              for l in range(s.lam + 1)])
     dispersion(s, spins)
