@@ -49,7 +49,7 @@ class ScanConfig:
     lam_lo: int
     lam_hi: int
     k: float | None = None
-    tol: float = 1e-10
+    tol: float | None = 1e-10  # None for minimize, which reads none
     seed: int = 0
     suites: list = field(default_factory=lambda: list(SUITES))
     json_path: str | None = None
@@ -417,7 +417,7 @@ def main(argv=None) -> int:
         suite = getattr(args, "suite", args.verb)
         suites = list(SUITES) if suite == "all" else [suite]
         config = ScanConfig(d=args.d, lam_lo=lo, lam_hi=hi, k=args.k,
-                            tol=getattr(args, "tol", ScanConfig.tol),
+                            tol=getattr(args, "tol", None),
                             seed=args.seed, suites=suites,
                             json_path=args.json_path, jobs=args.jobs)
         return run_scan(config)[0]

@@ -1,9 +1,10 @@
 """Spectral toolkit for hermitian tridiagonal matrices with zero diagonal.
 
-Covers Sturm-count bisection for all eigenvalues (the counts come from the
-negative pivots of an LDL^T factorization, in _sturm), spectrum symmetry /
-interlacing / simplicity checks, and the theorem reports for the coordinate
-matrices of the fuzzy circle and sphere.
+Covers all eigenvalues to a tolerance (in _sturm: numpy's dense eigvalsh
+where Sturm counts, the negative pivots of an LDL^T factorization, certify
+them, Sturm-count bisection elsewhere), spectrum symmetry / interlacing /
+simplicity checks, and the theorem reports for the coordinate matrices of
+the fuzzy circle and sphere.
 """
 
 from __future__ import annotations
@@ -92,15 +93,18 @@ def _check_bisection_tol(tol: float):
 
 
 def eig_bisection(t: TridiagSpec, tol: float = 1e-12) -> Spectrum:
-    """All eigenvalues by Sturm-count bisection, to absolute accuracy tol."""
+    """All eigenvalues, each within tol/2 of its own (tol floored at 4 units
+    in the last place of the radius): LAPACK's where two Sturm counts
+    certify them, else by Sturm-count bisection."""
     _check_bisection_tol(tol)
     values = _sturm.bisect_all(t.abs2(), t.gershgorin_radius() + tol, tol)
     return Spectrum.from_values(values)
 
 
 def eig_bisection_many(specs, tol: float = 1e-12) -> list[Spectrum]:
-    """eig_bisection of every matrix in specs, in one batched kernel call;
-    each spectrum is bitwise the one eig_bisection gives alone."""
+    """eig_bisection of every matrix in specs, in one batched kernel call
+    (certified LAPACK values, else bisected); each spectrum is bitwise the
+    one eig_bisection gives alone."""
     _check_bisection_tol(tol)
     values = _sturm.bisect_many([t.abs2() for t in specs],
                                 [t.gershgorin_radius() + tol for t in specs], tol)
@@ -146,12 +150,14 @@ def agrees_with_dense(values, mats, tol: float) -> bool:
 
 def spectrum_invariance_under_phases(t: TridiagSpec, rng=None,
                                      tol: float = 1e-10) -> bool:
-    """True iff the bisection spectrum, which sees only |a_k|^2, agrees within
-    tol with numpy's dense eigvalsh of the complex hermitian matrix and of a
-    random rephasing of its off-diagonal entries.  It bisects t alone, at
-    min(tol, 1e-12); to check many matrices in one kernel call, bisect them
-    with eig_bisection_many and pass each spectrum to agrees_with_dense, as
-    the CLI's spectra suite does."""
+    """True iff the eig_bisection spectrum, which sees only |a_k|^2 (LAPACK's
+    values for |a_k| off the diagonal where the counts certify them,
+    bisected elsewhere), agrees within tol with numpy's dense eigvalsh of
+    the complex hermitian matrix and of a random rephasing of its
+    off-diagonal entries.  It takes t alone, at min(tol, 1e-12); to check
+    many matrices in one kernel call, pass each spectrum of
+    eig_bisection_many to agrees_with_dense, as the CLI's spectra suite
+    does."""
     if rng is None:
         rng = np.random.default_rng(0)
     values = eig_bisection(t, min(tol, 1e-12)).values

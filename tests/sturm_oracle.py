@@ -1,11 +1,13 @@
 """Sweep oracle for the Sturm kernel.
 
-`bisect_many` here is the kernel's one-level-per-sweep form: every sweep
-counts at the 15 interior cut points of every open bracket, over a batch
-padded to the largest size with a per-row length mask.  `_sturm.bisect_many`
-decides every bracket from the same counts in fewer passes, so the two must
-agree bit for bit.  The constants are read from `_sturm` at call time, so a
-test that patches `_sturm.TINY` patches both.
+`bisect_many` here is the old kernel, which bisects every eigenvalue: every
+sweep counts at the 15 interior cut points of every open bracket, over a
+batch padded to the largest size with a per-row length mask.
+`_sturm.bisect_many` returns LAPACK's values where its counts certify them,
+so the two agree within the tolerance; a value it cannot certify it bisects
+by the same sweep, so that value agrees bit for bit.  The constants are read
+from `_sturm` at call time, so a test that patches `_sturm.TINY` patches
+both.
 """
 
 import numpy as np

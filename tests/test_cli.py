@@ -312,6 +312,12 @@ def test_verify_passes_and_writes_json(tmp_path, capsys):
     for rec in data["checks"]:
         assert {"tag", "lambda", "value", "pass"} <= set(rec)
     assert "checks passed" in capsys.readouterr().out
+    # a config records the tolerance its run was given, and minimize has none
+    for argv, tol in [(["verify", "--suite", "relations"], 1e-10),
+                      (["minimize"], None),
+                      (["verify", "--suite", "minimize", "--tol", "1e-30"], 1e-30)]:
+        assert run(argv + ["--lambda", "2", "--json", str(path)]) == 0
+        assert json.loads(path.read_text())["config"]["tol"] == tol
 
 
 def test_verify_failure_exit_code(tmp_path, capsys):

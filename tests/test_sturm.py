@@ -1,5 +1,6 @@
-"""The Sturm kernel against its sweep oracle: every eigenvalue bit for bit,
-whatever the batch, the guesses or the round budget."""
+"""The Sturm kernel against its sweep oracle: every eigenvalue within the
+tolerance, whatever the batch or the guesses; bit for bit where nothing can
+be certified; and the suites' matrices certified in one pass of counts."""
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sturm_oracle
-from fuzzysphere import _sturm
+from fuzzysphere import _sturm, cli
 from fuzzysphere.circle import coordinate_matrix
-from fuzzysphere.spectral import TridiagSpec, toeplitz_spectrum
+from fuzzysphere.spectral import TridiagSpec, eig_bisection_many, toeplitz_spectrum
 from fuzzysphere.sphere import coordinate_blocks
 
 
@@ -20,6 +21,14 @@ def _batch(specs, tol):
 def _same_bits(got, want):
     return len(got) == len(want) and all(
         g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def _within_tol(got, want, radii, tol):
+    """Each value within max(tol, 4 spacings of its radius) of want's: both
+    lie within half that of the same eigenvalue."""
+    return len(got) == len(want) and all(
+        g.shape == w.shape and np.all(np.abs(g - w) <= max(tol, 4 * np.spacing(r)))
+        for g, w, r in zip(got, want, radii))
 
 
 def _entries(rng, n, kind, decoupled):
@@ -41,8 +50,8 @@ def _entries(rng, n, kind, decoupled):
 def test_ragged_batch_matches_sweep_oracle(shapes, tol, seed):
     rng = np.random.default_rng(seed)
     absa2s, radii = _batch([_entries(rng, *shape) for shape in shapes], tol)
-    assert _same_bits(_sturm.bisect_many(absa2s, radii, tol),
-                      sturm_oracle.bisect_many(absa2s, radii, tol))
+    assert _within_tol(_sturm.bisect_many(absa2s, radii, tol),
+                       sturm_oracle.bisect_many(absa2s, radii, tol), radii, tol)
 
 
 def _structured(k):
@@ -56,7 +65,8 @@ def _structured(k):
 def test_structured_matrices_match_sweep_oracle(k):
     absa2s, radii = _batch(_structured(k), 1e-12)
     got = _sturm.bisect_many(absa2s, radii, 1e-12)
-    assert _same_bits(got, sturm_oracle.bisect_many(absa2s, radii, 1e-12))
+    assert _within_tol(got, sturm_oracle.bisect_many(absa2s, radii, 1e-12),
+                       radii, 1e-12)
     assert np.abs(got[-2] - toeplitz_spectrum(31)).max() <= 1e-12
 
 
@@ -72,45 +82,90 @@ def _bounded_rounds(monkeypatch, limit=64):
     return shapes
 
 
-@pytest.mark.parametrize("guess", ["zeros", "nan", "inf", "-inf", "reversed"])
+# guesses that can certify nothing, so every value is the sweep's; guesses
+# that certify some values; and guesses that certify every value
+_NONE = ("nan", "inf", "-inf", "dense+0.6tol")
+_ALL = ("dense+0.4tol",)
+
+
+@pytest.mark.parametrize("guess", ["zeros", "nan", "inf", "-inf", "reversed",
+                                   "dense+0.6tol", "dense+0.4tol"])
 def test_guesses_cannot_move_a_value(guess, monkeypatch):
     rng = np.random.default_rng(5)
     specs = _structured(None) + [_entries(rng, n, "normal", n % 3 == 0)
                                  for n in (1, 4, 9, 16)]
     dense = _sturm._dense_spectra
-    fake = {"zeros": lambda a: np.zeros((len(a), a.shape[1] + 1)),
-            "nan": lambda a: np.full((len(a), a.shape[1] + 1), np.nan),
-            "inf": lambda a: np.full((len(a), a.shape[1] + 1), np.inf),
-            "-inf": lambda a: np.full((len(a), a.shape[1] + 1), -np.inf),
-            "reversed": lambda a: dense(a)[:, ::-1]}[guess]
-    monkeypatch.setattr(_sturm, "_dense_spectra", fake)
+    # a shifted guess is tol/2 + 0.1 tol off or 0.1 tol off, which only
+    # means that at a tol above the floor of 4 spacings
+    tols = (1e-12,) if guess.startswith("dense") else (1e-12, 1e-30)
     rounds = _bounded_rounds(monkeypatch)
-    for tol in (1e-12, 1e-30):
+    for tol in tols:
+        fake = {"zeros": lambda a: np.zeros((len(a), a.shape[1] + 1)),
+                "nan": lambda a: np.full((len(a), a.shape[1] + 1), np.nan),
+                "inf": lambda a: np.full((len(a), a.shape[1] + 1), np.inf),
+                "-inf": lambda a: np.full((len(a), a.shape[1] + 1), -np.inf),
+                "reversed": lambda a: dense(a)[:, ::-1],
+                "dense+0.6tol": lambda a: dense(a) + 0.6 * tol,
+                "dense+0.4tol": lambda a: dense(a) + 0.4 * tol}[guess]
+        monkeypatch.setattr(_sturm, "_dense_spectra", fake)
         absa2s, radii = _batch(specs, tol)
+        if guess.startswith("dense"):
+            assert 4 * np.spacing(max(radii)) < tol
         want = sturm_oracle.bisect_many(absa2s, radii, tol)
-        rounds.clear()
-        assert _same_bits(_sturm.bisect_many(absa2s, radii, tol), want)
-        assert rounds
-        for t, absa2, r, w in zip(specs, absa2s, radii, want):
+        for batch in [list(zip(absa2s, radii, want))] + [[one] for one in
+                                                         zip(absa2s, radii, want)]:
+            a, r, w = map(list, zip(*batch))
             rounds.clear()
-            assert _same_bits([_sturm.bisect_all(absa2, r, tol)], [w])
-            assert rounds or t.n == 1
+            got = (_sturm.bisect_many(a, r, tol) if len(batch) > 1
+                   else [_sturm.bisect_all(a[0], r[0], tol)])
+            assert rounds
+            assert _within_tol(got, w, r, tol)
+            if guess in _NONE:
+                assert _same_bits(got, w)
+            if guess in _ALL:
+                assert len(rounds) == 1
 
 
 def test_round_budget_cannot_move_a_value(monkeypatch):
+    # a matrix alone and among 100 of its size, in a batch of 1313 rows
     rng = np.random.default_rng(8)
     t = _entries(rng, 13, "normal", False)
-    r = t.gershgorin_radius() + 1e-12
-    rounds = _bounded_rounds(monkeypatch)
-    alone = _sturm.bisect_all(t.abs2(), r, 1e-12)
-    # alone, the whole chain of about 11 levels goes into the first pass
-    assert rounds[0][1] >= 10
-    others = [_entries(rng, 12, "normal", False) for _ in range(100)]
-    absa2s, radii = _batch(others, 1e-12)
-    rounds.clear()
-    wide = _sturm.bisect_many([t.abs2(), *absa2s], [r, *radii], 1e-12)
-    # over 2^14 / 15 rows: one level per round
-    assert t.n + 12 * len(others) > _sturm._ROUND_ENTRIES // (_sturm.SECTIONS - 1)
-    assert rounds[0][1] == 1
-    assert _same_bits(wide[:1], [alone])
-    assert _same_bits(wide[1:], sturm_oracle.bisect_many(absa2s, radii, 1e-12))
+    others = [_entries(rng, 13, "normal", False) for _ in range(100)]
+    for tol in (1e-12, 1e-30):
+        r = t.gershgorin_radius() + tol
+        alone = _sturm.bisect_all(t.abs2(), r, tol)
+        absa2s, radii = _batch(others, tol)
+        wide = _sturm.bisect_many([t.abs2(), *absa2s], [r, *radii], tol)
+        assert _same_bits(wide[:1], [alone])
+        assert _within_tol(wide[1:], sturm_oracle.bisect_many(absa2s, radii, tol),
+                           radii, tol)
+
+
+def _passes_per_call(monkeypatch):
+    """The number of count passes of each bisect_many call."""
+    calls, passes = [], _bounded_rounds(monkeypatch)
+    bisect_many = _sturm.bisect_many
+
+    def counted(*args):
+        passes.clear()
+        out = bisect_many(*args)
+        calls.append(len(passes))
+        return out
+    monkeypatch.setattr(_sturm, "bisect_many", counted)
+    return calls
+
+
+def test_suite_matrices_certify_in_one_pass(monkeypatch):
+    # if the certificate broke, every row would fall back to the sweep and
+    # every value would still be right; only the passes show it
+    calls = _passes_per_call(monkeypatch)
+    for k in (None, np.inf):
+        eig_bisection_many([coordinate_matrix(lam, k) for lam in range(1, 41)])
+        eig_bisection_many([coordinate_matrix(200, k)])
+    eig_bisection_many([blk for lam in range(1, 22)
+                        for blk in coordinate_blocks(lam).values()])
+    assert calls == [1] * 5
+    calls.clear()
+    cli._spectra_records(cli.ScanConfig(d=1, lam_lo=1, lam_hi=40, seed=7))
+    cli._spectra_records(cli.ScanConfig(d=2, lam_lo=1, lam_hi=20, seed=7))
+    assert calls == [1] * 4
