@@ -95,8 +95,8 @@ def test_guesses_cannot_move_a_value(guess, monkeypatch):
     specs = _structured(None) + [_entries(rng, n, "normal", n % 3 == 0)
                                  for n in (1, 4, 9, 16)]
     dense = _sturm._dense_spectra
-    # a shifted guess is tol/2 + 0.1 tol off or 0.1 tol off, which only
-    # means that at a tol above the floor of 4 spacings
+    # the shifted guesses sit 0.6 tol and 0.4 tol off, which decides the
+    # certificate only while tol is above the floor of 4 spacings
     tols = (1e-12,) if guess.startswith("dense") else (1e-12, 1e-30)
     rounds = _bounded_rounds(monkeypatch)
     for tol in tols:
@@ -112,8 +112,8 @@ def test_guesses_cannot_move_a_value(guess, monkeypatch):
         if guess.startswith("dense"):
             assert 4 * np.spacing(max(radii)) < tol
         want = sturm_oracle.bisect_many(absa2s, radii, tol)
-        for batch in [list(zip(absa2s, radii, want))] + [[one] for one in
-                                                         zip(absa2s, radii, want)]:
+        rows = list(zip(absa2s, radii, want))
+        for batch in [rows] + [[row] for row in rows]:
             a, r, w = map(list, zip(*batch))
             rounds.clear()
             got = (_sturm.bisect_many(a, r, tol) if len(batch) > 1
