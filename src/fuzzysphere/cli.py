@@ -13,12 +13,9 @@ reproducible and independent of the degree of parallelism.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -202,6 +199,17 @@ def _spectra_records(config: ScanConfig) -> list:
     return rep.checks
 
 
+def __getattr__(name):
+    """Import the pool class on first use, so that serial runs never load
+    multiprocessing or concurrent.futures.  It is then a plain module
+    attribute, which callers may replace."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 # In a pool worker, the (counter, tasks) queue of the run_scan it serves; set
 # by the pool initializer, so that it reaches workers under any start method.
 _queue: tuple = ()
@@ -263,11 +271,13 @@ def run_scan(config: ScanConfig) -> tuple[int, Report]:
         # when using --jobs.
         procs = min(config.jobs, len(tasks) - 1, _usable_cpus())
         if procs > 1:
+            import multiprocessing
             report.checks.extend(_records_for_lambda(tasks[0]))
             queue = (multiprocessing.Value("i", 0), tasks[:0:-1])
-            with ProcessPoolExecutor(max_workers=procs - 1,
-                                     initializer=_join_queue,
-                                     initargs=queue) as pool:
+            # a bare name would not reach the module's __getattr__
+            pool_class = getattr(sys.modules[__name__], "ProcessPoolExecutor")
+            with pool_class(max_workers=procs - 1, initializer=_join_queue,
+                            initargs=queue) as pool:
                 shares = [pool.submit(_worker_share) for _ in range(procs - 1)]
                 done = _take_tasks(*queue)
                 for share in shares:
@@ -305,6 +315,7 @@ def write_spectra_csv(d: int, lams, k, path: str) -> int:
         order = [(lam, m, abs(m)) for lam in lams for m in range(-lam, lam + 1)]
     spectra = dict(zip(mats, eig_bisection_many(list(mats.values()))))
     rows = 0
+    import csv
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["lambda", "m", "h", "eigenvalue"])
@@ -331,6 +342,7 @@ def emit_plot_data(d: int, lams, k, path: str) -> int:
             rows.append(("alpha1-bound", lam, lam, bound))
         for v in spec.values:
             rows.append(("interlacing", lam, lam, v))
+    import csv
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["series", "lambda", "x", "y"])

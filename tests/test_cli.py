@@ -6,6 +6,8 @@ import multiprocessing
 import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from concurrent.futures import Future
 from pathlib import Path
@@ -16,6 +18,7 @@ import fuzzysphere
 from fuzzysphere import _sturm, cli
 from fuzzysphere.circle import coordinate_matrix
 from fuzzysphere.cli import _parse_lambda, main
+from fuzzysphere.report import CheckRecord, Report
 from fuzzysphere.spectral import (TridiagSpec, eig_bisection,
                                   spectrum_invariance_under_phases)
 from fuzzysphere.sphere import coordinate_blocks
@@ -382,6 +385,41 @@ def test_reports_independent_of_jobs(tmp_path, capsys):
                         "--json", str(path)]) == 0
             checks.append(json.loads(path.read_text())["checks"])
         assert checks[0] == checks[1] == checks[2], (d, suite, lams)
+
+
+def test_cli_import_leaves_pool_modules_unloaded():
+    # a fresh interpreter: this one has imported multiprocessing already
+    probe = (
+        "import sys\n"
+        "import fuzzysphere.cli as cli\n"
+        "mods = ('multiprocessing', 'concurrent.futures', 'csv')\n"
+        "print([m for m in mods if m in sys.modules])\n"
+        "import concurrent.futures\n"
+        "print(cli.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor)\n"
+        "print(hasattr(cli, 'no_such_name'))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(fuzzysphere.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split("\n") == ["[]", "True", "False", ""]
+
+
+def test_report_json_is_one_sorted_line():
+    report = Report(config={"lam_hi": 3, "d": 2, "tol": None})
+    report.add_residual("relD3/x2", 1e-16, 1e-10, lam=3, m=-1)
+    report.add_verdict("nilp/x+", False, lam=2)
+    report.add(CheckRecord(tag="alpha1", lam=1, value=0.5))
+    stamp = "2026-01-01T00:00:00+00:00"
+    text = report.to_json(stamp)
+    assert "\n" not in text
+    assert json.loads(text) == report.to_dict(stamp)
+
+    def keys_sorted(pairs):
+        keys = [k for k, _ in pairs]
+        assert keys == sorted(keys)
+        return dict(pairs)
+
+    json.loads(text, object_pairs_hook=keys_sorted)
 
 
 def test_spectrum_csv_row_count(tmp_path, capsys):
