@@ -2,27 +2,33 @@
 
 The Hilbert space at truncation lam is spanned by angular-momentum
 eigenvectors psi_n, n = lam, lam-1, ..., -lam (stored in that descending
-order, so the coordinate matrix of x1 is read off directly).  The ladder
-coordinates act as
+order, index lam - n, so the coordinate matrix of x1 is read off
+directly).  The ladder coordinates act as
 
     x_+ psi_n = sqrt(1 + n(n+1)/k) psi_{n+1},   x_- = x_+^dag,
 
 which makes every algebraic relation below an exact identity of the
-construction; the sharpness parameter obeys k >= lam^2 (lam+1)^2.
+construction; the sharpness parameter obeys k >= lam^2 (lam+1)^2.  As on
+the sphere, operators are shift terms: key (0, dn) moves psi_n to psi_{n+dn}.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import diag_annihilator, frobenius_residual, readonly
+from .linop import ShiftTerms, diag_annihilator, readonly
 from .report import Report
 from .spectral import TridiagSpec
 
 __all__ = ["FuzzyCircle", "build_circle", "verify_circle_relations",
            "coordinate_matrix", "min_sharpness", "ladder_coefficient"]
+
+# the stored terms of every circle as (operator, 0, dn), one weight row each
+TERM_KEYS = (("x_plus", 0, 1), ("x_minus", 0, -1), ("L", 0, 0), ("l2", 0, 0),
+             ("x_squared", 0, 0))
 
 
 def min_sharpness(lam: int) -> float:
@@ -35,17 +41,14 @@ def ladder_coefficient(n, k: float):
 
 
 @dataclass(frozen=True)
-class FuzzyCircle:
+class FuzzyCircle(ShiftTerms):
+    """The circle as read-only shift terms (see linop.ShiftTerms)."""
+
     lam: int
     k: float
     labels: np.ndarray          # angular momentum labels, descending
-    L: np.ndarray
-    l2: np.ndarray              # L^2
-    x_plus: np.ndarray
-    x_minus: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    x_squared: np.ndarray
+    term_keys: tuple
+    terms: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -57,103 +60,104 @@ class FuzzyCircle:
             raise ValueError(f"label n={n} out of range for lam={self.lam}")
         return self.lam - n
 
-    # the coherent-state calls, on the dense matrices (dim is 2 lam + 1)
-    def expect(self, ops, v: np.ndarray) -> np.ndarray:
-        """<A> of each column of the (dim, n) block v, one row per matrix A
-        in ops; with the states as contiguous rows, each sum over the basis
-        is numpy's pairwise sum."""
-        rows = np.ascontiguousarray(v.T)
-        conj = rows.conj()
-        return np.array([np.real(np.sum(conj * (rows @ a.T), axis=1))
-                         for a in ops])
+    def targets(self, keys) -> np.ndarray:
+        """Target table, row j for key j = (dl, dn), column i for the source
+        psi_n: index lam - n - dn, or dim where dl != 0 or |n + dn| > lam."""
+        keys = np.asarray(keys, dtype=int).reshape(-1, 2)
+        n = self.labels + keys[:, 1:]
+        return np.where((keys[:, :1] == 0) & (np.abs(n) <= self.lam),
+                        self.lam - n, self.dim)
+
+    def can_shift(self, lo, hi) -> np.ndarray:
+        """For each row of lo and hi, whether some shift lo <= (dl, dn) <= hi
+        has dl = 0 and |dn| <= 2 lam, so moves some psi_n onto a basis vector."""
+        near = np.minimum(np.maximum(lo, 0), hi)
+        return (near[:, 0] == 0) & (np.abs(near[:, 1]) <= 2 * self.lam)
 
     def moments(self, v: np.ndarray) -> tuple:
-        """(<x>, <x^2>, <L>, <L^2>) of each column of v, <x> (2, n), <L> (1, n)."""
-        m = self.expect((self.x1, self.x2, self.L, self.x_squared, self.l2), v)
-        return m[:2], m[3], m[2:3], m[4]
+        """(<x>, <x^2>, <L>, <L^2>) of each column of the (dim, n) block v,
+        <x> (2, n) from <x_+> = <x_1> + i <x_2>, <L> (1, n)."""
+        xp, L, l2, x2 = self._means(v, ("x_plus", "L", "l2", "x_squared"))
+        return np.array([xp.real, xp.imag]), x2.real, np.array([L.real]), l2.real
 
-    def sectors(self) -> list:
-        """One sector, the whole space: [(indices, real x^2, real x_1)]."""
-        return [(np.arange(self.dim), np.real(self.x_squared), np.real(self.x1))]
-
-    def h_eff(self, b, v: np.ndarray) -> tuple:
-        """(E_0, H(b) v) for H(b) = x^2 - 2 b.x and a 1-d v, E_0 its
-        lowest eigenvalue."""
-        h = self.x_squared - 2.0 * sum(bi * xi for bi, xi
-                                       in zip(b, (self.x1, self.x2)))
-        return np.linalg.eigvalsh(h)[0], h @ v
+    def sectors(self) -> tuple:
+        """One sector, the whole space: its indices and the real x^2 and x_1
+        blocks, cut from the terms (x_+ moves index i to i - 1)."""
+        x2, up, down = (np.real(self.terms[self.term_keys.index(key)]) for key
+                        in (("x_squared", 0, 0), ("x_plus", 0, 1), ("x_minus", 0, -1)))
+        return ((np.arange(self.dim), np.diag(x2),
+                 (np.diag(up[1:], 1) + np.diag(down[:-1], -1)) / 2.0),)
 
 
-def _sharpness(lam: int, k: float | None) -> float:
-    """The validated sharpness at truncation lam; None gives the minimal
-    admissible one, which maximizes the corrections."""
-    if lam < 1:
-        raise ValueError(f"lam must be >= 1, got {lam}")
+def sharpness(lam: int, k: float | None, lam_min: int = 1) -> float:
+    """The validated sharpness at truncation lam >= lam_min; None gives
+    max(k_min, 1), from lam 1 on the least admissible k, which maximizes
+    the corrections."""
+    if lam < lam_min:
+        raise ValueError(f"lam must be >= {lam_min}, got {lam}")
     kmin = min_sharpness(lam)
-    k = kmin if k is None else float(k)
-    if not k >= kmin * (1 - 1e-12):  # also rejects nan
+    k = max(kmin, 1.0) if k is None else float(k)
+    if k <= 0 or not k >= kmin * (1 - 1e-12):  # also rejects nan
         raise ValueError(f"k={k} below the admissible minimum {kmin}")
     return k
-
-
-def _x_squared(lam: int, k: float, labels: np.ndarray) -> np.ndarray:
-    """x^2 = (x_+ x_- + x_- x_+)/2 in closed form, 1 + L^2/k less half an
-    edge term at n = +-lam, where one of the two ladder steps leaves."""
-    edge = 1.0 + lam * (lam + 1) / k
-    return np.diag(1.0 + labels * labels / k
-                   - edge * (np.abs(labels) == lam) / 2.0).astype(complex)
 
 
 def build_circle(lam: int, k: float | None = None) -> FuzzyCircle:
     """Construct the fuzzy circle at truncation lam (default sharpness is
     the minimal admissible one)."""
-    k = _sharpness(lam, k)
+    k = sharpness(lam, k)
     labels = np.arange(lam, -lam - 1, -1)
-    L = np.diag(labels.astype(complex))
-    # psi_n sits at index lam-n, psi_{n+1} one row above: x_+ is the first
-    # superdiagonal, whose column j holds the coefficient of labels[j]
-    xp = np.diag(ladder_coefficient(labels[1:], k).astype(complex), 1)
-    xm = xp.conj().T
-    return FuzzyCircle(
-        lam=lam, k=k, labels=labels, L=readonly(L), l2=readonly(L @ L),
-        x_plus=readonly(xp), x_minus=readonly(xm),
-        x1=readonly((xp + xm) / 2.0), x2=readonly((xp - xm) / 2.0j),
-        x_squared=readonly(_x_squared(lam, k, labels)))
+    labels.setflags(write=False)
+    # x_+ weighs c(n) at psi_n and x_- c(n-1), 0 where they leave; x^2 =
+    # (x_+ x_- + x_- x_+)/2 in closed form is 1 + L^2/k less half an edge
+    # term at n = +-lam, where one of the two steps leaves
+    edge = 1.0 + lam * (lam + 1) / k
+    rows = [np.where(labels < lam, ladder_coefficient(labels, k), 0.0),
+            np.where(labels > -lam, ladder_coefficient(labels - 1, k), 0.0),
+            labels, labels * labels,
+            1.0 + labels * labels / k - edge * (np.abs(labels) == lam) / 2.0]
+    return FuzzyCircle(lam=lam, k=k, labels=labels, term_keys=TERM_KEYS,
+                       terms=readonly(np.array(rows, dtype=complex)))
+
+
+@functools.cache
+def _relation_tables(term_keys: tuple):
+    """The relation rows compiled for circles whose terms are labelled
+    term_keys; the weights are the terms, then the rhs of [x_+, x_-].  The
+    shift algebra is imported here, on first use, as in sphere.py."""
+    from .shift import compile_checks, stored_ops
+
+    ops = stored_ops(term_keys + (("comm", 0, 0),))
+    L, xp, xm = ops["L"], ops["x_plus"], ops["x_minus"]
+    # x_squared is built in closed form, so the sum of squares is formed here
+    rows = [("commrelD=2'/[L,x+]", L @ xp - xp @ L, xp),
+            ("commrelD=2'/[L,x-]", L @ xm - xm @ L, -xm),
+            ("commrelD=2'/adjoint", xp.H, xm), ("commrelD=2'/L-herm", L.H, L),
+            ("y+y-", xp @ xm - xm @ xp, ops["comm"]),
+            ("defR2D=2", 0.5 * (xp @ xm + xm @ xp), ops["x_squared"])]
+    return compile_checks(rows, len(term_keys) + 1)
 
 
 def verify_circle_relations(c: FuzzyCircle, tol: float = 1e-10) -> Report:
-    """Residuals of the defining relations; pass iff all are <= tol."""
-    rep = Report()
-    lam, k, dim = c.lam, c.k, c.dim
-    L, xp, xm = c.L, c.x_plus, c.x_minus
+    """Residuals of the defining relations; pass iff all are <= tol.  They
+    are evaluated on the shift terms alone."""
+    from .shift import check_residuals, power_norm
 
-    rep.add_residual("commrelD=2'/[L,x+]", frobenius_residual(L @ xp - xp @ L, xp),
-                     tol, lam=lam)
-    rep.add_residual("commrelD=2'/[L,x-]", frobenius_residual(L @ xm - xm @ L, -xm),
-                     tol, lam=lam)
-    rep.add_residual("commrelD=2'/adjoint", frobenius_residual(xp.conj().T, xm),
-                     tol, lam=lam)
-    rep.add_residual("commrelD=2'/L-herm", frobenius_residual(L.conj().T, L),
-                     tol, lam=lam)
-
+    rep, tab = Report(), _relation_tables(c.term_keys)
+    lam, k, n = c.lam, c.k, c.labels
+    # [x_+, x_-] = -2 L/k + edge (P_lam - P_-lam)
     edge = 1.0 + lam * (lam + 1) / k
-    p_top = np.diag(c.labels == lam).astype(float)
-    p_bot = np.diag(c.labels == -lam).astype(float)
-    rhs_comm = -2.0 * L / k + edge * (p_top - p_bot)
-    rep.add_residual("y+y-", frobenius_residual(xp @ xm - xm @ xp, rhs_comm),
-                     tol, lam=lam)
-
-    # x_squared is built in closed form, so the sum of squares is formed here
-    sq = (xp @ xm + xm @ xp) / 2.0
-    rep.add_residual("defR2D=2", frobenius_residual(sq, c.x_squared),
-                     tol, lam=lam)
+    comm = -2.0 * n / k + edge * np.sign(n) * (np.abs(n) == lam)
+    weights = np.concatenate([c.terms, comm[None]])
+    for tag, r in zip(tab.tags, check_residuals(tab, weights, c.targets)):
+        rep.add_residual(tag, r, tol, lam=lam)
 
     # L is diagonal, so prod_n (L - n) is evaluated entrywise on its diagonal
-    poly = diag_annihilator(np.diag(L), range(-lam, lam + 1))
+    poly = diag_annihilator(np.real(c.terms[c.term_keys.index(("L", 0, 0))]),
+                            range(-lam, lam + 1))
     rep.add_residual("commrelD=2/L-poly", float(np.abs(poly).max()), tol, lam=lam)
-    nil = np.linalg.matrix_power(xp, dim)
-    rep.add_residual("commrelD=2/nilpotent", frobenius_residual(nil, np.zeros_like(nil)),
-                     tol, lam=lam)
+    nil = power_norm(c.terms, c.term_keys, "x_plus", c.dim, c.targets, c.can_shift)
+    rep.add_residual("commrelD=2/nilpotent", nil, tol, lam=lam)
     return rep
 
 
@@ -162,7 +166,6 @@ def coordinate_matrix(lam: int, k: float | None = None) -> TridiagSpec:
     {psi_lam, ..., psi_-lam}, from (lam, k) alone; k defaults and is
     validated as in build_circle.  k = inf gives the Toeplitz limit, every
     off-diagonal exactly 1/2."""
-    k = _sharpness(lam, k)
+    k = sharpness(lam, k)
     # row i couples psi_{lam-i} and psi_{lam-i-1}
-    off = 0.5 * ladder_coefficient(np.arange(lam - 1, -lam - 1, -1), k)
-    return TridiagSpec(off)
+    return TridiagSpec(0.5 * ladder_coefficient(np.arange(lam - 1, -lam - 1, -1), k))

@@ -37,8 +37,8 @@ norm 1.  Moments are taken over a whole block at once.
 Every function takes any space that answers moments(v) (<x>, <x^2>, <L>
 and <L^2> of a block), sectors() (the L_3 sectors as (indices, x^2 block,
 x_ref block)) and h_eff(b, v) (the ground energy of H(b) = x^2 - 2 b.x,
-and H(b) v): the circle from its dense matrices, the sphere from its
-shift terms and coordinate blocks.  Rotations are lierep.rotate.
+and H(b) v): both spaces from their shift terms (linop.ShiftTerms), with
+one dense real block per sector.  Rotations are lierep.rotate.
 """
 
 from __future__ import annotations
@@ -120,11 +120,12 @@ def check_heisenberg_circle(c, psi) -> Report:
     exactly when every state passes all three."""
     v = _columns(psi)
     d = dispersion(c, v)
-    sq1, sq2 = c.expect((c.x1 @ c.x1, c.x2 @ c.x2), v)
     ex1, ex2 = d.x_mean
     dL = np.sqrt(np.maximum(d.L_var, 0.0))
-    var1 = np.maximum(sq1 - ex1 ** 2, 0.0)
-    var2 = np.maximum(sq2 - ex2 ** 2, 0.0)
+    # x_1 and x_2 are hermitian, so <x_i^2> = ||x_i v||^2
+    xp, xm = c.apply(np.ascontiguousarray(v.T), ("x_plus", "x_minus"))
+    var1, var2 = (np.maximum(np.sum((a.conj() * a).real, axis=1) - e ** 2, 0.0)
+                  for a, e in (((xp + xm) / 2.0, ex1), ((xp - xm) / 2.0j, ex2)))
     rep = Report()
     rep.add(_slack_record("HURS^1/Lx1", dL * np.sqrt(var1), np.abs(ex2) / 2.0,
                           c.lam))

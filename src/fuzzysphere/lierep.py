@@ -4,12 +4,12 @@ The circle coordinates are squeezed su(2) ladder operators,
 x_+- = sqrt(2) f_+-(E_0) E_+-, and the sphere coordinates are dressed so(4)
 generators, x_i = g(lambda) Lhat_{4i} g(lambda) with a positive diagonal
 weight g.  Both squeeze factors are invertible on the truncated space, so the
-generator sets are reconstructed here by entrywise division (on the sphere,
-each coordinate shift term divided by g at its source and at its target)
-and then checked against the Cartan-Weyl relations and the Casimir values
-that label the representation.  Rotations enter as
-pi(g) = exp(i phi L_3) exp(i theta L_2) exp(i psi L_3) together with their
-classical 3x3 counterparts.
+generator sets are reconstructed here by dividing each coordinate shift
+term (by f_+- at its target, by g at its source and its target) and then
+checked against the Cartan-Weyl relations and the Casimir values that label
+the representation.  Rotations enter as pi(g) = exp(i phi L_3)
+exp(i theta L_2) exp(i psi L_3) together with their classical 3x3
+counterparts.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from itertools import combinations
 import numpy as np
 
 from .circle import FuzzyCircle
-from .linop import frobenius_residual
 from .report import Report
 from .sphere import FuzzySphere
 
@@ -86,9 +85,10 @@ def rotate(space, g, v: np.ndarray) -> np.ndarray:
     EulerAngles and pi(g) = exp(i phi L_3) exp(i theta L_2) exp(i psi L_3):
     the phases e^{i psi m}, then each level's V e^{i theta nu} V^dag from
     l2_eigh, then e^{i phi m}.  On the circle pi(alpha) = exp(i alpha L)."""
+    out = v.reshape(len(v), -1)
     if not isinstance(g, EulerAngles):
-        return np.diag(np.exp(1j * float(g) * space.labels)) @ v
-    out = np.exp(1j * g.psi * space.m_of)[:, None] * v.reshape(len(v), -1)
+        return (np.exp(1j * float(g) * space.labels)[:, None] * out).reshape(v.shape)
+    out = np.exp(1j * g.psi * space.m_of)[:, None] * out
     for sl, vals, vecs in space.l2_eigh:
         out[sl] = (vecs * np.exp(1j * g.theta * vals)) @ (vecs.conj().T @ out[sl])
     out *= np.exp(1j * g.phi * space.m_of)[:, None]
@@ -113,45 +113,51 @@ def classical_rotation_2d(alpha: float) -> np.ndarray:
     return np.array([[ca, sa], [-sa, ca]])
 
 
+@functools.cache
+def _su2_tables(term_keys: tuple):
+    """The su(2) rows compiled for circles whose terms are labelled
+    term_keys.  The weights are the terms, then E_+ and E_-, the round trip
+    of E_+, that and x_+ each times the mask |n| != lam of the source, the
+    mask itself and the Casimir value lam (lam + 1)."""
+    from .shift import compile_checks, stored_ops
+
+    ops = stored_ops(term_keys + (("E+", 0, 1), ("E-", 0, -1), ("back", 0, 1),
+                                  ("back_kept", 0, 1), ("x_plus_kept", 0, 1),
+                                  ("keep", 0, 0), ("cas", 0, 0)))
+    ep, em, e0, keep = ops["E+"], ops["E-"], ops["L"], ops["keep"]
+    rows = [("su2rel/[E+,E-]", ep @ em - em @ ep, e0),
+            ("su2rel/[E0,E+]", e0 @ ep - ep @ e0, ep),
+            ("su2rel/[E0,E-]", e0 @ em - em @ e0, -em),
+            ("su2rel/adjoint", ep.H, em),
+            ("isomD2/casimir", ep @ em + e0 @ e0 + em @ ep, ops["cas"]),
+            ("transfD2/roundtrip", ops["back"], ops["x_plus"]),
+            # P X P with P = 1 - P_lam - P_-lam: the source mask is in the
+            # kept rows, the target mask is the factor keep
+            ("transfD2/roundtrip-offedge", keep @ ops["back_kept"],
+             keep @ ops["x_plus_kept"])]
+    return compile_checks(rows, len(term_keys) + 7)
+
+
 def verify_su2_reconstruction(c: FuzzyCircle, tol: float = 1e-10) -> Report:
-    """Cartan-Weyl relations, scalar Casimir and squeeze round-trip.  The
-    ladders are reconstructed separately, E_+ = x_+ / (sqrt(2) f_+(E_0))
-    and E_- = x_- / (sqrt(2) f_-(E_0)) with f_-(s) = f_+(s+1), each on the
-    rows its coordinate reaches (x_+ leaves the bottom row empty, x_- the
-    top one), so su2rel/adjoint compares two independent reconstructions."""
-    rep = Report()
+    """Cartan-Weyl relations, scalar Casimir and squeeze round-trip on the
+    shift terms alone.  E_+ = x_+ / (sqrt(2) f_+(E_0)) and E_- = x_- /
+    (sqrt(2) f_-(E_0)), f_-(s) = f_+(s+1), each weight divided at its
+    target, so su2rel/adjoint compares two independent reconstructions."""
+    from .shift import check_residuals
+
+    rep, tab = Report(), _su2_tables(c.term_keys)
     lam, k = c.lam, c.k
-    w = np.sqrt(2.0) * squeeze_factor_circle(c.labels[:-1], lam, k)
-    w_minus = np.sqrt(2.0) * squeeze_factor_circle(c.labels[1:] + 1, lam, k)
-    ep, em = np.array(c.x_plus), np.array(c.x_minus)
-    ep[:-1] /= w[:, None]
-    em[1:] /= w_minus[:, None]
-    e0 = c.L
-    eye = np.eye(c.dim)
-
-    rep.add_residual("su2rel/[E+,E-]", frobenius_residual(ep @ em - em @ ep, e0),
-                     tol, lam=lam)
-    rep.add_residual("su2rel/[E0,E+]", frobenius_residual(e0 @ ep - ep @ e0, ep),
-                     tol, lam=lam)
-    rep.add_residual("su2rel/[E0,E-]", frobenius_residual(e0 @ em - em @ e0, -em),
-                     tol, lam=lam)
-    rep.add_residual("su2rel/adjoint", frobenius_residual(ep.conj().T, em),
-                     tol, lam=lam)
-    cas = ep @ em + e0 @ e0 + em @ ep
-    rep.add_residual("isomD2/casimir",
-                     frobenius_residual(cas, lam * (lam + 1) * eye), tol, lam=lam)
-
-    # forward squeeze re-applied to the reconstructed ladder
-    xp_back = np.array(ep)
-    xp_back[:-1] *= w[:, None]
-    rep.add_residual("transfD2/roundtrip", frobenius_residual(xp_back, c.x_plus),
-                     tol, lam=lam)
-    keep = np.abs(c.labels) != lam
-    off_edge = np.outer(keep, keep)             # P X P with P = 1 - P_lam - P_-lam
-    rep.add_residual("transfD2/roundtrip-offedge",
-                     frobenius_residual(xp_back * off_edge,
-                                        c.x_plus * off_edge),
-                     tol, lam=lam)
+    # the factors at the targets of x_+ and x_-; label 0 stands at the
+    # missing target dim, where both weights vanish
+    up, down = np.append(c.labels, 0)[c.targets([(0, 1), (0, -1)])]
+    w, w_minus = (np.sqrt(2.0) * squeeze_factor_circle(s, lam, k) for s in (up, down + 1))
+    xp, xm = (c.terms[c.term_keys.index(key)]
+              for key in (("x_plus", 0, 1), ("x_minus", 0, -1)))
+    ep, keep, cas = xp / w, np.abs(c.labels) != lam, np.full(c.dim, lam * (lam + 1.0))
+    weights = np.concatenate([c.terms, [ep, xm / w_minus, ep * w, ep * w * keep,
+                                        xp * keep, keep, cas]])
+    for tag, r in zip(tab.tags, check_residuals(tab, weights, c.targets)):
+        rep.add_residual(tag, r, tol, lam=lam)
     return rep
 
 

@@ -1,15 +1,15 @@
-"""Sphere operators as (dl, dm) shift terms, and relation checks on them.
+"""Operators as shift terms, and relation checks on them.
 
-Every coordinate and angular-momentum component of the fuzzy sphere moves
-psi_l^m to psi_{l+dl}^{m+dm} for a few keys (dl, dm), with one weight per
-source basis vector, so a product of two of them is again a sum of shifts
-and costs O(dim) per key pair.  A target table T, row j for key j, holds
-the basis index of the label that the key moves each source to, or dim
-where that label does not exist; FuzzySphere.targets computes it from the
-labels (l, m) alone.  Here every weight row carries one
-trailing zero at index dim, and T one more source, dim, that maps to dim,
-so a gather through T reads 0 off the space.  A term must weigh 0
-wherever its target does not exist, as a dense matrix has no entry there.
+Every operator of both fuzzy spaces moves each basis label by a few keys,
+(dl, dm) on the sphere's (l, m) and (0, dn) on the circle's n, with one
+weight per source basis vector, so a product of two of them is again a
+sum of shifts and costs O(dim) per key pair.  A target table T, row j for
+key j, holds the basis index of the label that the key moves each source
+to, or dim where that label does not exist; each space's targets computes
+it from the labels alone.  Here every weight row carries one trailing
+zero at index dim, and T one more source, dim, that maps to dim, so a
+gather through T reads 0 off the space.  A term must weigh 0 wherever its
+target does not exist, as a dense matrix has no entry there.
 
 An atom (row, conj, off, key) weighs W[row, T[off][i]] at source i
 (conjugated if conj) and moves i by key: a stored term has off = (0, 0),

@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .circle import min_sharpness
-from .linop import diag_annihilator, readonly
+from .circle import min_sharpness, sharpness
+from .linop import ShiftTerms, diag_annihilator, readonly
 from .report import Report
 from .spectral import TridiagSpec
 
@@ -66,13 +66,10 @@ TERM_KEYS = (("x3", -1, 0), ("x3", 1, 0), ("x_plus", -1, 1), ("x_plus", 1, 1),
 
 
 @dataclass(frozen=True)
-class FuzzySphere:
-    """The sphere as read-only shift terms, its only operator data: row j
-    of `terms` is the weight, over the source basis index, of the term of
-    operator term_keys[j][0] that shifts (l, m) by term_keys[j][1:]
-    (TERM_KEYS for a build).  Every product with a state is a sum of
-    shifts, and every rotation and sector block is cut from the terms, so
-    replacing them changes the whole sphere."""
+class FuzzySphere(ShiftTerms):
+    """The sphere as read-only shift terms (see linop.ShiftTerms), its only
+    operator data: every rotation and sector block is cut from the terms,
+    so replacing them changes the whole sphere."""
 
     lam: int
     k: float
@@ -108,35 +105,11 @@ class FuzzySphere:
         return ((np.abs(near[:, 0]) <= self.lam)
                 & (np.abs(near).sum(axis=1) <= 2 * self.lam))
 
-    @cached_property
-    def _gather(self) -> tuple:
-        """(src, w): term j moves basis vector src[j, i] onto i with weight
-        w[j, i]; src is dim and w 0 where no basis vector moves onto i."""
-        src = self.targets([(-dl, -dm) for _, dl, dm in self.term_keys])
-        return src, np.take_along_axis(np.pad(self.terms, ((0, 0), (0, 1))),
-                                       src, axis=1)
-
-    def _apply(self, rows: np.ndarray, ops) -> list:
-        """Each operator in ops applied to each row of rows, a (n, dim)
-        array of states: the sum of its terms, each one gather."""
-        src, w = self._gather
-        padded = np.zeros((rows.shape[0], self.dim + 1), dtype=complex)
-        padded[:, :-1] = rows
-        out = dict.fromkeys(ops, 0.0)
-        for j, (name, _, _) in enumerate(self.term_keys):
-            if name in out:
-                out[name] = out[name] + w[j] * padded[:, src[j]]
-        return [out[op] for op in ops]
-
     def moments(self, v: np.ndarray) -> tuple:
         """(<x>, <x^2>, <L>, <L^2>) of each column of the (dim, n) block v,
-        the vectors (3, n), from <x_+> = <x_1> + i <x_2> and likewise L_+;
-        over contiguous rows, so each sum is numpy's pairwise sum."""
-        rows = np.ascontiguousarray(v.T)
-        conj = rows.conj()
-        xp, x3, lp, l3, l2, x2 = (
-            np.sum(conj * a, axis=1) for a in self._apply(
-                rows, ("x_plus", "x3", "L_plus", "L3", "l2", "x_squared")))
+        the vectors (3, n), from <x_+> = <x_1> + i <x_2> and likewise L_+."""
+        xp, x3, lp, l3, l2, x2 = self._means(
+            v, ("x_plus", "x3", "L_plus", "L3", "l2", "x_squared"))
         return (np.array([xp.real, xp.imag, x3.real]), x2.real,
                 np.array([lp.real, lp.imag, l3.real]), l2.real)
 
@@ -166,18 +139,6 @@ class FuzzySphere:
         at = l * l + l                          # the index of psi_l^0
         return {m: TridiagSpec(down[at[m + 1:] + m]) for m in range(self.lam + 1)}
 
-    def h_eff(self, b, v: np.ndarray) -> tuple:
-        """(E_0, H(b) v) for H(b) = x^2 - 2 b.x and a 1-d v.  By O(3)
-        covariance H(b) has the spectrum of x^2 - 2 |b| x_3, so E_0 is the
-        lowest over the sectors; -2 (b_1 x_1 + b_2 x_2) v is
-        -(b_1 - i b_2) x_+ v - (b_1 + i b_2) x_- v."""
-        r, bp = float(np.linalg.norm(b)), b[0] - 1j * b[1]
-        e0 = min(np.linalg.eigvalsh(q - 2.0 * r * x3)[0]
-                 for _, q, x3 in self.sectors())
-        sq, xp, xm, x3 = self._apply(v[None, :], ("x_squared", "x_plus",
-                                                  "x_minus", "x3"))
-        return e0, (sq - bp * xp - np.conj(bp) * xm - 2.0 * b[2] * x3)[0]
-
     @cached_property
     def l2_eigh(self) -> tuple:
         """(slice, eigenvalues, eigenvectors) of the L_2 block of each level
@@ -196,25 +157,11 @@ class FuzzySphere:
         return tuple(out)
 
 
-def _x_squared(lam: int, k: float, l_of: np.ndarray) -> np.ndarray:
-    """The diagonal of x^2 = x_0^2 + (x_+ x_- + x_- x_+)/2 in closed form,
-    1 + (L^2 + 1)/k less an edge term on the top level, which has no level
-    lam+1 above it."""
-    edge = (1.0 + (lam + 1) ** 2 / k) * (lam + 1) / (2 * lam + 1)
-    return 1.0 + (l_of * (l_of + 1) + 1.0) / k - edge * (l_of == lam)
-
-
 def build_sphere(lam: int, k: float | None = None) -> FuzzySphere:
     """Construct the fuzzy sphere at truncation lam (lam = 0 gives the
     one-dimensional space with vanishing coordinates); k defaults to
     max(k_min, 1) and may not lie below k_min."""
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    kmin = min_sharpness(lam)
-    k = max(kmin, 1.0) if k is None else float(k)
-    if k <= 0 or not k >= kmin * (1 - 1e-12):  # also rejects nan
-        raise ValueError(f"k={k} below the admissible minimum {kmin}")
-
+    k = sharpness(lam, k, lam_min=0)
     l_of = np.concatenate([np.full(2 * l + 1, l) for l in range(lam + 1)])
     m_of = np.concatenate([np.arange(-l, l + 1) for l in range(lam + 1)])
     l_of.setflags(write=False)
@@ -230,8 +177,11 @@ def build_sphere(lam: int, k: float | None = None) -> FuzzySphere:
     for a in (0, 1, -1):
         rows.append(c[l_of] * clebsch_a(l_of, a, m_of))
         rows.append(c[l_of + 1] * clebsch_a(l_of + 1, -a, m_of + a))  # B_l^{a,m}
-    rows += [np.sqrt((l_of - m_of) * (l_of + m_of + 1)), m_of,
-             l_of * (l_of + 1), _x_squared(lam, k, l_of)]
+    # x^2 = x_0^2 + (x_+ x_- + x_- x_+)/2 in closed form is 1 + (L^2 + 1)/k
+    # less an edge term on the top level, which has no level lam+1 above it
+    edge = (1.0 + (lam + 1) ** 2 / k) * (lam + 1) / (2 * lam + 1)
+    rows += [np.sqrt((l_of - m_of) * (l_of + m_of + 1)), m_of, l_of * (l_of + 1),
+             1.0 + (l_of * (l_of + 1) + 1.0) / k - edge * (l_of == lam)]
     return FuzzySphere(lam=lam, k=k, term_keys=TERM_KEYS,
                        terms=readonly(np.array(rows, dtype=complex)),
                        l_of=l_of, m_of=m_of)

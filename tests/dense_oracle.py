@@ -1,13 +1,13 @@
-"""Dense oracle for the sphere's term suites, moments and rotations.
+"""Dense oracle for the term suites, moments and rotations of both spaces.
 
-The sphere keeps its operators only as shift terms.  `dense` scatters any
-of them into a dim x dim matrix, and the checks below are the relation
-and so(4) suites formed as dense products of those matrices, so the tests
-can compare the two record by record.  `rotation_operator` is pi(g) as a
-dense matrix, `expm_hermitian_generator` the exponential of a dense
-generator, and `identity_sum_sphere` a strong family's whole quadrature
-sum.  They cost O(dim^2) memory and up to O(dim^3) time, so keep them to
-small truncations (lambda <= 12).
+The circle and the sphere keep their operators only as shift terms.
+`dense` scatters any of them into a dim x dim matrix, and the checks
+below are the relation, su(2) and so(4) suites formed as dense products
+of those matrices, so the tests can compare the two record by record.
+`rotation_operator` is pi(g) as a dense matrix, `expm_hermitian_generator`
+the exponential of a dense generator, and `identity_sum_sphere` a strong
+family's whole quadrature sum.  They cost O(dim^2) memory and up to
+O(dim^3) time, so keep them to small truncations (lambda <= 12).
 """
 
 from itertools import combinations
@@ -15,19 +15,25 @@ from itertools import combinations
 import numpy as np
 
 from fuzzysphere import coherent
-from fuzzysphere.lierep import _PAIRINGS, g_weight
-from fuzzysphere.linop import diag_annihilator, frobenius_residual, readonly
+from fuzzysphere.lierep import _PAIRINGS, g_weight, squeeze_factor_circle
+from fuzzysphere.linop import diag_annihilator, readonly
 from fuzzysphere.report import Report
-from fuzzysphere.sphere import EPS, FuzzySphere
+from fuzzysphere.sphere import EPS
+
+
+def frobenius_residual(a, b) -> float:
+    """Relative Frobenius distance ||a - b||_F / (1 + ||b||_F), the
+    normalisation of shift.check_residuals."""
+    return float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(b)))
 
 
 def dense(space, name: str) -> np.ndarray:
-    """The read-only dense matrix of operator `name`.  On a sphere it is
-    scattered from the term weights of a stored operator (a TERM_KEYS
-    name), or formed as L1 = (L_+ + L_+^dag)/2, L2 = (L_+ - L_+^dag)/2i,
-    x1 = (x_+ + x_-)/2 or x2 = (x_+ - x_-)/2i; the circle and the Madore
-    sphere keep their matrices as fields."""
-    if not isinstance(space, FuzzySphere):
+    """The read-only dense matrix of operator `name`, scattered from the
+    term weights of a stored operator (a term_keys name) through the
+    space's targets, or formed as L1 = (L_+ + L_+^dag)/2, L2 = (L_+ -
+    L_+^dag)/2i, x1 = (x_+ + x_-)/2 or x2 = (x_+ - x_-)/2i.  The Madore
+    sphere has no terms and keeps its matrices as fields."""
+    if not hasattr(space, "terms"):
         return getattr(space, name)
     if name in ("L1", "L2", "x1", "x2"):
         plus = dense(space, name[0] + "_plus")
@@ -54,7 +60,7 @@ def x_ops(space) -> tuple:
 def L_ops(space) -> tuple:
     """The dense angular momenta: (L,) on the circle, (L1, L2, L3) else."""
     if hasattr(space, "labels"):
-        return (space.L,)
+        return (dense(space, "L"),)
     return tuple(dense(space, n) for n in ("L1", "L2", "L3"))
 
 
@@ -121,6 +127,79 @@ def identity_sum_sphere(s, family: str, omega=None, beta=None) -> np.ndarray:
     nu = np.concatenate([vals for _, vals, _ in eigs])
     polar = coherent._weave(nu, thetas, w_th) * by_levels(eigs, gram)
     return norm * (weave * by_levels(eigs, polar, inverse=True))
+
+
+def verify_circle_relations(c, tol: float = 1e-10) -> Report:
+    """Residuals of the circle's defining relations; pass iff all are <=
+    tol."""
+    rep = Report()
+    lam, k, dim = c.lam, c.k, c.dim
+    L, xp, xm = (dense(c, n) for n in ("L", "x_plus", "x_minus"))
+
+    rep.add_residual("commrelD=2'/[L,x+]", frobenius_residual(L @ xp - xp @ L, xp),
+                     tol, lam=lam)
+    rep.add_residual("commrelD=2'/[L,x-]", frobenius_residual(L @ xm - xm @ L, -xm),
+                     tol, lam=lam)
+    rep.add_residual("commrelD=2'/adjoint", frobenius_residual(xp.conj().T, xm),
+                     tol, lam=lam)
+    rep.add_residual("commrelD=2'/L-herm", frobenius_residual(L.conj().T, L),
+                     tol, lam=lam)
+
+    edge = 1.0 + lam * (lam + 1) / k
+    p_top = np.diag(c.labels == lam).astype(float)
+    p_bot = np.diag(c.labels == -lam).astype(float)
+    rhs_comm = -2.0 * L / k + edge * (p_top - p_bot)
+    rep.add_residual("y+y-", frobenius_residual(xp @ xm - xm @ xp, rhs_comm),
+                     tol, lam=lam)
+    sq = (xp @ xm + xm @ xp) / 2.0
+    rep.add_residual("defR2D=2", frobenius_residual(sq, dense(c, "x_squared")),
+                     tol, lam=lam)
+
+    poly = diag_annihilator(np.diag(L), range(-lam, lam + 1))
+    rep.add_residual("commrelD=2/L-poly", float(np.abs(poly).max()), tol, lam=lam)
+    nil = np.linalg.matrix_power(xp, dim)
+    rep.add_residual("commrelD=2/nilpotent", frobenius_residual(nil, np.zeros_like(nil)),
+                     tol, lam=lam)
+    return rep
+
+
+def verify_su2_reconstruction(c, tol: float = 1e-10) -> Report:
+    """Cartan-Weyl relations, scalar Casimir and squeeze round-trip, with
+    E_+ and E_- reconstructed row by row from the dense x_+ and x_-."""
+    rep = Report()
+    lam, k = c.lam, c.k
+    w = np.sqrt(2.0) * squeeze_factor_circle(c.labels[:-1], lam, k)
+    w_minus = np.sqrt(2.0) * squeeze_factor_circle(c.labels[1:] + 1, lam, k)
+    x_plus = dense(c, "x_plus")
+    ep, em = np.array(x_plus), np.array(dense(c, "x_minus"))
+    ep[:-1] /= w[:, None]
+    em[1:] /= w_minus[:, None]
+    e0 = dense(c, "L")
+    eye = np.eye(c.dim)
+
+    rep.add_residual("su2rel/[E+,E-]", frobenius_residual(ep @ em - em @ ep, e0),
+                     tol, lam=lam)
+    rep.add_residual("su2rel/[E0,E+]", frobenius_residual(e0 @ ep - ep @ e0, ep),
+                     tol, lam=lam)
+    rep.add_residual("su2rel/[E0,E-]", frobenius_residual(e0 @ em - em @ e0, -em),
+                     tol, lam=lam)
+    rep.add_residual("su2rel/adjoint", frobenius_residual(ep.conj().T, em),
+                     tol, lam=lam)
+    cas = ep @ em + e0 @ e0 + em @ ep
+    rep.add_residual("isomD2/casimir",
+                     frobenius_residual(cas, lam * (lam + 1) * eye), tol, lam=lam)
+
+    # forward squeeze re-applied to the reconstructed ladder
+    xp_back = np.array(ep)
+    xp_back[:-1] *= w[:, None]
+    rep.add_residual("transfD2/roundtrip", frobenius_residual(xp_back, x_plus),
+                     tol, lam=lam)
+    keep = np.abs(c.labels) != lam
+    off_edge = np.outer(keep, keep)             # P X P with P = 1 - P_lam - P_-lam
+    rep.add_residual("transfD2/roundtrip-offedge",
+                     frobenius_residual(xp_back * off_edge, x_plus * off_edge),
+                     tol, lam=lam)
+    return rep
 
 
 def verify_sphere_relations(s, tol: float = 1e-10) -> Report:

@@ -392,7 +392,8 @@ def test_cli_import_leaves_pool_modules_unloaded():
     probe = (
         "import sys\n"
         "import fuzzysphere.cli as cli\n"
-        "mods = ('multiprocessing', 'concurrent.futures', 'csv')\n"
+        "mods = ('multiprocessing', 'concurrent.futures', 'csv',"
+        " 'fuzzysphere.shift')\n"
         "print([m for m in mods if m in sys.modules])\n"
         "import concurrent.futures\n"
         "print(cli.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor)\n"

@@ -114,8 +114,9 @@ def test_circle_hur_block_catches_one_offending_state(where):
     # <x> != 0 breaks HURS^1; the basis states around it, with <x> = 0,
     # still pass, and the block must fail whichever column holds it
     c = build_circle(4)
-    broken = dataclasses.replace(c, L=np.zeros_like(c.L),
-                                 l2=np.zeros_like(c.l2))
+    terms = np.array(c.terms)
+    terms[[c.term_keys.index(("L", 0, 0)), c.term_keys.index(("l2", 0, 0))]] = 0.0
+    broken = dataclasses.replace(c, terms=terms)
     block = np.eye(c.dim, dtype=complex)
     assert check_heisenberg_circle(broken, block).passed
     j = {"first": 0, "middle": c.dim // 2, "last": c.dim - 1}[where]

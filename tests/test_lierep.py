@@ -50,12 +50,12 @@ def test_squeeze_factor_reflection(lam, s):
 def test_su2_ladder_action_small():
     # lam=1, k=4: x_+ psi_0 = psi_1 and f_+(1) = 1/sqrt(2), so E_+ psi_0 = psi_1
     c = build_circle(1, 4.0)
-    ep = np.array(c.x_plus)
+    ep = np.array(dense(c, "x_plus"))
     ep[:-1] /= np.sqrt(2.0) * squeeze_factor_circle(c.labels[:-1], 1, 4.0)[:, None]
     out = ep[:, c.index(0)]
     assert out[c.index(1)] == pytest.approx(1.0)
     # the Casimir E_+ E_- + E_0^2 + E_- E_+ is lam(lam+1) = 2
-    cas = ep @ ep.conj().T + c.l2 + ep.conj().T @ ep
+    cas = ep @ ep.conj().T + dense(c, "l2") + ep.conj().T @ ep
     assert np.real(np.trace(cas)) / c.dim == pytest.approx(2.0)
 
 
@@ -70,9 +70,9 @@ def test_su2_adjoint_catches_tampered_x_minus():
     # E_- is reconstructed from x_- with its own factor f_-, so a 0.1% error
     # in one weight of x_- breaks su2rel/adjoint
     c = build_circle(4)
-    xm = np.array(c.x_minus)
-    xm[c.index(0), c.index(1)] *= 1.001
-    rep = verify_su2_reconstruction(dataclasses.replace(c, x_minus=xm))
+    terms = np.array(c.terms)
+    terms[c.term_keys.index(("x_minus", 0, -1)), c.index(1)] *= 1.001  # psi_1 to psi_0
+    rep = verify_su2_reconstruction(dataclasses.replace(c, terms=terms))
     adjoint = next(r for r in rep.checks if r.tag == "su2rel/adjoint")
     assert not adjoint.passed
 
@@ -331,8 +331,9 @@ def test_rotations_share_one_eigendecomposition(monkeypatch):
 def test_circle_rotation_matches_dense_exponential():
     c = build_circle(5)
     for alpha in (0.0, 1.3, -4.2):
-        assert np.abs(rotate(c, alpha, np.eye(c.dim))
-                      - expm_hermitian_generator(c.L, alpha)).max() <= 1e-14
+        assert (np.abs(rotate(c, alpha, np.eye(c.dim))
+                       - expm_hermitian_generator(dense(c, "L"), alpha)).max()
+                <= 1e-14)
 
 
 def test_rotation_unitary_and_block_diagonal():
