@@ -97,7 +97,9 @@ def sharpness(lam: int, k: float | None, lam_min: int = 1) -> float:
         raise ValueError(f"lam must be >= {lam_min}, got {lam}")
     kmin = min_sharpness(lam)
     k = max(kmin, 1.0) if k is None else float(k)
-    if k <= 0 or not k >= kmin * (1 - 1e-12):  # also rejects nan
+    if np.isnan(k):
+        raise ValueError("k=nan is not a number")
+    if k <= 0 or k < kmin * (1 - 1e-12):
         raise ValueError(f"k={k} below the admissible minimum {kmin}")
     return k
 

@@ -6,8 +6,9 @@ no file.  `verify`, `scs` and `minimize` assemble per-truncation check
 records into a report and write it as JSON to `--json`, if given.
 `spectrum` writes the spectra CSV, one row per eigenvalue, and `plotdata`
 the plot-ready CSV, each to its required `--csv`.  All randomized checks
-draw from a generator seeded by (--seed, d, lam), so reports are
-reproducible and independent of the degree of parallelism.
+draw from the package's SplitMix64 stream (`linop.Stream`) keyed by
+(--seed, d, lam, salt), so reports are reproducible, independent of the
+degree of parallelism and of numpy's random-number algorithms.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .coherent import (check_heisenberg_circle, dispersion,
                        verify_identity_resolution_sphere, verify_weak_orbit)
 from .lierep import (EulerAngles, verify_so4_reconstruction,
                      verify_su2_reconstruction)
-from .linop import random_states
+from .linop import Stream, random_states
 from .report import CheckRecord, Report
 from .spectral import (TridiagSpec, agrees_with_dense, alpha1_bound,
                        circle_diag_report, eig_bisection_many,
@@ -62,8 +63,8 @@ def _build_space(d: int, lam: int, k):
     return build_circle(lam, k) if d == 1 else build_sphere(lam, k)
 
 
-def _rng(seed: int, d: int, lam: int, salt: int = 0):
-    return np.random.default_rng([seed, d, lam, salt])
+def _rng(seed: int, d: int, lam: int, salt: int = 0) -> Stream:
+    return Stream(seed, d, lam, salt)
 
 
 def _random_euler(rng) -> EulerAngles:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _sturm
+from .linop import Stream
 from .report import CheckRecord, Report
 
 __all__ = [
@@ -154,12 +155,12 @@ def spectrum_invariance_under_phases(t: TridiagSpec, rng=None,
     values for |a_k| off the diagonal where the counts certify them,
     bisected elsewhere), agrees within tol with numpy's dense eigvalsh of
     the complex hermitian matrix and of a random rephasing of its
-    off-diagonal entries.  It takes t alone, at min(tol, 1e-12); to check
-    many matrices in one kernel call, pass each spectrum of
-    eig_bisection_many to agrees_with_dense, as the CLI's spectra suite
-    does."""
+    off-diagonal entries, drawn from rng (default linop.Stream(0)).  It
+    takes t alone, at min(tol, 1e-12); to check many matrices in one kernel
+    call, pass each spectrum of eig_bisection_many to agrees_with_dense, as
+    the CLI's spectra suite does."""
     if rng is None:
-        rng = np.random.default_rng(0)
+        rng = Stream(0)
     values = eig_bisection(t, min(tol, 1e-12)).values
     return agrees_with_dense(values, (t, random_rephasing(t, rng)), tol)
 

@@ -27,6 +27,10 @@ def test_build_validations():
     for bad in (0, None), (2, 10.0), (2, float("nan")):
         with pytest.raises(ValueError):
             coordinate_matrix(*bad)
+    with pytest.raises(ValueError, match="not a number"):
+        build_circle(2, float("nan"))
+    with pytest.raises(ValueError, match="below the admissible minimum 36"):
+        build_circle(2, 10.0)
     assert np.array_equal(coordinate_matrix(3).offdiag,
                           coordinate_matrix(3, min_sharpness(3)).offdiag)
 

@@ -296,6 +296,10 @@ def test_nan_input_exits_two(argv, capsys):
     except SystemExit as exc:
         code = exc.code
     assert code == 2
+    if "--k" in argv:
+        # nan is not below the admissible minimum: it is no number at all
+        err = capsys.readouterr().err
+        assert "k=nan is not a number" in err and "minimum" not in err
 
 
 def test_infinite_sharpness_accepted(capsys):
@@ -405,6 +409,23 @@ def test_cli_import_leaves_pool_modules_unloaded():
     assert out.split("\n") == ["[]", "True", "False", ""]
 
 
+@pytest.mark.parametrize("d", ["1", "2"])
+def test_verify_leaves_numpy_random_unloaded(d):
+    # a fresh interpreter: the seeded checks draw from linop.Stream, and
+    # this one has imported numpy.random already
+    probe = (
+        "import sys\n"
+        "import fuzzysphere.cli as cli\n"
+        f"code = cli.main(['verify', '--d', '{d}', '--lambda', '1..3',"
+        " '--suite', 'all', '--seed', '7'])\n"
+        "print(code, 'numpy.random' in sys.modules)\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(fuzzysphere.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "0 False"
+
+
 def test_report_json_is_one_sorted_line():
     report = Report(config={"lam_hi": 3, "d": 2, "tol": None})
     report.add_residual("relD3/x2", 1e-16, 1e-10, lam=3, m=-1)
@@ -494,7 +515,8 @@ def _phase_record(records):
 @pytest.mark.parametrize("tol", [1e-10, 3e-15])
 def test_spectra_phase_check_matches_per_matrix_verdicts(monkeypatch, d, tol):
     # the suite's 20 random tridiagonals, drawn again one by one and checked
-    # by the single-matrix path; at tol 3e-15 some of them fail
+    # by the single-matrix path; at tol 3e-15 some of them fail, so both
+    # branches of the record are compared
     rng = cli._rng(5, d, 0, 3)
     single = []
     for _ in range(20):
@@ -513,6 +535,10 @@ def test_spectra_phase_check_matches_per_matrix_verdicts(monkeypatch, d, tol):
     record = _phase_record(cli._spectra_records(config))
     assert batched == single
     assert record.passed == all(single)
+    if tol == 3e-15:
+        assert 0 < sum(single) < len(single)
+    else:
+        assert all(single)
     # the diagonal report's call, then one for the 20 (+ Toeplitz) matrices
     assert kernel_calls[1:] == [21 if d == 1 else 20]
 

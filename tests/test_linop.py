@@ -4,6 +4,7 @@ names."""
 
 import dataclasses
 import importlib
+import math
 import pkgutil
 
 import numpy as np
@@ -15,10 +16,12 @@ from fuzzysphere.coherent import (check_heisenberg_circle, dispersion,
                                   minimizer_certificate, verify_weak_orbit,
                                   weak_scs_orbit)
 from dense_oracle import expm_hermitian_generator, frobenius_residual
-from fuzzysphere.linop import (diag_annihilator, normalized_columns,
+from fuzzysphere import linop
+from fuzzysphere.linop import (Stream, diag_annihilator, normalized_columns,
                                random_states, unit_columns)
 from fuzzysphere.sphere import FuzzySphere, build_sphere
 from madore import build_madore
+import splitmix_oracle
 
 
 def random_matrix(rng, n):
@@ -136,13 +139,80 @@ def test_unit_columns_checks_every_column():
 
 
 def test_random_states_draw_order():
-    # state j is dim real parts then dim imaginary parts, in draw order
-    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
-    block = random_states(rng, 3, 4)
-    for j in range(4):
-        v = ref.normal(size=3) + 1j * ref.normal(size=3)
-        assert np.allclose(block[:, j], v / np.linalg.norm(v), rtol=0, atol=1e-15)
-    assert rng.normal() == ref.normal()
+    # state j is dim real parts then dim imaginary parts, in draw order,
+    # from the package's stream or a numpy Generator
+    for make in (Stream, np.random.default_rng):
+        rng, ref = make(9), make(9)
+        block = random_states(rng, 3, 4)
+        for j in range(4):
+            v = ref.normal(size=3) + 1j * ref.normal(size=3)
+            assert np.allclose(block[:, j], v / np.linalg.norm(v),
+                               rtol=0, atol=1e-15)
+        assert rng.normal() == ref.normal()
+
+
+@pytest.mark.parametrize("seed", [[0], [7, 2, 9, 1], [2**64 - 1], [2**70]])
+def test_stream_matches_python_oracle(seed, monkeypatch):
+    want = splitmix_oracle.words(seed, 1000)
+    assert Stream(*seed)._words(1000).tolist() == want
+    # drawn in pieces, the stream goes on where it stopped
+    pieces = Stream(*seed)
+    got = [w for n in (1, 2, 997) for w in pieces._words(n).tolist()]
+    assert got == want
+    uniforms = [(w >> 11) * 2.0**-53 for w in want]
+    assert Stream(*seed).random(1000).tolist() == uniforms
+    # the buffer's block size changes no value
+    monkeypatch.setattr(linop, "_BLOCK", 7)
+    rng = Stream(*seed)
+    assert [x for n in (3, 1, 9, 987) for x in rng.random(n).tolist()] == uniforms
+    # normal j is the Box-Muller cosine of uniforms 2j and 2j + 1
+    box_muller = [math.sqrt(-2.0 * math.log1p(-a)) * math.cos(2 * math.pi * b)
+                  for a, b in zip(uniforms[0::2], uniforms[1::2])]
+    assert np.allclose(Stream(*seed).normal(size=500), box_muller,
+                       rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng, size=None: rng.random(size),
+    lambda rng, size=None: rng.uniform(-2.0, 3.0, size),
+    lambda rng, size=None: rng.normal(size=size),
+])
+def test_stream_block_draw_equals_single_draws(draw):
+    block = draw(Stream(3, 1), (4, 5))
+    rng = Stream(3, 1)
+    single = [draw(rng) for _ in range(20)]
+    assert block.shape == (4, 5)
+    assert all(type(x) is float for x in single)
+    assert block.ravel().tolist() == single
+
+
+def test_stream_integers_cover_their_range():
+    rng = Stream(4)
+    got = [rng.integers(2, 16) for _ in range(10**4)]
+    assert set(got) == set(range(2, 16))
+    assert {rng.integers(-1, 2) for _ in range(100)} == {-1, 0, 1}
+    with pytest.raises(ValueError, match="empty range"):
+        rng.integers(5, 5)
+
+
+def test_stream_normal_moments():
+    n = 10**5
+    z = Stream(11).normal(size=n)
+    # the sample mean has sd 1/sqrt(n), the sample variance about sqrt(2/n)
+    assert abs(z.mean()) < 5 / np.sqrt(n)
+    assert abs(z.var() - 1.0) < 5 * np.sqrt(2 / n)
+
+
+def test_stream_keys_tell_seed_words_apart():
+    seeds = [[1, 2], [2, 1], [1, 2, 0], [2**70], [2**70 % 2**64], [0, 64],
+             [2**64, 5], [0, 1 + 5 * 2**64]]
+    firsts = [tuple(Stream(*s)._words(4).tolist()) for s in seeds]
+    assert len(set(firsts)) == len(seeds)
+    assert Stream(np.int64(7), 2)._words(3).tolist() == Stream(7, 2)._words(3).tolist()
+    with pytest.raises(ValueError, match=">= 0"):
+        Stream(3, -1)
+    with pytest.raises(TypeError):
+        Stream(1.5)
 
 
 def test_expm_unitary():
