@@ -330,11 +330,13 @@ def write_spectra_csv(d: int, lams, k, path: str) -> int:
 def emit_plot_data(d: int, lams, k, path: str) -> int:
     """Long-format plot-ready CSV: dispersion minima with their bound,
     top eigenvalues with the theorem bound, and the interlacing ladder."""
-    mats = [coordinate_matrix(lam, k) if d == 1 else coordinate_blocks(lam, k)[0]
-            for lam in lams]
+    minima, mats = [], []
+    for lam in lams:
+        space = _build_space(d, lam, k)
+        minima.append(minimize_dispersion(space)[1])
+        mats.append(coordinate_matrix(lam, k) if d == 1 else space.x3_blocks()[0])
     rows = []
-    for lam, spec in zip(lams, eig_bisection_many(mats)):
-        _, val = minimize_dispersion(_build_space(d, lam, k))
+    for lam, val, spec in zip(lams, minima, eig_bisection_many(mats)):
         rows.append(("dispersion", lam, lam, val))
         rows.append(("dispersion-bound", lam, lam, _dispersion_bound(d, lam)))
         rows.append(("alpha1", lam, lam, spec.values[0]))

@@ -2,24 +2,24 @@
 
 The strong families come with exact resolutions of the identity; because
 every integrand built from the truncated representation is a trigonometric
-polynomial of bounded degree, uniform azimuthal grids of 4*lam+3 points and
-Gauss-Legendre rules with 4*lam+4 nodes in cos(theta) integrate them exactly,
-so the identity checks are rounding-level assertions rather than convergence
-studies.  Each sum over quadrature nodes is one weave: for diagonal phases
-D_t = diag(e^{i t nu}), sum_t w_t D_t G D_t^dag is the entrywise product
-K * G with K = (B w) B^dag, B[i, t] = e^{i t nu_i}.  The identity holds for
-any nodes and weights, and K is taken from the actual grid, so a rule too
-coarse to integrate a family still shows in the residual.  The Gauss-
-Legendre rule comes from the Legendre Jacobi matrix (Golub-Welsch).
+polynomial of bounded degree, the uniform azimuthal rule and Gauss-Legendre
+rules with 4*lam+4 nodes in cos(theta) integrate them exactly, so the
+identity checks are rounding-level assertions rather than convergence
+studies.  Each sum over nodes is one weave: for D_t = diag(e^{i t nu}),
+sum_t w_t D_t G D_t^dag = K * G (entrywise), K[i, j] = sum_t w_t
+e^{i t (nu_i - nu_j)}.  The azimuthal labels (n, m) are integers, so each
+azimuthal K is read from kappa(D) = sum_t e^{i t D}; the polar K is formed
+densely from the exact L_2 eigenvalues nu, so a wrong L_2 spectrum shows,
+and both come from the actual rules, so a rule too coarse shows too.  The
+Gauss-Legendre rule comes from the Legendre Jacobi matrix (Golub-Welsch).
 
-On the sphere no sum is formed as a dim x dim array.  The azimuthal weave
-is kappa(m_i - m_j), read from the 4*lam+1 values kappa(D) of the actual
-grid.  The spin family's sum is one (2l+1)^2 block per level; the phi
-seed is rank one, so its sum is Z w Z^dag with one column of Z per polar
-node; the omega sum is reassociated as V (K_polar * (V^dag G_0 V)) V^dag.
-The phi and omega sums are formed a chunk of whole levels of rows at a
-time, and each chunk's entries of S - I are added to the residual, so the
-residual is the exact Frobenius norm of S - I.
+On the sphere no sum is formed as a dim x dim array.  The spin family's
+sum is one (2l+1)^2 block per level; the phi seed is rank one, so its sum
+is Z w Z^dag with one column of Z per polar node; the omega sum is
+reassociated as V (K_polar * (V^dag G_0 V)) V^dag.  The phi and omega sums
+are formed a chunk of whole levels of rows at a time, and each chunk's
+entries of S - I are added to the residual, so the residual is the exact
+Frobenius norm of S - I.
 
 The weak families are orbits of the dispersion minimizer.  Its minimum is
 min over beta of beta^2 + E_0(beta), with E_0 the ground energy of
@@ -152,26 +152,26 @@ def strong_scs_circle(c, beta: np.ndarray, alpha: float) -> np.ndarray:
     return _strong_circle_columns(c, beta, [alpha])[:, 0]
 
 
-def _weave(labels, angles, weights=None) -> np.ndarray:
-    """K = (B w) B^dag with B[i, t] = e^{i t labels_i}: the entrywise factor
-    for which sum_t w_t D_t G D_t^dag = K * G, D_t = diag(e^{i t labels}),
-    for every G (unit weights when weights is None)."""
-    b = np.exp(1j * np.outer(labels, angles))
-    w = 1.0 if weights is None else np.asarray(weights)
-    return (b * w) @ b.conj().T
+def _azimuthal_nodes(lam: int) -> np.ndarray:
+    """The 4 lam + 3 uniform angles of every azimuthal sum, exact for
+    e^{i t D} with |D| <= 2 lam, the widest label difference."""
+    n = 4 * lam + 3
+    return TWO_PI * np.arange(n) / n
 
 
-def verify_identity_resolution_circle(c, beta=None, npoints: int | None = None,
-                                      tol: float = 1e-10) -> Report:
-    """Quadrature check of (2L+1)/(2pi) int dalpha P_alpha^beta = id; the
-    states are e^{i alpha L} omega_0^beta, so their projectors sum to a weave."""
-    if beta is None:
-        beta = np.zeros(c.dim)
-    if npoints is None:
-        npoints = 4 * c.lam + 3
-    alphas = TWO_PI * np.arange(npoints) / npoints
-    u = _strong_circle_columns(c, beta, [0.0])[:, 0]
-    total = c.dim / npoints * (_weave(c.labels, alphas) * np.outer(u, u.conj()))
+def _kappa(angles, lam: int) -> np.ndarray:
+    """kappa[D + 2 lam] = sum_t e^{i angles_t D} for D = -2 lam..2 lam."""
+    return np.exp(1j * np.outer(np.arange(-2 * lam, 2 * lam + 1), angles)).sum(axis=1)
+
+
+def verify_identity_resolution_circle(c, beta=None, tol: float = 1e-10) -> Report:
+    """Quadrature check of (2L+1)/(2pi) int dalpha P_alpha^beta = id over the
+    n-point azimuthal rule: the states are e^{i alpha L} u, u = omega_0^beta,
+    so the sum is (2L+1)/n kappa(n_i - n_j) * u u^dag."""
+    alphas = _azimuthal_nodes(c.lam)
+    u = _strong_circle_columns(c, np.zeros(c.dim) if beta is None else beta, [0.0])[:, 0]
+    weave = _kappa(alphas, c.lam)[c.labels[:, None] - c.labels + 2 * c.lam]
+    total = c.dim / alphas.size * (weave * np.outer(u, u.conj()))
     resid = float(np.linalg.norm(total - np.eye(c.dim)))
     rep = Report()
     rep.add_residual("IdResolS^1_L", resid, tol, lam=c.lam)
@@ -309,27 +309,25 @@ def _identity_residual_sphere(s, family: str, omega=None, beta=None) -> float:
     projectors; it is 0 exactly when the nodes integrate the family exactly.
 
     With pi(g) = e^{i phi L_3} V e^{i theta nu} V^dag e^{i psi L_3} (V, nu
-    the per-level eigenvectors and eigenvalues of L_2), each angle's sum is
-    one weave, which holds term by term for any rule, so a rule too coarse
-    to integrate the family still shows:
+    the per-level eigenvectors and eigenvalues of L_2), the sum is
 
         S = norm * W * (V (K_polar * (V^dag G_0 V)) V^dag),
 
-    K_polar the Gauss-Legendre weave of nu and W the azimuthal weave of m,
-    W[i, j] = kappa(m_i - m_j) with kappa(D) = sum_t e^{i phi_t D} taken
-    from the actual grid, D = -2 lam..2 lam.  Only the seed Gram matrix G_0
-    differs: diagonal 2l+1 at psi_l^l (spin), v v^dag for the phi seed v
-    (phi), and the psi sum W * omega omega^dag (omega).  S is formed block
-    by block (a level for spin, chunks of whole levels of rows for phi and
-    omega) and every entry of S - I is summed; no dim x dim array is made.
+    W[i, j] = kappa(m_i - m_j) the weave of the azimuthal rule (one rule
+    for psi and phi, whose size sets norm) and K_polar the Gauss-Legendre
+    weave of nu.  Only the seed Gram matrix G_0 differs: diagonal 2l+1 at
+    psi_l^l (spin), v v^dag for the phi seed v (phi), and the psi sum
+    W * omega omega^dag (omega).  S is formed block by block (a level for
+    spin, chunks of whole levels of rows for phi and omega) and every entry
+    of S - I is summed; no dim x dim array is made.
     """
     if family not in _SPHERE_RESOLUTION_TAGS:
         raise ValueError(f"unknown family {family!r}")
     lam = s.lam
-    n_az = 4 * lam + 3
+    phis = _azimuthal_nodes(lam)
     if family == "spin":
         seed = np.where(s.l_of == s.m_of, np.sqrt(2.0 * s.l_of + 1.0), 0.0)
-        norm = TWO_PI / n_az / (4.0 * np.pi)
+        norm = TWO_PI / phis.size / (4.0 * np.pi)
     elif family == "omega":
         if omega is None:
             raise ValueError("the omega family needs a seed vector")
@@ -339,13 +337,12 @@ def _identity_residual_sphere(s, family: str, omega=None, beta=None) -> float:
         if np.any(defect > 1e-12):
             bad = {l: float(d) for l, d in enumerate(defect) if d > 1e-12}
             raise ValueError(f"weight condition violated, per-l defect: {bad}")
-        norm = (lam + 1) ** 2 * (TWO_PI / n_az) ** 2 / (8.0 * np.pi ** 2)
+        norm = (lam + 1) ** 2 * (TWO_PI / phis.size) ** 2 / (8.0 * np.pi ** 2)
     else:
         seed = _phi_seed(s, np.zeros(lam + 1) if beta is None else beta)
-        norm = (lam + 1) ** 2 * (TWO_PI / n_az) / (4.0 * np.pi)
+        norm = (lam + 1) ** 2 * (TWO_PI / phis.size) / (4.0 * np.pi)
 
-    phis = TWO_PI * np.arange(n_az) / n_az
-    kappa = np.exp(1j * np.outer(np.arange(-2 * lam, 2 * lam + 1), phis)).sum(axis=1)
+    kappa = _kappa(phis, lam)
     thetas, w_th = _polar_nodes(lam)
     nu = np.concatenate([vals for _, vals, _ in s.l2_eigh])
     polar = np.exp(1j * np.outer(nu, thetas))

@@ -123,7 +123,7 @@ class FuzzySphere(ShiftTerms):
     def _sectors(self) -> tuple:
         x2 = np.real(self.terms[self.term_keys.index(("x_squared", 0, 0))])
         out = []
-        for m, block in self._x3_blocks().items():
+        for m, block in self.x3_blocks().items():
             idx = np.flatnonzero(self.m_of == m)
             cut = (idx, np.diag(x2[idx]), np.real(block.dense()))
             for a in cut:
@@ -131,7 +131,7 @@ class FuzzySphere(ShiftTerms):
             out.append(cut)
         return tuple(out)
 
-    def _x3_blocks(self) -> dict:
+    def x3_blocks(self) -> dict:
         """{m: TridiagSpec of x_3 on psi_l^m, l = m..lam}, m = 0..lam: the
         l-lowering x_3 term's weight at psi_l^m couples psi_{l-1}^m, psi_l^m."""
         down = self.terms[self.term_keys.index(("x3", -1, 0))]
@@ -274,4 +274,4 @@ def coordinate_blocks(lam: int, k: float | None = None) -> dict[int, TridiagSpec
     """Tridiagonal blocks X_m of x_3 on span{psi_l^m, l = m..lam}, m >= 0
     (the block for -m coincides with the one for m), cut from the terms of
     build_sphere(lam, k), which defaults and validates k."""
-    return build_sphere(lam, k)._x3_blocks()
+    return build_sphere(lam, k).x3_blocks()

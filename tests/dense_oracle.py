@@ -103,30 +103,40 @@ def by_levels(eigs, g: np.ndarray, inverse: bool = False) -> np.ndarray:
     return out
 
 
+def weave(labels, angles, weights=1.0) -> np.ndarray:
+    """K = (B w) B^dag with B[i, t] = e^{i angles_t labels_i}: the entrywise
+    factor for which sum_t w_t D_t G D_t^dag = K * G, D_t = diag(e^{i
+    angles_t labels}), for every G."""
+    b = np.exp(1j * np.outer(labels, angles))
+    return (b * weights) @ b.conj().T
+
+
 def identity_sum_sphere(s, family: str, omega=None, beta=None) -> np.ndarray:
     """The quadrature sum of one strong family's weighted projectors as one
     dense matrix, norm * W * (V (K_polar * (V^dag G_0 V)) V^dag), with W and
-    K_polar the dense weaves of m and of the L_2 eigenvalues nu: G_0 is
-    diagonal 2l+1 at psi_l^l (spin), v v^dag for the phi seed v (phi), or
-    the psi sum W * omega omega^dag (omega)."""
+    K_polar the dense weaves of m and of the unrounded L_2 eigenvalues nu:
+    G_0 is diagonal 2l+1 at psi_l^l (spin), v v^dag for the phi seed v
+    (phi), or the psi sum W * omega omega^dag (omega).  Both rules are read
+    from the package at call time: tests patch them."""
     lam = s.lam
-    n_az = 4 * lam + 3
-    weave = coherent._weave(s.m_of, coherent.TWO_PI * np.arange(n_az) / n_az)
+    phis = coherent._azimuthal_nodes(lam)
+    n_az = phis.size
+    az = weave(s.m_of, phis)
     if family == "spin":
         gram = np.diag(np.where(s.l_of == s.m_of, 2.0 * s.l_of + 1.0, 0.0))
         norm = coherent.TWO_PI / n_az / (4.0 * np.pi)
     elif family == "omega":
-        gram = weave * np.outer(omega, np.conj(omega))
+        gram = az * np.outer(omega, np.conj(omega))
         norm = (lam + 1) ** 2 * (coherent.TWO_PI / n_az) ** 2 / (8.0 * np.pi ** 2)
     else:
         v = coherent._phi_seed(s, np.zeros(lam + 1) if beta is None else beta)
         gram = np.outer(v, v.conj())
         norm = (lam + 1) ** 2 * (coherent.TWO_PI / n_az) / (4.0 * np.pi)
     eigs = s.l2_eigh
-    thetas, w_th = coherent._polar_nodes(lam)  # read at call time: tests patch it
+    thetas, w_th = coherent._polar_nodes(lam)
     nu = np.concatenate([vals for _, vals, _ in eigs])
-    polar = coherent._weave(nu, thetas, w_th) * by_levels(eigs, gram)
-    return norm * (weave * by_levels(eigs, polar, inverse=True))
+    polar = weave(nu, thetas, w_th) * by_levels(eigs, gram)
+    return norm * (az * by_levels(eigs, polar, inverse=True))
 
 
 def verify_circle_relations(c, tol: float = 1e-10) -> Report:

@@ -155,11 +155,24 @@ def test_circle_identity_resolution():
         assert verify_identity_resolution_circle(c, beta).passed
 
 
-def test_circle_resolution_needs_enough_points():
-    # 2 points alias: the quadrature misses the off-diagonal cancellations
-    c = build_circle(2)
-    rep = verify_identity_resolution_circle(c, npoints=2)
-    assert not rep.passed
+def _three_point_rule(lam):
+    return coherent.TWO_PI * np.arange(3) / 3
+
+
+def test_circle_resolution_needs_enough_points(monkeypatch):
+    # 3 points alias every label difference divisible by 3, so the sum keeps
+    # those off-diagonal entries; the residual is that of the sum of the
+    # projectors of the strong states taken point by point
+    monkeypatch.setattr(coherent, "_azimuthal_nodes", _three_point_rule)
+    for lam in (2, 4, 8, 16, 30):
+        c = build_circle(lam)
+        beta = np.random.default_rng(lam).uniform(0, 2 * np.pi, c.dim)
+        rep = verify_identity_resolution_circle(c, beta)
+        states = [strong_scs_circle(c, beta, a) for a in _three_point_rule(lam)]
+        want = np.linalg.norm(c.dim / 3 * sum(np.outer(w, w.conj()) for w in states)
+                              - np.eye(c.dim))
+        assert not rep.passed and rep.checks[0].residual >= 0.7
+        assert abs(rep.checks[0].residual - want) <= 1e-12 * want
 
 
 def test_strong_circle_beta_length_checked():
@@ -221,8 +234,8 @@ def _brute_identity_sum(s, family, omega=None, beta=None):
     node's weight; then the phases of each azimuthal node are applied to
     that sum, node by node."""
     lam = s.lam
-    n_az = 4 * lam + 3
-    az = 2 * np.pi * np.arange(n_az) / n_az
+    az = coherent._azimuthal_nodes(lam)     # read at call time: tests patch it
+    n_az = az.size
     m = s.m_of
     if family == "spin":
         seeds = np.column_stack([np.sqrt(2 * l + 1) * np.eye(s.dim)[:, s.index(l, l)]
@@ -380,6 +393,42 @@ def test_sphere_resolution_needs_enough_polar_nodes(monkeypatch):
     assert not verify_identity_resolution_sphere(s, "spin").passed
     assert not verify_identity_resolution_sphere(s, "omega", omega=omega).passed
     assert not verify_identity_resolution_sphere(s, "phi", beta=beta).passed
+
+
+def test_sphere_resolution_needs_enough_azimuthal_points(monkeypatch):
+    # the psi and phi sums share the 3-point rule: every family fails, with
+    # the residual of the point-by-point sum where that is cheap to form
+    monkeypatch.setattr(coherent, "_azimuthal_nodes", _three_point_rule)
+    for lam in (2, 4, 8, 16, 30):
+        s = build_sphere(lam)
+        rng = np.random.default_rng(lam)
+        args = {"spin": {}, "omega": {"omega": random_omega_weights(s, rng)},
+                "phi": {"beta": rng.uniform(0, 2 * np.pi, lam + 1)}}
+        for family, kw in args.items():
+            rep = verify_identity_resolution_sphere(s, family, **kw)
+            assert not rep.passed and rep.checks[0].residual >= 0.7, (lam, family)
+            if lam <= 16:
+                want = np.linalg.norm(_brute_identity_sum(s, family, **kw)
+                                      - np.eye(s.dim))
+                assert abs(rep.checks[0].residual - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("lam", [3, 8, 16])
+def test_polar_weave_catches_a_wrong_l2_spectrum(lam):
+    # L_+ scaled by 1.001 scales the L_2 eigenvalues off the integers; the
+    # polar weave is formed from those exact eigenvalues, so every family
+    # fails (a weave read from a table of rounded eigenvalues would pass)
+    s = build_sphere(lam)
+    terms = s.terms.copy()
+    terms[s.term_keys.index(("L_plus", 0, 1))] *= 1.001
+    bad = dataclasses.replace(s, terms=terms)
+    rng = np.random.default_rng(lam)
+    args = {"spin": {}, "omega": {"omega": random_omega_weights(bad, rng)},
+            "phi": {"beta": rng.uniform(0, 2 * np.pi, lam + 1)}}
+    for family, kw in args.items():
+        assert verify_identity_resolution_sphere(s, family, **kw).passed
+        rep = verify_identity_resolution_sphere(bad, family, **kw)
+        assert not rep.passed and rep.checks[0].residual > 1e-8, family
 
 
 def test_omega_weight_condition_enforced():
