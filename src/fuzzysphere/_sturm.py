@@ -17,16 +17,25 @@ zero-diagonal block, where 0 is an eigenvalue, the count at 0 would be one
 short.)  The division by a TINY pivot may overflow to -inf, harmlessly: the
 next pivot is then -a, its limit as the shift rises to a.
 
-The eigenvalues themselves are numpy's dense eigvalsh, certified by counts:
-if below(v - tol/2) <= n - j < below(v + tol/2), the j-th largest eigenvalue
-lies within tol/2 of v, repeated eigenvalues included.  An eigenvalue the
-counts do not certify is bisected from the radius instead: each level of
-multisection cuts its bracket into SECTIONS parts and keeps the part the
-counts at the cut points point to.  The rows run largest matrix first, so
-each pivot step runs on a prefix of them and no row is padded.
+The rows of a pass of counts run largest matrix first, so each pivot step
+runs on a prefix of them and no row is padded.  A step is one division, one
+subtraction, the zero-pivot fix and one comparison written into a table of
+signs; the table holds STEPS steps and is summed when it is full and at the
+end, so a pass keeps a few numbers per row whatever the matrices' size.
+
+The eigenvalues themselves are numpy's dense eigvalsh, one stacked call per
+matrix size, certified by one pass of counts: if below(v - tol/2) <= n - j <
+below(v + tol/2), the j-th largest eigenvalue lies within tol/2 of v,
+repeated eigenvalues included, and the midpoint of that bracket is
+returned.  An eigenvalue the counts do not certify is bisected from the
+radius instead, and only then are the sweep's brackets made: each level of
+multisection cuts a bracket into SECTIONS parts and keeps the part the
+counts at the cut points point to.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -39,8 +48,14 @@ BACKEND = "numpy"
 SECTIONS = 16
 _GRID = np.arange(SECTIONS + 1) / SECTIONS
 
+# the certificate's bracket around a guess, in units of tol
+_HALF = np.array([-0.5, 0.5])
+
 # what a zero pivot is set to before it is counted
 TINY = np.finfo(float).tiny
+
+# the pivot steps whose signs are held before they are summed
+STEPS = 16
 
 
 def _below(cols: np.ndarray, owner: np.ndarray, sizes: np.ndarray,
@@ -50,22 +65,45 @@ def _below(cols: np.ndarray, owner: np.ndarray, sizes: np.ndarray,
     r belongs to matrix owner[r], of size sizes[r], whose |a_k|^2 is
     cols[k - 1, owner[r]]; the rows come largest size first, so the rows
     that have a pivot step k are a prefix."""
-    minus = np.negative(shifts).reshape(len(shifts), -1)
+    # one flat entry per row and shift, so every step is a run of
+    # contiguous entries, divided without broadcasting
+    width = shifts.size // len(shifts)
+    minus = np.negative(shifts).reshape(-1)
     q = minus.copy()
-    below = np.zeros(q.shape, dtype=np.int64)
+    owner = owner.repeat(width)
     sizes, p = sizes.tolist(), len(sizes)
+    steps = sizes[0]
+    # negative[k % STEPS, e] is whether pivot k of entry e is negative; an
+    # entry past its last step keeps False there
+    negative = np.zeros((min(steps, STEPS), q.size), dtype=bool)
+    below = 0
     # zero pivots are replaced before any division, so only overflow occurs
     with np.errstate(over="ignore"):
-        for k in range(sizes[0]):
+        for k in range(steps):
             while sizes[p - 1] <= k:
                 p -= 1
-            qp = q[:p]
+            end = p * width
+            qp = q[:end]
             if k:
-                np.divide(cols[k - 1].take(owner[:p])[:, None], qp, out=qp)
-                np.subtract(minus[:p], qp, out=qp)
-            qp[qp == 0] = TINY
-            below[:p] += qp < 0
-    return below
+                np.divide(cols[k - 1].take(owner[:end]), qp, out=qp)
+                np.subtract(minus[:end], qp, out=qp)
+            qp[qp == 0.0] = TINY
+            np.less(qp, 0.0, out=negative[k % STEPS, :end])
+            if k % STEPS == STEPS - 1 and k + 1 < steps:
+                below += negative.sum(axis=0)
+                negative.fill(False)
+    return (below + negative.sum(axis=0)).reshape(len(shifts), width)
+
+
+def tridiagonals(upper: np.ndarray) -> np.ndarray:
+    """The complex hermitian tridiagonals with zero diagonal whose
+    superdiagonals are the rows of upper, stacked (count, n, n)."""
+    count, n = upper.shape[0], upper.shape[1] + 1
+    dense = np.zeros((count, n * n), dtype=complex)
+    # entries (k, k + 1) and (k + 1, k) of a row-major n x n matrix
+    dense[:, 1::n + 1] = upper
+    dense[:, n::n + 1] = upper.conj()
+    return dense.reshape(count, n, n)
 
 
 def _dense_spectra(absa2: np.ndarray) -> np.ndarray:
@@ -75,12 +113,27 @@ def _dense_spectra(absa2: np.ndarray) -> np.ndarray:
     is, so that an odd matrix's middle guess is 0.  (The matrix is complex
     because the spectra checks' own eigvalsh is: the real LAPACK path would
     map more library code into every process that bisects.)"""
-    count, n = absa2.shape[0], absa2.shape[1] + 1
-    dense = np.zeros((count, n, n), dtype=complex)
-    k = np.arange(n - 1)
-    dense[:, k, k + 1] = dense[:, k + 1, k] = np.sqrt(absa2)
-    values = np.linalg.eigvalsh(dense)
+    values = np.linalg.eigvalsh(tridiagonals(np.sqrt(absa2)))
     return 0.5 * (values[:, ::-1] - values)
+
+
+def _sweep(cols, owner, sizes, most_below, radius, tol) -> np.ndarray:
+    """The eigenvalues of the given rows (as in _below) by multisection
+    from [-radius, radius] until each bracket is at most tol wide: the
+    midpoints.  Row r's eigenvalue has most_below[r] eigenvalues below it."""
+    lo, hi = -radius, radius.copy()
+    rows = np.flatnonzero(hi - lo > tol)
+    while rows.size:
+        grid = lo[rows, None] + (hi[rows] - lo[rows])[:, None] * _GRID
+        grid[:, -1] = hi[rows]
+        below = _below(cols, owner[rows], sizes[rows], grid[:, 1:-1])
+        # cut points still at or below the eigenvalue, up to the first above
+        cut = np.logical_and.accumulate(below <= most_below[rows, None],
+                                        axis=1).sum(axis=1)
+        at = np.arange(rows.size)
+        lo[rows], hi[rows] = grid[at, cut], grid[at, cut + 1]
+        rows = rows[hi[rows] - lo[rows] > tol[rows]]
+    return 0.5 * (lo + hi)
 
 
 def bisect_many(absa2s, radii, tol: float) -> list:
@@ -93,48 +146,45 @@ def bisect_many(absa2s, radii, tol: float) -> list:
         return []
     # the matrices largest first; cols[k - 1, i] is |a_k|^2 of the i-th
     order = sorted(range(len(absa2s)), key=lambda i: absa2s[i].size, reverse=True)
-    sizes = np.array([absa2s[j].size + 1 for j in order], dtype=np.int64)
-    cols = np.zeros((sizes[0] - 1, sizes.size))
+    sizes = [absa2s[j].size + 1 for j in order]
+    cols = np.zeros((sizes[0] - 1, len(order)))
     for i, j in enumerate(order):
         cols[:sizes[i] - 1, i] = absa2s[j]
-    # one row per eigenvalue: the j-th largest of its matrix of size n lies
-    # in [lo, hi] when below(lo) <= n - j < below(hi)
-    owner = np.repeat(np.arange(sizes.size), sizes)
-    starts = np.cumsum(sizes) - sizes
-    row_size = sizes[owner]
-    most_below = row_size - 1 - (np.arange(owner.size) - starts[owner])
-    radius = np.asarray(radii, dtype=float)[order][owner]
+    # one row per eigenvalue, largest first within its matrix: the j-th
+    # largest of a matrix of size n lies in [lo, hi] when
+    # below(lo) <= n - j < below(hi), and n - j counts down to 0 at the
+    # matrix's last row, one before its end
+    ends = list(accumulate(sizes))
+    owner, row_size, most_below = np.array(
+        [range(len(sizes)), sizes, ends]).repeat(sizes, axis=1)
+    most_below -= np.arange(1, ends[-1] + 1)
+    radius = np.asarray(radii, dtype=float)[order]
     # below 4 float spacings of the radius the cut points may round onto
     # lo or hi; above it the midpoint is strictly inside, so every level
     # shrinks the bracket
-    tol = np.maximum(tol, 4.0 * np.spacing(radius))
-    # the certificate: a count tol/2 below and above each guess
-    guess = np.empty(owner.size)
-    for n in sorted(set(sizes.tolist())):
-        mats = np.flatnonzero(sizes == n)
-        guess[starts[mats, None] + np.arange(n)] = \
-            _dense_spectra(cols[:n - 1, mats].T)
-    bracket = guess[:, None] + np.multiply.outer(tol, [-0.5, 0.5])
+    tol = np.maximum(tol, 4.0 * np.spacing(radius)).repeat(sizes)
+    # the certificate: a count tol/2 below and above each guess, the guesses
+    # of the adjacent matrices i..j-1 of one size n coming from one
+    # eigvalsh; a value is its bracket's midpoint
+    bracket = np.multiply.outer(tol, _HALF)
+    i = 0
+    for n, same in groupby(sizes):
+        j = i + len(list(same))
+        guess = _dense_spectra(cols[:n - 1, i:j].T)
+        bracket[ends[i] - n:ends[j - 1]] += guess.reshape(-1, 1)
+        i = j
     below = _below(cols, owner, row_size, bracket)
-    lo, hi = bracket.T
-    rows = np.flatnonzero((below[:, 0] > most_below) | (below[:, 1] <= most_below))
-    lo[rows], hi[rows] = -radius[rows], radius[rows]
-    # the rows it fails are bisected from the radius
-    rows = rows[hi[rows] - lo[rows] > tol[rows]]
-    while rows.size:
-        grid = lo[rows, None] + (hi[rows] - lo[rows])[:, None] * _GRID
-        grid[:, -1] = hi[rows]
-        below = _below(cols, owner[rows], row_size[rows], grid[:, 1:-1])
-        # cut points still at or below the eigenvalue, up to the first above
-        cut = np.logical_and.accumulate(below <= most_below[rows, None],
-                                        axis=1).sum(axis=1)
-        at = np.arange(rows.size)
-        lo[rows], hi[rows] = grid[at, cut], grid[at, cut + 1]
-        rows = rows[hi[rows] - lo[rows] > tol[rows]]
-    values = np.split(0.5 * (lo + hi), starts[1:])
-    out = [None] * sizes.size
+    values = 0.5 * (bracket[:, 0] + bracket[:, 1])
+    # a row is certified where below <= most_below reads (True, False) at
+    # (lo, hi); the others are bisected from the radius
+    at_most = below <= most_below[:, None]
+    rows = (at_most[:, 0] <= at_most[:, 1]).nonzero()[0]
+    if rows.size:
+        values[rows] = _sweep(cols, owner[rows], row_size[rows], most_below[rows],
+                              radius.repeat(sizes)[rows], tol[rows])
+    out = [None] * len(order)
     for i, j in enumerate(order):
-        out[j] = values[i]
+        out[j] = values[ends[i] - sizes[i]:ends[i]]
     return out
 
 

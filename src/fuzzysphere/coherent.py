@@ -207,10 +207,14 @@ def random_omega_weights(s, rng) -> np.ndarray:
     """Random seed vector omega with the per-level norms (2l+1)/(lam+1)^2
     required for a strong family."""
     v = np.zeros(s.dim, dtype=complex)
+    # one draw for all levels: level l reads 2l + 1 real parts, then 2l + 1
+    # imaginary parts, from 2 l^2 on
+    z = rng.normal(size=2 * s.dim)
     for l in range(s.lam + 1):
-        block = rng.normal(size=2 * l + 1) + 1j * rng.normal(size=2 * l + 1)
-        block *= np.sqrt(2 * l + 1) / ((s.lam + 1) * np.linalg.norm(block))
-        v[s.index(l, -l):s.index(l, l) + 1] = block
+        n, at = 2 * l + 1, 2 * l * l
+        block = z[at:at + n] + 1j * z[at + n:at + 2 * n]
+        block *= np.sqrt(n) / ((s.lam + 1) * np.linalg.norm(block))
+        v[l * l:(l + 1) ** 2] = block
     return v
 
 

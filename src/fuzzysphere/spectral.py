@@ -56,11 +56,7 @@ class TridiagSpec:
         return np.abs(self.offdiag) ** 2
 
     def dense(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n), dtype=complex)
-        idx = np.arange(self.n - 1)
-        m[idx, idx + 1] = self.offdiag
-        m[idx + 1, idx] = self.offdiag.conj()
-        return m
+        return _sturm.tridiagonals(self.offdiag[None])[0]
 
     def gershgorin_radius(self) -> float:
         return 2.0 * float(np.abs(self.offdiag).max(initial=0.0))
@@ -144,9 +140,10 @@ def random_rephasing(t: TridiagSpec, rng) -> TridiagSpec:
 
 def agrees_with_dense(values, mats, tol: float) -> bool:
     """True iff the descending values agree within tol with numpy's dense
-    eigvalsh of every matrix in mats."""
-    return all(np.max(np.abs(values - np.linalg.eigvalsh(m.dense())[::-1])) <= tol
-               for m in mats)
+    eigvalsh of every matrix in mats, all of the values' size: one stacked
+    eigvalsh of them all."""
+    dense = _sturm.tridiagonals(np.array([m.offdiag for m in mats]))
+    return bool(np.max(np.abs(values - np.linalg.eigvalsh(dense)[:, ::-1])) <= tol)
 
 
 def spectrum_invariance_under_phases(t: TridiagSpec, rng=None,

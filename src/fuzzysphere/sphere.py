@@ -132,12 +132,9 @@ class FuzzySphere(ShiftTerms):
         return tuple(out)
 
     def x3_blocks(self) -> dict:
-        """{m: TridiagSpec of x_3 on psi_l^m, l = m..lam}, m = 0..lam: the
-        l-lowering x_3 term's weight at psi_l^m couples psi_{l-1}^m, psi_l^m."""
-        down = self.terms[self.term_keys.index(("x3", -1, 0))]
-        l = np.arange(self.lam + 1)
-        at = l * l + l                          # the index of psi_l^0
-        return {m: TridiagSpec(down[at[m + 1:] + m]) for m in range(self.lam + 1)}
+        """{m: TridiagSpec of x_3 on psi_l^m, l = m..lam}, m = 0..lam, cut
+        from the l-lowering x_3 term."""
+        return _x3_blocks(self.lam, self.terms[self.term_keys.index(("x3", -1, 0))])
 
     @cached_property
     def l2_eigh(self) -> tuple:
@@ -157,26 +154,48 @@ class FuzzySphere(ShiftTerms):
         return tuple(out)
 
 
+def _labels(lam: int) -> tuple:
+    """The read-only level l and L_3 eigenvalue m of each basis vector."""
+    l_of = np.concatenate([np.full(2 * l + 1, l) for l in range(lam + 1)])
+    m_of = np.concatenate([np.arange(-l, l + 1) for l in range(lam + 1)])
+    l_of.setflags(write=False)
+    m_of.setflags(write=False)
+    return l_of, m_of
+
+
+def _lowering(lam: int, k: float, l, a: int, m):
+    """x_a's l-lowering weight c_l A_l^{a,m} at psi_l^m, which it moves to
+    psi_{l-1}^{m+a}, for label arrays l (0..lam+1) and m; c_l = sqrt(1 +
+    l^2/k) except c_0 = c_{lam+1} = 0."""
+    c = np.sqrt(1.0 + np.arange(lam + 2) ** 2 / k)
+    c[0] = c[-1] = 0.0
+    return c[l] * clebsch_a(l, a, m)
+
+
+def _x3_blocks(lam: int, down) -> dict:
+    """{m: TridiagSpec of x_3 on psi_l^m, l = m..lam}, m = 0..lam, from the
+    l-lowering x_3 weight over the basis, whose entry at psi_l^m couples
+    psi_{l-1}^m and psi_l^m."""
+    l = np.arange(lam + 1)
+    at = l * l + l                          # the index of psi_l^0
+    return {m: TridiagSpec(down[at[m + 1:] + m]) for m in range(lam + 1)}
+
+
 def build_sphere(lam: int, k: float | None = None) -> FuzzySphere:
     """Construct the fuzzy sphere at truncation lam (lam = 0 gives the
     one-dimensional space with vanishing coordinates); k defaults to
     max(k_min, 1) and may not lie below k_min."""
     k = sharpness(lam, k, lam_min=0)
-    l_of = np.concatenate([np.full(2 * l + 1, l) for l in range(lam + 1)])
-    m_of = np.concatenate([np.arange(-l, l + 1) for l in range(lam + 1)])
-    l_of.setflags(write=False)
-    m_of.setflags(write=False)
+    l_of, m_of = _labels(lam)
 
     # x_a psi_l^m has c_l A_l^{a,m} on psi_{l-1}^{m+a} and c_{l+1} B_l^{a,m}
-    # on psi_{l+1}^{m+a}; L_+ psi_l^m = sqrt((l-m)(l+m+1)) psi_l^{m+1}.  Each
-    # weight vanishes where its target does not exist
-    l = np.arange(lam + 2)
-    c = np.sqrt(1.0 + l * l / k)
-    c[0] = c[-1] = 0.0
+    # on psi_{l+1}^{m+a}, where B_l^{a,m} = A_{l+1}^{-a,m+a}; L_+ psi_l^m =
+    # sqrt((l-m)(l+m+1)) psi_l^{m+1}.  Each weight vanishes where its target
+    # does not exist
     rows = []
     for a in (0, 1, -1):
-        rows.append(c[l_of] * clebsch_a(l_of, a, m_of))
-        rows.append(c[l_of + 1] * clebsch_a(l_of + 1, -a, m_of + a))  # B_l^{a,m}
+        rows.append(_lowering(lam, k, l_of, a, m_of))
+        rows.append(_lowering(lam, k, l_of + 1, -a, m_of + a))
     # x^2 = x_0^2 + (x_+ x_- + x_- x_+)/2 in closed form is 1 + (L^2 + 1)/k
     # less an edge term on the top level, which has no level lam+1 above it
     edge = (1.0 + (lam + 1) ** 2 / k) * (lam + 1) / (2 * lam + 1)
@@ -272,6 +291,9 @@ def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
 
 def coordinate_blocks(lam: int, k: float | None = None) -> dict[int, TridiagSpec]:
     """Tridiagonal blocks X_m of x_3 on span{psi_l^m, l = m..lam}, m >= 0
-    (the block for -m coincides with the one for m), cut from the terms of
-    build_sphere(lam, k), which defaults and validates k."""
-    return build_sphere(lam, k).x3_blocks()
+    (the block for -m coincides with the one for m): bitwise those of
+    build_sphere(lam, k), from the build's own weight formula, without a
+    build.  k is defaulted and validated as the build does."""
+    k = sharpness(lam, k, lam_min=0)
+    l_of, m_of = _labels(lam)
+    return _x3_blocks(lam, _lowering(lam, k, l_of, 0, m_of))

@@ -21,7 +21,7 @@ from fuzzysphere.coherent import (check_heisenberg_circle, dispersion,
                                   verify_weak_orbit, weak_scs_orbit)
 from dense_oracle import L_ops, dense, identity_sum_sphere, x_ops
 from fuzzysphere.lierep import EulerAngles, rotate
-from fuzzysphere.linop import random_states
+from fuzzysphere.linop import Stream, random_states
 from fuzzysphere.sphere import FuzzySphere, build_sphere
 from madore import build_madore
 
@@ -224,6 +224,30 @@ def test_sphere_identity_resolutions(lam):
     assert verify_identity_resolution_sphere(s, "omega", omega=omega).passed
     beta = rng.uniform(0, 2 * np.pi, lam + 1)
     assert verify_identity_resolution_sphere(s, "phi", beta=beta).passed
+
+
+def _omega_level_by_level(s, rng):
+    """random_omega_weights as it was written first: two normal draws per
+    level, its real parts and then its imaginary parts."""
+    v = np.zeros(s.dim, dtype=complex)
+    for l in range(s.lam + 1):
+        block = rng.normal(size=2 * l + 1) + 1j * rng.normal(size=2 * l + 1)
+        block *= np.sqrt(2 * l + 1) / ((s.lam + 1) * np.linalg.norm(block))
+        v[s.index(l, -l):s.index(l, l) + 1] = block
+    return v
+
+
+@pytest.mark.parametrize("make_rng",
+                         [np.random.default_rng, lambda seed: Stream(seed, 3)])
+def test_omega_weights_are_the_level_by_level_draws(make_rng):
+    # one block draw reads the same normals as the per-level draws, and
+    # leaves the generator at the same place
+    for lam in range(0, 30):
+        s = build_sphere(lam)
+        one, each = make_rng(lam), make_rng(lam)
+        got = random_omega_weights(s, one)
+        assert got.tobytes() == _omega_level_by_level(s, each).tobytes()
+        assert one.random() == each.random()
 
 
 def _brute_identity_sum(s, family, omega=None, beta=None):

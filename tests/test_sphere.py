@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from dense_oracle import dense, x_ops
+from fuzzysphere import cli, sphere
 from fuzzysphere.coherent import minimize_dispersion
 from fuzzysphere.sphere import (build_sphere, clebsch_a, coordinate_blocks,
                                 verify_sphere_relations)
-from fuzzysphere.spectral import eig_bisection
+from fuzzysphere.spectral import eig_bisection, sphere_diag_report
 from madore import build_madore
 
 
@@ -189,6 +190,33 @@ def test_sectors_are_the_dense_cuts(k):
         for m, (_, _, xr) in enumerate(built.sectors()):
             assert np.array_equal(np.real(blocks[m].dense()), xr)
             assert np.array_equal(scaled.sectors()[m][2], 1.5 * xr)
+
+
+@pytest.mark.parametrize("k", [None, np.inf, 2e4])
+def test_coordinate_blocks_are_the_builds_bitwise(k):
+    for lam in range(14):
+        if k is not None and k < sphere.min_sharpness(lam):
+            continue
+        built = build_sphere(lam, k).x3_blocks()
+        blocks = coordinate_blocks(lam, k)
+        assert sorted(blocks) == sorted(built)
+        for m, t in blocks.items():
+            assert t.offdiag.dtype == built[m].offdiag.dtype
+            assert t.offdiag.tobytes() == built[m].offdiag.tobytes()
+
+
+def test_spectra_of_the_blocks_build_no_sphere(monkeypatch, tmp_path):
+    calls = []
+    build = sphere.build_sphere
+    monkeypatch.setattr(sphere, "build_sphere",
+                        lambda *args: calls.append(args) or build(*args))
+    assert sphere_diag_report(1, 9).passed
+    assert cli.write_spectra_csv(2, range(1, 6), None, str(tmp_path / "s.csv"))
+    assert calls == []
+    # the patch is seen where a build is made
+    coordinate_blocks(2)
+    sphere.build_sphere(2)
+    assert calls == [(2,)]
 
 
 def test_targets_match_label_loop():

@@ -2,6 +2,8 @@
 tolerance, whatever the batch or the guesses; bit for bit where nothing can
 be certified; and the suites' matrices certified in one pass of counts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,3 +171,21 @@ def test_suite_matrices_certify_in_one_pass(monkeypatch):
     cli._spectra_records(cli.ScanConfig(d=1, lam_lo=1, lam_hi=40, seed=7))
     cli._spectra_records(cli.ScanConfig(d=2, lam_lo=1, lam_hi=20, seed=7))
     assert calls == [1] * 4
+
+
+def test_counts_keep_a_few_numbers_per_row():
+    # one pass over 40 400 rows with 2 shifts each: the pass holds a few
+    # numbers per row and shift (the pivots, the shifts, the gathered
+    # |a_k|^2 of one step, STEPS steps of signs), the call a few per row,
+    # and the largest dense guess (n = 401, complex) is 2.6 MB.  A table of
+    # every step's |a_k|^2 for every row would add 130 MB
+    mats = [coordinate_matrix(lam) for lam in range(1, 201)]
+    rows = sum(t.n for t in mats)
+    assert rows == 40400
+    tracemalloc.start()
+    try:
+        eig_bisection_many(mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * rows * 2 * 8
