@@ -39,7 +39,7 @@ from itertools import accumulate, groupby
 
 import numpy as np
 
-__all__ = ["BACKEND", "bisect_all", "bisect_many"]
+__all__ = ["BACKEND", "bisect_many"]
 
 BACKEND = "numpy"
 
@@ -141,7 +141,13 @@ def bisect_many(absa2s, radii, tol: float) -> list:
     within tol/2 of its eigenvalue, with tol floored at 4 units in the last
     place of the matrix's radius: the dense guess where the counts certify
     it, else bisected.  Only a matrix's own counts decide its values, so
-    they are bitwise the same whatever else is in the batch."""
+    they are bitwise the same whatever else is in the batch.
+
+    The order needs no sort where every value is certified: the guesses
+    are non-increasing, and so are the rounded brackets v +- tol/2 and
+    their midpoints.  A bisected value may fall on either side of a
+    certified one of the same eigenvalue, so a matrix with bisected rows
+    is sorted once."""
     if not absa2s:
         return []
     # the matrices largest first; cols[k - 1, i] is |a_k|^2 of the i-th
@@ -182,13 +188,10 @@ def bisect_many(absa2s, radii, tol: float) -> list:
     if rows.size:
         values[rows] = _sweep(cols, owner[rows], row_size[rows], most_below[rows],
                               radius.repeat(sizes)[rows], tol[rows])
+        for i in np.unique(owner[rows]).tolist():
+            values[ends[i] - sizes[i]:ends[i]][::-1].sort()
     out = [None] * len(order)
     for i, j in enumerate(order):
         out[j] = values[ends[i] - sizes[i]:ends[i]]
     return out
 
-
-def bisect_all(absa2: np.ndarray, radius: float, tol: float) -> np.ndarray:
-    """All n eigenvalues of one matrix, descending: bisect_many's batch of
-    one."""
-    return bisect_many([absa2], [radius], tol)[0]

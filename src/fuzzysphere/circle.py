@@ -151,8 +151,7 @@ def verify_circle_relations(c: FuzzyCircle, tol: float = 1e-10) -> Report:
     edge = 1.0 + lam * (lam + 1) / k
     comm = -2.0 * n / k + edge * np.sign(n) * (np.abs(n) == lam)
     weights = np.concatenate([c.terms, comm[None]])
-    for tag, r in zip(tab.tags, check_residuals(tab, weights, c.targets)):
-        rep.add_residual(tag, r, tol, lam=lam)
+    rep.add_residuals(tab.tags, check_residuals(tab, weights, c.targets), tol, lam)
 
     # L is diagonal, so prod_n (L - n) is evaluated entrywise on its diagonal
     poly = diag_annihilator(np.real(c.terms[c.term_keys.index(("L", 0, 0))]),

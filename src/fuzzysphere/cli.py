@@ -63,22 +63,16 @@ def _build_space(d: int, lam: int, k):
     return build_circle(lam, k) if d == 1 else build_sphere(lam, k)
 
 
-def _rng(seed: int, d: int, lam: int, salt: int = 0) -> Stream:
-    return Stream(seed, d, lam, salt)
-
-
 def _random_euler(rng) -> EulerAngles:
     return EulerAngles(rng.uniform(0, TWO_PI), rng.uniform(0, np.pi),
                        rng.uniform(0, TWO_PI))
 
 
 def _scs_records_circle(c, tol, rng):
-    checks = []
     beta = rng.uniform(0.0, TWO_PI, c.dim)
-    checks += verify_identity_resolution_circle(c, beta, tol=tol).checks
+    rep = verify_identity_resolution_circle(c, beta, tol=tol)
     w = strong_scs_circle(c, beta, float(rng.uniform(0.0, TWO_PI)))
     d_ = dispersion(c, w)
-    rep = Report()
     rep.add_residual("IdResolS^1_L/L-mean", abs(float(d_.L_mean[0])), 1e-12,
                      lam=c.lam)
     # (Delta L)^2 is near lam (lam + 1) / 3, so its bound scales with it
@@ -91,10 +85,11 @@ def _scs_records_circle(c, tol, rng):
     rep.add(CheckRecord(tag="utileb", lam=c.lam, value=float(val),
                         bound=float(bound), passed=bool(val < bound)))
     hur = check_heisenberg_circle(c, random_states(rng, c.dim, 100))
-    worst = min(x.value for x in hur.checks)
-    rep.add(CheckRecord(tag="HURS^1/random", lam=c.lam, value=float(worst),
-                        bound=0.0, passed=bool(worst >= -1e-12)))
-    return checks + rep.checks
+    # np.min keeps a NaN, which fails the record
+    worst = float(np.min([x.value for x in hur.checks]))
+    rep.add(CheckRecord(tag="HURS^1/random", lam=c.lam, value=worst,
+                        bound=0.0, passed=worst >= -1e-12))
+    return rep.checks
 
 
 def _scs_records_sphere(s, tol, rng):
@@ -169,9 +164,9 @@ def _records_for_lambda(args) -> list:
         checks += verify(space, tol).checks
     if "scs" in suites:
         scs = _scs_records_circle if d == 1 else _scs_records_sphere
-        checks += scs(space, tol, _rng(seed, d, lam, 1))
+        checks += scs(space, tol, Stream(seed, d, lam, 1))
     if "minimize" in suites:
-        checks += _minimize_records(space, d, _rng(seed, d, lam, 2))
+        checks += _minimize_records(space, d, Stream(seed, d, lam, 2))
     return checks
 
 
@@ -182,7 +177,7 @@ def _spectra_records(config: ScanConfig) -> list:
     # 20 random tridiagonals for the phase-invariance proposition, each
     # drawn as n, a, then its phases; they (and the circle's Toeplitz
     # matrix) are bisected in one kernel call
-    rng = _rng(config.seed, config.d, 0, 3)
+    rng = Stream(config.seed, config.d, 0, 3)
     cases = []
     for _ in range(20):
         n = int(rng.integers(2, 16))
@@ -315,16 +310,9 @@ def write_spectra_csv(d: int, lams, k, path: str) -> int:
                 for m, blk in coordinate_blocks(lam, k).items()}
         order = [(lam, m, abs(m)) for lam in lams for m in range(-lam, lam + 1)]
     spectra = dict(zip(mats, eig_bisection_many(list(mats.values()))))
-    rows = 0
-    import csv
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["lambda", "m", "h", "eigenvalue"])
-        for lam, m, block in order:
-            for h, v in enumerate(spectra[lam, block].values, start=1):
-                out.writerow([lam, m, h, f"{v:.15g}"])
-                rows += 1
-    return rows
+    return _write_csv(path, ("lambda", "m", "h", "eigenvalue"),
+                      [(lam, m, h, v) for lam, m, block in order
+                       for h, v in enumerate(spectra[lam, block].values, start=1)])
 
 
 def emit_plot_data(d: int, lams, k, path: str) -> int:
@@ -345,12 +333,18 @@ def emit_plot_data(d: int, lams, k, path: str) -> int:
             rows.append(("alpha1-bound", lam, lam, bound))
         for v in spec.values:
             rows.append(("interlacing", lam, lam, v))
+    return _write_csv(path, ("series", "lambda", "x", "y"), rows)
+
+
+def _write_csv(path: str, header, rows) -> int:
+    """The header, then each row with its last field, a float, written to
+    15 significant digits; returns the number of rows."""
     import csv
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
-        out.writerow(["series", "lambda", "x", "y"])
-        for series, lam, x, y in rows:
-            out.writerow([series, lam, x, f"{y:.15g}"])
+        out.writerow(header)
+        for *head, y in rows:
+            out.writerow([*head, f"{y:.15g}"])
     return len(rows)
 
 

@@ -48,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lierep import EulerAngles, rotate
+from .lierep import (EulerAngles, classical_rotation, classical_rotation_2d,
+                     rotate)
 from .linop import unit_columns
 from .report import CheckRecord, Report
 
@@ -106,11 +107,11 @@ def dispersion(space, psi) -> DispersionReport:
 
 def _slack_record(tag, lhs, rhs, lam) -> CheckRecord:
     """lhs >= rhs up to 1e-12; over a block, the record holds the worst
-    column, and a NaN anywhere fails it."""
+    column, and a NaN anywhere fails it and is its residual."""
     slack = float(np.min(lhs - rhs))
     return CheckRecord(tag=tag, lam=lam, value=slack, bound=0.0,
-                       residual=float(max(0.0, -slack)),
-                       passed=bool(slack >= -1e-12))
+                       residual=0.0 if slack >= 0.0 else -slack,
+                       passed=slack >= -1e-12)
 
 
 def check_heisenberg_circle(c, psi) -> Report:
@@ -408,8 +409,8 @@ def minimize_dispersion(space):
     """
     sectors = space.sectors()
     tops = [np.linalg.eigvalsh(xr)[-1] for _, _, xr in sectors]
-    idx, q, xr = sectors[int(np.argmax(tops))]
-    beta = max(tops)
+    top = int(np.argmax(tops))
+    (idx, q, xr), beta = sectors[top], tops[top]
     while True:
         v = np.linalg.eigh(q - 2.0 * beta * xr)[1][:, 0]
         mean = float(v @ xr @ v)
@@ -444,7 +445,6 @@ def verify_weak_orbit(space, chi, grid) -> Report:
     """On every orbit member of the unit vector chi the dispersion is
     unchanged (to 1e-10) and <x> points along the classically rotated
     reference direction (to 1e-9)."""
-    from .lierep import classical_rotation, classical_rotation_2d
     rep = Report()
     # chi and its orbit as one block: column 0 is chi itself (weak_scs_orbit
     # checks chi first)

@@ -156,9 +156,8 @@ def verify_su2_reconstruction(c: FuzzyCircle, tol: float = 1e-10) -> Report:
     ep, keep, cas = xp / w, np.abs(c.labels) != lam, np.full(c.dim, lam * (lam + 1.0))
     weights = np.concatenate([c.terms, [ep, xm / w_minus, ep * w, ep * w * keep,
                                         xp * keep, keep, cas]])
-    for tag, r in zip(tab.tags, check_residuals(tab, weights, c.targets)):
-        rep.add_residual(tag, r, tol, lam=lam)
-    return rep
+    return rep.add_residuals(tab.tags, check_residuals(tab, weights, c.targets),
+                             tol, lam)
 
 
 @functools.cache
@@ -247,6 +246,5 @@ def verify_so4_reconstruction(s: FuzzySphere, tol: float = 1e-9) -> Report:
     keep = s.l_of != lam
     weights = np.concatenate([s.terms, dressed, back, w * keep, back * keep,
                               keep[None], np.full((1, s.dim), lam * (lam + 2.0))])
-    for tag, r in zip(tab.tags, check_residuals(tab, weights, s.targets)):
-        rep.add_residual(tag, r, tol, lam=lam)
-    return rep
+    return rep.add_residuals(tab.tags, check_residuals(tab, weights, s.targets),
+                             tol, lam)

@@ -118,8 +118,8 @@ class ShiftTerms:
         By O(D) covariance E_0 is the lowest over the sectors of x^2 - 2 |b|
         x_ref; -2 (b_1 x_1 + b_2 x_2) = -(b_1 - i b_2) x_+ - (b_1 + i b_2) x_-."""
         r, bp = float(np.linalg.norm(b)), b[0] - 1j * b[1]
-        e0 = min(np.linalg.eigvalsh(q - 2.0 * r * xr)[0]
-                 for _, q, xr in self.sectors())
+        e0 = np.min([np.linalg.eigvalsh(q - 2.0 * r * xr)[0]
+                     for _, q, xr in self.sectors()])
         sq, xp, xm, *x3 = self.apply(v[None, :], ("x_squared", "x_plus",
                                                   "x_minus", "x3")[:len(b) + 1])
         hv = sq - bp * xp - np.conj(bp) * xm

@@ -48,6 +48,12 @@ class Report:
                                     residual=float(residual), bound=float(tol),
                                     passed=bool(residual <= tol)))
 
+    def add_residuals(self, tags, residuals, tol, lam=None):
+        """One add_residual per tag, each against the same tol."""
+        for tag, r in zip(tags, residuals):
+            self.add_residual(tag, r, tol, lam=lam)
+        return self
+
     def add_verdict(self, tag, ok, lam=None, m=None):
         """A yes/no check, recorded as the residual 0 or 1 against 0.5."""
         return self.add_residual(tag, 0.0 if ok else 1.0, 0.5, lam=lam, m=m)

@@ -84,28 +84,22 @@ class Spectrum:
         return cls(np.sort(np.atleast_1d(np.asarray(values, dtype=float)))[::-1])
 
 
-def _check_bisection_tol(tol: float):
-    if not 0 < tol < np.inf:
-        raise ValueError("bisection tolerance must be positive and finite")
-
-
 def eig_bisection(t: TridiagSpec, tol: float = 1e-12) -> Spectrum:
     """All eigenvalues, each within tol/2 of its own (tol floored at 4 units
     in the last place of the radius): LAPACK's where two Sturm counts
     certify them, else by Sturm-count bisection."""
-    _check_bisection_tol(tol)
-    values = _sturm.bisect_all(t.abs2(), t.gershgorin_radius() + tol, tol)
-    return Spectrum.from_values(values)
+    return eig_bisection_many([t], tol)[0]
 
 
 def eig_bisection_many(specs, tol: float = 1e-12) -> list[Spectrum]:
     """eig_bisection of every matrix in specs, in one batched kernel call
     (certified LAPACK values, else bisected); each spectrum is bitwise the
-    one eig_bisection gives alone."""
-    _check_bisection_tol(tol)
+    same whatever else is in specs, so eig_bisection is its batch of one."""
+    if not 0 < tol < np.inf:
+        raise ValueError("bisection tolerance must be positive and finite")
     values = _sturm.bisect_many([t.abs2() for t in specs],
                                 [t.gershgorin_radius() + tol for t in specs], tol)
-    return [Spectrum.from_values(v) for v in values]
+    return [Spectrum(v) for v in values]
 
 
 def toeplitz_spectrum(n: int) -> np.ndarray:
@@ -186,8 +180,8 @@ def circle_diag_report(lam_min: int, lam_max: int, k=None,
         report.add_verdict("diag-circle/symmetry",
                            check_spectrum_symmetry(s_now, tol), lam)
         # the theorem interlaces the positive halves (sizes differ by 2 overall)
-        top_in = Spectrum.from_values(s_now.values[:lam])
-        top_out = Spectrum.from_values(s_next.values[:lam + 1])
+        top_in = Spectrum(s_now.values[:lam])
+        top_out = Spectrum(s_next.values[:lam + 1])
         report.add_verdict("diag-circle/interlacing",
                            check_interlacing(top_in, top_out), lam)
         bound = alpha1_bound(1, lam)

@@ -210,7 +210,7 @@ def build_sphere(lam: int, k: float | None = None) -> FuzzySphere:
 def _relation_tables(term_keys: tuple):
     """The relation rows compiled for spheres whose terms are labelled
     term_keys; the weight table is the terms, then the diagonal f of the
-    coordinate bracket.  Also the rows of L.L and L_3."""
+    coordinate bracket."""
     from .shift import ZERO, Op, cartesian, compile_checks, stored_ops
 
     n = len(term_keys)
@@ -252,9 +252,7 @@ def _relation_tables(term_keys: tuple):
     rows.append(("xx/r2", sq, ops["x_squared"]))
     rows.append(("D=3Basis/L2", L[0] @ L[0] + L[1] @ L[1] + L[2] @ L[2],
                  ops["l2"]))
-    rows_of = {name: [j for j, key in enumerate(term_keys) if key[0] == name]
-               for name in ("l2", "L3")}
-    return compile_checks(rows, n + 1), rows_of["l2"], rows_of["L3"]
+    return compile_checks(rows, n + 1)
 
 
 def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
@@ -264,27 +262,25 @@ def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
 
     rep = Report()
     lam, k = s.lam, s.k
-    tab, l2_rows, l3_rows = _relation_tables(s.term_keys)
+    tab = _relation_tables(s.term_keys)
 
     K = 1.0 / k + (1.0 + lam * lam / k) / (2 * lam + 1)
     f = -1.0 / k + K * (s.l_of == lam)
     weights = np.concatenate([s.terms, f[None]])
-    for tag, r in zip(tab.tags, check_residuals(tab, weights, s.targets)):
-        rep.add_residual(tag, r, tol, lam=lam)
+    rep.add_residuals(tab.tags, check_residuals(tab, weights, s.targets), tol, lam)
 
     # both annihilator polynomials act on diagonal operators, so they are
-    # evaluated entrywise on the diagonals
-    d_l2, d_l3 = (np.real(s.terms[rows].sum(axis=0)) for rows in (l2_rows, l3_rows))
+    # evaluated entrywise on the diagonals; np.max keeps a NaN
+    d_l2, d_l3 = (np.real(s.terms[s.term_keys.index((name, 0, 0))])
+                  for name in ("l2", "L3"))
     poly = diag_annihilator(d_l2, [l * (l + 1) for l in range(lam + 1)])
     rep.add_residual("rf3D3/L2-poly", float(np.abs(poly).max()), tol, lam=lam)
-    worst = 0.0
-    for l in range(lam + 1):
-        val = diag_annihilator(d_l3[s.l_of == l], range(-l, l + 1))
-        worst = max(worst, float(np.abs(val).max()))
+    worst = np.max([np.abs(diag_annihilator(d_l3[s.l_of == l], range(-l, l + 1))).max()
+                    for l in range(lam + 1)])
     rep.add_residual("rf3D3/L3-poly", worst, tol, lam=lam)
 
-    nil = max(power_norm(s.terms, s.term_keys, name, 2 * lam + 1, s.targets,
-                         s.can_shift) for name in ("x_plus", "x_minus"))
+    nil = np.max([power_norm(s.terms, s.term_keys, name, 2 * lam + 1, s.targets,
+                             s.can_shift) for name in ("x_plus", "x_minus")])
     rep.add_residual("rf3D3/nilpotent", nil, tol, lam=lam)
     return rep
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -18,6 +19,7 @@ import fuzzysphere
 from fuzzysphere import _sturm, cli
 from fuzzysphere.circle import coordinate_matrix
 from fuzzysphere.cli import _parse_lambda, main
+from fuzzysphere.linop import Stream
 from fuzzysphere.report import CheckRecord, Report
 from fuzzysphere.spectral import (TridiagSpec, eig_bisection,
                                   spectrum_invariance_under_phases)
@@ -517,7 +519,7 @@ def test_spectra_phase_check_matches_per_matrix_verdicts(monkeypatch, d, tol):
     # the suite's 20 random tridiagonals, drawn again one by one and checked
     # by the single-matrix path; at tol 3e-15 some of them fail, so both
     # branches of the record are compared
-    rng = cli._rng(5, d, 0, 3)
+    rng = Stream(5, d, 0, 3)
     single = []
     for _ in range(20):
         n = int(rng.integers(2, 16))
@@ -552,6 +554,22 @@ def test_spectra_phase_check_catches_wrong_bisection(monkeypatch, d):
     assert not _phase_record(cli._spectra_records(config)).passed
 
 
+def test_circle_hur_random_fails_on_any_nan_record(monkeypatch):
+    # the record keeps the worst of the three HURS^1 slacks; a NaN in the
+    # second alone must fail it, not drop out of the minimum
+    from fuzzysphere.circle import build_circle
+
+    def fake(c, states):
+        rep = Report()
+        for tag, value in (("Lx1", 0.5), ("Lx2", float("nan")), ("product", 0.2)):
+            rep.add(CheckRecord(tag=f"HURS^1/{tag}", lam=c.lam, value=value))
+        return rep
+    monkeypatch.setattr(cli, "check_heisenberg_circle", fake)
+    records = cli._scs_records_circle(build_circle(3), 1e-10, Stream(7, 1, 3, 1))
+    rec = next(r for r in records if r.tag == "HURS^1/random")
+    assert not rec.passed and math.isnan(rec.value)
+
+
 def test_circle_l_var_bound_scales_with_the_value(monkeypatch):
     # (Delta L)^2 of a strong state is lam (lam + 1) / 3, 4760 at lam 119,
     # where an absolute 1e-12 is two units in its last place
@@ -559,7 +577,7 @@ def test_circle_l_var_bound_scales_with_the_value(monkeypatch):
     from fuzzysphere.circle import build_circle
 
     def l_var(c):
-        records = cli._scs_records_circle(c, 1e-10, cli._rng(7, 1, c.lam, 1))
+        records = cli._scs_records_circle(c, 1e-10, Stream(7, 1, c.lam, 1))
         return next(r for r in records if r.tag == "IdResolS^1_L/L-var")
 
     c = build_circle(119)

@@ -129,6 +129,18 @@ def test_circle_hur_block_catches_one_offending_state(where):
     assert rep.first_failure().tag.startswith("HURS^1/")
 
 
+def test_slack_record_keeps_a_nan():
+    nan = coherent._slack_record("t", np.array([1.0, np.nan]), np.zeros(2), 3)
+    assert not nan.passed and np.isnan(nan.residual)
+    # a met bound records +0.0, also at a slack of -0.0; a missed one the
+    # shortfall
+    for lhs, rhs in ((2.0, 1.0), (1.0, 1.0), (-0.0, 0.0)):
+        rec = coherent._slack_record("t", np.array([lhs]), np.array([rhs]), 3)
+        assert rec.passed and str(rec.residual) == "0.0"
+    rec = coherent._slack_record("t", np.array([1.0]), np.array([1.5]), 3)
+    assert not rec.passed and rec.residual == 0.5
+
+
 def test_strong_circle_family_moments():
     lam = 6
     c = build_circle(lam)

@@ -82,7 +82,7 @@ def test_zero_pivot_counts_as_positive(mutated, monkeypatch):
     for lam, m in ((1, 1), (4, 0), (9, 3), (20, 2)):
         t = coordinate_blocks(lam)[m]
         assert t.n % 2 == 1
-        values = _sturm.bisect_all(t.abs2(), t.gershgorin_radius() + tol, tol)
+        values = eig_bisection(t, tol).values
         zero = values[t.n // 2]
         assert abs(zero) <= tol
         assert (0.0 <= zero) == right
@@ -118,7 +118,8 @@ def test_bisection_ends_below_float_spacing():
         "worst = 0.0\n"
         "for n in (2, 5, 15):\n"
         "    t = TridiagSpec(rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))\n"
-        "    got = _sturm.bisect_all(t.abs2(), t.gershgorin_radius() + 1e-30, 1e-30)\n"
+        "    got = _sturm.bisect_many([t.abs2()], [t.gershgorin_radius() + 1e-30],\n"
+        "                             1e-30)[0]\n"
         "    ref = np.linalg.eigvalsh(t.dense())[::-1]\n"
         "    worst = max(worst, float(np.abs(got - ref).max()))\n"
         "ts = [TridiagSpec(rng.normal(size=n - 1)) for n in (1, 3, 9)]\n"
@@ -165,7 +166,7 @@ def test_ragged_batch_is_bitwise_per_matrix(tol):
     radii = [t.gershgorin_radius() + tol for t in specs]
     raw = _sturm.bisect_many([t.abs2() for t in specs], radii, tol)
     for t, r, got in zip(specs, radii, raw):
-        assert np.array_equal(got, _sturm.bisect_all(t.abs2(), r, tol))
+        assert np.array_equal(got, _sturm.bisect_many([t.abs2()], [r], tol)[0])
     assert eig_bisection_many([]) == []
 
 
@@ -221,9 +222,9 @@ def test_phase_invariance_simple():
 
 
 def test_phase_invariance_catches_wrong_bisection(monkeypatch):
-    bisect_all = _sturm.bisect_all
-    monkeypatch.setattr(_sturm, "bisect_all",
-                        lambda *args: bisect_all(*args) + 1e-6)
+    bisect_many = _sturm.bisect_many
+    monkeypatch.setattr(_sturm, "bisect_many",
+                        lambda *args: [v + 1e-6 for v in bisect_many(*args)])
     assert not spectrum_invariance_under_phases(TridiagSpec([1.0, 2j, 0.5]))
 
 

@@ -112,6 +112,18 @@ def test_annihilator_polynomials_catch_perturbed_diagonal(op, tag):
     assert not rec.passed and np.isfinite(rec.residual)
 
 
+def test_l3_poly_fails_on_a_nan_entry():
+    # a NaN on one level's L_3 diagonal must fail the record, not drop out
+    # of the maximum over the levels
+    s = build_sphere(4)
+    terms = np.array(s.terms)
+    terms[s.term_keys.index(("L3", 0, 0)), s.index(2, 1)] = np.nan
+    bad = dataclasses.replace(s, terms=terms)
+    rec = next(c for c in verify_sphere_relations(bad).checks
+               if c.tag == "rf3D3/L3-poly")
+    assert not rec.passed and np.isnan(rec.residual)
+
+
 @pytest.mark.parametrize("field", ["x_plus", "x_minus", "x3", "x_squared"])
 def test_r2_catches_perturbed_coordinate_or_square(field):
     # x_squared is stored in closed form, so xx/r2 must see a change on

@@ -118,14 +118,48 @@ def test_guesses_cannot_move_a_value(guess, monkeypatch):
         for batch in [rows] + [[row] for row in rows]:
             a, r, w = map(list, zip(*batch))
             rounds.clear()
-            got = (_sturm.bisect_many(a, r, tol) if len(batch) > 1
-                   else [_sturm.bisect_all(a[0], r[0], tol)])
+            got = _sturm.bisect_many(a, r, tol)
             assert rounds
             assert _within_tol(got, w, r, tol)
             if guess in _NONE:
                 assert _same_bits(got, w)
             if guess in _ALL:
                 assert len(rounds) == 1
+
+
+def _copies(block, count):
+    """|a_k|^2 of count copies of the tridiagonal with off-diagonal block,
+    joined by zeros: each eigenvalue repeated count times."""
+    a = np.concatenate([np.append(block, 0.0)] * count)[:-1]
+    return np.abs(a) ** 2
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-30])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_values_descend_when_some_rows_are_bisected(tol, parity, monkeypatch):
+    # every other guess 0.6 tol off: those rows are bisected, their
+    # neighbours certified, and a bisected copy of a repeated eigenvalue
+    # may land on either side of its certified twin
+    rng = np.random.default_rng(1)
+    absa2s = [_copies([0.5, 0.5], 2), _copies([1.0, 0.7, 0.3], 2),
+              _copies(rng.normal(size=4), 3), _copies(np.full(5, 0.5), 2),
+              _copies(rng.normal(size=6), 2)]
+    radius = 8.0
+    shift = 0.6 * max(tol, 4 * np.spacing(radius))
+    dense = _sturm._dense_spectra
+
+    def fake(a):
+        guess = dense(a)
+        guess[:, parity::2] += shift
+        return guess
+    monkeypatch.setattr(_sturm, "_dense_spectra", fake)
+    rounds = _bounded_rounds(monkeypatch)
+    got = _sturm.bisect_many(absa2s, [radius] * len(absa2s), tol)
+    assert len(rounds) > 1
+    for values in got:
+        assert np.all(np.diff(values) <= 0.0)
+    want = sturm_oracle.bisect_many(absa2s, [radius] * len(absa2s), tol)
+    assert _within_tol(got, want, [radius] * len(absa2s), tol)
 
 
 def test_round_budget_cannot_move_a_value(monkeypatch):
@@ -135,7 +169,7 @@ def test_round_budget_cannot_move_a_value(monkeypatch):
     others = [_entries(rng, 13, "normal", False) for _ in range(100)]
     for tol in (1e-12, 1e-30):
         r = t.gershgorin_radius() + tol
-        alone = _sturm.bisect_all(t.abs2(), r, tol)
+        alone = _sturm.bisect_many([t.abs2()], [r], tol)[0]
         absa2s, radii = _batch(others, tol)
         wide = _sturm.bisect_many([t.abs2(), *absa2s], [r, *radii], tol)
         assert _same_bits(wide[:1], [alone])
