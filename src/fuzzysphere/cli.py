@@ -102,25 +102,25 @@ def _scs_records_sphere(s, tol, rng):
     rep.extend(verify_identity_resolution_sphere(
         s, "phi", beta=rng.uniform(0.0, TWO_PI, lam + 1), tol=tol_res))
 
-    spins = np.column_stack([spin_cs(s, l, _random_euler(rng))
-                             for l in range(lam + 1)])
-    d_ = dispersion(s, spins)
-    worst_sat = np.max(np.abs(d_.L_var - np.linalg.norm(d_.L_mean, axis=0)))
-    rep.add_residual("LUR3''/spin-saturation", float(worst_sat), 1e-9, lam=lam)
-
+    # the draws keep their order; spins and phi states are rotated as two
+    # blocks and measured in one pass, the random states in their own
+    levels = np.arange(lam + 1)
+    spins = spin_cs(s, levels, [_random_euler(rng) for _ in levels])
     d_ = dispersion(s, random_states(rng, s.dim, 100))
     lmean = np.linalg.norm(d_.L_mean, axis=0)
     worst = float(np.min(d_.l2_mean - lmean * (lmean + 1.0)))
+    g = _random_euler(rng)     # pb, with a random beta, and p0 share it
+    phis = strong_scs_sphere_phi(
+        s, [rng.uniform(0.0, TWO_PI, lam + 1), np.zeros(lam + 1)], g)
+    d_ = dispersion(s, np.column_stack([spins, phis]))
+
+    sat = np.abs(d_.L_var - np.linalg.norm(d_.L_mean, axis=0))[:lam + 1]
+    rep.add_residual("LUR3''/spin-saturation", float(np.max(sat)), 1e-9, lam=lam)
     rep.add(CheckRecord(tag="LUR3''/random", lam=lam, value=worst,
                         bound=0.0, passed=bool(worst >= -1e-10)))
-
-    g = _random_euler(rng)
-    pb = strong_scs_sphere_phi(s, rng.uniform(0.0, TWO_PI, lam + 1), g)
-    rep.add_residual("LXURphi/L-var",
-                     abs(dispersion(s, pb).L_var - lam * (lam + 2) / 2.0),
+    rep.add_residual("LXURphi/L-var", abs(d_.L_var[-2] - lam * (lam + 2) / 2.0),
                      1e-10, lam=lam)
-    p0 = strong_scs_sphere_phi(s, np.zeros(lam + 1), g)
-    val = dispersion(s, p0).x_var
+    val = d_.x_var[-1]
     rep.add(CheckRecord(tag="LXURphi/x-bound", lam=lam, value=float(val),
                         bound=1.0 / (lam + 1), passed=bool(val < 1.0 / (lam + 1))))
     return rep.checks

@@ -27,12 +27,14 @@ x^2 - 2 beta x_ref along one reference axis; each step solves one small
 real block, that of the L_3 sector holding the top eigenvalue of x_ref,
 which is the lowest sector at every beta.  The fixed point beta <- <x_ref>
 starts at that eigenvalue and, E_0 being concave, only goes down, so it
-ends without a tolerance or restarts.
+ends without a tolerance or restarts.  The minimum is read from that
+block too, <x^2> - <x_ref>^2 of its ground vector, with no moments pass.
 
 A state is a complex 1-d unit vector and a family of states a (dim, n)
 block of unit columns.  Every public function that takes states checks
 them on entry: a 1-d vector is a block of one, and every column must have
-norm 1.  Moments are taken over a whole block at once.
+norm 1.  Moments are taken over a whole block at once, and a block is
+rotated in one call (spin_cs, strong_scs_sphere_phi, weak_scs_orbit).
 
 Every function takes any space that answers moments(v) (<x>, <x^2>, <L>
 and <L^2> of a block), sectors() (the L_3 sectors as (indices, x^2 block,
@@ -48,8 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lierep import (EulerAngles, classical_rotation, classical_rotation_2d,
-                     rotate)
+from .lierep import EulerAngles, rotate
 from .linop import unit_columns
 from .report import CheckRecord, Report
 
@@ -179,28 +180,33 @@ def verify_identity_resolution_circle(c, beta=None, tol: float = 1e-10) -> Repor
     return rep
 
 
-def spin_cs(s, l: int, g: EulerAngles) -> np.ndarray:
-    """Rotated highest-weight state pi(g) psi_l^l."""
-    if not 0 <= l <= s.lam:
+def spin_cs(s, l, g) -> np.ndarray:
+    """Rotated highest-weight state pi(g) psi_l^l; for a sequence of levels
+    l, and a g for each or one for all, their (dim, n) block."""
+    ls = np.atleast_1d(l)
+    if np.any((ls < 0) | (ls > s.lam)):
         raise ValueError(f"l={l} out of range 0..{s.lam}")
-    v = np.zeros(s.dim, dtype=complex)
-    v[s.index(l, l)] = 1.0
-    return rotate(s, g, v)
+    v = np.zeros((s.dim, ls.size), dtype=complex)
+    v[ls * (ls + 2), np.arange(ls.size)] = 1.0      # psi_l^l is at l^2 + 2l
+    out = rotate(s, g, v)
+    return out if np.ndim(l) else out[:, 0]
 
 
 def _phi_seed(s, beta) -> np.ndarray:
-    """phi^beta = sum_l e^{i beta_l} sqrt(2l+1)/(lam+1) psi_l^0."""
+    """phi^beta = sum_l e^{i beta_l} sqrt(2l+1)/(lam+1) psi_l^0; for an
+    (n, lam+1) beta, one seed per row as the columns of a block."""
     beta = np.asarray(beta, dtype=float)
-    if beta.size != s.lam + 1:
+    if beta.shape[-1:] != (s.lam + 1,):
         raise ValueError(f"beta must have {s.lam + 1} entries, got {beta.size}")
-    v = np.zeros(s.dim, dtype=complex)
+    v = np.zeros((s.dim,) + beta.shape[:-1], dtype=complex)
     l = np.arange(s.lam + 1)
-    v[s.m_of == 0] = np.exp(1j * beta) * np.sqrt(2 * l + 1) / (s.lam + 1)
+    v[s.m_of == 0] = (np.exp(1j * beta) * np.sqrt(2 * l + 1) / (s.lam + 1)).T
     return v
 
 
 def strong_scs_sphere_phi(s, beta: np.ndarray, g: EulerAngles) -> np.ndarray:
-    """phi_g^beta: the m=0 superposition with sqrt(2l+1) weights, rotated."""
+    """phi_g^beta: the m=0 superposition with sqrt(2l+1) weights, rotated;
+    an (n, lam+1) beta gives the (dim, n) block of the n states."""
     return rotate(s, g, _phi_seed(s, beta))
 
 
@@ -393,8 +399,9 @@ def minimize_dispersion(space):
     never decreases in beta and never exceeds alpha_1: the sequence only
     goes down and stops at the largest fixed point, with no tolerance, no
     iteration cap and no restarts (a strictly falling sequence of floats in
-    [0, alpha_1] is finite).  The minimizer is that ground vector, so <x>
-    already points along the reference axis.
+    [0, alpha_1] is finite).  The minimizer is that ground vector v, so
+    <x> points along the reference axis, and the minimum is read from the
+    sector alone: v.q.v - <x_ref>^2, q the sector's x^2 block.
 
     For beta in [0, alpha_1] the lowest block is the sector holding
     alpha_1, so only that block is diagonalized.  On the fuzzy sphere it is
@@ -419,7 +426,7 @@ def minimize_dispersion(space):
         beta = mean
     chi = np.zeros(space.dim, dtype=complex)
     chi[idx] = v
-    return chi, float(dispersion(space, chi).x_var)
+    return chi, float(v @ q @ v - mean * mean)
 
 
 def minimizer_certificate(space, chi) -> float:
@@ -435,10 +442,7 @@ def weak_scs_orbit(space, chi, grid) -> np.ndarray:
     """Orbit of the unit vector chi over group elements (angles alpha for
     the circle, EulerAngles for the sphere): column j is pi(grid[j]) chi."""
     chi = _state(chi)
-    orbit = np.empty((chi.size, len(grid)), dtype=complex)
-    for j, g in enumerate(grid):
-        orbit[:, j] = rotate(space, g, chi)
-    return orbit
+    return rotate(space, grid, np.repeat(chi[:, None], len(grid), axis=1))
 
 
 def verify_weak_orbit(space, chi, grid) -> Report:
@@ -451,14 +455,14 @@ def verify_weak_orbit(space, chi, grid) -> Report:
     block = np.column_stack([chi, weak_scs_orbit(space, chi, grid)])
     d = dispersion(space, block)
     r = np.linalg.norm(d.x_mean[:, 0])
-    u = np.zeros(d.x_mean.shape)
-    for j, g in enumerate(grid, start=1):
-        if isinstance(g, EulerAngles):
-            u[:, j] = classical_rotation(g) @ np.array([0.0, 0.0, 1.0])
-        else:
-            u[:, j] = classical_rotation_2d(float(g)) @ np.array([1.0, 0.0])
+    # the rotated axes: (cos a, -sin a), u_g = (-sin t cos p, sin t sin p, cos t)
+    if len(d.x_mean) == 2:
+        u = np.array([np.cos(grid), -np.sin(grid)])
+    else:
+        p, t = np.array([(g.phi, g.theta) for g in grid]).reshape(-1, 2).T
+        u = np.array([-np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)])
     worst_var = float(np.max(np.abs(d.x_var[1:] - d.x_var[0]), initial=0.0))
-    worst_dir = float(np.max(np.linalg.norm(d.x_mean - r * u, axis=0)[1:],
+    worst_dir = float(np.max(np.linalg.norm(d.x_mean[:, 1:] - r * u, axis=0),
                              initial=0.0))
     rep.add_residual("weak-orbit/dispersion", worst_var, 1e-10, lam=space.lam)
     rep.add_residual("weak-orbit/direction", worst_dir, 1e-9, lam=space.lam)

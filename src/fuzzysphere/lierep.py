@@ -8,8 +8,7 @@ generator sets are reconstructed here by dividing each coordinate shift
 term (by f_+- at its target, by g at its source and its target) and then
 checked against the Cartan-Weyl relations and the Casimir values that label
 the representation.  Rotations enter as pi(g) = exp(i phi L_3)
-exp(i theta L_2) exp(i psi L_3) together with their classical 3x3
-counterparts.
+exp(i theta L_2) exp(i psi L_3), applied to states, one g per column.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from .report import Report
 from .sphere import FuzzySphere
 
 __all__ = ["EulerAngles", "squeeze_factor_circle", "g_weight",
-           "rotate", "classical_rotation",
-           "classical_rotation_2d", "verify_su2_reconstruction",
+           "rotate", "verify_su2_reconstruction",
            "verify_so4_reconstruction"]
 
 TWO_PI = 2.0 * np.pi
@@ -81,36 +79,26 @@ def g_weight(l: int, lam: int, k: float) -> float:
 
 
 def rotate(space, g, v: np.ndarray) -> np.ndarray:
-    """pi(g) v for a state or a (dim, n) block v.  On a sphere g is an
-    EulerAngles and pi(g) = exp(i phi L_3) exp(i theta L_2) exp(i psi L_3):
-    the phases e^{i psi m}, then each level's V e^{i theta nu} V^dag from
-    l2_eigh, then e^{i phi m}.  On the circle pi(alpha) = exp(i alpha L)."""
+    """pi(g) v for a state or a (dim, n) block v, g one rotation for every
+    column or a sequence of n, one per column.  On a sphere a rotation is
+    an EulerAngles, pi(g) = exp(i phi L_3) exp(i theta L_2) exp(i psi L_3):
+    the phases e^{i psi m}, each level's V e^{i theta nu} V^dag from
+    l2_eigh, then e^{i phi m}, each phase a (dim, n) array.  On the circle
+    pi(alpha) = exp(i alpha L)."""
     out = v.reshape(len(v), -1)
-    if not isinstance(g, EulerAngles):
-        return (np.exp(1j * float(g) * space.labels)[:, None] * out).reshape(v.shape)
-    out = np.exp(1j * g.psi * space.m_of)[:, None] * out
+    n = out.shape[1]
+    gs = [g] * n if isinstance(g, EulerAngles) or np.ndim(g) == 0 else list(g)
+    if len(gs) != n:
+        raise ValueError(f"{len(gs)} rotations for a block of {n} columns")
+    if isinstance(space, FuzzyCircle):
+        return (np.exp(1j * np.multiply.outer(space.labels, gs)) * out).reshape(v.shape)
+    phi, theta, psi = np.array([(e.phi, e.theta, e.psi) for e in gs]).reshape(-1, 3).T
+    out = np.exp(1j * np.multiply.outer(space.m_of, psi)) * out
     for sl, vals, vecs in space.l2_eigh:
-        out[sl] = (vecs * np.exp(1j * g.theta * vals)) @ (vecs.conj().T @ out[sl])
-    out *= np.exp(1j * g.phi * space.m_of)[:, None]
+        out[sl] = vecs @ (np.exp(1j * np.multiply.outer(vals, theta))
+                          * (vecs.conj().T @ out[sl]))
+    out *= np.exp(1j * np.multiply.outer(space.m_of, phi))
     return out.reshape(v.shape)
-
-
-def classical_rotation(g: EulerAngles) -> np.ndarray:
-    """3x3 matrix by which <x> transforms under pi(g); its action on e_3
-    gives the orbit direction u_g = (-sin t cos p, sin t sin p, cos t)."""
-    cp, sp = np.cos(g.phi), np.sin(g.phi)
-    ct, st = np.cos(g.theta), np.sin(g.theta)
-    cs, ss = np.cos(g.psi), np.sin(g.psi)
-    r3_phi = np.array([[cp, sp, 0.0], [-sp, cp, 0.0], [0.0, 0.0, 1.0]])
-    r2_theta = np.array([[ct, 0.0, -st], [0.0, 1.0, 0.0], [st, 0.0, ct]])
-    r3_psi = np.array([[cs, ss, 0.0], [-ss, cs, 0.0], [0.0, 0.0, 1.0]])
-    return r3_phi @ r2_theta @ r3_psi
-
-
-def classical_rotation_2d(alpha: float) -> np.ndarray:
-    """2x2 matrix by which <x> transforms under exp(i alpha L)."""
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    return np.array([[ca, sa], [-sa, ca]])
 
 
 @functools.cache

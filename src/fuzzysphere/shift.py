@@ -206,11 +206,14 @@ def power_norm(weights: np.ndarray, term_keys, name: str, n: int, targets,
     key and step.  A key is dropped when its weights all vanish, and when
     the n - j factors still to come, whose shifts lie in the box of n - j
     times A's least and greatest key, cannot bring it onto a shift that
-    moves anything: its part of A^n is exactly zero."""
+    moves anything: its part of A^n is exactly zero.  Pruning never reads
+    a weight, so a NaN or infinite weight anywhere in A makes it NaN."""
     rows = [j for j, key in enumerate(term_keys) if key[0] == name]
     keys = [term_keys[j][1:] for j in rows]
     lo, hi = np.min(keys, axis=0), np.max(keys, axis=0)
     a = np.pad(weights[rows], ((0, 0), (0, 1)))
+    if not np.isfinite(a).all():
+        return float("nan")
     power = {ZERO: np.ones(weights.shape[1], dtype=complex)}
     for rest in range(n, 0, -1):
         at = np.array(list(power))

@@ -94,11 +94,16 @@ def eig_bisection(t: TridiagSpec, tol: float = 1e-12) -> Spectrum:
 def eig_bisection_many(specs, tol: float = 1e-12) -> list[Spectrum]:
     """eig_bisection of every matrix in specs, in one batched kernel call
     (certified LAPACK values, else bisected); each spectrum is bitwise the
-    same whatever else is in specs, so eig_bisection is its batch of one."""
+    same whatever else is in specs, so eig_bisection is its batch of one.
+    A matrix with an |a_k|^2 beyond the floats (or NaN) is refused."""
     if not 0 < tol < np.inf:
         raise ValueError("bisection tolerance must be positive and finite")
+    radii = [t.gershgorin_radius() for t in specs]
+    for i, half in enumerate(0.5 * r for r in radii):
+        if not half * half < np.inf:
+            raise ValueError(f"matrix {i} of the batch: |a_k| = {half:g} squares to inf")
     values = _sturm.bisect_many([t.abs2() for t in specs],
-                                [t.gershgorin_radius() + tol for t in specs], tol)
+                                [r + tol for r in radii], tol)
     return [Spectrum(v) for v in values]
 
 

@@ -4,9 +4,10 @@ The circle and the sphere keep their operators only as shift terms.
 `dense` scatters any of them into a dim x dim matrix, and the checks
 below are the relation, su(2) and so(4) suites formed as dense products
 of those matrices, so the tests can compare the two record by record.
-`rotation_operator` is pi(g) as a dense matrix, `expm_hermitian_generator`
-the exponential of a dense generator, and `identity_sum_sphere` a strong
-family's whole quadrature sum.  They cost O(dim^2) memory and up to
+`rotation_operator` is pi(g) as a dense matrix, `classical_rotation` and
+`classical_rotation_2d` the matrices by which <x> transforms under it,
+`expm_hermitian_generator` the exponential of a dense generator, and
+`identity_sum_sphere` a strong family's whole quadrature sum.  They cost O(dim^2) memory and up to
 O(dim^3) time, so keep them to small truncations (lambda <= 12).
 """
 
@@ -90,6 +91,24 @@ def rotation_operator(s, g) -> np.ndarray:
     u *= np.exp(1j * g.phi * s.m_of)[:, None]
     u *= np.exp(1j * g.psi * s.m_of)
     return u
+
+
+def classical_rotation(g) -> np.ndarray:
+    """3x3 matrix by which <x> transforms under pi(g); its action on e_3
+    gives the orbit direction u_g = (-sin t cos p, sin t sin p, cos t)."""
+    cp, sp = np.cos(g.phi), np.sin(g.phi)
+    ct, st = np.cos(g.theta), np.sin(g.theta)
+    cs, ss = np.cos(g.psi), np.sin(g.psi)
+    r3_phi = np.array([[cp, sp, 0.0], [-sp, cp, 0.0], [0.0, 0.0, 1.0]])
+    r2_theta = np.array([[ct, 0.0, -st], [0.0, 1.0, 0.0], [st, 0.0, ct]])
+    r3_psi = np.array([[cs, ss, 0.0], [-ss, cs, 0.0], [0.0, 0.0, 1.0]])
+    return r3_phi @ r2_theta @ r3_psi
+
+
+def classical_rotation_2d(alpha: float) -> np.ndarray:
+    """2x2 matrix by which <x> transforms under exp(i alpha L)."""
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    return np.array([[ca, sa], [-sa, ca]])
 
 
 def by_levels(eigs, g: np.ndarray, inverse: bool = False) -> np.ndarray:

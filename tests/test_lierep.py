@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import (dense, expm_hermitian_generator, rotation_operator,
+from dense_oracle import (classical_rotation, classical_rotation_2d, dense,
+                          expm_hermitian_generator, rotation_operator,
                           so4_parts, x_ops)
 from fuzzysphere.circle import build_circle
-from fuzzysphere.lierep import (EulerAngles, classical_rotation,
-                                classical_rotation_2d, g_weight, rotate,
+from fuzzysphere.lierep import (EulerAngles, g_weight, rotate,
                                 squeeze_factor_circle,
                                 verify_so4_reconstruction,
                                 verify_su2_reconstruction)
@@ -326,6 +326,36 @@ def test_rotations_share_one_eigendecomposition(monkeypatch):
         weak_scs_orbit(space, np.eye(space.dim)[:, 0], gs)
         assert sizes == levels          # one eigh per level, for all of them
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("space", [build_sphere(4), build_madore(1.5)],
+                         ids=["sphere4", "madore1.5"])
+def test_block_of_rotations_matches_column_by_column(space):
+    # one EulerAngles per column, each level's two products taken once for
+    # the whole block
+    rng = np.random.default_rng(40)
+    gs = [EulerAngles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi),
+                      rng.uniform(0, 2 * np.pi)) for _ in range(7)]
+    block = rng.normal(size=(space.dim, 7)) + 1j * rng.normal(size=(space.dim, 7))
+    block /= np.linalg.norm(block, axis=0)
+    want = np.column_stack([rotate(space, g, v) for g, v in zip(gs, block.T)])
+    assert np.abs(rotate(space, gs, block) - want).max() <= 1e-14
+    for wrong in (gs[:6], gs + gs[:1]):
+        with pytest.raises(ValueError, match="rotations for a block of 7"):
+            rotate(space, wrong, block)
+
+
+def test_circle_block_of_angles_is_bitwise_column_by_column():
+    c = build_circle(5)
+    rng = np.random.default_rng(41)
+    chi = rng.normal(size=c.dim) + 1j * rng.normal(size=c.dim)
+    chi /= np.linalg.norm(chi)
+    alphas = np.array([0.0, 1.3, -4.2, 2.0])
+    got = rotate(c, alphas, np.repeat(chi[:, None], 4, axis=1))
+    assert np.array_equal(got, np.column_stack([rotate(c, a, chi) for a in alphas]))
+    assert np.array_equal(got[:, 0], chi)
+    with pytest.raises(ValueError, match="3 rotations for a block of 4"):
+        rotate(c, alphas[:3], np.repeat(chi[:, None], 4, axis=1))
 
 
 def test_circle_rotation_matches_dense_exponential():

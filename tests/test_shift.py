@@ -140,6 +140,23 @@ def test_nilpotency_decided_before_any_product(monkeypatch):
     assert lookups == []
 
 
+@pytest.mark.parametrize("op", ["x_plus", "x_minus"])
+def test_nonfinite_weight_fails_nilpotency(op):
+    # the power is pruned by reach before any weight is read, so a NaN or
+    # an infinity in the first nonzero weight must still make it NaN
+    s = build_sphere(3)
+    j = next(j for j, key in enumerate(s.term_keys) if key[0] == op)
+    for bad_value in (np.inf, np.nan):
+        terms = np.array(s.terms)
+        terms[j, np.flatnonzero(terms[j])[0]] = bad_value
+        bad = dataclasses.replace(s, terms=terms)
+        assert np.isnan(power_norm(bad.terms, bad.term_keys, op, 7,
+                                   bad.targets, bad.can_shift))
+    # on the NaN sphere the record keeps the NaN and fails
+    rec = _record(verify_sphere_relations(bad), "rf3D3/nilpotent")
+    assert not rec.passed and np.isnan(rec.residual)
+
+
 def test_g_weight_breaks_brackets_and_casimir(monkeypatch):
     # the dressing round trips divide and multiply by the same g, so only
     # the brackets and the Casimir can see a wrong g(2)

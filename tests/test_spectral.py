@@ -145,6 +145,22 @@ def test_bisection_tolerance_validated():
             eig_bisection_many([TridiagSpec([1.0])], tol=tol)
 
 
+@pytest.mark.parametrize("entry", [1e160, np.nan])
+def test_unsquarable_entry_names_its_matrix(entry):
+    # |a_k|^2 overflows above about 1.34e154; the kernel would square it
+    # into inf, so the batch is refused, naming the matrix
+    with pytest.raises(ValueError, match="matrix 1 of the batch"):
+        eig_bisection_many([TridiagSpec([1.0]), TridiagSpec(np.full(9, entry))])
+    with pytest.raises(ValueError, match="matrix 0 of the batch"):
+        eig_bisection(TridiagSpec(np.full(9, entry)))
+
+
+def test_entries_below_the_square_limit_are_bisected():
+    want = 1e150 * 2.0 * toeplitz_spectrum(10)
+    got = eig_bisection(TridiagSpec(np.full(9, 1e150))).values
+    assert np.abs(got - want).max() <= 1e-14 * 2e150
+
+
 def _random_specs(rng, sizes):
     return [TridiagSpec(rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
             for n in sizes]
