@@ -14,7 +14,6 @@ the sphere, operators are shift terms: key (0, dn) moves psi_n to psi_{n+dn}.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,42 +121,34 @@ def build_circle(lam: int, k: float | None = None) -> FuzzyCircle:
                        terms=readonly(np.array(rows, dtype=complex)))
 
 
-@functools.cache
-def _relation_tables(term_keys: tuple):
-    """The relation rows compiled for circles whose terms are labelled
-    term_keys; the weights are the terms, then the rhs of [x_+, x_-].  The
-    shift algebra is imported here, on first use, as in sphere.py."""
-    from .shift import compile_checks, stored_ops
-
-    ops = stored_ops(term_keys + (("comm", 0, 0),))
+def _relation_rows(ops) -> list:
+    """The relation rows on the terms and comm, the rhs of [x_+, x_-]."""
     L, xp, xm = ops["L"], ops["x_plus"], ops["x_minus"]
     # x_squared is built in closed form, so the sum of squares is formed here
-    rows = [("commrelD=2'/[L,x+]", L @ xp - xp @ L, xp),
+    return [("commrelD=2'/[L,x+]", L @ xp - xp @ L, xp),
             ("commrelD=2'/[L,x-]", L @ xm - xm @ L, -xm),
             ("commrelD=2'/adjoint", xp.H, xm), ("commrelD=2'/L-herm", L.H, L),
             ("y+y-", xp @ xm - xm @ xp, ops["comm"]),
             ("defR2D=2", 0.5 * (xp @ xm + xm @ xp), ops["x_squared"])]
-    return compile_checks(rows, len(term_keys) + 1)
 
 
 def verify_circle_relations(c: FuzzyCircle, tol: float = 1e-10) -> Report:
     """Residuals of the defining relations; pass iff all are <= tol.  They
-    are evaluated on the shift terms alone."""
-    from .shift import check_residuals, power_norm
+    are evaluated on the shift terms alone, by the shift algebra, which is
+    imported here, on first use, as in sphere.py."""
+    from .shift import check, power_norm
 
-    rep, tab = Report(), _relation_tables(c.term_keys)
     lam, k, n = c.lam, c.k, c.labels
     # [x_+, x_-] = -2 L/k + edge (P_lam - P_-lam)
     edge = 1.0 + lam * (lam + 1) / k
     comm = -2.0 * n / k + edge * np.sign(n) * (np.abs(n) == lam)
-    weights = np.concatenate([c.terms, comm[None]])
-    rep.add_residuals(tab.tags, check_residuals(tab, weights, c.targets), tol, lam)
+    rep = check(c, _relation_rows, [((("comm", 0, 0),), [comm])], tol)
 
     # L is diagonal, so prod_n (L - n) is evaluated entrywise on its diagonal
     poly = diag_annihilator(np.real(c.terms[c.term_keys.index(("L", 0, 0))]),
                             range(-lam, lam + 1))
     rep.add_residual("commrelD=2/L-poly", float(np.abs(poly).max()), tol, lam=lam)
-    nil = power_norm(c.terms, c.term_keys, "x_plus", c.dim, c.targets, c.can_shift)
+    nil = power_norm(c, "x_plus", c.dim)
     rep.add_residual("commrelD=2/nilpotent", nil, tol, lam=lam)
     return rep
 

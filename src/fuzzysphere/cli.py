@@ -33,7 +33,7 @@ from .lierep import (EulerAngles, verify_so4_reconstruction,
 from .linop import Stream, random_states
 from .report import CheckRecord, Report
 from .spectral import (TridiagSpec, agrees_with_dense, alpha1_bound,
-                       circle_diag_report, eig_bisection_many,
+                       bisection_tol, circle_diag_report, eig_bisection_many,
                        random_rephasing, sphere_diag_report, toeplitz_spectrum)
 from .sphere import build_sphere, coordinate_blocks, verify_sphere_relations
 
@@ -185,7 +185,7 @@ def _spectra_records(config: ScanConfig) -> list:
         cases.append((t, random_rephasing(t, rng)))
     toeplitz = [coordinate_matrix(hi, np.inf)] if config.d == 1 else []
     spectra = eig_bisection_many([t for t, _ in cases] + toeplitz,
-                                 min(config.tol, 1e-12))
+                                 bisection_tol(config.tol))
     if toeplitz:
         resid = np.abs(spectra[-1].values - toeplitz_spectrum(2 * hi + 1)).max()
         rep.add_residual("valuecos", float(resid), config.tol, lam=hi)

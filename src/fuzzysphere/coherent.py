@@ -138,20 +138,13 @@ def check_heisenberg_circle(c, psi) -> Report:
     return rep
 
 
-def _strong_circle_columns(c, beta, alphas) -> np.ndarray:
-    """The strong states omega_alpha^beta for each alpha in alphas, as the
-    columns of a block."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.size != c.dim:
-        raise ValueError(f"beta must have {c.dim} entries, got {beta.size}")
-    phases = np.multiply.outer(c.labels, alphas) + beta[:, None]
-    return np.exp(1j * phases) / np.sqrt(c.dim)
-
-
 def strong_scs_circle(c, beta: np.ndarray, alpha: float) -> np.ndarray:
     """omega_alpha^beta = sum_n e^{i(alpha n + beta_n)} psi_n / sqrt(2L+1);
     beta is indexed like the basis (n descending from lam to -lam)."""
-    return _strong_circle_columns(c, beta, [alpha])[:, 0]
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (c.dim,):
+        raise ValueError(f"beta must have shape ({c.dim},), got {beta.shape}")
+    return np.exp(1j * (c.labels * alpha + beta)) / np.sqrt(c.dim)
 
 
 def _azimuthal_nodes(lam: int) -> np.ndarray:
@@ -171,7 +164,7 @@ def verify_identity_resolution_circle(c, beta=None, tol: float = 1e-10) -> Repor
     n-point azimuthal rule: the states are e^{i alpha L} u, u = omega_0^beta,
     so the sum is (2L+1)/n kappa(n_i - n_j) * u u^dag."""
     alphas = _azimuthal_nodes(c.lam)
-    u = _strong_circle_columns(c, np.zeros(c.dim) if beta is None else beta, [0.0])[:, 0]
+    u = strong_scs_circle(c, np.zeros(c.dim) if beta is None else beta, 0.0)
     weave = _kappa(alphas, c.lam)[c.labels[:, None] - c.labels + 2 * c.lam]
     total = c.dim / alphas.size * (weave * np.outer(u, u.conj()))
     resid = float(np.linalg.norm(total - np.eye(c.dim)))

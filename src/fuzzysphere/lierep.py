@@ -13,7 +13,7 @@ exp(i theta L_2) exp(i psi L_3), applied to states, one g per column.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -45,6 +45,8 @@ class EulerAngles:
     psi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.phi) and math.isfinite(self.psi)):
+            raise ValueError(f"phi and psi must be finite, got {self.phi}, {self.psi}")
         if not -1e-12 <= self.theta <= np.pi + 1e-12:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
@@ -101,29 +103,22 @@ def rotate(space, g, v: np.ndarray) -> np.ndarray:
     return out.reshape(v.shape)
 
 
-@functools.cache
-def _su2_tables(term_keys: tuple):
-    """The su(2) rows compiled for circles whose terms are labelled
-    term_keys.  The weights are the terms, then E_+ and E_-, the round trip
-    of E_+, that and x_+ each times the mask |n| != lam of the source, the
-    mask itself and the Casimir value lam (lam + 1)."""
-    from .shift import compile_checks, stored_ops
-
-    ops = stored_ops(term_keys + (("E+", 0, 1), ("E-", 0, -1), ("back", 0, 1),
-                                  ("back_kept", 0, 1), ("x_plus_kept", 0, 1),
-                                  ("keep", 0, 0), ("cas", 0, 0)))
+def _su2_rows(ops) -> list:
+    """The su(2) rows on the circle's terms, E_+ and E_-, the round trip
+    x_plus/back of E_+, that and x_+ each times the mask |n| != lam of the
+    source (x_plus/back_kept, x_plus/kept), the mask keep itself and cas,
+    the Casimir value lam (lam + 1)."""
     ep, em, e0, keep = ops["E+"], ops["E-"], ops["L"], ops["keep"]
-    rows = [("su2rel/[E+,E-]", ep @ em - em @ ep, e0),
+    return [("su2rel/[E+,E-]", ep @ em - em @ ep, e0),
             ("su2rel/[E0,E+]", e0 @ ep - ep @ e0, ep),
             ("su2rel/[E0,E-]", e0 @ em - em @ e0, -em),
             ("su2rel/adjoint", ep.H, em),
             ("isomD2/casimir", ep @ em + e0 @ e0 + em @ ep, ops["cas"]),
-            ("transfD2/roundtrip", ops["back"], ops["x_plus"]),
+            ("transfD2/roundtrip", ops["x_plus/back"], ops["x_plus"]),
             # P X P with P = 1 - P_lam - P_-lam: the source mask is in the
             # kept rows, the target mask is the factor keep
-            ("transfD2/roundtrip-offedge", keep @ ops["back_kept"],
-             keep @ ops["x_plus_kept"])]
-    return compile_checks(rows, len(term_keys) + 7)
+            ("transfD2/roundtrip-offedge", keep @ ops["x_plus/back_kept"],
+             keep @ ops["x_plus/kept"])]
 
 
 def verify_su2_reconstruction(c: FuzzyCircle, tol: float = 1e-10) -> Report:
@@ -131,9 +126,8 @@ def verify_su2_reconstruction(c: FuzzyCircle, tol: float = 1e-10) -> Report:
     shift terms alone.  E_+ = x_+ / (sqrt(2) f_+(E_0)) and E_- = x_- /
     (sqrt(2) f_-(E_0)), f_-(s) = f_+(s+1), each weight divided at its
     target, so su2rel/adjoint compares two independent reconstructions."""
-    from .shift import check_residuals
+    from .shift import check
 
-    rep, tab = Report(), _su2_tables(c.term_keys)
     lam, k = c.lam, c.k
     # the factors at the targets of x_+ and x_-; label 0 stands at the
     # missing target dim, where both weights vanish
@@ -141,42 +135,39 @@ def verify_su2_reconstruction(c: FuzzyCircle, tol: float = 1e-10) -> Report:
     w, w_minus = (np.sqrt(2.0) * squeeze_factor_circle(s, lam, k) for s in (up, down + 1))
     xp, xm = (c.terms[c.term_keys.index(key)]
               for key in (("x_plus", 0, 1), ("x_minus", 0, -1)))
-    ep, keep, cas = xp / w, np.abs(c.labels) != lam, np.full(c.dim, lam * (lam + 1.0))
-    weights = np.concatenate([c.terms, [ep, xm / w_minus, ep * w, ep * w * keep,
-                                        xp * keep, keep, cas]])
-    return rep.add_residuals(tab.tags, check_residuals(tab, weights, c.targets),
-                             tol, lam)
+    ep, keep = xp / w, np.abs(c.labels) != lam
+    return check(c, _su2_rows, [
+        ((("E+", 0, 1), ("E-", 0, -1)), [ep, xm / w_minus]),
+        ((("x_plus/back", 0, 1), ("x_plus/back_kept", 0, 1), ("x_plus/kept", 0, 1)),
+         [ep * w, ep * w * keep, xp * keep]),
+        ((("keep", 0, 0),), [keep]),
+        ((("cas", 0, 0),), [np.full(c.dim, lam * (lam + 1.0))])], tol)
 
 
-@functools.cache
-def _so4_tables(term_keys: tuple):
-    """The so(4) rows compiled for spheres whose terms are labelled
-    term_keys, with the coordinate rows and their shifts.  After the terms
-    the weight table holds four blocks, each with one row per coordinate
-    term w from l to l': the dressed weight -w / (g(l') g(l)), the round
-    trip g(l') g(l) times minus that, then w and the round trip each times
-    the mask l != lam of the source; and then the mask itself and the
-    Casimir value lam (lam + 2).  The shift algebra is imported here, on
-    first use, as in sphere.py."""
-    from .shift import ZERO, Op, cartesian, compile_checks, stored_ops
+# the coordinates, whose terms so(4) dresses, and the four copies it makes
+# of each: the dressed weight, the round trip, and those two kept off the
+# top level (see _so4_rows)
+_COORDS = ("x_plus", "x_minus", "x3")
+_COPIES = ("dressed", "back", "kept", "back_kept")
 
-    n = len(term_keys)
-    x_rows = [j for j, key in enumerate(term_keys)
-              if key[0] in ("x_plus", "x_minus", "x3")]
-    x_keys = tuple(term_keys[j] for j in x_rows)
-    nx = len(x_keys)
 
-    def coords(first_row):
-        ops = stored_ops(x_keys, first_row)
-        return cartesian(ops["x_plus"], ops["x_minus"], ops["x3"])
+def _so4_rows(ops) -> list:
+    """The so(4) rows on the sphere's terms and, for each coordinate
+    term w from l to l', four copies with the key of w: name/dressed, the
+    dressed weight -w / (g(l') g(l)); name/back, the round trip g(l') g(l)
+    times minus that; name/kept and name/back_kept, w and the round trip
+    each times the mask l != lam of the source; then the mask keep itself
+    and cas, the Casimir value lam (lam + 2)."""
+    from .shift import Op, cartesian
 
-    ops = stored_ops(term_keys)
+    def coords(suffix):
+        return cartesian(*(ops[name + suffix] for name in _COORDS))
+
     lp = ops["L_plus"]
     L1, L2, L3 = cartesian(lp, lp.H, ops["L3"])
-    x = cartesian(ops["x_plus"], ops["x_minus"], ops["x3"])
-    dressed, back, x_kept, back_kept = (coords(n + b * nx) for b in range(4))
-    keep = Op.atom(n + 4 * nx, ZERO)
-    cas = Op.atom(n + 4 * nx + 1, ZERO)
+    x = coords("")
+    dressed, back, x_kept, back_kept = (coords("/" + copy) for copy in _COPIES)
+    keep = ops["keep"]
 
     gens = {(1, 2): L3, (1, 3): -L2, (2, 3): L1}
     for i in range(3):
@@ -199,7 +190,7 @@ def _so4_tables(term_keys: tuple):
     sq = Op()
     for op in gens.values():
         sq = sq + op @ op
-    rows.append(("isomD3/casimir", sq, cas))
+    rows.append(("isomD3/casimir", sq, ops["cas"]))
     prime = Op()
     for a, b, sign in _PAIRINGS:
         prime = prime + 4.0 * sign * (full[a] @ full[b] + full[b] @ full[a])
@@ -209,8 +200,7 @@ def _so4_tables(term_keys: tuple):
     rows += [("transfD3/roundtrip", back[i], x[i]) for i in range(3)]
     rows += [("transfD3/roundtrip-offedge", keep @ back_kept[i], keep @ x_kept[i])
              for i in range(3)]
-    return (compile_checks(rows, n + 4 * nx + 2), np.array(x_rows),
-            np.array([key[1:] for key in x_keys]))
+    return rows
 
 
 def verify_so4_reconstruction(s: FuzzySphere, tol: float = 1e-9) -> Report:
@@ -219,20 +209,22 @@ def verify_so4_reconstruction(s: FuzzySphere, tol: float = 1e-9) -> Report:
     Lhat_{12} = L_3, Lhat_{13} = -L_2, Lhat_{23} = L_1 and Lhat_{i4}, the
     inverse of x_i = g(lambda) Lhat_{4i} g(lambda): each coordinate term
     is divided by g at its source and at its target."""
-    from .shift import check_residuals
+    from .shift import check
 
-    rep = Report()
     lam = s.lam
-    tab, x_rows, x_shifts = _so4_tables(s.term_keys)
-
-    g = np.array([g_weight(l, lam, s.k) for l in range(lam + 1)])[s.l_of]
-    g_pad = np.append(g, 1.0)                 # at the missing target dim
-    t = s.targets(x_shifts)
+    x_rows = [j for j, key in enumerate(s.term_keys) if key[0] in _COORDS]
+    x_keys = [s.term_keys[j] for j in x_rows]
+    # g(l) at index l + 1, and 1 at the levels -1 and lam + 1, where every
+    # weight to them vanishes
+    g = np.array([1.0] + [g_weight(l, lam, s.k) for l in range(lam + 1)] + [1.0])
+    g_source = g[s.l_of + 1]
+    g_target = g[s.l_of + np.array([[dl + 1] for _, dl, _ in x_keys])]
     w = s.terms[x_rows]
-    dressed = -((1.0 / g_pad)[t] * (1.0 / g)) * w
-    back = (g_pad[t] * g) * -dressed
+    dressed = -((1.0 / g_target) * (1.0 / g_source)) * w
+    back = (g_target * g_source) * -dressed
     keep = s.l_of != lam
-    weights = np.concatenate([s.terms, dressed, back, w * keep, back * keep,
-                              keep[None], np.full((1, s.dim), lam * (lam + 2.0))])
-    return rep.add_residuals(tab.tags, check_residuals(tab, weights, s.targets),
-                             tol, lam)
+    copies = [(tuple((f"{name}/{copy}", dl, dm) for name, dl, dm in x_keys), block)
+              for copy, block in zip(_COPIES, (dressed, back, w * keep, back * keep))]
+    return check(s, _so4_rows, copies + [
+        ((("keep", 0, 0),), [keep]),
+        ((("cas", 0, 0),), [np.full(s.dim, lam * (lam + 2.0))])], tol)

@@ -15,20 +15,30 @@ An atom (row, conj, off, key) weighs W[row, T[off][i]] at source i
 (conjugated if conj) and moves i by key: a stored term has off = (0, 0),
 and the adjoint of an atom reads its source through off - key and moves
 by -key.  An `Op` is a linear combination of atoms and of products of two
-atoms.  `compile_checks` turns check rows `lhs - rhs` into flat index
-tables once, independent of lambda; `check_residuals` then evaluates every
-row at one truncation with one gather, one multiply and one
+atoms.  A suite is a rows function, ops -> [(tag, lhs, rhs), ...], where
+ops = stored_ops(keys) names one `Op` per operator of the weight rows,
+each row labelled by a key (name, dl, dm).  `check` runs a suite on a
+space: the weight rows are the space's terms, then the extra blocks its
+caller passes, each with its own keys, and that one place decides the
+layout, so a suite asks for every row by name.  `compile_checks` turns the
+rows `lhs - rhs` into flat index tables once per rows function and key
+tuple, independent of lambda; `check_residuals` then evaluates every row
+at one truncation with one gather, one multiply and one
 `np.add.reduceat`, and no Python loop over terms or pairs.  `power_norm`
-composes the powers of one operator, held as {(dl, dm): weights over the
-sources}, one factor at a time.
+composes the powers of one operator of a space, held as {(dl, dm):
+weights over the sources}, one factor at a time.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from .report import Report
+
 __all__ = ["Op", "cartesian", "stored_ops", "CheckTables", "compile_checks",
-           "check_residuals", "power_norm"]
+           "check_residuals", "check", "power_norm"]
 
 ZERO = (0, 0)
 
@@ -92,12 +102,12 @@ def cartesian(plus: Op, minus: Op, zero: Op) -> tuple:
     return 0.5 * (plus + minus), -0.5j * (plus - minus), zero
 
 
-def stored_ops(term_keys, first_row: int = 0) -> dict:
-    """{name: Op} for rows first_row, first_row + 1, ... labelled by
-    term_keys, each (name, dl, dm)."""
+def stored_ops(keys) -> dict:
+    """{name: Op} for the weight rows 0, 1, ... labelled by keys, each
+    (name, dl, dm)."""
     ops = {}
-    for j, (name, dl, dm) in enumerate(term_keys):
-        ops[name] = ops.get(name, Op()) + Op.atom(first_row + j, (dl, dm))
+    for j, (name, dl, dm) in enumerate(keys):
+        ops[name] = ops.get(name, Op()) + Op.atom(j, (dl, dm))
     return ops
 
 
@@ -116,42 +126,47 @@ class CheckTables:
         self.__dict__.update(fields)
 
 
-def compile_checks(rows, n_weights: int) -> CheckTables:
-    """Compile [(tag, lhs, rhs), ...], rows of one tag adjacent, against a
-    weight table of n_weights caller rows; the evaluation appends their
-    conjugates (rows n_weights..2 n_weights - 1) and one row of ones."""
-    one = 2 * n_weights
+@functools.cache
+def compile_checks(rows, keys: tuple) -> CheckTables:
+    """Compile rows(stored_ops(keys)), [(tag, lhs, rhs), ...] with the rows
+    of one tag adjacent, against a weight table with one row per key; the
+    evaluation appends their conjugates (rows len(keys)..2 len(keys) - 1)
+    and one row of ones.  Cached: each rows function and key tuple is
+    compiled once per process."""
+    n = len(keys)
+    one = 2 * n
+    checks = rows(stored_ops(keys))
     contrib = []                    # (row, out key, side, coef, r1, k1, r2, k2)
-    for ri, (_, lhs, rhs) in enumerate(rows):
+    for ri, (_, lhs, rhs) in enumerate(checks):
         for side, op, sign in ((0, lhs, 1.0), (1, rhs, -1.0)):
             for mono, c in op.terms.items():
                 if c == 0:
                     continue
                 inner = mono[-1]
-                r1 = inner[0] + n_weights * inner[1]
+                r1 = inner[0] + n * inner[1]
                 if len(mono) == 1:
                     r2, k2, out = one, ZERO, inner[3]
                 else:
                     outer = mono[0]
-                    r2 = outer[0] + n_weights * outer[1]
+                    r2 = outer[0] + n * outer[1]
                     k2 = _plus(outer[2], inner[3])
                     out = _plus(outer[3], inner[3])
                 contrib.append((ri, out, side, sign * c, r1, inner[2], r2, k2))
     contrib.sort(key=lambda t: t[:3])
-    keys = sorted({t[5] for t in contrib} | {t[7] for t in contrib})
-    kidx = {k: j for j, k in enumerate(keys)}
+    shifts = sorted({t[5] for t in contrib} | {t[7] for t in contrib})
+    kidx = {k: j for j, k in enumerate(shifts)}
     group = [t[:3] for t in contrib]
     new_group = [j == 0 or group[j] != group[j - 1] for j in range(len(group))]
     starts = np.flatnonzero(new_group)
     heads = [group[j] for j in starts]
     new_slot = [j == 0 or heads[j][:2] != heads[j - 1][:2] for j in range(len(heads))]
     slot_starts = np.flatnonzero(new_slot)
-    tags = [t for t, _, _ in rows]
+    tags = [t for t, _, _ in checks]
     tag_starts = [j for j in range(len(tags)) if j == 0 or tags[j] != tags[j - 1]]
     return CheckTables(
         tags=tuple(tags[j] for j in tag_starts),
-        tag_starts=np.array(tag_starts), n_rows=len(rows), n_weights=n_weights,
-        keys=np.array(keys, dtype=int).reshape(-1, 2),
+        tag_starts=np.array(tag_starts), n_rows=len(checks),
+        keys=np.array(shifts, dtype=int).reshape(-1, 2),
         coef=np.array([t[3] for t in contrib], dtype=complex),
         r1=np.array([t[4] for t in contrib]),
         k1=np.array([kidx[t[5]] for t in contrib]),
@@ -170,11 +185,9 @@ def _sq_norms(v: np.ndarray) -> np.ndarray:
 
 def check_residuals(tab: CheckTables, weights: np.ndarray, targets) -> np.ndarray:
     """max over the rows of each tag of ||lhs - rhs||_F / (1 + ||rhs||_F),
-    for weights of shape (tab.n_weights, dim) and targets(keys) the
-    (K, dim) target table."""
+    for weights of shape (len(keys), dim), one row per key the tables were
+    compiled for, and targets(keys) the (K, dim) target table."""
     n, dim = weights.shape
-    if n != tab.n_weights:
-        raise ValueError(f"{n} weight rows for tables compiled for {tab.n_weights}")
     width = dim + 1
     table = np.zeros((2 * n + 1, width), dtype=complex)
     table[:n, :dim] = weights
@@ -194,11 +207,24 @@ def check_residuals(tab: CheckTables, weights: np.ndarray, targets) -> np.ndarra
     return np.maximum.reduceat(np.sqrt(d2) / (1.0 + np.sqrt(r2)), tab.tag_starts)
 
 
-def power_norm(weights: np.ndarray, term_keys, name: str, n: int, targets,
-               can_shift) -> float:
-    """||A^n||_F, n >= 1, for the operator A = name: row j of weights is
-    the term that shifts by (dl, dm) for term_keys[j] = (name, dl, dm).
-    targets(keys) is the target table, and can_shift(lo, hi) tells, for
+def check(space, rows, extra, tol: float) -> Report:
+    """The records of the suite rows on space, one per tag, each passing
+    iff its residual is <= tol.  The weight rows are the space's terms,
+    labelled by its term_keys, then each extra block (keys, weights): a
+    tuple of keys and one weight row over the basis per key."""
+    keys = space.term_keys
+    for block_keys, _ in extra:
+        keys += block_keys
+    tab = compile_checks(rows, keys)
+    weights = np.concatenate([space.terms, *(w for _, w in extra)])
+    return Report().add_residuals(tab.tags, check_residuals(tab, weights, space.targets),
+                                  tol, space.lam)
+
+
+def power_norm(space, name: str, n: int) -> float:
+    """||A^n||_F, n >= 1, for the operator A = name of space: each of its
+    terms whose key is (name, dl, dm) shifts by (dl, dm).  space.targets
+    (keys) is the target table, and space.can_shift(lo, hi) tells, for
     each row, whether some shift between lo and hi moves some basis vector
     onto another.
 
@@ -208,21 +234,21 @@ def power_norm(weights: np.ndarray, term_keys, name: str, n: int, targets,
     times A's least and greatest key, cannot bring it onto a shift that
     moves anything: its part of A^n is exactly zero.  Pruning never reads
     a weight, so a NaN or infinite weight anywhere in A makes it NaN."""
-    rows = [j for j, key in enumerate(term_keys) if key[0] == name]
-    keys = [term_keys[j][1:] for j in rows]
+    rows = [j for j, key in enumerate(space.term_keys) if key[0] == name]
+    keys = [space.term_keys[j][1:] for j in rows]
     lo, hi = np.min(keys, axis=0), np.max(keys, axis=0)
-    a = np.pad(weights[rows], ((0, 0), (0, 1)))
+    a = np.pad(space.terms[rows], ((0, 0), (0, 1)))
     if not np.isfinite(a).all():
         return float("nan")
-    power = {ZERO: np.ones(weights.shape[1], dtype=complex)}
+    power = {ZERO: np.ones(space.dim, dtype=complex)}
     for rest in range(n, 0, -1):
         at = np.array(list(power))
-        reach = can_shift(at + rest * lo, at + rest * hi)
+        reach = space.can_shift(at + rest * lo, at + rest * hi)
         power = {key: w for (key, w), ok in zip(power.items(), reach) if ok}
         if not power:
             break
         nxt = {}
-        for (key, w), t in zip(power.items(), targets(list(power))):
+        for (key, w), t in zip(power.items(), space.targets(list(power))):
             for d, row in zip(keys, a):
                 nxt[_plus(key, d)] = nxt.get(_plus(key, d), 0.0) + w * row[t]
         power = {key: w for key, w in nxt.items() if w.any()}

@@ -28,12 +28,18 @@ __all__ = [
     "random_rephasing",
     "agrees_with_dense",
     "alpha1_bound",
+    "bisection_tol",
     "spectrum_invariance_under_phases",
     "circle_diag_report",
     "sphere_diag_report",
 ]
 
 SIMPLE_GAP_FACTOR = 10.0
+
+
+def bisection_tol(tol: float) -> float:
+    """The tolerance every check at tol bisects to: tol, but at most 1e-12."""
+    return min(tol, 1e-12)
 
 
 @dataclass(frozen=True)
@@ -152,12 +158,12 @@ def spectrum_invariance_under_phases(t: TridiagSpec, rng=None,
     bisected elsewhere), agrees within tol with numpy's dense eigvalsh of
     the complex hermitian matrix and of a random rephasing of its
     off-diagonal entries, drawn from rng (default linop.Stream(0)).  It
-    takes t alone, at min(tol, 1e-12); to check many matrices in one kernel
+    takes t alone, at bisection_tol(tol); to check many matrices in one kernel
     call, pass each spectrum of eig_bisection_many to agrees_with_dense, as
     the CLI's spectra suite does."""
     if rng is None:
         rng = Stream(0)
-    values = eig_bisection(t, min(tol, 1e-12)).values
+    values = eig_bisection(t, bisection_tol(tol)).values
     return agrees_with_dense(values, (t, random_rephasing(t, rng)), tol)
 
 
@@ -176,7 +182,7 @@ def circle_diag_report(lam_min: int, lam_max: int, k=None,
     from .circle import coordinate_matrix
 
     report = Report()
-    bis_tol = min(tol, 1e-12)
+    bis_tol = bisection_tol(tol)
     lams = range(lam_min, lam_max + 2)
     circle_spectra = dict(zip(lams, eig_bisection_many(
         [coordinate_matrix(lam, k) for lam in lams], bis_tol)))
@@ -207,7 +213,7 @@ def sphere_diag_report(lam_min: int, lam_max: int, k=None,
     from .sphere import coordinate_blocks
 
     report = Report()
-    bis_tol = min(tol, 1e-12)
+    bis_tol = bisection_tol(tol)
     blocks = {(lam, m): blk for lam in range(lam_min, lam_max + 2)
               for m, blk in coordinate_blocks(lam, k).items()}
     spectra = dict(zip(blocks, eig_bisection_many(list(blocks.values()), bis_tol)))

@@ -14,7 +14,6 @@ rather than special cases.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -206,19 +205,14 @@ def build_sphere(lam: int, k: float | None = None) -> FuzzySphere:
                        l_of=l_of, m_of=m_of)
 
 
-@functools.cache
-def _relation_tables(term_keys: tuple):
-    """The relation rows compiled for spheres whose terms are labelled
-    term_keys; the weight table is the terms, then the diagonal f of the
+def _relation_rows(ops) -> list:
+    """The relation rows on the terms and f, the diagonal of the
     coordinate bracket."""
-    from .shift import ZERO, Op, cartesian, compile_checks, stored_ops
+    from .shift import Op, cartesian
 
-    n = len(term_keys)
-    ops = stored_ops(term_keys)
-    lp = ops["L_plus"]
+    lp, f = ops["L_plus"], ops["f"]
     x = cartesian(ops["x_plus"], ops["x_minus"], ops["x3"])
     L = cartesian(lp, lp.H, ops["L3"])
-    f = Op.atom(n, ZERO)
 
     def eps_sum(v, i, j):
         out = Op()
@@ -252,22 +246,18 @@ def _relation_tables(term_keys: tuple):
     rows.append(("xx/r2", sq, ops["x_squared"]))
     rows.append(("D=3Basis/L2", L[0] @ L[0] + L[1] @ L[1] + L[2] @ L[2],
                  ops["l2"]))
-    return compile_checks(rows, n + 1)
+    return rows
 
 
 def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
     """Residuals of the defining relations; pass iff all are <= tol.  They
     are evaluated on the shift terms alone."""
-    from .shift import check_residuals, power_norm
+    from .shift import check, power_norm
 
-    rep = Report()
     lam, k = s.lam, s.k
-    tab = _relation_tables(s.term_keys)
-
     K = 1.0 / k + (1.0 + lam * lam / k) / (2 * lam + 1)
     f = -1.0 / k + K * (s.l_of == lam)
-    weights = np.concatenate([s.terms, f[None]])
-    rep.add_residuals(tab.tags, check_residuals(tab, weights, s.targets), tol, lam)
+    rep = check(s, _relation_rows, [((("f", 0, 0),), [f])], tol)
 
     # both annihilator polynomials act on diagonal operators, so they are
     # evaluated entrywise on the diagonals; np.max keeps a NaN
@@ -279,8 +269,7 @@ def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
                     for l in range(lam + 1)])
     rep.add_residual("rf3D3/L3-poly", worst, tol, lam=lam)
 
-    nil = np.max([power_norm(s.terms, s.term_keys, name, 2 * lam + 1, s.targets,
-                             s.can_shift) for name in ("x_plus", "x_minus")])
+    nil = np.max([power_norm(s, name, 2 * lam + 1) for name in ("x_plus", "x_minus")])
     rep.add_residual("rf3D3/nilpotent", nil, tol, lam=lam)
     return rep
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -239,11 +240,13 @@ def test_nilpotency_decided_before_any_product(monkeypatch):
     calls, lookups = [], []
     power_norm = shift.power_norm
 
-    def counted(weights, term_keys, name, n, targets, can_shift):
+    def counted(space, name, n):
         calls.append((name, n))
-        return power_norm(weights, term_keys, name, n,
-                          lambda keys: lookups.append(keys) or targets(keys),
-                          can_shift)
+        spy = SimpleNamespace(terms=space.terms, term_keys=space.term_keys,
+                              dim=space.dim, can_shift=space.can_shift,
+                              targets=lambda keys: lookups.append(keys)
+                              or space.targets(keys))
+        return power_norm(spy, name, n)
 
     monkeypatch.setattr(shift, "power_norm", counted)
     for k in (None, np.inf):

@@ -191,6 +191,9 @@ def test_strong_circle_beta_length_checked():
     c = build_circle(2)
     with pytest.raises(ValueError):
         strong_scs_circle(c, np.zeros(3), 0.0)
+    # dim entries in a column are not a beta indexed like the basis
+    with pytest.raises(ValueError):
+        strong_scs_circle(c, np.zeros((c.dim, 1)), 0.0)
 
 
 @pytest.mark.parametrize("size", [3, 9])

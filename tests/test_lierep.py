@@ -29,6 +29,14 @@ def test_euler_angle_ranges():
         EulerAngles(0.0, 3.5, 0.0)
 
 
+@pytest.mark.parametrize("phi, psi", [(np.inf, 0.0), (0.3, -np.inf), (np.nan, 0.0),
+                                      (0.0, np.nan)])
+def test_euler_angles_reject_nonfinite_phi_and_psi(phi, psi):
+    # a wrapped infinity is NaN, which rotate would spread over every state
+    with pytest.raises(ValueError):
+        EulerAngles(phi, 0.3, psi)
+
+
 def test_squeeze_factor_values():
     assert squeeze_factor_circle(1, 1, 4.0) == pytest.approx(1 / np.sqrt(2))
     assert squeeze_factor_circle(0, 1, 4.0) == pytest.approx(1 / np.sqrt(2))

@@ -7,13 +7,15 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import dense_oracle
 from fuzzysphere import lierep, shift
-from fuzzysphere.lierep import verify_so4_reconstruction
+from fuzzysphere.circle import build_circle
+from fuzzysphere.lierep import verify_so4_reconstruction, verify_su2_reconstruction
 from fuzzysphere.shift import power_norm
 from fuzzysphere.sphere import build_sphere, verify_sphere_relations
 
@@ -69,20 +71,48 @@ def test_terms_match_dense_build(k):
 
 def test_tables_compiled_on_first_use_not_at_import():
     # and the shift algebra is not even loaded: commands that never run
-    # the relation or so(4) suites do not pay for it
+    # the relation or so(4) suites do not pay for it.  Each suite compiles
+    # its tables once, whatever lambda it runs at
     code = ("import sys\n"
             "import fuzzysphere.cli\n"
-            "from fuzzysphere.sphere import _relation_tables\n"
-            "from fuzzysphere.lierep import _so4_tables\n"
-            "print(_relation_tables.cache_info().currsize,"
-            " _so4_tables.cache_info().currsize,"
-            " 'fuzzysphere.shift' in sys.modules)")
+            "print('fuzzysphere.shift' in sys.modules)\n"
+            "from fuzzysphere import circle, lierep, sphere\n"
+            "from fuzzysphere.shift import compile_checks\n"
+            "print(compile_checks.cache_info().currsize)\n"
+            "for lam in (2, 3):\n"
+            "    c, s = circle.build_circle(lam), sphere.build_sphere(lam)\n"
+            "    circle.verify_circle_relations(c)\n"
+            "    lierep.verify_su2_reconstruction(c)\n"
+            "    sphere.verify_sphere_relations(s)\n"
+            "    lierep.verify_so4_reconstruction(s)\n"
+            "    print(compile_checks.cache_info().misses)\n")
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", "0", "False"]
+    assert out.stdout.split() == ["False", "0", "4", "4"]
+
+
+@pytest.mark.parametrize("suite, space", [
+    (verify_so4_reconstruction, build_sphere(4)),
+    (verify_su2_reconstruction, build_circle(5))])
+def test_extra_block_order_does_not_change_records(monkeypatch, suite, space):
+    # every extra weight row is named by its key, so the blocks may come
+    # in any order: reversed, they compile other tables and give the same
+    # records bit for bit
+    want = suite(space).checks
+    check, seen = shift.check, []
+
+    def reversed_blocks(space, rows, extra, tol):
+        seen.append(len(extra))
+        return check(space, rows, extra[::-1], tol)
+
+    monkeypatch.setattr(shift, "check", reversed_blocks)
+    got = suite(space).checks
+    assert seen[0] >= 4
+    assert [(c.tag, c.passed, c.residual.hex()) for c in got] == \
+        [(c.tag, c.passed, c.residual.hex()) for c in want]
 
 
 def test_x3_weight_breaks_l_x_bracket():
@@ -113,8 +143,7 @@ def test_power_norms_match_dense_powers():
         noise = rng.normal(size=s.terms.shape) + 1j * rng.normal(size=s.terms.shape)
         bad = dataclasses.replace(s, terms=s.terms * (1.0 + noise))
         for n in (1, 2, 5, 7):
-            got = [power_norm(bad.terms, bad.term_keys, name, n, bad.targets,
-                              bad.can_shift) for name in names]
+            got = [power_norm(bad, name, n) for name in names]
             want = [np.linalg.norm(np.linalg.matrix_power(
                 dense_oracle.dense(bad, name), n)) for name in names]
             assert np.allclose(got, want, rtol=1e-12, atol=0)
@@ -126,11 +155,13 @@ def test_nilpotency_decided_before_any_product(monkeypatch):
     # target lookup, which keeps the check O(1) at any lambda
     calls, lookups = [], []
 
-    def counted(weights, term_keys, name, n, targets, can_shift):
+    def counted(space, name, n):
         calls.append((name, n))
-        return power_norm(weights, term_keys, name, n,
-                          lambda keys: lookups.append(keys) or targets(keys),
-                          can_shift)
+        spy = SimpleNamespace(terms=space.terms, term_keys=space.term_keys,
+                              dim=space.dim, can_shift=space.can_shift,
+                              targets=lambda keys: lookups.append(keys)
+                              or space.targets(keys))
+        return power_norm(spy, name, n)
 
     monkeypatch.setattr(shift, "power_norm", counted)
     for k in (None, np.inf):
@@ -150,8 +181,7 @@ def test_nonfinite_weight_fails_nilpotency(op):
         terms = np.array(s.terms)
         terms[j, np.flatnonzero(terms[j])[0]] = bad_value
         bad = dataclasses.replace(s, terms=terms)
-        assert np.isnan(power_norm(bad.terms, bad.term_keys, op, 7,
-                                   bad.targets, bad.can_shift))
+        assert np.isnan(power_norm(bad, op, 7))
     # on the NaN sphere the record keeps the NaN and fails
     rec = _record(verify_sphere_relations(bad), "rf3D3/nilpotent")
     assert not rec.passed and np.isnan(rec.residual)
