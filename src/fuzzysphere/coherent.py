@@ -24,11 +24,14 @@ Frobenius norm of S - I.
 The weak families are orbits of the dispersion minimizer.  Its minimum is
 min over beta of beta^2 + E_0(beta), with E_0 the ground energy of
 x^2 - 2 beta x_ref along one reference axis; each step solves one small
-real block, that of the L_3 sector holding the top eigenvalue of x_ref,
-which is the lowest sector at every beta.  The fixed point beta <- <x_ref>
-starts at that eigenvalue and, E_0 being concave, only goes down, so it
-ends without a tolerance or restarts.  The minimum is read from that
-block too, <x^2> - <x_ref>^2 of its ground vector, with no moments pass.
+real block, that of the sector holding the top eigenvalue of x_ref, which
+is the lowest sector at every beta: the m = 0 L_3 sector of a sphere, and
+the even half of the circle, lam + 1 coordinates.  The fixed point
+beta <- <x_ref> starts at that eigenvalue and, E_0 being concave, only
+goes down, so it ends without a tolerance or restarts.  The minimum is
+read from that block too, <x^2> - <x_ref>^2 of its ground vector, with no
+moments pass, and the vector is put into the basis by the sector's own
+indices and weights.
 
 A state is a complex 1-d unit vector and a family of states a (dim, n)
 block of unit columns.  Every public function that takes states checks
@@ -37,10 +40,16 @@ norm 1.  Moments are taken over a whole block at once, and a block is
 rotated in one call (spin_cs, strong_scs_sphere_phi, weak_scs_orbit).
 
 Every function takes any space that answers moments(v) (<x>, <x^2>, <L>
-and <L^2> of a block), sectors() (the L_3 sectors as (indices, x^2 block,
-x_ref block)) and h_eff(b, v) (the ground energy of H(b) = x^2 - 2 b.x,
-and H(b) v): both spaces from their shift terms (linop.ShiftTerms), with
-one dense real block per sector.  Rotations are lierep.rotate.
+and <L^2> of a block), sectors() (blocks that x^2 and x_ref leave
+invariant, each as (indices, weights, x^2 block, x_ref block) on its own
+orthonormal coordinates: coordinate j puts weights[j] on each basis
+vector that column j of indices names, so chi[indices] = weights * v
+embeds a sector vector v; the L_3 sectors m >= 0 of a sphere, with 1-d
+indices and weight 1, and the even half of the circle, with indices of
+shape (2, lam + 1)) and h_eff(b, v) (the ground energy of
+H(b) = x^2 - 2 b.x, and H(b) v): both spaces from their shift terms
+(linop.ShiftTerms), with one dense real block per sector.  Rotations are
+lierep.rotate.
 """
 
 from __future__ import annotations
@@ -385,9 +394,9 @@ def minimize_dispersion(space):
     (Delta x)^2 + |<x> - b|^2, so the minimum is min_b |b|^2 + E_0(b) with
     E_0(b) the ground energy of x^2 - 2 b.x.  By rotation invariance b may
     lie on the reference axis (x_1 on the circle, x_3 on a sphere), and
-    H(beta) = x^2 - 2 beta x_ref splits into small real blocks, one per L_3
-    sector.  From beta = alpha_1, the top eigenvalue of x_ref, the fixed
-    point beta <- <x_ref> in the ground vector of the lowest block runs
+    H(beta) = x^2 - 2 beta x_ref splits into small real blocks, the
+    space's sectors.  From beta = alpha_1, the top eigenvalue of x_ref, the
+    fixed point beta <- <x_ref> in the ground vector of the lowest block runs
     until beta no longer decreases.  E_0 is concave, so beta -> <x_ref>
     never decreases in beta and never exceeds alpha_1: the sequence only
     goes down and stops at the largest fixed point, with no tolerance, no
@@ -404,13 +413,22 @@ def minimize_dispersion(space):
     block cut to l >= |m|, and by Cauchy interlacing that is no lower than
     the whole m = 0 block's (alpha_1 lies in m = 0 too, as the check
     diag-sphere/alpha1-monotone shows).  The sphere lists the sectors
-    m >= 0 only, as sector -m has the blocks of sector m; the circle has
-    one sector.
+    m >= 0 only, as sector -m has the blocks of sector m.  The circle
+    lists one sector, its even half: the reflection psi_n -> psi_-n
+    commutes with x^2 and x_1, and x_1 and -(x^2 - 2 beta x_1), beta > 0,
+    have a positive off-diagonal, so by Perron-Frobenius the top vector of
+    x_1 and every ground vector the loop takes are positive, hence even.
+    The half has lam + 1 coordinates, (psi_n + psi_-n) / sqrt 2 for
+    n = lam..1 and psi_0, so every step is a (lam+1)^2 block, not the
+    whole (2 lam + 1)^2.  The sector's indices and weights put v into the
+    basis, whatever the space; the stationarity certificate
+    (minimizer_certificate) takes H(b) chi from the whole space's terms,
+    so a wrong fold fails it.
     """
     sectors = space.sectors()
-    tops = [np.linalg.eigvalsh(xr)[-1] for _, _, xr in sectors]
+    tops = [np.linalg.eigvalsh(xr)[-1] for _, _, _, xr in sectors]
     top = int(np.argmax(tops))
-    (idx, q, xr), beta = sectors[top], tops[top]
+    (idx, w, q, xr), beta = sectors[top], tops[top]
     while True:
         v = np.linalg.eigh(q - 2.0 * beta * xr)[1][:, 0]
         mean = float(v @ xr @ v)
@@ -418,7 +436,7 @@ def minimize_dispersion(space):
             break
         beta = mean
     chi = np.zeros(space.dim, dtype=complex)
-    chi[idx] = v
+    chi[idx] = w * v
     return chi, float(v @ q @ v - mean * mean)
 
 

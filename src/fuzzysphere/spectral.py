@@ -85,10 +85,6 @@ class Spectrum:
     def n(self) -> int:
         return self.values.size
 
-    @classmethod
-    def from_values(cls, values) -> "Spectrum":
-        return cls(np.sort(np.atleast_1d(np.asarray(values, dtype=float)))[::-1])
-
 
 def eig_bisection(t: TridiagSpec, tol: float = 1e-12) -> Spectrum:
     """All eigenvalues, each within tol/2 of its own (tol floored at 4 units

@@ -113,18 +113,19 @@ class FuzzySphere(ShiftTerms):
                 np.array([lp.real, lp.imag, l3.real]), l2.real)
 
     def sectors(self) -> tuple:
-        """The L_3 sectors m = 0..lam as read-only (indices of psi_l^m, real
-        x^2 and x_3 blocks there), cut from the terms on first use; sector
-        -m has the same blocks, so is not listed."""
+        """The L_3 sectors m = 0..lam as read-only (indices of psi_l^m,
+        weights 1, real x^2 and x_3 blocks there), cut from the terms on
+        first use; sector -m has the same blocks, so is not listed."""
         return self._sectors
 
     @cached_property
     def _sectors(self) -> tuple:
         x2 = np.real(self.terms[self.term_keys.index(("x_squared", 0, 0))])
-        out = []
+        ones, out = np.ones(self.lam + 1), []      # every weight is 1
         for m, block in self.x3_blocks().items():
             idx = np.flatnonzero(self.m_of == m)
-            cut = (idx, np.diag(x2[idx]), np.real(block.dense()))
+            cut = (idx, ones[:idx.size], np.diag(x2[idx]),
+                   np.real(block.dense()))
             for a in cut:
                 a.setflags(write=False)
             out.append(cut)

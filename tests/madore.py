@@ -46,7 +46,8 @@ class MadoreSphere:
 
     def sectors(self) -> list:
         """One 1x1 sector per m, m = l first."""
-        return [(np.array([i]), np.real(self.x_squared[i:i + 1, i:i + 1]),
+        return [(np.array([i]), np.ones(1),
+                 np.real(self.x_squared[i:i + 1, i:i + 1]),
                  np.real(self.x3[i:i + 1, i:i + 1])) for i in range(self.dim)]
 
     def h_eff(self, b, v: np.ndarray) -> tuple:

@@ -673,6 +673,124 @@ def test_minimizer_diagonalizes_only_the_top_sector(monkeypatch):
         assert shapes and set(shapes) == {(s.lam + 1, s.lam + 1)}, s.lam
 
 
+@pytest.mark.parametrize("k", [None, np.inf])
+def test_circle_fold_matches_dense_h(k):
+    # the even half against the whole space: alpha_1 is the top eigenvalue
+    # of the dense x_1, and for beta in [0, alpha_1] the half's lowest
+    # eigenvalue of x^2 - 2 beta x_1 is the dense one, its ground vector
+    # embedded an eigenvector of the dense matrix
+    for lam in range(1, 41):
+        c = build_circle(lam, k)
+        (sector,) = c.sectors()
+        idx, w, q, xr = sector
+        assert idx.shape == (2, lam + 1) and w.shape == (lam + 1,)
+        assert q.shape == xr.shape == (lam + 1, lam + 1)
+        # cut once per space and kept read-only
+        assert c.sectors() is c.sectors()
+        assert not any(a.flags.writeable for a in sector)
+        x2, x1 = (np.real(dense(c, n)) for n in ("x_squared", "x1"))
+        alpha = np.linalg.eigvalsh(x1)[-1]
+        top = np.linalg.eigvalsh(xr)[-1]
+        assert abs(top - alpha) <= 1e-13 * abs(alpha), lam
+        for beta in np.linspace(0.0, alpha, 6):
+            h = x2 - 2.0 * beta * x1
+            want = np.linalg.eigvalsh(h)[0]
+            vals, vecs = np.linalg.eigh(q - 2.0 * beta * xr)
+            assert abs(vals[0] - want) <= 1e-13 * abs(want), (lam, beta)
+            chi = np.zeros(c.dim)
+            chi[idx] = w * vecs[:, 0]
+            assert abs(np.linalg.norm(chi) - 1.0) <= 1e-14, (lam, beta)
+            resid = np.linalg.norm(h @ chi - vals[0] * chi)
+            assert resid <= 1e-13, (lam, beta)
+
+
+@pytest.mark.parametrize("k", [None, np.inf])
+def test_circle_sector_ground_energy_matches_dense_h_eff(k):
+    # the circle's h_eff takes E_0 of H(b) = x^2 - 2 b.x from its even half
+    # alone and H(b) v from the terms; the oracle is the dense H(b), its
+    # eigvalsh and its product, for random b in R^2 and v
+    rng = np.random.default_rng(37)
+    for lam in range(1, 13):
+        c = build_circle(lam, k)
+        x2, xs = dense(c, "x_squared"), x_ops(c)
+        for _ in range(3):
+            b = rng.normal(size=2) * rng.uniform(0.0, 1.0)
+            v = random_states(rng, c.dim, 1)[:, 0]
+            h = x2 - 2.0 * sum(bi * xi for bi, xi in zip(b, xs))
+            e0, hv = c.h_eff(b, v)
+            want = np.linalg.eigvalsh(h)[0]
+            assert abs(e0 - want) <= 1e-13 * (1.0 + abs(want)), (lam, b)
+            assert np.abs(hv - h @ v).max() <= 1e-14, (lam, b)
+
+
+def test_circle_minimizer_diagonalizes_only_the_half(monkeypatch):
+    # every eigh and eigvalsh of the circle's minimizer and of its
+    # certificate is on the even half, of size lam+1
+    circles = [build_circle(lam) for lam in range(1, 13)]
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        def recording(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    for c in circles:
+        shapes.clear()
+        chi, _ = minimize_dispersion(c)
+        minimizer_certificate(c, chi)
+        assert len(shapes) >= 3, c.lam
+        assert set(shapes) == {(c.lam + 1, c.lam + 1)}, c.lam
+
+
+def test_fold_without_sqrt2_fails_stationarity(monkeypatch):
+    # the coupling of psi_+-1 to psi_0 taken as on the whole space, without
+    # its sqrt 2: the certificate's H(b) chi comes from the terms, so the
+    # embedded minimizer is not stationary
+    from fuzzysphere.circle import FuzzyCircle
+    from fuzzysphere.cli import _minimize_records
+
+    folded = FuzzyCircle.sectors
+
+    def unfolded(self):
+        ((idx, w, q, xr),) = folded(self)
+        xr = np.array(xr)
+        xr[self.lam - 1, self.lam] = xr[self.lam, self.lam - 1] = (
+            xr[self.lam - 1, self.lam] / np.sqrt(2.0))
+        return ((idx, w, q, xr),)
+
+    monkeypatch.setattr(FuzzyCircle, "sectors", unfolded)
+    for lam in range(1, 17):
+        records = _minimize_records(build_circle(lam), 1, Stream(7, 1, lam, 2))
+        (stat,) = [r for r in records if r.tag == "Deltax2qminS^1_L/stationarity"]
+        assert not stat.passed, lam
+
+
+def _whole_space_minimum(c):
+    """The minimizer's fixed point on the whole space, with no fold: the
+    (2 lam + 1)^2 blocks of x^2 and x_1 cut from the terms; (chi, minimum)."""
+    x2, up, down = (np.real(c.terms[c.term_keys.index(key)]) for key in
+                    (("x_squared", 0, 0), ("x_plus", 0, 1), ("x_minus", 0, -1)))
+    q, xr = np.diag(x2), (np.diag(up[1:], 1) + np.diag(down[:-1], -1)) / 2.0
+    beta = np.linalg.eigvalsh(xr)[-1]
+    while True:
+        v = np.linalg.eigh(q - 2.0 * beta * xr)[1][:, 0]
+        mean = float(v @ xr @ v)
+        if not mean < beta:
+            break
+        beta = mean
+    return v.astype(complex), float(v @ q @ v - mean * mean)
+
+
+@pytest.mark.parametrize("lam", [100, 200])
+def test_folded_minimum_matches_whole_space_at_large_lambda(lam):
+    c = build_circle(lam)
+    chi, var = minimize_dispersion(c)
+    chi_full, var_full = _whole_space_minimum(c)
+    assert abs(var - var_full) <= 1e-14
+    stat, stat_full = (minimizer_certificate(c, v) for v in (chi, chi_full))
+    assert stat <= 1e-14 and abs(stat - stat_full) <= 1e-14
+    assert abs(abs(np.vdot(chi_full, chi)) - 1.0) <= 1e-12
+
+
 def test_minimizer_scaling_slope():
     lams = np.array([4, 8, 16])
     mins = np.array([minimize_dispersion(build_circle(int(l)))[1]

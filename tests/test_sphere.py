@@ -191,17 +191,18 @@ def test_sectors_are_the_dense_cuts(k):
             x2, x3 = dense(s, "x_squared"), dense(s, "x3")
             sectors = s.sectors()
             assert len(sectors) == lam + 1
-            for m, (idx, q, xr) in enumerate(sectors):
+            for m, (idx, w, q, xr) in enumerate(sectors):
                 assert list(idx) == [s.index(l, m) for l in range(m, lam + 1)]
+                assert np.array_equal(w, np.ones(idx.size))
                 for sign in (1, -1):
                     cut = [s.index(l, sign * m) for l in range(m, lam + 1)]
                     assert np.array_equal(q, np.real(x2[np.ix_(cut, cut)]))
                     assert np.array_equal(xr, np.real(x3[np.ix_(cut, cut)]))
         blocks = coordinate_blocks(lam, k)
         assert sorted(blocks) == list(range(lam + 1))
-        for m, (_, _, xr) in enumerate(built.sectors()):
+        for m, (_, _, _, xr) in enumerate(built.sectors()):
             assert np.array_equal(np.real(blocks[m].dense()), xr)
-            assert np.array_equal(scaled.sectors()[m][2], 1.5 * xr)
+            assert np.array_equal(scaled.sectors()[m][3], 1.5 * xr)
 
 
 @pytest.mark.parametrize("k", [None, np.inf, 2e4])
