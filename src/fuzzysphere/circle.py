@@ -15,7 +15,6 @@ the sphere, operators are shift terms: key (0, dn) moves psi_n to psi_{n+dn}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -80,22 +79,13 @@ class FuzzyCircle(ShiftTerms):
         xp, L, l2, x2 = self._means(v, ("x_plus", "L", "l2", "x_squared"))
         return np.array([xp.real, xp.imag]), x2.real, np.array([L.real]), l2.real
 
-    def sectors(self) -> tuple:
-        """One sector, the even half, cut from the terms on first use.
-
-        The reflection R psi_n = psi_-n commutes with x^2, which depends on
-        n^2 alone, and with x_1, as c(n) = c(-n-1) makes R x_+ R = x_-.
-        Both x_1 and -(x^2 - 2 beta x_1), beta > 0, have a positive
-        off-diagonal, so by Perron-Frobenius the top vector of x_1 and the
-        ground vector of x^2 - 2 beta x_1 are positive, hence even.  The
-        half has lam + 1 coordinates: j < lam is (psi_{lam-j} +
+    def sectors(self):
+        """One sector, the even half, cut from the terms when reached; why
+        it holds the minimizer and E_0 is in coherent.minimize_dispersion.
+        The half has lam + 1 coordinates: j < lam is (psi_{lam-j} +
         psi_{j-lam}) / sqrt 2 and j = lam is psi_0.  Its x^2 and x_1 blocks
         are the top-left (lam+1)^2 blocks of the whole space's, with the
         coupling of psi_+-1 to psi_0 scaled by sqrt 2."""
-        return self._sectors
-
-    @cached_property
-    def _sectors(self) -> tuple:
         lam = self.lam
         x2, up = (np.real(self.terms[self.term_keys.index(key)])
                   for key in (("x_squared", 0, 0), ("x_plus", 0, 1)))
@@ -105,11 +95,8 @@ class FuzzyCircle(ShiftTerms):
         j = np.arange(lam + 1)
         weight = np.full(lam + 1, np.sqrt(0.5))
         weight[-1] = 1.0
-        cut = (np.array([j, 2 * lam - j]), weight, np.diag(x2[:lam + 1]),
+        yield (np.array([j, 2 * lam - j]), weight, np.diag(x2[:lam + 1]),
                np.diag(off, 1) + np.diag(off, -1))
-        for a in cut:
-            a.setflags(write=False)
-        return (cut,)
 
 
 def sharpness(lam: int, k: float | None, lam_min: int = 1) -> float:

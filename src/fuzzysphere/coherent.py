@@ -24,14 +24,14 @@ Frobenius norm of S - I.
 The weak families are orbits of the dispersion minimizer.  Its minimum is
 min over beta of beta^2 + E_0(beta), with E_0 the ground energy of
 x^2 - 2 beta x_ref along one reference axis; each step solves one small
-real block, that of the sector holding the top eigenvalue of x_ref, which
-is the lowest sector at every beta: the m = 0 L_3 sector of a sphere, and
-the even half of the circle, lam + 1 coordinates.  The fixed point
-beta <- <x_ref> starts at that eigenvalue and, E_0 being concave, only
-goes down, so it ends without a tolerance or restarts.  The minimum is
-read from that block too, <x^2> - <x_ref>^2 of its ground vector, with no
-moments pass, and the vector is put into the basis by the sector's own
-indices and weights.
+real block, that of the space's first sector, which holds the top
+eigenvalue of x_ref and is the lowest sector at every beta: the m = 0 L_3
+sector of a sphere, and the even half of the circle, lam + 1 coordinates.
+The fixed point beta <- <x_ref> starts at that eigenvalue and, E_0 being
+concave, only goes down, so it ends without a tolerance or restarts.  The
+minimum is read from that block too, <x^2> - <x_ref>^2 of its ground
+vector, with no moments pass, and the vector is put into the basis by the
+sector's own indices and weights.
 
 A state is a complex 1-d unit vector and a family of states a (dim, n)
 block of unit columns.  Every public function that takes states checks
@@ -40,16 +40,18 @@ norm 1.  Moments are taken over a whole block at once, and a block is
 rotated in one call (spin_cs, strong_scs_sphere_phi, weak_scs_orbit).
 
 Every function takes any space that answers moments(v) (<x>, <x^2>, <L>
-and <L^2> of a block), sectors() (blocks that x^2 and x_ref leave
-invariant, each as (indices, weights, x^2 block, x_ref block) on its own
-orthonormal coordinates: coordinate j puts weights[j] on each basis
-vector that column j of indices names, so chi[indices] = weights * v
-embeds a sector vector v; the L_3 sectors m >= 0 of a sphere, with 1-d
-indices and weight 1, and the even half of the circle, with indices of
-shape (2, lam + 1)) and h_eff(b, v) (the ground energy of
-H(b) = x^2 - 2 b.x, and H(b) v): both spaces from their shift terms
-(linop.ShiftTerms), with one dense real block per sector.  Rotations are
-lierep.rotate.
+and <L^2> of a block), sectors() and apply(rows, ops) (each named
+operator, of x_squared, x_plus, x_minus and on a sphere x3, applied to
+each row of an (n, dim) array of states).  sectors() is a generator of
+the blocks that x^2 and x_ref leave invariant, the one holding the top
+eigenvalue of x_ref first, each cut when reached, as (indices, weights,
+x^2 block, x_ref block) on its own orthonormal coordinates: coordinate j
+puts weights[j] on each basis vector that column j of indices names, so
+chi[indices] = weights * v embeds a sector vector v; the L_3 sectors
+m >= 0 of a sphere, with 1-d indices and weight 1, and the even half of
+the circle, with indices of shape (2, lam + 1).  Both spaces answer from
+their shift terms (linop.ShiftTerms), one dense real block per sector,
+held only while it is used.  Rotations are lierep.rotate.
 """
 
 from __future__ import annotations
@@ -386,6 +388,12 @@ def verify_identity_resolution_sphere(s, family: str, omega=None, beta=None,
     return rep
 
 
+# the most steps of the minimizer's fixed point; the circle (lam 1..200) and
+# the sphere (lam 1..60, 100, 150, 200) stop within 26, while a wrong
+# sector can creep toward beta = 0 as 1/sqrt(n)
+_MAX_STEPS = 256
+
+
 def minimize_dispersion(space):
     """Minimize (Delta x)^2 over unit states; returns (chi, minimum), chi a
     unit vector.
@@ -399,53 +407,67 @@ def minimize_dispersion(space):
     fixed point beta <- <x_ref> in the ground vector of the lowest block runs
     until beta no longer decreases.  E_0 is concave, so beta -> <x_ref>
     never decreases in beta and never exceeds alpha_1: the sequence only
-    goes down and stops at the largest fixed point, with no tolerance, no
-    iteration cap and no restarts (a strictly falling sequence of floats in
-    [0, alpha_1] is finite).  The minimizer is that ground vector v, so
-    <x> points along the reference axis, and the minimum is read from the
-    sector alone: v.q.v - <x_ref>^2, q the sector's x^2 block.
+    goes down and stops at the largest fixed point, with no tolerance and
+    no restarts.  A strictly falling sequence of floats in [0, alpha_1] is
+    finite but may be long, so the loop takes at most _MAX_STEPS steps and
+    a loop that reaches them returns a NaN minimum, which fails its record.
+    The minimizer is that ground vector v, so <x> points along the
+    reference axis, and the minimum is read from the sector alone:
+    v.q.v - <x_ref>^2, q the sector's x^2 block.
 
     For beta in [0, alpha_1] the lowest block is the sector holding
-    alpha_1, so only that block is diagonalized.  On the fuzzy sphere it is
-    m = 0: sector m has the diagonal x^2(l) and the off-diagonal
-    -2 beta c_l A_l^{0,m} <= 0, smaller in size as |m| grows, so by
-    Perron-Frobenius its ground energy is no lower than that of the m = 0
-    block cut to l >= |m|, and by Cauchy interlacing that is no lower than
-    the whole m = 0 block's (alpha_1 lies in m = 0 too, as the check
-    diag-sphere/alpha1-monotone shows).  The sphere lists the sectors
-    m >= 0 only, as sector -m has the blocks of sector m.  The circle
-    lists one sector, its even half: the reflection psi_n -> psi_-n
-    commutes with x^2 and x_1, and x_1 and -(x^2 - 2 beta x_1), beta > 0,
-    have a positive off-diagonal, so by Perron-Frobenius the top vector of
-    x_1 and every ground vector the loop takes are positive, hence even.
-    The half has lam + 1 coordinates, (psi_n + psi_-n) / sqrt 2 for
-    n = lam..1 and psi_0, so every step is a (lam+1)^2 block, not the
-    whole (2 lam + 1)^2.  The sector's indices and weights put v into the
-    basis, whatever the space; the stationarity certificate
-    (minimizer_certificate) takes H(b) chi from the whole space's terms,
-    so a wrong fold fails it.
+    alpha_1, which every space lists first, so only that block is cut and
+    diagonalized.  On the fuzzy sphere it is m = 0: sector m has the
+    diagonal x^2(l) and the off-diagonal -2 beta c_l A_l^{0,m} <= 0,
+    smaller in size as |m| grows, so by Perron-Frobenius its ground energy
+    is no lower than that of the m = 0 block cut to l >= |m|, and by Cauchy
+    interlacing that is no lower than the whole m = 0 block's (alpha_1 lies
+    in m = 0 too, as the check diag-sphere/alpha1-monotone shows).  The
+    sphere lists the sectors m >= 0 only, as sector -m has the blocks of
+    sector m.  The circle lists one sector, its even half: the reflection
+    psi_n -> psi_-n commutes with x^2, which depends on n^2 alone, and
+    with x_1, as c(n) = c(-n-1) makes it swap x_+ and x_-; x_1 and
+    -(x^2 - 2 beta x_1), beta > 0, have a positive off-diagonal, so by
+    Perron-Frobenius the top vector of x_1 and every ground vector the loop
+    takes are positive, hence even, and at beta = 0 the half holds every
+    value of the diagonal x^2.  The half has lam + 1 coordinates,
+    (psi_n + psi_-n) / sqrt 2 for n = lam..1 and psi_0, so every step is
+    a (lam+1)^2 block, not the whole (2 lam + 1)^2.  The sector's indices
+    and weights put v into the basis, whatever the space; the stationarity
+    certificate (minimizer_certificate) takes E_0 over every sector and
+    H(b) chi from the whole space's terms, so a wrong fold, or a wrong
+    sector listed first, fails it.
     """
-    sectors = space.sectors()
-    tops = [np.linalg.eigvalsh(xr)[-1] for _, _, _, xr in sectors]
-    top = int(np.argmax(tops))
-    (idx, w, q, xr), beta = sectors[top], tops[top]
-    while True:
+    idx, w, q, xr = next(iter(space.sectors()))
+    beta, minimum = np.linalg.eigvalsh(xr)[-1], np.nan
+    for _ in range(_MAX_STEPS):
         v = np.linalg.eigh(q - 2.0 * beta * xr)[1][:, 0]
         mean = float(v @ xr @ v)
         if not mean < beta:
+            minimum = float(v @ q @ v - mean * mean)
             break
         beta = mean
     chi = np.zeros(space.dim, dtype=complex)
     chi[idx] = w * v
-    return chi, float(v @ q @ v - mean * mean)
+    return chi, minimum
 
 
 def minimizer_certificate(space, chi) -> float:
     """Stationarity residual ||H(b) chi - E_0 chi||: the distance of the
     unit vector chi from the ground eigenspace of H(b) = x^2 - 2 b.x at its
-    own mean position b."""
+    own mean position b.  By O(D) covariance E_0 is the lowest over the
+    space's sectors of x^2 - 2 |b| x_ref; H(b) chi is taken from the terms
+    on the whole space, -2 (b_1 x_1 + b_2 x_2) = -(b_1 - i b_2) x_+ -
+    (b_1 + i b_2) x_-."""
     v = _state(chi)
-    e0, hv = space.h_eff(dispersion(space, v).x_mean, v)
+    b = dispersion(space, v).x_mean
+    r, bp = float(np.linalg.norm(b)), b[0] - 1j * b[1]
+    e0 = np.min([np.linalg.eigvalsh(q - 2.0 * r * xr)[0]
+                 for _, _, q, xr in space.sectors()])
+    sq, xp, xm, *x3 = space.apply(v[None, :], ("x_squared", "x_plus",
+                                               "x_minus", "x3")[:len(b) + 1])
+    hv = sq - bp * xp - np.conj(bp) * xm
+    hv = (hv - 2.0 * b[2] * x3[0] if x3 else hv)[0]
     return float(np.linalg.norm(hv - e0 * v))
 
 

@@ -113,24 +113,6 @@ class ShiftTerms:
         conj = rows.conj()
         return [np.sum(conj * a, axis=1) for a in self.apply(rows, ops)]
 
-    def h_eff(self, b, v: np.ndarray) -> tuple:
-        """(E_0, H(b) v) for H(b) = x^2 - 2 b.x, b of length D, and a 1-d v.
-        By O(D) covariance E_0 is the lowest over the sectors of x^2 - 2 |b|
-        x_ref: on a sphere its L_3 sectors, on the circle its even half,
-        which holds the ground vector (x^2 - 2 |b| x_1 commutes with the
-        reflection psi_n -> psi_-n and, for |b| > 0, has a negative
-        off-diagonal, so by Perron-Frobenius its ground vector is positive,
-        hence even; at b = 0 it is the diagonal x^2, whose every value the
-        half holds).  H(b) v is taken from the terms on the whole space;
-        -2 (b_1 x_1 + b_2 x_2) = -(b_1 - i b_2) x_+ - (b_1 + i b_2) x_-."""
-        r, bp = float(np.linalg.norm(b)), b[0] - 1j * b[1]
-        e0 = np.min([np.linalg.eigvalsh(q - 2.0 * r * xr)[0]
-                     for _, _, q, xr in self.sectors()])
-        sq, xp, xm, *x3 = self.apply(v[None, :], ("x_squared", "x_plus",
-                                                  "x_minus", "x3")[:len(b) + 1])
-        hv = sq - bp * xp - np.conj(bp) * xm
-        return e0, (hv - 2.0 * b[2] * x3[0] if x3 else hv)[0]
-
 
 # SplitMix64 (Steele, Lea & Flood 2014): the Weyl increment, the
 # finalizer's multipliers and shifts, each a one-element uint64 array, so

@@ -112,24 +112,15 @@ class FuzzySphere(ShiftTerms):
         return (np.array([xp.real, xp.imag, x3.real]), x2.real,
                 np.array([lp.real, lp.imag, l3.real]), l2.real)
 
-    def sectors(self) -> tuple:
-        """The L_3 sectors m = 0..lam as read-only (indices of psi_l^m,
-        weights 1, real x^2 and x_3 blocks there), cut from the terms on
-        first use; sector -m has the same blocks, so is not listed."""
-        return self._sectors
-
-    @cached_property
-    def _sectors(self) -> tuple:
+    def sectors(self):
+        """The L_3 sectors m = 0..lam, m = 0 first, each (indices of
+        psi_l^m, weights 1, real x^2 and x_3 blocks there), cut from the
+        terms when reached; sector -m has the same blocks, so is not
+        listed."""
         x2 = np.real(self.terms[self.term_keys.index(("x_squared", 0, 0))])
-        ones, out = np.ones(self.lam + 1), []      # every weight is 1
         for m, block in self.x3_blocks().items():
             idx = np.flatnonzero(self.m_of == m)
-            cut = (idx, ones[:idx.size], np.diag(x2[idx]),
-                   np.real(block.dense()))
-            for a in cut:
-                a.setflags(write=False)
-            out.append(cut)
-        return tuple(out)
+            yield idx, np.ones(idx.size), np.diag(x2[idx]), np.real(block.dense())
 
     def x3_blocks(self) -> dict:
         """{m: TridiagSpec of x_3 on psi_l^m, l = m..lam}, m = 0..lam, cut

@@ -4,7 +4,7 @@ rotations.
 Its coordinates are L_i / sqrt(l(l+1)), so the square distance is exactly
 the identity and the dispersion minimum is 1/(l+1) in closed form.  It
 answers the calls that the coherent-state functions make of a space
-(moments, sectors, h_eff) and those of lierep.rotate (m_of, l2_eigh) with
+(moments, sectors, apply) and those of lierep.rotate (m_of, l2_eigh) with
 its dense matrices.
 """
 
@@ -44,16 +44,19 @@ class MadoreSphere:
         return (expect((self.x1, self.x2, self.x3), v), x2,
                 expect((self.L1, self.L2, self.L3), v), l2)
 
-    def sectors(self) -> list:
+    def sectors(self):
         """One 1x1 sector per m, m = l first."""
-        return [(np.array([i]), np.ones(1),
-                 np.real(self.x_squared[i:i + 1, i:i + 1]),
-                 np.real(self.x3[i:i + 1, i:i + 1])) for i in range(self.dim)]
+        for i in range(self.dim):
+            yield (np.array([i]), np.ones(1),
+                   np.real(self.x_squared[i:i + 1, i:i + 1]),
+                   np.real(self.x3[i:i + 1, i:i + 1]))
 
-    def h_eff(self, b, v: np.ndarray) -> tuple:
-        h = self.x_squared - 2.0 * sum(bi * xi for bi, xi
-                                       in zip(b, (self.x1, self.x2, self.x3)))
-        return np.linalg.eigvalsh(h)[0], h @ v
+    def apply(self, rows: np.ndarray, ops) -> list:
+        """Each operator in ops applied to each row of rows, a (n, dim)
+        array of states, by its dense matrix; x_+- = x_1 +- i x_2."""
+        mats = {"x_squared": self.x_squared, "x3": self.x3,
+                "x_plus": self.x1 + 1j * self.x2, "x_minus": self.x1 - 1j * self.x2}
+        return [rows @ mats[op].T for op in ops]
 
     @cached_property
     def l2_eigh(self) -> tuple:

@@ -504,6 +504,26 @@ def test_plotdata(tmp_path, capsys):
             "alpha1-bound", "interlacing"} <= series
 
 
+def test_plotdata_sphere_minima_are_the_minimize_suites(tmp_path, capsys):
+    # each dispersion row is the Deltax2qminS^2_L value of the minimize
+    # suite, to the CSV's 15 digits, and the sphere has no alpha1 bound at
+    # lambda 1
+    path, report = tmp_path / "plot.csv", tmp_path / "r.json"
+    assert run(["plotdata", "--d", "2", "--lambda", "1..4", "--csv",
+                str(path)]) == 0
+    assert run(["verify", "--d", "2", "--lambda", "1..4", "--suite",
+                "minimize", "--json", str(report)]) == 0
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    got = {int(r["lambda"]): r["y"] for r in rows if r["series"] == "dispersion"}
+    want = {c["lambda"]: f"{c['value']:.15g}"
+            for c in json.loads(report.read_text())["checks"]
+            if c["tag"] == "Deltax2qminS^2_L"}
+    assert got == want and sorted(got) == [1, 2, 3, 4]
+    bounds = {r["lambda"] for r in rows if r["series"] == "alpha1-bound"}
+    assert bounds == {"2", "3", "4"}
+
+
 def test_scs_and_minimize_verbs(capsys):
     assert run(["scs", "--d", "1", "--lambda", "2..3"]) == 0
     assert run(["minimize", "--d", "2", "--lambda", "2"]) == 0

@@ -609,23 +609,33 @@ def test_certificate_rejects_wrong_states(lam):
             assert minimizer_certificate(space, v / np.linalg.norm(v)) > 1e-10
 
 
+def _check_certificate_against_dense(space, rng):
+    """minimizer_certificate of three random unit v against the dense
+    ||H(b) v - E_0 v||, b the dense <x> of v, H(b) = x^2 - 2 b.x and E_0
+    its eigvalsh; v leans by a random amount toward the top eigenvector of
+    x along a random axis, so |b| runs from about 0 to about alpha_1."""
+    x2, xs = dense(space, "x_squared"), x_ops(space)
+    for _ in range(3):
+        axis = sum(ni * xi for ni, xi in zip(rng.normal(size=len(xs)), xs))
+        v = (random_states(rng, space.dim, 1)[:, 0]
+             + rng.uniform(0.0, 4.0) * np.linalg.eigh(axis)[1][:, -1])
+        v /= np.linalg.norm(v)
+        b = np.array([_expect(xi, v) for xi in xs])
+        h = x2 - 2.0 * sum(bi * xi for bi, xi in zip(b, xs))
+        e0 = np.linalg.eigvalsh(h)[0]
+        want = np.linalg.norm(h @ v - e0 * v)
+        got = minimizer_certificate(space, v)
+        assert abs(got - want) <= 1e-13 * (1.0 + abs(e0)), (space.lam, b)
+
+
 @pytest.mark.parametrize("k", [None, np.inf])
 def test_sector_ground_energy_matches_dense_h_eff(k):
-    # h_eff takes E_0 of H(b) = x^2 - 2 b.x as the lowest over the L_3
-    # sectors of x^2 - 2|b| x_3, and H(b) v from the terms; the oracle is
-    # the dense H(b), its eigvalsh and its product, for random b and v
+    # the certificate takes E_0 of H(b) as the lowest over the L_3 sectors
+    # of x^2 - 2|b| x_3, and H(b) v from the terms; the oracle is the dense
+    # H(b), its eigvalsh and its product
     rng = np.random.default_rng(31)
     for lam in range(1, 13):
-        s = build_sphere(lam, k)
-        x2, xs = dense(s, "x_squared"), x_ops(s)
-        for _ in range(3):
-            b = rng.normal(size=3) * rng.uniform(0.0, 1.0)
-            v = random_states(rng, s.dim, 1)[:, 0]
-            h = x2 - 2.0 * sum(bi * xi for bi, xi in zip(b, xs))
-            e0, hv = s.h_eff(b, v)
-            want = np.linalg.eigvalsh(h)[0]
-            assert abs(e0 - want) <= 1e-13 * (1.0 + abs(want)), (lam, b)
-            assert np.abs(hv - h @ v).max() <= 1e-14, (lam, b)
+        _check_certificate_against_dense(build_sphere(lam, k), rng)
 
 
 def _sector_rule_spaces():
@@ -685,9 +695,6 @@ def test_circle_fold_matches_dense_h(k):
         idx, w, q, xr = sector
         assert idx.shape == (2, lam + 1) and w.shape == (lam + 1,)
         assert q.shape == xr.shape == (lam + 1, lam + 1)
-        # cut once per space and kept read-only
-        assert c.sectors() is c.sectors()
-        assert not any(a.flags.writeable for a in sector)
         x2, x1 = (np.real(dense(c, n)) for n in ("x_squared", "x1"))
         alpha = np.linalg.eigvalsh(x1)[-1]
         top = np.linalg.eigvalsh(xr)[-1]
@@ -706,21 +713,11 @@ def test_circle_fold_matches_dense_h(k):
 
 @pytest.mark.parametrize("k", [None, np.inf])
 def test_circle_sector_ground_energy_matches_dense_h_eff(k):
-    # the circle's h_eff takes E_0 of H(b) = x^2 - 2 b.x from its even half
-    # alone and H(b) v from the terms; the oracle is the dense H(b), its
-    # eigvalsh and its product, for random b in R^2 and v
+    # the circle's certificate takes E_0 of H(b) from its even half alone
+    # and H(b) v from the terms; the oracle is the dense H(b)
     rng = np.random.default_rng(37)
     for lam in range(1, 13):
-        c = build_circle(lam, k)
-        x2, xs = dense(c, "x_squared"), x_ops(c)
-        for _ in range(3):
-            b = rng.normal(size=2) * rng.uniform(0.0, 1.0)
-            v = random_states(rng, c.dim, 1)[:, 0]
-            h = x2 - 2.0 * sum(bi * xi for bi, xi in zip(b, xs))
-            e0, hv = c.h_eff(b, v)
-            want = np.linalg.eigvalsh(h)[0]
-            assert abs(e0 - want) <= 1e-13 * (1.0 + abs(want)), (lam, b)
-            assert np.abs(hv - h @ v).max() <= 1e-14, (lam, b)
+        _check_certificate_against_dense(build_circle(lam, k), rng)
 
 
 def test_circle_minimizer_diagonalizes_only_the_half(monkeypatch):
@@ -762,6 +759,65 @@ def test_fold_without_sqrt2_fails_stationarity(monkeypatch):
         records = _minimize_records(build_circle(lam), 1, Stream(7, 1, lam, 2))
         (stat,) = [r for r in records if r.tag == "Deltax2qminS^1_L/stationarity"]
         assert not stat.passed, lam
+
+
+def test_minimizer_loop_is_bounded(monkeypatch):
+    # the coupling of psi_+-1 to psi_0 halved at lam 1: the largest fixed
+    # point is beta = 0, which the loop nears only as 1/sqrt(n) steps, so it
+    # stops at its bound with a NaN minimum, and the minimum's record fails
+    from fuzzysphere.circle import FuzzyCircle
+    from fuzzysphere.cli import _minimize_records
+
+    folded = FuzzyCircle.sectors
+
+    def halved(self):
+        ((idx, w, q, xr),) = folded(self)
+        xr[self.lam - 1, self.lam] /= 2.0
+        xr[self.lam, self.lam - 1] /= 2.0
+        yield idx, w, q, xr
+
+    monkeypatch.setattr(FuzzyCircle, "sectors", halved)
+    c = build_circle(1)
+    assert np.isnan(minimize_dispersion(c)[1])
+    records = _minimize_records(c, 1, Stream(7, 1, 1, 2))
+    (rec,) = [r for r in records if r.tag == "Deltax2qminS^1_L"]
+    assert not rec.passed
+
+
+@pytest.mark.parametrize("lam", [2, 5, 8])
+def test_sector_listed_first_must_hold_the_top(monkeypatch, lam):
+    # a sphere that lists m = 1 before m = 0: the minimizer takes the first
+    # sector as given, and the certificate, which takes E_0 over every
+    # sector, and the L_3 record both fail
+    from fuzzysphere.cli import _minimize_records
+
+    listed = FuzzySphere.sectors
+
+    def reordered(self):
+        first, second, *rest = listed(self)
+        yield from (second, first, *rest)
+
+    monkeypatch.setattr(FuzzySphere, "sectors", reordered)
+    records = _minimize_records(build_sphere(lam), 2, Stream(7, 2, lam, 2))
+    failed = {r.tag for r in records if not r.passed}
+    assert {"Deltax2qminS^2_L/stationarity", "Deltax2qminS^2_L/L3"} <= failed
+
+
+def test_minimizer_keeps_no_dense_blocks():
+    # the sectors are cut when used: after the minimizer and its certificate
+    # the sphere holds less than four dim-length real vectors more than
+    # before (chi itself is one complex one), not its lam + 1 dense blocks
+    lam = 80
+    s = build_sphere(lam)
+    dispersion(s, np.eye(s.dim, 1))              # builds the gather tables
+    tracemalloc.start()
+    try:
+        chi, _ = minimize_dispersion(s)
+        minimizer_certificate(s, chi)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 4 * (lam + 1) ** 2 * 8, held
 
 
 def _whole_space_minimum(c):

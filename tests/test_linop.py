@@ -51,11 +51,6 @@ def test_operator_immutable():
             assert a.dtype == complex, name
             with pytest.raises(ValueError):
                 a[0, 0] = 5.0
-    # and the sphere's cached L_3 sector cuts: indices, x^2 and x_3 blocks
-    for cut in build_sphere(2).sectors():
-        for a in cut:
-            with pytest.raises(ValueError):
-                a[(0,) * a.ndim] = 5
 
 
 def test_matmul_dimension_mismatch():

@@ -189,7 +189,7 @@ def test_sectors_are_the_dense_cuts(k):
         scaled = dataclasses.replace(built, terms=terms)
         for s in (built, scaled):
             x2, x3 = dense(s, "x_squared"), dense(s, "x3")
-            sectors = s.sectors()
+            sectors = list(s.sectors())
             assert len(sectors) == lam + 1
             for m, (idx, w, q, xr) in enumerate(sectors):
                 assert list(idx) == [s.index(l, m) for l in range(m, lam + 1)]
@@ -202,7 +202,7 @@ def test_sectors_are_the_dense_cuts(k):
         assert sorted(blocks) == list(range(lam + 1))
         for m, (_, _, _, xr) in enumerate(built.sectors()):
             assert np.array_equal(np.real(blocks[m].dense()), xr)
-            assert np.array_equal(scaled.sectors()[m][3], 1.5 * xr)
+            assert np.array_equal(list(scaled.sectors())[m][3], 1.5 * xr)
 
 
 @pytest.mark.parametrize("k", [None, np.inf, 2e4])
