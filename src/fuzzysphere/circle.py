@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import ShiftTerms, diag_annihilator, readonly
+from .linop import ShiftTerms, readonly
 from .report import Report
 from .spectral import TridiagSpec
 
@@ -155,10 +155,12 @@ def verify_circle_relations(c: FuzzyCircle, tol: float = 1e-10) -> Report:
     comm = -2.0 * n / k + edge * np.sign(n) * (np.abs(n) == lam)
     rep = check(c, _relation_rows, [((("comm", 0, 0),), [comm])], tol)
 
-    # L is diagonal, so prod_n (L - n) is evaluated entrywise on its diagonal
-    poly = diag_annihilator(np.real(c.terms[c.term_keys.index(("L", 0, 0))]),
-                            range(-lam, lam + 1))
-    rep.add_residual("commrelD=2/L-poly", float(np.abs(poly).max()), tol, lam=lam)
+    # L is diagonal, so prod_n (L - n) vanishes exactly when every diagonal
+    # entry is an integer in -lam..lam: the record is the largest distance
+    # of an entry from its nearest one; np.max keeps a NaN
+    d_l = np.real(c.terms[c.term_keys.index(("L", 0, 0))])
+    dist = np.abs(d_l - np.clip(np.rint(d_l), -lam, lam))
+    rep.add_residual("commrelD=2/L-poly", float(np.max(dist)), tol, lam=lam)
     nil = power_norm(c, "x_plus", c.dim)
     rep.add_residual("commrelD=2/nilpotent", nil, tol, lam=lam)
     return rep

@@ -88,7 +88,7 @@ def _scs_records_circle(c, tol, rng):
     # np.min keeps a NaN, which fails the record
     worst = float(np.min([x.value for x in hur.checks]))
     rep.add(CheckRecord(tag="HURS^1/random", lam=c.lam, value=worst,
-                        bound=0.0, passed=worst >= -1e-12))
+                        bound=-1e-12, passed=worst >= -1e-12))
     return rep.checks
 
 
@@ -117,7 +117,7 @@ def _scs_records_sphere(s, tol, rng):
     sat = np.abs(d_.L_var - np.linalg.norm(d_.L_mean, axis=0))[:lam + 1]
     rep.add_residual("LUR3''/spin-saturation", float(np.max(sat)), 1e-9, lam=lam)
     rep.add(CheckRecord(tag="LUR3''/random", lam=lam, value=worst,
-                        bound=0.0, passed=bool(worst >= -1e-10)))
+                        bound=-1e-10, passed=bool(worst >= -1e-10)))
     rep.add_residual("LXURphi/L-var", abs(d_.L_var[-2] - lam * (lam + 2) / 2.0),
                      1e-10, lam=lam)
     val = d_.x_var[-1]

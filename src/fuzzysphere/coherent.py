@@ -7,10 +7,14 @@ rules with 4*lam+4 nodes in cos(theta) integrate them exactly, so the
 identity checks are rounding-level assertions rather than convergence
 studies.  Each sum over nodes is one weave: for D_t = diag(e^{i t nu}),
 sum_t w_t D_t G D_t^dag = K * G (entrywise), K[i, j] = sum_t w_t
-e^{i t (nu_i - nu_j)}.  The azimuthal labels (n, m) are integers, so each
-azimuthal K is read from kappa(D) = sum_t e^{i t D}; the polar K is formed
-densely from the exact L_2 eigenvalues nu, so a wrong L_2 spectrum shows,
-and both come from the actual rules, so a rule too coarse shows too.  The
+e^{i t (nu_i - nu_j)}.  The azimuthal labels (n, m) are integers and the
+azimuthal rule is the n uniform angles 2 pi t / n, so each azimuthal K is
+read from kappa(D) = sum_t e^{2 pi i t D / n}, which is n where n divides
+D and 0 elsewhere: kappa is integer arithmetic, with no angle and no
+exponential, and the sums on the sphere are block-diagonal in m exactly.
+The polar K is formed densely from the exact float L_2 eigenvalues nu,
+never rounded, so a wrong L_2 spectrum shows.  Both weaves come from the
+rules' own sizes and nodes, so a rule too coarse shows too.  The
 Gauss-Legendre rule comes from the Legendre Jacobi matrix (Golub-Welsch).
 
 On the sphere no sum is formed as a dim x dim array.  The spin family's
@@ -158,26 +162,27 @@ def strong_scs_circle(c, beta: np.ndarray, alpha: float) -> np.ndarray:
     return np.exp(1j * (c.labels * alpha + beta)) / np.sqrt(c.dim)
 
 
-def _azimuthal_nodes(lam: int) -> np.ndarray:
-    """The 4 lam + 3 uniform angles of every azimuthal sum, exact for
-    e^{i t D} with |D| <= 2 lam, the widest label difference."""
-    n = 4 * lam + 3
-    return TWO_PI * np.arange(n) / n
+def _azimuthal_size(lam: int) -> int:
+    """The number n = 4 lam + 3 of uniform angles 2 pi t / n of every
+    azimuthal sum, exact for e^{i t D} with |D| <= 2 lam, the widest label
+    difference."""
+    return 4 * lam + 3
 
 
-def _kappa(angles, lam: int) -> np.ndarray:
-    """kappa[D + 2 lam] = sum_t e^{i angles_t D} for D = -2 lam..2 lam."""
-    return np.exp(1j * np.outer(np.arange(-2 * lam, 2 * lam + 1), angles)).sum(axis=1)
+def _kappa(n: int, lam: int) -> np.ndarray:
+    """kappa[D + 2 lam] = sum_t e^{2 pi i t D / n} for D = -2 lam..2 lam, in
+    integers: n where n divides D, else 0."""
+    return np.where(np.arange(-2 * lam, 2 * lam + 1) % n == 0, n, 0)
 
 
 def verify_identity_resolution_circle(c, beta=None, tol: float = 1e-10) -> Report:
     """Quadrature check of (2L+1)/(2pi) int dalpha P_alpha^beta = id over the
     n-point azimuthal rule: the states are e^{i alpha L} u, u = omega_0^beta,
     so the sum is (2L+1)/n kappa(n_i - n_j) * u u^dag."""
-    alphas = _azimuthal_nodes(c.lam)
+    n = _azimuthal_size(c.lam)
     u = strong_scs_circle(c, np.zeros(c.dim) if beta is None else beta, 0.0)
-    weave = _kappa(alphas, c.lam)[c.labels[:, None] - c.labels + 2 * c.lam]
-    total = c.dim / alphas.size * (weave * np.outer(u, u.conj()))
+    weave = _kappa(n, c.lam)[c.labels[:, None] - c.labels + 2 * c.lam]
+    total = c.dim / n * (weave * np.outer(u, u.conj()))
     resid = float(np.linalg.norm(total - np.eye(c.dim)))
     rep = Report()
     rep.add_residual("IdResolS^1_L", resid, tol, lam=c.lam)
@@ -339,10 +344,10 @@ def _identity_residual_sphere(s, family: str, omega=None, beta=None) -> float:
     if family not in _SPHERE_RESOLUTION_TAGS:
         raise ValueError(f"unknown family {family!r}")
     lam = s.lam
-    phis = _azimuthal_nodes(lam)
+    n = _azimuthal_size(lam)
     if family == "spin":
         seed = np.where(s.l_of == s.m_of, np.sqrt(2.0 * s.l_of + 1.0), 0.0)
-        norm = TWO_PI / phis.size / (4.0 * np.pi)
+        norm = TWO_PI / n / (4.0 * np.pi)
     elif family == "omega":
         if omega is None:
             raise ValueError("the omega family needs a seed vector")
@@ -352,12 +357,12 @@ def _identity_residual_sphere(s, family: str, omega=None, beta=None) -> float:
         if np.any(defect > 1e-12):
             bad = {l: float(d) for l, d in enumerate(defect) if d > 1e-12}
             raise ValueError(f"weight condition violated, per-l defect: {bad}")
-        norm = (lam + 1) ** 2 * (TWO_PI / phis.size) ** 2 / (8.0 * np.pi ** 2)
+        norm = (lam + 1) ** 2 * (TWO_PI / n) ** 2 / (8.0 * np.pi ** 2)
     else:
         seed = _phi_seed(s, np.zeros(lam + 1) if beta is None else beta)
-        norm = (lam + 1) ** 2 * (TWO_PI / phis.size) / (4.0 * np.pi)
+        norm = (lam + 1) ** 2 * (TWO_PI / n) / (4.0 * np.pi)
 
-    kappa = _kappa(phis, lam)
+    kappa = _kappa(n, lam)
     thetas, w_th = _polar_nodes(lam)
     nu = np.concatenate([vals for _, vals, _ in s.l2_eigh])
     polar = np.exp(1j * np.outer(nu, thetas))

@@ -86,13 +86,18 @@ def rotate(space, g, v: np.ndarray) -> np.ndarray:
     an EulerAngles, pi(g) = exp(i phi L_3) exp(i theta L_2) exp(i psi L_3):
     the phases e^{i psi m}, each level's V e^{i theta nu} V^dag from
     l2_eigh, then e^{i phi m}, each phase a (dim, n) array.  On the circle
-    pi(alpha) = exp(i alpha L)."""
+    pi(alpha) = exp(i alpha L), alpha an angle.  A rotation of the other
+    space's type is a ValueError."""
     out = v.reshape(len(v), -1)
     n = out.shape[1]
     gs = [g] * n if isinstance(g, EulerAngles) or np.ndim(g) == 0 else list(g)
     if len(gs) != n:
         raise ValueError(f"{len(gs)} rotations for a block of {n} columns")
-    if isinstance(space, FuzzyCircle):
+    circle = isinstance(space, FuzzyCircle)
+    if any(isinstance(e, EulerAngles) == circle for e in gs):
+        raise ValueError("a circle rotation is an angle" if circle
+                         else "a sphere rotation is an EulerAngles")
+    if circle:
         return (np.exp(1j * np.multiply.outer(space.labels, gs)) * out).reshape(v.shape)
     phi, theta, psi = np.array([(e.phi, e.theta, e.psi) for e in gs]).reshape(-1, 3).T
     out = np.exp(1j * np.multiply.outer(space.m_of, psi)) * out

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = ["unit_columns", "normalized_columns", "random_states", "readonly",
-           "diag_annihilator", "ShiftTerms", "Stream"]
+           "ShiftTerms", "Stream"]
 
 
 def readonly(a) -> np.ndarray:
@@ -63,21 +63,6 @@ def random_states(rng, dim: int, count: int) -> np.ndarray:
     numpy Generator."""
     z = rng.normal(size=(count, 2, dim))
     return normalized_columns((z[:, 0] + 1j * z[:, 1]).T)
-
-
-def diag_annihilator(diag, roots) -> np.ndarray:
-    """prod_r (D - r) for the diagonal operator D = diag(diag), entrywise,
-    normalized by prod_{r != r0} (r0 - r) with r0 the root nearest each
-    entry.  It is taken factor by factor as (d - r) / (r0 - r), so nothing
-    overflows however many roots there are, and an entry off its root by
-    delta gives about delta.  The roots must be distinct.  It takes about
-    2^14 (entry, root) pairs at a time, never the table of all of them."""
-    diag, roots = np.asarray(diag), np.asarray(roots, dtype=float)
-    out = []
-    for d in np.array_split(diag[:, None], max(1, diag.size * roots.size >> 14)):
-        gap = roots[np.abs(d - roots).argmin(axis=1)][:, None] - roots
-        out.append(np.prod((d - roots) / np.where(gap == 0, 1.0, gap), axis=1))
-    return np.concatenate(out)
 
 
 class ShiftTerms:

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import __version__
 
 __all__ = ["CheckRecord", "Report"]
+
+
+def _json(x):
+    """x, or for a non-finite float the string "inf", "-inf" or "nan" that
+    float() reads back: strict JSON has no such numbers, and null already
+    means the default k."""
+    return str(x) if isinstance(x, float) and not math.isfinite(x) else x
 
 
 @dataclass
@@ -23,13 +31,14 @@ class CheckRecord:
     passed: bool = True
 
     def to_dict(self):
-        d = {"tag": self.tag, "lambda": self.lam, "value": self.value, "pass": self.passed}
+        d = {"tag": self.tag, "lambda": self.lam, "value": _json(self.value),
+             "pass": self.passed}
         if self.m is not None:
             d["m"] = self.m
         if self.bound is not None:
-            d["bound"] = self.bound
+            d["bound"] = _json(self.bound)
         if self.residual is not None:
-            d["residual"] = self.residual
+            d["residual"] = _json(self.residual)
         return d
 
 
@@ -79,7 +88,7 @@ class Report:
 
     def to_dict(self, timestamp: str | None = None) -> dict:
         d = {
-            "config": self.config,
+            "config": {key: _json(v) for key, v in self.config.items()},
             "checks": [c.to_dict() for c in self.checks],
             "summary": self.summary,
             "version": self.version,
@@ -89,6 +98,9 @@ class Report:
         return d
 
     def to_json(self, timestamp: str | None = None) -> str:
-        """One line with sorted keys: an indent would force json's
-        pure-Python encoder, about 2.5x slower on a circle-all report."""
-        return json.dumps(self.to_dict(timestamp), sort_keys=True)
+        """One line of strict JSON with sorted keys: to_dict writes each
+        non-finite float as a string, and one it missed raises.  An indent
+        would force json's pure-Python encoder, about 2.5x slower on a
+        circle-all report."""
+        return json.dumps(self.to_dict(timestamp), sort_keys=True,
+                          allow_nan=False)

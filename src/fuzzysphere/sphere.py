@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .circle import min_sharpness, sharpness
-from .linop import ShiftTerms, diag_annihilator, readonly
+from .linop import ShiftTerms, readonly
 from .report import Report
 from .spectral import TridiagSpec
 
@@ -251,15 +251,19 @@ def verify_sphere_relations(s: FuzzySphere, tol: float = 1e-10) -> Report:
     f = -1.0 / k + K * (s.l_of == lam)
     rep = check(s, _relation_rows, [((("f", 0, 0),), [f])], tol)
 
-    # both annihilator polynomials act on diagonal operators, so they are
-    # evaluated entrywise on the diagonals; np.max keeps a NaN
+    # L^2 and L_3 are diagonal, so each annihilator polynomial vanishes
+    # exactly when every diagonal entry is an allowed eigenvalue: the record
+    # is the largest distance of an entry from its nearest one, l(l+1) for
+    # l = 0..lam, and the integers -l..l on level l; np.max keeps a NaN
     d_l2, d_l3 = (np.real(s.terms[s.term_keys.index((name, 0, 0))])
                   for name in ("l2", "L3"))
-    poly = diag_annihilator(d_l2, [l * (l + 1) for l in range(lam + 1)])
-    rep.add_residual("rf3D3/L2-poly", float(np.abs(poly).max()), tol, lam=lam)
-    worst = np.max([np.abs(diag_annihilator(d_l3[s.l_of == l], range(-l, l + 1))).max()
-                    for l in range(lam + 1)])
-    rep.add_residual("rf3D3/L3-poly", worst, tol, lam=lam)
+    roots = np.arange(lam + 1.0) * np.arange(1.0, lam + 2.0)
+    at = np.searchsorted(roots, d_l2)
+    dist = np.minimum(np.abs(d_l2 - roots[np.maximum(at - 1, 0)]),
+                      np.abs(d_l2 - roots[np.minimum(at, lam)]))
+    rep.add_residual("rf3D3/L2-poly", float(np.max(dist)), tol, lam=lam)
+    dist = np.abs(d_l3 - np.clip(np.rint(d_l3), -s.l_of, s.l_of))
+    rep.add_residual("rf3D3/L3-poly", float(np.max(dist)), tol, lam=lam)
 
     nil = np.max([power_norm(s, name, 2 * lam + 1) for name in ("x_plus", "x_minus")])
     rep.add_residual("rf3D3/nilpotent", nil, tol, lam=lam)

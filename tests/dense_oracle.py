@@ -7,8 +7,10 @@ of those matrices, so the tests can compare the two record by record.
 `rotation_operator` is pi(g) as a dense matrix, `classical_rotation` and
 `classical_rotation_2d` the matrices by which <x> transforms under it,
 `expm_hermitian_generator` the exponential of a dense generator, and
-`identity_sum_sphere` a strong family's whole quadrature sum.  They cost O(dim^2) memory and up to
-O(dim^3) time, so keep them to small truncations (lambda <= 12).
+`identity_sum_sphere` a strong family's whole quadrature sum, and
+`nearest_distance` the annihilator records' distances from the table of
+every (entry, root) pair.  They cost O(dim^2) memory and up to O(dim^3)
+time, so keep them to small truncations (lambda <= 12).
 """
 
 from itertools import combinations
@@ -17,7 +19,7 @@ import numpy as np
 
 from fuzzysphere import coherent
 from fuzzysphere.lierep import _PAIRINGS, g_weight, squeeze_factor_circle
-from fuzzysphere.linop import diag_annihilator, readonly
+from fuzzysphere.linop import readonly
 from fuzzysphere.report import Report
 from fuzzysphere.sphere import EPS
 
@@ -26,6 +28,12 @@ def frobenius_residual(a, b) -> float:
     """Relative Frobenius distance ||a - b||_F / (1 + ||b||_F), the
     normalisation of shift.check_residuals."""
     return float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(b)))
+
+
+def nearest_distance(diag, roots) -> np.ndarray:
+    """The distance of each entry of diag from its nearest root, from the
+    table of every (entry, root) pair."""
+    return np.abs(np.asarray(diag)[:, None] - np.asarray(roots, dtype=float)).min(axis=1)
 
 
 def dense(space, name: str) -> np.ndarray:
@@ -133,14 +141,14 @@ def weave(labels, angles, weights=1.0) -> np.ndarray:
 def identity_sum_sphere(s, family: str, omega=None, beta=None) -> np.ndarray:
     """The quadrature sum of one strong family's weighted projectors as one
     dense matrix, norm * W * (V (K_polar * (V^dag G_0 V)) V^dag), with W and
-    K_polar the dense weaves of m and of the unrounded L_2 eigenvalues nu:
-    G_0 is diagonal 2l+1 at psi_l^l (spin), v v^dag for the phi seed v
-    (phi), or the psi sum W * omega omega^dag (omega).  Both rules are read
-    from the package at call time: tests patch them."""
+    K_polar the dense weaves of m, summed over the actual angles 2 pi t / n,
+    and of the unrounded L_2 eigenvalues nu: G_0 is diagonal 2l+1 at
+    psi_l^l (spin), v v^dag for the phi seed v (phi), or the psi sum W *
+    omega omega^dag (omega).  The azimuthal size n and the polar rule are
+    read from the package at call time: tests patch them."""
     lam = s.lam
-    phis = coherent._azimuthal_nodes(lam)
-    n_az = phis.size
-    az = weave(s.m_of, phis)
+    n_az = coherent._azimuthal_size(lam)
+    az = weave(s.m_of, coherent.TWO_PI * np.arange(n_az) / n_az)
     if family == "spin":
         gram = np.diag(np.where(s.l_of == s.m_of, 2.0 * s.l_of + 1.0, 0.0))
         norm = coherent.TWO_PI / n_az / (4.0 * np.pi)
@@ -184,8 +192,8 @@ def verify_circle_relations(c, tol: float = 1e-10) -> Report:
     rep.add_residual("defR2D=2", frobenius_residual(sq, dense(c, "x_squared")),
                      tol, lam=lam)
 
-    poly = diag_annihilator(np.diag(L), range(-lam, lam + 1))
-    rep.add_residual("commrelD=2/L-poly", float(np.abs(poly).max()), tol, lam=lam)
+    dist = nearest_distance(np.real(np.diag(L)), np.arange(-lam, lam + 1))
+    rep.add_residual("commrelD=2/L-poly", float(np.max(dist)), tol, lam=lam)
     nil = np.linalg.matrix_power(xp, dim)
     rep.add_residual("commrelD=2/nilpotent", frobenius_residual(nil, np.zeros_like(nil)),
                      tol, lam=lam)
@@ -288,16 +296,15 @@ def verify_sphere_relations(s, tol: float = 1e-10) -> Report:
     lsq = sum(L[i] @ L[i] for i in range(3))
     rep.add_residual("D=3Basis/L2", frobenius_residual(lsq, l2), tol, lam=lam)
 
-    # both annihilator polynomials act on diagonal operators, so they are
-    # evaluated entrywise on the diagonals
-    poly = diag_annihilator(np.real(np.diag(l2)),
+    # both annihilator polynomials act on diagonal operators, so each
+    # record is the largest distance of a diagonal entry from its nearest
+    # allowed eigenvalue, level by level for L_3
+    dist = nearest_distance(np.real(np.diag(l2)),
                             [l * (l + 1) for l in range(lam + 1)])
-    rep.add_residual("rf3D3/L2-poly", float(np.abs(poly).max()), tol, lam=lam)
+    rep.add_residual("rf3D3/L2-poly", float(np.max(dist)), tol, lam=lam)
     d_l3 = np.real(np.diag(L[2]))
-    worst = 0.0
-    for l in range(lam + 1):
-        val = diag_annihilator(d_l3[s.l_of == l], range(-l, l + 1))
-        worst = max(worst, float(np.abs(val).max()))
+    worst = max(float(np.max(nearest_distance(d_l3[s.l_of == l], range(-l, l + 1))))
+                for l in range(lam + 1))
     rep.add_residual("rf3D3/L3-poly", worst, tol, lam=lam)
 
     nil_p = np.linalg.matrix_power(x_plus, 2 * lam + 1)

@@ -130,7 +130,18 @@ def test_l_poly_finite_and_catches_perturbed_diagonal(lam):
     for index in (0, lam):                      # edge and centre of the spectrum
         bad = verify_circle_relations(_with_diagonal_shift(c, index, 1e-8))
         poly = next(r for r in bad.checks if r.tag == "commrelD=2/L-poly")
-        assert not poly.passed and np.isfinite(poly.residual)
+        assert not poly.passed and poly.residual == pytest.approx(1e-8, rel=1e-2)
+
+
+@pytest.mark.parametrize("delta, want", [(-0.7, 0.3), (0.7, 0.7), (np.nan, np.nan)])
+def test_l_poly_is_the_distance_to_the_nearest_label(delta, want):
+    # psi_lam's L moved from 3 to 2.3 (nearest label 2), to 3.7 (above the
+    # top label 3) or to NaN, which fails the record as its residual
+    c = build_circle(3)
+    rep = verify_circle_relations(_with_diagonal_shift(c, 0, delta))
+    poly = next(r for r in rep.checks if r.tag == "commrelD=2/L-poly")
+    assert not poly.passed
+    assert poly.residual == pytest.approx(want, rel=1e-12, nan_ok=True)
 
 
 def test_x_squared_edge_projection():

@@ -329,6 +329,36 @@ def test_verify_passes_and_writes_json(tmp_path, capsys):
         assert json.loads(path.read_text())["config"]["tol"] == tol
 
 
+def _strict_json(text):
+    """json.loads that rejects the non-JSON tokens NaN, Infinity and
+    -Infinity."""
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_report_json_is_strict(tmp_path, capsys):
+    # an infinite k in the config of a passing run, and a NaN in a failing
+    # record, are written as strings that float() reads back
+    path = tmp_path / "report.json"
+    assert run(["verify", "--d", "1", "--lambda", "1..2", "--k", "inf",
+                "--json", str(path)]) == 0
+    data = _strict_json(path.read_text())
+    assert data["config"]["k"] == "inf" and float(data["config"]["k"]) == math.inf
+    report = Report(config={"k": -math.inf})
+    report.add(CheckRecord(tag="x", lam=1, value=math.nan, bound=math.inf,
+                           residual=math.nan, passed=False))
+    data = _strict_json(report.to_json())
+    assert data["config"]["k"] == "-inf"
+    rec = data["checks"][0]
+    assert (rec["value"], rec["bound"], rec["residual"]) == ("nan", "inf", "nan")
+    assert math.isnan(float(rec["value"])) and float(rec["bound"]) == math.inf
+    # a non-finite float that to_dict does not reach raises, not writes NaN
+    report.config = {"k": [math.nan]}
+    with pytest.raises(ValueError):
+        report.to_json()
+
+
 def test_verify_failure_exit_code(tmp_path, capsys):
     # an absurdly tight tolerance forces a residual check to fail
     code = run(["verify", "--d", "2", "--lambda", "2", "--suite", "relations",
@@ -588,6 +618,29 @@ def test_circle_hur_random_fails_on_any_nan_record(monkeypatch):
     records = cli._scs_records_circle(build_circle(3), 1e-10, Stream(7, 1, 3, 1))
     rec = next(r for r in records if r.tag == "HURS^1/random")
     assert not rec.passed and math.isnan(rec.value)
+
+
+@pytest.mark.parametrize("slack, passed", [(-1e-12, True), (-1.5e-12, False)])
+def test_circle_hur_random_records_its_deciding_bound(monkeypatch, slack, passed):
+    # the record passes exactly when its value is at least its bound
+    from fuzzysphere.circle import build_circle
+
+    def fake(c, states):
+        rep = Report()
+        rep.add(CheckRecord(tag="HURS^1/product", lam=c.lam, value=slack))
+        return rep
+    monkeypatch.setattr(cli, "check_heisenberg_circle", fake)
+    records = cli._scs_records_circle(build_circle(3), 1e-10, Stream(7, 1, 3, 1))
+    rec = next(r for r in records if r.tag == "HURS^1/random")
+    assert rec.bound == -1e-12 and rec.passed is passed
+
+
+def test_sphere_lur_random_records_its_deciding_bound():
+    from fuzzysphere.sphere import build_sphere
+
+    records = cli._scs_records_sphere(build_sphere(3), 1e-10, Stream(7, 2, 3, 1))
+    rec = next(r for r in records if r.tag == "LUR3''/random")
+    assert rec.bound == -1e-10 and rec.passed and rec.value >= rec.bound
 
 
 def test_circle_l_var_bound_scales_with_the_value(monkeypatch):

@@ -168,19 +168,20 @@ def test_circle_identity_resolution():
 
 
 def _three_point_rule(lam):
-    return coherent.TWO_PI * np.arange(3) / 3
+    return 3
 
 
 def test_circle_resolution_needs_enough_points(monkeypatch):
     # 3 points alias every label difference divisible by 3, so the sum keeps
     # those off-diagonal entries; the residual is that of the sum of the
     # projectors of the strong states taken point by point
-    monkeypatch.setattr(coherent, "_azimuthal_nodes", _three_point_rule)
+    monkeypatch.setattr(coherent, "_azimuthal_size", _three_point_rule)
     for lam in (2, 4, 8, 16, 30):
         c = build_circle(lam)
         beta = np.random.default_rng(lam).uniform(0, 2 * np.pi, c.dim)
         rep = verify_identity_resolution_circle(c, beta)
-        states = [strong_scs_circle(c, beta, a) for a in _three_point_rule(lam)]
+        states = [strong_scs_circle(c, beta, a)
+                  for a in coherent.TWO_PI * np.arange(3) / 3]
         want = np.linalg.norm(c.dim / 3 * sum(np.outer(w, w.conj()) for w in states)
                               - np.eye(c.dim))
         assert not rep.passed and rep.checks[0].residual >= 0.7
@@ -273,8 +274,8 @@ def _brute_identity_sum(s, family, omega=None, beta=None):
     node's weight; then the phases of each azimuthal node are applied to
     that sum, node by node."""
     lam = s.lam
-    az = coherent._azimuthal_nodes(lam)     # read at call time: tests patch it
-    n_az = az.size
+    n_az = coherent._azimuthal_size(lam)    # read at call time: tests patch it
+    az = 2 * np.pi * np.arange(n_az) / n_az
     m = s.m_of
     if family == "spin":
         seeds = np.column_stack([np.sqrt(2 * l + 1) * np.eye(s.dim)[:, s.index(l, l)]
@@ -437,7 +438,7 @@ def test_sphere_resolution_needs_enough_polar_nodes(monkeypatch):
 def test_sphere_resolution_needs_enough_azimuthal_points(monkeypatch):
     # the psi and phi sums share the 3-point rule: every family fails, with
     # the residual of the point-by-point sum where that is cheap to form
-    monkeypatch.setattr(coherent, "_azimuthal_nodes", _three_point_rule)
+    monkeypatch.setattr(coherent, "_azimuthal_size", _three_point_rule)
     for lam in (2, 4, 8, 16, 30):
         s = build_sphere(lam)
         rng = np.random.default_rng(lam)
@@ -869,8 +870,18 @@ def test_minimizer_close_to_top_x_eigenvector():
 
 def test_madore_min_matches_closed_form():
     for l in (0.5, 1.0, 3.5, 8.0):
-        got = minimize_dispersion(build_madore(l))[1]
+        space = build_madore(l)
+        chi, got = minimize_dispersion(space)
         assert got == pytest.approx(1 / (l + 1), abs=1e-9)
+        assert minimizer_certificate(space, chi) <= 1e-10
+    # the certificate runs on the Madore sphere's 1x1 sectors and dense
+    # apply: psi_l^{l-1} is no minimizer, and its certificate has the
+    # closed form 2 (l - 1) / (l (l + 1))
+    for l in (1.5, 3.5, 8.0):
+        space = build_madore(l)
+        psi = np.eye(space.dim)[:, 1]            # m = l - 1, after m = l
+        assert minimizer_certificate(space, psi) == pytest.approx(
+            2 * (l - 1) / (l * (l + 1)), rel=1e-12)
 
 
 def test_weak_orbit_circle():

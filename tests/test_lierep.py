@@ -366,6 +366,22 @@ def test_circle_block_of_angles_is_bitwise_column_by_column():
         rotate(c, alphas[:3], np.repeat(chi[:, None], 4, axis=1))
 
 
+def test_sphere_rotation_must_be_euler_angles():
+    s = build_sphere(2)
+    chi = np.eye(s.dim)[:, 0]
+    with pytest.raises(ValueError, match="sphere rotation is an EulerAngles"):
+        rotate(s, 0.3, chi)
+    # one wrong member of a sequence is enough
+    with pytest.raises(ValueError, match="sphere rotation is an EulerAngles"):
+        rotate(s, [EulerAngles(0, 0, 0), 0.3], np.column_stack([chi, chi]))
+
+
+def test_circle_rotation_must_be_an_angle():
+    c = build_circle(2)
+    with pytest.raises(ValueError, match="circle rotation is an angle"):
+        rotate(c, EulerAngles(0.1, 0.2, 0.3), np.eye(c.dim)[:, 0])
+
+
 def test_circle_rotation_matches_dense_exponential():
     c = build_circle(5)
     for alpha in (0.0, 1.3, -4.2):

@@ -17,8 +17,8 @@ from fuzzysphere.coherent import (check_heisenberg_circle, dispersion,
                                   weak_scs_orbit)
 from dense_oracle import expm_hermitian_generator, frobenius_residual
 from fuzzysphere import linop
-from fuzzysphere.linop import (Stream, diag_annihilator, normalized_columns,
-                               random_states, unit_columns)
+from fuzzysphere.linop import (Stream, normalized_columns, random_states,
+                               unit_columns)
 from fuzzysphere.sphere import FuzzySphere, build_sphere
 from madore import build_madore
 import splitmix_oracle
@@ -225,29 +225,3 @@ def test_frobenius_residual():
     a = np.eye(3)
     assert frobenius_residual(a, a) == 0.0
     assert frobenius_residual(2 * a, a) == pytest.approx(np.sqrt(3) / (1 + np.sqrt(3)))
-
-
-def test_diag_annihilator():
-    roots = [0.0, 2.0, 6.0, 12.0]
-    assert np.array_equal(diag_annihilator(np.array(roots), roots), np.zeros(4))
-    # an entry off its nearest root by delta gives about delta
-    got = diag_annihilator(np.array([2.0 + 1e-6, 7.0]), roots)
-    assert got[0] == pytest.approx(1e-6, rel=1e-5)
-    assert got[1] == pytest.approx(7 * 5 * 1 * -5 / (6 * 4 * -6))
-    # 401 unit-spaced roots: the raw product would overflow
-    roots = np.arange(-200.0, 201.0)
-    assert np.abs(diag_annihilator(roots, roots)).max() == 0.0
-    assert diag_annihilator(np.array([0.5]), roots)[0] == pytest.approx(
-        np.prod((0.5 - roots) / np.where(roots == 0, 1.0, -roots)))
-
-
-def test_diag_annihilator_chunks_match_whole_table():
-    # the chunked evaluation is bitwise the table of all (entry, root)
-    # pairs at once, across many chunk boundaries
-    rng = np.random.default_rng(8)
-    roots = np.arange(-30.0, 31.0)
-    for diag in (rng.uniform(-32, 32, size=3001), roots + rng.normal(size=61) * 1e-9):
-        d = diag[:, None]
-        gap = roots[np.abs(d - roots).argmin(axis=1)][:, None] - roots
-        whole = np.prod((d - roots) / np.where(gap == 0, 1.0, gap), axis=1)
-        assert np.array_equal(diag_annihilator(diag, roots), whole)

@@ -109,7 +109,26 @@ def test_annihilator_polynomials_catch_perturbed_diagonal(op, tag):
     terms[s.term_keys.index((op, 0, 0)), s.index(3, 1)] += 1e-8
     bad = dataclasses.replace(s, terms=terms)
     rec = next(c for c in verify_sphere_relations(bad).checks if c.tag == tag)
-    assert not rec.passed and np.isfinite(rec.residual)
+    # the record is the entry's distance from its eigenvalue, 12 or 1
+    assert not rec.passed and rec.residual == pytest.approx(1e-8, rel=1e-2)
+
+
+@pytest.mark.parametrize("op, value, want", [
+    ("l2", -0.5, 0.5), ("l2", 4.5, 1.5), ("l2", 8.0, 2.0), ("l2", 13.0, 1.0),
+    ("l2", np.nan, np.nan), ("L3", 2.4, 0.4), ("L3", -3.0, 1.0), ("L3", 1.5, 0.5)])
+def test_annihilator_records_are_distances_to_allowed_eigenvalues(op, value, want):
+    # one entry at level 2 of lam 3 moved off the spectrum: below the
+    # lowest, between two and above the highest of 0, 2, 6, 12 for L^2,
+    # outside -2..2 or between two of them for L_3; a NaN entry is the
+    # record's residual
+    s = build_sphere(3)
+    terms = np.array(s.terms)
+    terms[s.term_keys.index((op, 0, 0)), s.index(2, 1)] = value
+    bad = dataclasses.replace(s, terms=terms)
+    tag = {"l2": "rf3D3/L2-poly", "L3": "rf3D3/L3-poly"}[op]
+    rec = next(c for c in verify_sphere_relations(bad).checks if c.tag == tag)
+    assert not rec.passed
+    assert rec.residual == pytest.approx(want, rel=1e-12, nan_ok=True)
 
 
 def test_l3_poly_fails_on_a_nan_entry():
