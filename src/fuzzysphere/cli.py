@@ -103,12 +103,13 @@ def _scs_records_sphere(s, tol, rng):
         s, "phi", beta=rng.uniform(0.0, TWO_PI, lam + 1), tol=tol_res))
 
     # the draws keep their order; spins and phi states are rotated as two
-    # blocks and measured in one pass, the random states in their own
+    # blocks and measured in one pass, the random states in their own,
+    # which reads only their angular moments
     levels = np.arange(lam + 1)
     spins = spin_cs(s, levels, [_random_euler(rng) for _ in levels])
-    d_ = dispersion(s, random_states(rng, s.dim, 100))
-    lmean = np.linalg.norm(d_.L_mean, axis=0)
-    worst = float(np.min(d_.l2_mean - lmean * (lmean + 1.0)))
+    L_mean, l2_mean = s.angular_moments(random_states(rng, s.dim, 100))
+    lmean = np.linalg.norm(L_mean, axis=0)
+    worst = float(np.min(l2_mean - lmean * (lmean + 1.0)))
     g = _random_euler(rng)     # pb, with a random beta, and p0 share it
     phis = strong_scs_sphere_phi(
         s, [rng.uniform(0.0, TWO_PI, lam + 1), np.zeros(lam + 1)], g)

@@ -17,13 +17,17 @@ never rounded, so a wrong L_2 spectrum shows.  Both weaves come from the
 rules' own sizes and nodes, so a rule too coarse shows too.  The
 Gauss-Legendre rule comes from the Legendre Jacobi matrix (Golub-Welsch).
 
-On the sphere no sum is formed as a dim x dim array.  The spin family's
-sum is one (2l+1)^2 block per level; the phi seed is rank one, so its sum
-is Z w Z^dag with one column of Z per polar node; the omega sum is
-reassociated as V (K_polar * (V^dag G_0 V)) V^dag.  The phi and omega sums
-are formed a chunk of whole levels of rows at a time, and each chunk's
-entries of S - I are added to the residual, so the residual is the exact
-Frobenius norm of S - I.
+On the sphere a sum S is 0 wherever kappa(m_i - m_j) is, so only the
+entries at the offsets m_i - m_j that kappa keeps are formed (m_i = m_j
+alone for the package's rule) and no dim x dim array is made.  The spin
+and phi seeds give S = W * (Z w Z^dag), one column of Z per polar node:
+spin's is level-diagonal, for the package's rule the diagonal norm * n *
+sum_t w_t |Z_it|^2, and phi's is one batched product of m-sector blocks
+per offset.  The omega seed's Gram is V^dag G_0 V = P W P^dag with P
+dim x (2 lam + 1); it meets the polar weave a chunk of whole levels of
+rows at a time, and each level's V is applied on the left only at the
+kept offsets.  Every formed entry of S - I is added to the residual, so
+the residual is the exact Frobenius norm of S - I.
 
 The weak families are orbits of the dispersion minimizer.  Its minimum is
 min over beta of beta^2 + E_0(beta), with E_0 the ground energy of
@@ -61,6 +65,7 @@ held only while it is used.  Rotations are lierep.rotate.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,11 +265,10 @@ _SPHERE_RESOLUTION_TAGS = {"spin": "ResolIdS^2_L",
                            "omega": "ResolIdS^2_Lomegagen",
                            "phi": "ResolIdS^2_Lphi"}
 
-# entries of the rows x dim chunk of the phi and omega sums that is formed
-# at a time (whole levels, at least one).  At lam <= 10 the whole sum is one
-# chunk, which at lam 1..9 takes the two checks about a third less time
-# than one level per chunk; from lam 30 up nearly every level is a chunk
-# of its own, and large lam runs as fast with one level per chunk
+# entries of the rows x dim chunk of the omega sum's polar stage that is
+# formed at a time (whole levels, at least one).  At lam <= 10 the whole sum
+# is one chunk; from lam 30 up nearly every level is a chunk of its own, and
+# large lam runs as fast with one level per chunk
 _CHUNK_ENTRIES = 1 << 14
 
 
@@ -279,49 +283,123 @@ def _level_chunks(lam: int):
             start = l + 1
 
 
-def _by_levels(eigs, x: np.ndarray, rows: slice, inverse: bool = False):
-    """Rows `rows` (whole levels) of V^dag G V, or of V G V^dag if inverse,
-    from the same rows x of G; V the block-diagonal eigenvectors of L_2 in
-    eigs (a space's l2_eigh)."""
-    out = np.empty_like(x)
-    for sl, _, vecs in eigs:
-        out[:, sl] = x[:, sl] @ (vecs.conj().T if inverse else vecs)
-    for sl, _, vecs in eigs:
-        if rows.start <= sl.start < rows.stop:
-            at = slice(sl.start - rows.start, sl.stop - rows.start)
-            out[at] = (vecs if inverse else vecs.conj().T) @ out[at]
-    return out
-
-
-def _sphere_blocks(s, family, seed, kappa, polar, w_th):
-    """(rows, cols, Y[rows, cols]) for every block of Y that is not zero by
-    construction, Y = V (K_polar * (V^dag G_0 V)) V^dag with K_polar[i, j] =
-    (polar w_th polar^dag)[i, j], polar[i, t] = e^{i theta_t nu_i}."""
-    lam, eigs = s.lam, s.l2_eigh
-    every = slice(0, s.dim)
+def _family_seed(s, family: str, omega, beta):
+    """(seed, norm) of one strong family: the seed vector (for spin, the
+    diagonal of G_0) and the weight of every quadrature point; an omega
+    seed must have shape (dim,) and obey the per-level weight condition."""
+    lam = s.lam
+    n = _azimuthal_size(lam)
+    if family == "spin":
+        seed = np.where(s.l_of == s.m_of, np.sqrt(2.0 * s.l_of + 1.0), 0.0)
+        return seed, TWO_PI / n / (4.0 * np.pi)
     if family == "omega":
-        # G_0 is the psi sum W * omega omega^dag, taken a chunk of rows at
-        # a time like the rest
-        seed_h, polar_h = seed.conj(), polar.conj().T
+        if omega is None:
+            raise ValueError("the omega family needs a seed vector")
+        seed = np.asarray(omega, dtype=complex)
+        if seed.shape != (s.dim,):
+            raise ValueError(f"omega must have shape ({s.dim},), got {seed.shape}")
+        target = (2 * np.arange(lam + 1) + 1) / (lam + 1) ** 2
+        defect = np.abs(np.bincount(s.l_of, np.abs(seed) ** 2) - target)
+        # written so that a NaN defect fails it too
+        if not np.all(defect <= 1e-12):
+            bad = {l: float(d) for l, d in enumerate(defect) if not d <= 1e-12}
+            raise ValueError(f"weight condition violated, per-l defect: {bad}")
+        return seed, (lam + 1) ** 2 * (TWO_PI / n) ** 2 / (8.0 * np.pi ** 2)
+    if family == "phi":
+        seed = _phi_seed(s, np.zeros(lam + 1) if beta is None else beta)
+        return seed, (lam + 1) ** 2 * (TWO_PI / n) / (4.0 * np.pi)
+    raise ValueError(f"unknown family {family!r}")
+
+
+def _sector_terms(s, family: str, omega=None, beta=None):
+    """The entries of S - I (see _identity_residual_sphere) at every offset
+    d = m_i - m_j where kappa(d) != 0, an array at a time: every other
+    entry of S is 0.  There S = norm * kappa(d) * Y, Y = V (K_polar * (V^dag
+    G_0 V)) V^dag, K_polar[i, j] = (polar w_th polar^dag)[i, j] and
+    polar[i, t] = e^{i theta_t nu_i}.  The order and layout, which the
+    tests read entry by entry: spin, for each d, the entries (i, i - d) of
+    one level, i ascending; phi, for each d, the (sector m, level l, level
+    l') blocks of the rows m with |m - d| <= lam; omega, for each level l
+    of rows and each d, the (m, level l') entries of the rows m of level l
+    with |m - d| <= lam.  Phi's and omega's blocks are 0 where l < |m| or
+    l' < |m - d|."""
+    seed, norm = _family_seed(s, family, omega, beta)
+    lam, eigs = s.lam, s.l2_eigh
+    kappa = _kappa(_azimuthal_size(lam), lam)
+    # the kept offsets d, each with the weight norm * kappa(d) of S there
+    kept = [(int(j) - 2 * lam, norm * float(kappa[j])) for j in np.flatnonzero(kappa)]
+    thetas, w_th = _polar_nodes(lam)
+    if family == "omega":
+        # V^dag G_0 V = P W P^dag, P[(l, nu), m] = conj(V_l[m, nu]) omega_lm
+        # and W[m, m'] = kappa(m - m'), formed a chunk of whole levels of
+        # rows at a time; V^dag acts on the right into padded columns, and
+        # each row level's V on the left only at the kept offsets
+        p = np.zeros((s.dim, 2 * lam + 1), dtype=complex)
+        for l, (sl, _, vecs) in enumerate(eigs):
+            p[sl, lam - l:lam + l + 1] = (vecs.conj() * seed[sl, None]).T
+        ms = np.arange(-lam, lam + 1)
+        pw = p @ kappa[ms[:, None] - ms + 2 * lam]
+        p_h = np.conjugate(p, out=p).T
+        # polar^dag alone is held; a chunk's rows of polar are its conjugate
+        nu = np.concatenate([vals for _, vals, _ in eigs])
+        polar_h = np.exp(-1j * (thetas[:, None] * nu))
+        vecs_h = [vecs.conj().T for _, _, vecs in eigs]
         for r in _level_chunks(lam):
-            gram = (kappa[s.m_of[r][:, None] - s.m_of + 2 * lam]
-                    * np.outer(seed[r], seed_h))
-            k_polar = (polar[r] * w_th) @ polar_h
-            yield r, every, _by_levels(
-                eigs, k_polar * _by_levels(eigs, gram, r), r, inverse=True)
+            x = (polar_h[:, r].T.conj() * w_th) @ polar_h
+            x *= pw[r] @ p_h
+            t = np.zeros((r.stop - r.start, 2 * lam + 1, lam + 1), dtype=complex)
+            for l, (sl, _, _) in enumerate(eigs):
+                t[:, lam - l:lam + l + 1, l] = x[:, sl] @ vecs_h[l]
+            for l in range(math.isqrt(r.start), math.isqrt(r.stop)):
+                sl, _, vecs = eigs[l]
+                t_l = t[sl.start - r.start:sl.stop - r.start]
+                for d, c in kept:
+                    if abs(d) > lam + l:
+                        continue
+                    # rows m = lo..hi-1 of level l, columns m - d
+                    lo, hi = max(-l, d - lam), min(l, d + lam) + 1
+                    y = c * (
+                        vecs[lo + l:hi + l, None, :]
+                        @ t_l[:, lo - d + lam:hi - d + lam].transpose(1, 0, 2))[:, 0]
+                    if d == 0:
+                        y[:, l] -= 1.0
+                    yield y
         return
     # the spin and phi seeds u have a fixed m on each level, so their psi
-    # sum is a phase and Y = Z w Z^dag with Z = V (polar * V^dag u)
-    z = np.concatenate([vecs @ (polar[sl] * (vecs.conj().T @ seed[sl])[:, None])
-                        for sl, _, vecs in eigs])
+    # sum is a phase and Y = Z w Z^dag with Z = V (polar * V^dag u), one
+    # level of rows at a time
+    z = (vecs @ (np.exp(1j * (vals[:, None] * thetas))
+                 * (vecs.conj().T @ seed[sl])[:, None])
+         for sl, vals, vecs in eigs)
     if family == "spin":
-        # the seed Gram is level-diagonal, so Y is one block per level
-        for sl, _, _ in eigs:
-            yield sl, sl, (z[sl] * w_th) @ z[sl].conj().T
-    else:
-        z_h = z.conj().T
-        for r in _level_chunks(lam):
-            yield r, every, (z[r] * w_th) @ z_h
+        # the seed Gram is level-diagonal, so Y is too: row i = (l, m) meets
+        # column i - d = (l, m - d) where |m - d| <= l
+        z = np.concatenate(list(z))
+        zw = z * w_th
+        for d, c in kept:
+            lo, hi = max(d, 0), s.dim + min(d, 0)
+            y = np.einsum("it,it->i", zw[lo:hi], z[lo - d:hi - d].conj())
+            y = c * y[np.abs(s.m_of[lo:hi] - d) <= s.l_of[lo:hi]]
+            if d == 0:
+                y -= 1.0
+            yield y
+        return
+    # phi: conj(Z) laid out by (sector, level, polar node), so each offset
+    # is one batched product of the sectors' blocks
+    zc = np.zeros((2 * lam + 1, lam + 1, w_th.size), dtype=complex)
+    for l, z_l in enumerate(z):
+        zc[lam - l:lam + l + 1, l] = z_l.conj()
+    zw = zc.conj()
+    zw *= w_th
+    pad = np.arange(lam + 1) >= np.abs(np.arange(-lam, lam + 1))[:, None]
+    diag = np.arange(lam + 1)
+    for d, c in kept:
+        # rows in sectors m = lo..hi-1 (less lam), columns in m - d
+        lo, hi = max(d, 0), 2 * lam + 1 + min(d, 0)
+        y = c * (zw[lo:hi] @ zc[lo - d:hi - d].transpose(0, 2, 1))
+        if d == 0:
+            y[:, diag, diag] -= pad
+        yield y
 
 
 def _identity_residual_sphere(s, family: str, omega=None, beta=None) -> float:
@@ -337,40 +415,15 @@ def _identity_residual_sphere(s, family: str, omega=None, beta=None) -> float:
     for psi and phi, whose size sets norm) and K_polar the Gauss-Legendre
     weave of nu.  Only the seed Gram matrix G_0 differs: diagonal 2l+1 at
     psi_l^l (spin), v v^dag for the phi seed v (phi), and the psi sum
-    W * omega omega^dag (omega).  S is formed block by block (a level for
-    spin, chunks of whole levels of rows for phi and omega) and every entry
-    of S - I is summed; no dim x dim array is made.
+    W * omega omega^dag (omega).  S is 0 wherever kappa(m_i - m_j) is, so
+    only the entries at the other offsets are formed (for the package's
+    rule, m_i = m_j alone): spin's within each level, phi's as blocks of
+    sectors, and omega's a chunk of whole levels of rows at a time.
+    Every formed entry of S - I is summed, so the residual is the exact
+    Frobenius norm, and no dim x dim array is made.
     """
-    if family not in _SPHERE_RESOLUTION_TAGS:
-        raise ValueError(f"unknown family {family!r}")
-    lam = s.lam
-    n = _azimuthal_size(lam)
-    if family == "spin":
-        seed = np.where(s.l_of == s.m_of, np.sqrt(2.0 * s.l_of + 1.0), 0.0)
-        norm = TWO_PI / n / (4.0 * np.pi)
-    elif family == "omega":
-        if omega is None:
-            raise ValueError("the omega family needs a seed vector")
-        seed = np.asarray(omega, dtype=complex)
-        target = (2 * np.arange(lam + 1) + 1) / (lam + 1) ** 2
-        defect = np.abs(np.bincount(s.l_of, np.abs(seed) ** 2) - target)
-        if np.any(defect > 1e-12):
-            bad = {l: float(d) for l, d in enumerate(defect) if d > 1e-12}
-            raise ValueError(f"weight condition violated, per-l defect: {bad}")
-        norm = (lam + 1) ** 2 * (TWO_PI / n) ** 2 / (8.0 * np.pi ** 2)
-    else:
-        seed = _phi_seed(s, np.zeros(lam + 1) if beta is None else beta)
-        norm = (lam + 1) ** 2 * (TWO_PI / n) / (4.0 * np.pi)
-
-    kappa = _kappa(n, lam)
-    thetas, w_th = _polar_nodes(lam)
-    nu = np.concatenate([vals for _, vals, _ in s.l2_eigh])
-    polar = np.exp(1j * np.outer(nu, thetas))
     total = 0.0
-    for rows, cols, y in _sphere_blocks(s, family, seed, kappa, polar, w_th):
-        t = norm * (kappa[s.m_of[rows][:, None] - s.m_of[cols] + 2 * lam] * y)
-        diag = np.arange(rows.start, rows.stop)
-        t[diag - rows.start, diag - cols.start] -= 1.0
+    for t in _sector_terms(s, family, omega, beta):
         total += np.vdot(t, t).real
     return float(np.sqrt(total))
 

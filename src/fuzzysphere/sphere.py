@@ -107,10 +107,15 @@ class FuzzySphere(ShiftTerms):
     def moments(self, v: np.ndarray) -> tuple:
         """(<x>, <x^2>, <L>, <L^2>) of each column of the (dim, n) block v,
         the vectors (3, n), from <x_+> = <x_1> + i <x_2> and likewise L_+."""
-        xp, x3, lp, l3, l2, x2 = self._means(
-            v, ("x_plus", "x3", "L_plus", "L3", "l2", "x_squared"))
+        xp, x3, x2, *L = self._means(
+            v, ("x_plus", "x3", "x_squared", "L_plus", "L3", "l2"))
         return (np.array([xp.real, xp.imag, x3.real]), x2.real,
-                np.array([lp.real, lp.imag, l3.real]), l2.real)
+                *_angular(*L))
+
+    def angular_moments(self, v: np.ndarray) -> tuple:
+        """(<L>, <L^2>) of each column of the (dim, n) block v, the same
+        numbers as moments gives, from the L terms alone."""
+        return _angular(*self._means(v, ("L_plus", "L3", "l2")))
 
     def sectors(self):
         """The L_3 sectors m = 0..lam, m = 0 first, each (indices of
@@ -143,6 +148,11 @@ class FuzzySphere(ShiftTerms):
             vecs.setflags(write=False)
             out.append((sl, vals, vecs))
         return tuple(out)
+
+
+def _angular(lp, l3, l2) -> tuple:
+    """(<L>, <L^2>) from the complex means of L_+, L_3 and L^2."""
+    return np.array([lp.real, lp.imag, l3.real]), l2.real
 
 
 def _labels(lam: int) -> tuple:

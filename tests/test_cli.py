@@ -665,12 +665,14 @@ def test_circle_l_var_bound_scales_with_the_value(monkeypatch):
 def test_sphere_states_rotated_and_measured_as_blocks(monkeypatch):
     # per truncation, the scs suite rotates the spin states and the two
     # phi states as one block each and measures them in one moments pass,
-    # the 100 random states in another; the minimize suite rotates its
-    # orbit once and takes moments only for the certificate and the orbit
+    # the 100 random states in one pass of their angular moments alone; the
+    # minimize suite rotates its orbit once and takes moments only for the
+    # certificate and the orbit
     from fuzzysphere import coherent
     from fuzzysphere.sphere import FuzzySphere
     counts = {}
     rotate, moments = coherent.rotate, FuzzySphere.moments
+    angular = FuzzySphere.angular_moments
 
     def counted(name, f):
         def call(*args):
@@ -680,10 +682,12 @@ def test_sphere_states_rotated_and_measured_as_blocks(monkeypatch):
 
     monkeypatch.setattr(coherent, "rotate", counted("rotate", rotate))
     monkeypatch.setattr(FuzzySphere, "moments", counted("moments", moments))
+    monkeypatch.setattr(FuzzySphere, "angular_moments", counted("angular", angular))
     for lam in (1, 4, 9):
-        for suite, most in (("scs", (2, 2)), ("minimize", (1, 2))):
-            counts.update(rotate=0, moments=0)
+        for suite, most in (("scs", (2, 1, 1)), ("minimize", (1, 2, 0))):
+            counts.update(rotate=0, moments=0, angular=0)
             records = cli._records_for_lambda((2, lam, None, 1e-10, 7, [suite]))
             assert all(r.passed for r in records), (lam, suite)
             assert counts["rotate"] <= most[0], (lam, suite, counts)
             assert counts["moments"] <= most[1], (lam, suite, counts)
+            assert counts["angular"] <= most[2], (lam, suite, counts)

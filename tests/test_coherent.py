@@ -81,6 +81,19 @@ def test_block_moments_match_per_column_expect():
             assert d.L_var[j] == d.l2_mean[j] - np.sum(d.L_mean[:, j] ** 2)
 
 
+def test_angular_moments_are_bitwise_those_of_moments():
+    # the L moments alone, as the LUR3''/random record reads them, are the
+    # same numbers as the full moments pass gives
+    rng = np.random.default_rng(12)
+    for lam in (1, 4, 9):
+        s = build_sphere(lam)
+        block = random_states(rng, s.dim, 100)
+        L_mean, l2_mean = s.angular_moments(block)
+        full = s.moments(block)
+        assert L_mean.tobytes() == full[2].tobytes()
+        assert l2_mean.tobytes() == full[3].tobytes()
+
+
 def test_block_of_one_is_bitwise_the_state():
     rng = np.random.default_rng(4)
     for space in (build_circle(6), build_sphere(4), build_madore(1.5)):
@@ -387,7 +400,7 @@ def test_identity_residual_independent_of_chunks(chunk, coarse, monkeypatch):
     # one level per chunk, or the whole sum as one chunk, against the dense
     # oracle at a truncation that the default size cuts into several chunks;
     # with the two-node rule S - I is O(1) in every block, so a chunk that
-    # is dropped or misplaced shows
+    # is dropped or misplaced shows.  Only the omega sum is chunked
     if coarse:
         monkeypatch.setattr(coherent, "_polar_nodes", _two_node_rule)
     s = build_sphere(16)
@@ -397,14 +410,11 @@ def test_identity_residual_independent_of_chunks(chunk, coarse, monkeypatch):
     assert rows[0][0] == 0 and rows[-1][1] == s.dim
     assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
     assert len(rows) == (s.lam + 1 if chunk == 1 else 1)
-    rng = np.random.default_rng(5)
-    args = {"spin": {}, "omega": {"omega": random_omega_weights(s, rng)},
-            "phi": {"beta": rng.uniform(0, 2 * np.pi, s.lam + 1)}}
-    for family, kw in args.items():
-        want = np.linalg.norm(identity_sum_sphere(s, family, **kw) - np.eye(s.dim))
-        got = coherent._identity_residual_sphere(s, family, **kw)
-        assert abs(got - want) <= 1e-12 * max(1.0, want), family
-        assert (want > 1.0) == coarse
+    omega = random_omega_weights(s, np.random.default_rng(5))
+    want = np.linalg.norm(identity_sum_sphere(s, "omega", omega=omega) - np.eye(s.dim))
+    got = coherent._identity_residual_sphere(s, "omega", omega=omega)
+    assert abs(got - want) <= 1e-12 * max(1.0, want)
+    assert (want > 1.0) == coarse
 
 
 def test_identity_checks_stay_below_one_dense_array():
@@ -423,6 +433,103 @@ def test_identity_checks_stay_below_one_dense_array():
         finally:
             tracemalloc.stop()
         assert peak < dense_bytes, (family, peak)
+
+
+def _oracle_sector_terms(s, family, total):
+    """The entries of total - I at the offsets d = m_i - m_j that the
+    azimuthal rule keeps, in the order and layout of
+    coherent._sector_terms, read from the dense sum by their labels."""
+    lam = s.lam
+    n_az = coherent._azimuthal_size(lam)
+    offsets = [d for d in range(-2 * lam, 2 * lam + 1) if d % n_az == 0]
+    t = total - np.eye(s.dim)
+    at = {(int(l), int(m)): i for i, (l, m) in enumerate(zip(s.l_of, s.m_of))}
+    if family == "spin":
+        for d in offsets:
+            yield np.array([t[i, at[l, m - d]] for (l, m), i in at.items()
+                            if abs(m - d) <= l])
+    elif family == "phi":
+        for d in offsets:
+            ms = [m for m in range(-lam, lam + 1) if abs(m - d) <= lam]
+            y = np.zeros((len(ms), lam + 1, lam + 1), dtype=complex)
+            for a, m in enumerate(ms):
+                for l in range(abs(m), lam + 1):
+                    for k in range(abs(m - d), lam + 1):
+                        y[a, l, k] = t[at[l, m], at[k, m - d]]
+            yield y
+    else:
+        for l in range(lam + 1):
+            for d in offsets:
+                ms = [m for m in range(-l, l + 1) if abs(m - d) <= lam]
+                if ms:
+                    y = np.zeros((len(ms), lam + 1), dtype=complex)
+                    for a, m in enumerate(ms):
+                        for k in range(abs(m - d), lam + 1):
+                            y[a, k] = t[at[l, m], at[k, m - d]]
+                    yield y
+
+
+@pytest.mark.parametrize("rule", ["exact", "two-node polar", "three-point azimuthal"])
+@pytest.mark.parametrize("lam", [1, 2, 5, 9, 16])
+def test_sector_terms_match_dense_oracle_entrywise(lam, rule, monkeypatch):
+    # every entry the sector form keeps, against the dense oracle's entry
+    # at the same labels: the exact rule keeps the m-sectors alone, the
+    # 3-point rule its off-sector offsets too, and the two-node rule makes
+    # S - I O(1) in every block, so a dropped, misplaced or misordered
+    # block or chunk shows
+    if rule == "two-node polar":
+        monkeypatch.setattr(coherent, "_polar_nodes", _two_node_rule)
+    elif rule == "three-point azimuthal":
+        monkeypatch.setattr(coherent, "_azimuthal_size", _three_point_rule)
+    s = build_sphere(lam)
+    rng = np.random.default_rng(40 + lam)
+    args = {"spin": {}, "omega": {"omega": random_omega_weights(s, rng)},
+            "phi": {"beta": rng.uniform(0, 2 * np.pi, lam + 1)}}
+    for family, kw in args.items():
+        got = list(coherent._sector_terms(s, family, **kw))
+        want = list(_oracle_sector_terms(s, family,
+                                         identity_sum_sphere(s, family, **kw)))
+        assert [g.shape for g in got] == [w.shape for w in want], family
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max(initial=0.0) <= 1e-12, (family, rule)
+
+
+@pytest.mark.parametrize("where", ["eigenvalue", "eigenvector"])
+def test_nan_in_the_l2_eigensystem_fails_every_family(where):
+    # a NaN L_+ weight can stop numpy's eigh (LinAlgError) before any sum,
+    # so the NaN is put where a sum reads it: one L_2 eigenvalue (the polar
+    # weave) or one eigenvector entry of one level; the sector form must
+    # carry it into the residual, which is NaN, and fail the record
+    s = build_sphere(5)
+    eigs = [list(e) for e in s.l2_eigh]
+    vals, vecs = eigs[3][1].copy(), eigs[3][2].copy()
+    if where == "eigenvalue":
+        vals[2] = np.nan
+    else:
+        vecs[4, 1] = np.nan
+    eigs[3][1:] = vals, vecs
+    bad = dataclasses.replace(s)
+    vars(bad)["l2_eigh"] = tuple(tuple(e) for e in eigs)
+    rng = np.random.default_rng(8)
+    args = {"spin": {}, "omega": {"omega": random_omega_weights(s, rng)},
+            "phi": {"beta": rng.uniform(0, 2 * np.pi, s.lam + 1)}}
+    for family, kw in args.items():
+        assert verify_identity_resolution_sphere(s, family, **kw).passed
+        rec = verify_identity_resolution_sphere(bad, family, **kw).checks[0]
+        assert np.isnan(rec.residual) and not rec.passed, family
+
+
+def test_omega_seed_shape_and_nan_weight_rejected():
+    s = build_sphere(3)
+    omega = random_omega_weights(s, np.random.default_rng(9))
+    for wrong in (omega[:-1], np.append(omega, 0.0), omega[:, None]):
+        with pytest.raises(ValueError, match=r"omega must have shape \(16,\)"):
+            verify_identity_resolution_sphere(s, "omega", omega=wrong)
+    # a NaN weight leaves its level's defect NaN, which the condition rejects
+    nan = omega.copy()
+    nan[s.index(2, 1)] = np.nan
+    with pytest.raises(ValueError, match=r"per-l defect: \{2: nan\}"):
+        verify_identity_resolution_sphere(s, "omega", omega=nan)
 
 
 def test_sphere_resolution_needs_enough_polar_nodes(monkeypatch):
