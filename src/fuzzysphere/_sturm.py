@@ -23,7 +23,7 @@ subtraction, the zero-pivot fix and one comparison written into a table of
 signs; the table holds STEPS steps and is summed when it is full and at the
 end, so a pass keeps a few numbers per row whatever the matrices' size.
 
-The eigenvalues themselves are numpy's dense eigvalsh, one stacked call per
+The eigenvalues themselves are numpy's real eigvalsh, one stacked call per
 matrix size, certified by one pass of counts: if below(v - tol/2) <= n - j <
 below(v + tol/2), the j-th largest eigenvalue lies within tol/2 of v,
 repeated eigenvalues included, and the midpoint of that bracket is
@@ -96,23 +96,22 @@ def _below(cols: np.ndarray, owner: np.ndarray, sizes: np.ndarray,
 
 
 def tridiagonals(upper: np.ndarray) -> np.ndarray:
-    """The complex hermitian tridiagonals with zero diagonal whose
-    superdiagonals are the rows of upper, stacked (count, n, n)."""
-    count, n = upper.shape[0], upper.shape[1] + 1
-    dense = np.zeros((count, n * n), dtype=complex)
+    """The zero-diagonal hermitian tridiagonals, of upper's dtype, with the
+    superdiagonals along upper's last axis, stacked (..., n, n)."""
+    lead, n = upper.shape[:-1], upper.shape[-1] + 1
+    dense = np.zeros(lead + (n * n,), dtype=upper.dtype)
     # entries (k, k + 1) and (k + 1, k) of a row-major n x n matrix
-    dense[:, 1::n + 1] = upper
-    dense[:, n::n + 1] = upper.conj()
-    return dense.reshape(count, n, n)
+    dense[..., 1::n + 1] = upper
+    dense[..., n::n + 1] = upper.conj()
+    return dense.reshape(lead + (n, n))
 
 
 def _dense_spectra(absa2: np.ndarray) -> np.ndarray:
     """Descending guesses at the eigenvalues of each matrix of a stack of
-    same-size matrices, given as rows of |a_k|^2: numpy's dense eigvalsh of
-    the matrix with |a_k| off the diagonal, made symmetric as the spectrum
-    is, so that an odd matrix's middle guess is 0.  (The matrix is complex
-    because the spectra checks' own eigvalsh is: the real LAPACK path would
-    map more library code into every process that bisects.)"""
+    same-size matrices, given as rows of |a_k|^2: numpy's real eigvalsh of
+    the matrix with |a_k| off the diagonal, made symmetric as the spectrum is,
+    so that an odd matrix's middle guess is 0 (real LAPACK maps more library
+    code: 0.3 MiB more peak RSS over 28 small matrices)."""
     values = np.linalg.eigvalsh(tridiagonals(np.sqrt(absa2)))
     return 0.5 * (values[:, ::-1] - values)
 

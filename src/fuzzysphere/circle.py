@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._sturm import tridiagonals
 from .linop import ShiftTerms, readonly
 from .report import Report
 from .spectral import TridiagSpec
@@ -96,7 +97,7 @@ class FuzzyCircle(ShiftTerms):
         weight = np.full(lam + 1, np.sqrt(0.5))
         weight[-1] = 1.0
         yield (np.array([j, 2 * lam - j]), weight, np.diag(x2[:lam + 1]),
-               np.diag(off, 1) + np.diag(off, -1))
+               tridiagonals(off))
 
 
 def sharpness(lam: int, k: float | None, lam_min: int = 1) -> float:

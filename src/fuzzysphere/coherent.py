@@ -18,16 +18,9 @@ rules' own sizes and nodes, so a rule too coarse shows too.  The
 Gauss-Legendre rule comes from the Legendre Jacobi matrix (Golub-Welsch).
 
 On the sphere a sum S is 0 wherever kappa(m_i - m_j) is, so only the
-entries at the offsets m_i - m_j that kappa keeps are formed (m_i = m_j
-alone for the package's rule) and no dim x dim array is made.  The spin
-and phi seeds give S = W * (Z w Z^dag), one column of Z per polar node:
-spin's is level-diagonal, for the package's rule the diagonal norm * n *
-sum_t w_t |Z_it|^2, and phi's is one batched product of m-sector blocks
-per offset.  The omega seed's Gram is V^dag G_0 V = P W P^dag with P
-dim x (2 lam + 1); it meets the polar weave a chunk of whole levels of
-rows at a time, and each level's V is applied on the left only at the
-kept offsets.  Every formed entry of S - I is added to the residual, so
-the residual is the exact Frobenius norm of S - I.
+entries at the offsets that kappa keeps are formed (m_i = m_j alone for
+the package's rule), on the real L_2 basis of FuzzySphere.l2_eigh, and no
+dim x dim array is made (_identity_residual_sphere, _sector_terms).
 
 The weak families are orbits of the dispersion minimizer.  Its minimum is
 min over beta of beta^2 + E_0(beta), with E_0 the ground energy of
@@ -70,6 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._sturm import tridiagonals
 from .lierep import EulerAngles, rotate
 from .linop import unit_columns
 from .report import CheckRecord, Report
@@ -245,8 +239,7 @@ def _gauss_legendre(n: int):
     of the Legendre recurrence, with off-diagonal k / sqrt(4k^2 - 1), and
     each weight is 2 v_0^2, v_0 the first entry of its unit eigenvector."""
     k = np.arange(1.0, n)
-    off = k / np.sqrt(4.0 * k * k - 1.0)
-    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    nodes, vecs = np.linalg.eigh(tridiagonals(k / np.sqrt(4.0 * k * k - 1.0)))
     return nodes, 2.0 * vecs[0] ** 2
 
 
@@ -326,30 +319,33 @@ def _sector_terms(s, family: str, omega=None, beta=None):
     seed, norm = _family_seed(s, family, omega, beta)
     lam, eigs = s.lam, s.l2_eigh
     kappa = _kappa(_azimuthal_size(lam), lam)
-    # the kept offsets d, each with the weight norm * kappa(d) of S there
-    kept = [(int(j) - 2 * lam, norm * float(kappa[j])) for j in np.flatnonzero(kappa)]
+    # V = D V', D = diag(i^m): Y at offset d is i^d times Y of V' and the
+    # seed turned by D^dag, so kept offset d weighs norm * kappa(d) * i^d
+    quarter = (1, 1j, -1, -1j)
+    seed = seed * np.array(quarter)[-s.m_of % 4]
+    kept = [(d, norm * float(kappa[d + 2 * lam]) * quarter[d % 4])
+            for d in (int(j) - 2 * lam for j in np.flatnonzero(kappa))]
     thetas, w_th = _polar_nodes(lam)
     if family == "omega":
-        # V^dag G_0 V = P W P^dag, P[(l, nu), m] = conj(V_l[m, nu]) omega_lm
+        # V'^T G_0 V' = P W P^dag, P[(l, nu), m] = V'_l[m, nu] omega_lm
         # and W[m, m'] = kappa(m - m'), formed a chunk of whole levels of
-        # rows at a time; V^dag acts on the right into padded columns, and
-        # each row level's V on the left only at the kept offsets
+        # rows at a time; V'^T acts on the right into padded columns, and
+        # each row level's V' on the left only at the kept offsets
         p = np.zeros((s.dim, 2 * lam + 1), dtype=complex)
         for l, (sl, _, vecs) in enumerate(eigs):
-            p[sl, lam - l:lam + l + 1] = (vecs.conj() * seed[sl, None]).T
+            p[sl, lam - l:lam + l + 1] = (vecs * seed[sl, None]).T
         ms = np.arange(-lam, lam + 1)
         pw = p @ kappa[ms[:, None] - ms + 2 * lam]
         p_h = np.conjugate(p, out=p).T
         # polar^dag alone is held; a chunk's rows of polar are its conjugate
         nu = np.concatenate([vals for _, vals, _ in eigs])
         polar_h = np.exp(-1j * (thetas[:, None] * nu))
-        vecs_h = [vecs.conj().T for _, _, vecs in eigs]
         for r in _level_chunks(lam):
             x = (polar_h[:, r].T.conj() * w_th) @ polar_h
             x *= pw[r] @ p_h
             t = np.zeros((r.stop - r.start, 2 * lam + 1, lam + 1), dtype=complex)
-            for l, (sl, _, _) in enumerate(eigs):
-                t[:, lam - l:lam + l + 1, l] = x[:, sl] @ vecs_h[l]
+            for l, (sl, _, vecs) in enumerate(eigs):
+                t[:, lam - l:lam + l + 1, l] = x[:, sl] @ vecs.T
             for l in range(math.isqrt(r.start), math.isqrt(r.stop)):
                 sl, _, vecs = eigs[l]
                 t_l = t[sl.start - r.start:sl.stop - r.start]
@@ -366,10 +362,10 @@ def _sector_terms(s, family: str, omega=None, beta=None):
                     yield y
         return
     # the spin and phi seeds u have a fixed m on each level, so their psi
-    # sum is a phase and Y = Z w Z^dag with Z = V (polar * V^dag u), one
+    # sum is a phase and Y = Z w Z^dag with Z = V' (polar * V'^T u), one
     # level of rows at a time
-    z = (vecs @ (np.exp(1j * (vals[:, None] * thetas))
-                 * (vecs.conj().T @ seed[sl])[:, None])
+    z = ((vecs @ (np.exp(1j * (vals[:, None] * thetas))
+                  * (vecs.T @ seed[sl])[:, None]).view(float)).view(complex)
          for sl, vals, vecs in eigs)
     if family == "spin":
         # the seed Gram is level-diagonal, so Y is too: row i = (l, m) meets

@@ -84,10 +84,10 @@ def rotate(space, g, v: np.ndarray) -> np.ndarray:
     """pi(g) v for a state or a (dim, n) block v, g one rotation for every
     column or a sequence of n, one per column.  On a sphere a rotation is
     an EulerAngles, pi(g) = exp(i phi L_3) exp(i theta L_2) exp(i psi L_3):
-    the phases e^{i psi m}, each level's V e^{i theta nu} V^dag from
-    l2_eigh, then e^{i phi m}, each phase a (dim, n) array.  On the circle
-    pi(alpha) = exp(i alpha L), alpha an angle.  A rotation of the other
-    space's type is a ValueError."""
+    as L_2 = D (-L_1) D^dag, D = e^{i pi L_3 / 2}, e^{i (psi - pi/2) m},
+    each level's real V' e^{i theta nu} V'^T (l2_eigh), e^{i (phi + pi/2) m},
+    each a (dim, n) array.  On the circle pi(alpha) = exp(i alpha L), alpha
+    an angle.  A rotation of the other space's type is a ValueError."""
     out = v.reshape(len(v), -1)
     n = out.shape[1]
     gs = [g] * n if isinstance(g, EulerAngles) or np.ndim(g) == 0 else list(g)
@@ -100,11 +100,12 @@ def rotate(space, g, v: np.ndarray) -> np.ndarray:
     if circle:
         return (np.exp(1j * np.multiply.outer(space.labels, gs)) * out).reshape(v.shape)
     phi, theta, psi = np.array([(e.phi, e.theta, e.psi) for e in gs]).reshape(-1, 3).T
-    out = np.exp(1j * np.multiply.outer(space.m_of, psi)) * out
+    out = np.exp(1j * np.multiply.outer(space.m_of, psi - np.pi / 2)) * out
     for sl, vals, vecs in space.l2_eigh:
-        out[sl] = vecs @ (np.exp(1j * np.multiply.outer(vals, theta))
-                          * (vecs.conj().T @ out[sl]))
-    out *= np.exp(1j * np.multiply.outer(space.m_of, phi))
+        x = (vecs.T @ out[sl].view(float)).view(complex)
+        x *= np.exp(1j * np.multiply.outer(vals, theta))
+        out[sl] = (vecs @ x.view(float)).view(complex)
+    out *= np.exp(1j * np.multiply.outer(space.m_of, phi + np.pi / 2))
     return out.reshape(v.shape)
 
 

@@ -62,7 +62,7 @@ class TridiagSpec:
         return np.abs(self.offdiag) ** 2
 
     def dense(self) -> np.ndarray:
-        return _sturm.tridiagonals(self.offdiag[None])[0]
+        return _sturm.tridiagonals(self.offdiag)
 
     def gershgorin_radius(self) -> float:
         return 2.0 * float(np.abs(self.offdiag).max(initial=0.0))

@@ -19,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._sturm import tridiagonals
 from .circle import min_sharpness, sharpness
 from .linop import ShiftTerms, readonly
 from .report import Report
@@ -123,9 +124,9 @@ class FuzzySphere(ShiftTerms):
         terms when reached; sector -m has the same blocks, so is not
         listed."""
         x2 = np.real(self.terms[self.term_keys.index(("x_squared", 0, 0))])
-        for m, block in self.x3_blocks().items():
+        for m, b in self.x3_blocks().items():
             idx = np.flatnonzero(self.m_of == m)
-            yield idx, np.ones(idx.size), np.diag(x2[idx]), np.real(block.dense())
+            yield idx, np.ones(idx.size), np.diag(x2[idx]), tridiagonals(b.offdiag.real)
 
     def x3_blocks(self) -> dict:
         """{m: TridiagSpec of x_3 on psi_l^m, l = m..lam}, m = 0..lam, cut
@@ -134,16 +135,18 @@ class FuzzySphere(ShiftTerms):
 
     @cached_property
     def l2_eigh(self) -> tuple:
-        """(slice, eigenvalues, eigenvectors) of the L_2 block of each level
-        l = 0..lam (rows psi_l^-l .. psi_l^l), L_2 = (L_+ - L_+^dag)/2i from
-        the level's L_+ weights; computed on first use, so all the
-        rotations of a space share one eigendecomposition."""
+        """(slice, eigenvalues nu, real eigenvectors V') of each level l =
+        0..lam (rows psi_l^-l .. psi_l^l), shared by the space's rotations.
+        L_+ raises m by one, so L_2 = D (-L_1) D^dag, D = diag(i^m): nu, V'
+        are the real eigh of -L_1, NaN (no eigh) unless L_+ is finite real."""
         lp = self.terms[self.term_keys.index(("L_plus", 0, 1))]
         out = []
         for l in range(self.lam + 1):
-            sl = slice(l * l, (l + 1) ** 2)
-            up = np.diag(lp[sl][:-1], -1)           # psi_l^m to psi_l^{m+1}
-            vals, vecs = np.linalg.eigh((up - up.conj().T) / 2.0j)
+            n, sl = 2 * l + 1, slice(l * l, (l + 1) ** 2)
+            up = lp[sl][:-1]                    # psi_l^m to psi_l^{m+1}
+            real = np.all(np.isfinite(up)) and not np.any(up.imag)
+            vals, vecs = (np.linalg.eigh(tridiagonals(-0.5 * up.real)) if real
+                          else (np.full(n, np.nan), np.full((n, n), np.nan)))
             vals.setflags(write=False)
             vecs.setflags(write=False)
             out.append((sl, vals, vecs))

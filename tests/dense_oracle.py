@@ -4,7 +4,9 @@ The circle and the sphere keep their operators only as shift terms.
 `dense` scatters any of them into a dim x dim matrix, and the checks
 below are the relation, su(2) and so(4) suites formed as dense products
 of those matrices, so the tests can compare the two record by record.
-`rotation_operator` is pi(g) as a dense matrix, `classical_rotation` and
+`rotation_operator` is pi(g) as a dense matrix, from `l2_levels`, the
+complex eigh of each level block of the dense L_2, so it shares no basis
+with the package's real one; `classical_rotation` and
 `classical_rotation_2d` the matrices by which <x> transforms under it,
 `expm_hermitian_generator` the exponential of a dense generator, and
 `identity_sum_sphere` a strong family's whole quadrature sum, and
@@ -89,12 +91,21 @@ def expm_hermitian_generator(h: np.ndarray, t: float) -> np.ndarray:
     return (vecs * phases) @ vecs.conj().T
 
 
+def l2_levels(s) -> list:
+    """(slice, eigenvalues, eigenvectors) of each level block of the dense
+    L_2, by numpy's complex eigh: of the space's own L_2 basis only the
+    level slices are read."""
+    l2 = dense(s, "L2")
+    return [(sl, *np.linalg.eigh(l2[sl, sl])) for sl, _, _ in s.l2_eigh]
+
+
 def rotation_operator(s, g) -> np.ndarray:
     """pi(g) = exp(i phi L_3) exp(i theta L_2) exp(i psi L_3) as a dense
-    matrix: the level blocks of the space's l2_eigh exponentiated, with the
-    phases e^{i phi m} on the rows and e^{i psi m} on the columns."""
+    matrix: the level blocks of the dense L_2 exponentiated (l2_levels),
+    with the phases e^{i phi m} on the rows and e^{i psi m} on the
+    columns."""
     u = np.zeros((s.dim, s.dim), dtype=complex)
-    for sl, vals, vecs in s.l2_eigh:
+    for sl, vals, vecs in l2_levels(s):
         u[sl, sl] = (vecs * np.exp(1j * g.theta * vals)) @ vecs.conj().T
     u *= np.exp(1j * g.phi * s.m_of)[:, None]
     u *= np.exp(1j * g.psi * s.m_of)
@@ -121,7 +132,7 @@ def classical_rotation_2d(alpha: float) -> np.ndarray:
 
 def by_levels(eigs, g: np.ndarray, inverse: bool = False) -> np.ndarray:
     """V^dag g V, or V g V^dag if inverse, with V the block-diagonal
-    eigenvectors of L_2 in eigs (a space's l2_eigh), applied per level."""
+    eigenvectors of L_2 in eigs (l2_levels), applied per level."""
     out = np.array(g, dtype=complex)
     for sl, _, vecs in eigs:
         a = vecs if inverse else vecs.conj().T
@@ -142,10 +153,11 @@ def identity_sum_sphere(s, family: str, omega=None, beta=None) -> np.ndarray:
     """The quadrature sum of one strong family's weighted projectors as one
     dense matrix, norm * W * (V (K_polar * (V^dag G_0 V)) V^dag), with W and
     K_polar the dense weaves of m, summed over the actual angles 2 pi t / n,
-    and of the unrounded L_2 eigenvalues nu: G_0 is diagonal 2l+1 at
-    psi_l^l (spin), v v^dag for the phi seed v (phi), or the psi sum W *
-    omega omega^dag (omega).  The azimuthal size n and the polar rule are
-    read from the package at call time: tests patch them."""
+    and of the unrounded L_2 eigenvalues nu, V and nu from l2_levels: G_0
+    is diagonal 2l+1 at psi_l^l (spin), v v^dag for the phi seed v (phi),
+    or the psi sum W * omega omega^dag (omega).  The azimuthal size n and
+    the polar rule are read from the package at call time: tests patch
+    them."""
     lam = s.lam
     n_az = coherent._azimuthal_size(lam)
     az = weave(s.m_of, coherent.TWO_PI * np.arange(n_az) / n_az)
@@ -159,7 +171,7 @@ def identity_sum_sphere(s, family: str, omega=None, beta=None) -> np.ndarray:
         v = coherent._phi_seed(s, np.zeros(lam + 1) if beta is None else beta)
         gram = np.outer(v, v.conj())
         norm = (lam + 1) ** 2 * (coherent.TWO_PI / n_az) / (4.0 * np.pi)
-    eigs = s.l2_eigh
+    eigs = l2_levels(s)
     thetas, w_th = coherent._polar_nodes(lam)
     nu = np.concatenate([vals for _, vals, _ in eigs])
     polar = weave(nu, thetas, w_th) * by_levels(eigs, gram)

@@ -60,8 +60,9 @@ class MadoreSphere:
 
     @cached_property
     def l2_eigh(self) -> tuple:
-        """The sphere's l2_eigh for a single level: one block."""
-        vals, vecs = np.linalg.eigh(self.L2)
+        """The sphere's l2_eigh for a single level: one block, the real
+        eigh of -L_1, whose eigenvectors V' give L_2's as diag(i^m) V'."""
+        vals, vecs = np.linalg.eigh(-np.real(self.L1))
         vals.setflags(write=False)
         vecs.setflags(write=False)
         return ((slice(0, self.dim), vals, vecs),)

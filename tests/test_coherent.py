@@ -496,10 +496,9 @@ def test_sector_terms_match_dense_oracle_entrywise(lam, rule, monkeypatch):
 
 @pytest.mark.parametrize("where", ["eigenvalue", "eigenvector"])
 def test_nan_in_the_l2_eigensystem_fails_every_family(where):
-    # a NaN L_+ weight can stop numpy's eigh (LinAlgError) before any sum,
-    # so the NaN is put where a sum reads it: one L_2 eigenvalue (the polar
-    # weave) or one eigenvector entry of one level; the sector form must
-    # carry it into the residual, which is NaN, and fail the record
+    # a NaN put where a sum reads it: one L_2 eigenvalue (the polar weave)
+    # or one eigenvector entry of one level; the sector form must carry it
+    # into the residual, which is NaN, and fail the record
     s = build_sphere(5)
     eigs = [list(e) for e in s.l2_eigh]
     vals, vecs = eigs[3][1].copy(), eigs[3][2].copy()
@@ -517,6 +516,33 @@ def test_nan_in_the_l2_eigensystem_fails_every_family(where):
         assert verify_identity_resolution_sphere(s, family, **kw).passed
         rec = verify_identity_resolution_sphere(bad, family, **kw).checks[0]
         assert np.isnan(rec.residual) and not rec.passed, family
+
+
+def test_l_plus_weight_not_a_finite_real_fails_records_and_rotation():
+    # each of the 12 L_+ weights that the level blocks of lam 3 read set to
+    # NaN in turn, and one given an imaginary part of 1e-3: that level gets
+    # NaN eigenpairs, with no eigh to raise, so every family records a NaN
+    # residual and fails, and rotate is NaN on that level and on no other
+    s = build_sphere(3)
+    row = s.term_keys.index(("L_plus", 0, 1))
+    interior = [s.index(l, m) for l in range(1, 4) for m in range(-l, l)]
+    assert len(interior) == 12
+    cases = [(i, np.nan) for i in interior]
+    cases.append((s.index(2, 0), s.terms[row, s.index(2, 0)] + 1e-3j))
+    rng = np.random.default_rng(84)
+    args = {"spin": {}, "omega": {"omega": random_omega_weights(s, rng)},
+            "phi": {"beta": rng.uniform(0, 2 * np.pi, s.lam + 1)}}
+    g = EulerAngles(0.4, 1.2, 2.2)
+    for i, weight in cases:
+        terms = s.terms.copy()
+        terms[row, i] = weight
+        bad = dataclasses.replace(s, terms=terms)
+        for family, kw in args.items():
+            rec = verify_identity_resolution_sphere(bad, family, **kw).checks[0]
+            assert np.isnan(rec.residual) and not rec.passed, (i, family)
+        level = s.l_of == s.l_of[i]
+        out = rotate(bad, g, np.eye(s.dim))
+        assert np.isnan(out[level]).all() and np.isfinite(out[~level]).all(), i
 
 
 def test_omega_seed_shape_and_nan_weight_rejected():

@@ -278,17 +278,22 @@ def test_rotate_matches_dense_rotation_operator(k):
 
 @pytest.mark.parametrize("k", [None, np.inf])
 def test_l2_eigh_matches_dense_l2_blocks(k):
-    # each level's block is formed from the L_+ weights; it is bitwise the
-    # block of the dense L_2, and so is its eigendecomposition
+    # each level's real basis V', read-only and orthonormal, gives the
+    # block of the dense L_2 as D V' diag(nu) V'^T D^dag, D = diag(i^m),
+    # and nu lies at the integers -l..l
     for lam in range(13):
         s = build_sphere(lam, k)
         l2 = dense(s, "L2")
         assert len(s.l2_eigh) == lam + 1
         for l, (sl, vals, vecs) in enumerate(s.l2_eigh):
             assert sl == slice(l * l, (l + 1) ** 2)
-            want_vals, want_vecs = np.linalg.eigh(l2[sl, sl])
-            assert np.array_equal(vals, want_vals)
-            assert np.array_equal(vecs, want_vecs)
+            assert vecs.dtype == float and vals.dtype == float
+            assert not vecs.flags.writeable and not vals.flags.writeable
+            assert np.abs(vecs.T @ vecs - np.eye(2 * l + 1)).max() <= 1e-14
+            d = np.array([1, 1j, -1, -1j])[s.m_of[sl] % 4]
+            got = (d[:, None] * vecs * vals) @ (vecs.T * d.conj())
+            assert np.abs(got - l2[sl, sl]).max() <= 1e-13
+            assert np.abs(vals - np.arange(-l, l + 1)).max() <= 1e-12
 
 
 def test_rotations_share_one_eigendecomposition(monkeypatch):
