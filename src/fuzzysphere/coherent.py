@@ -5,22 +5,17 @@ every integrand built from the truncated representation is a trigonometric
 polynomial of bounded degree, the uniform azimuthal rule and Gauss-Legendre
 rules with 4*lam+4 nodes in cos(theta) integrate them exactly, so the
 identity checks are rounding-level assertions rather than convergence
-studies.  Each sum over nodes is one weave: for D_t = diag(e^{i t nu}),
-sum_t w_t D_t G D_t^dag = K * G (entrywise), K[i, j] = sum_t w_t
-e^{i t (nu_i - nu_j)}.  The azimuthal labels (n, m) are integers and the
-azimuthal rule is the n uniform angles 2 pi t / n, so each azimuthal K is
-read from kappa(D) = sum_t e^{2 pi i t D / n}, which is n where n divides
-D and 0 elsewhere: kappa is integer arithmetic, with no angle and no
-exponential, and the sums on the sphere are block-diagonal in m exactly.
-The polar K is formed densely from the exact float L_2 eigenvalues nu,
-never rounded, so a wrong L_2 spectrum shows.  Both weaves come from the
-rules' own sizes and nodes, so a rule too coarse shows too.  The
-Gauss-Legendre rule comes from the Legendre Jacobi matrix (Golub-Welsch).
-
-On the sphere a sum S is 0 wherever kappa(m_i - m_j) is, so only the
-entries at the offsets that kappa keeps are formed (m_i = m_j alone for
-the package's rule), on the real L_2 basis of FuzzySphere.l2_eigh, and no
-dim x dim array is made (_identity_residual_sphere, _sector_terms).
+studies.  The azimuthal labels (n, m) are integers and the azimuthal rule
+is the n uniform angles 2 pi t / n, so every azimuthal sum is read from
+kappa(D) = sum_t e^{2 pi i t D / n}, which is n where n divides D and 0
+elsewhere: kappa is integer arithmetic, with no angle and no exponential,
+and the sums on the sphere are block-diagonal in m exactly.  The polar sum
+on the sphere is a real Gram of Wigner d columns, formed from every
+eigenpair of FuzzySphere.l2_eigh, with the exact float eigenvalues, so a
+wrong L_2 spectrum shows; the families differ only in their seed table,
+and each pair {m, mu} is formed once (_identity_blocks).  Both sums come
+from the rules' own sizes and nodes (Gauss-Legendre by Golub-Welsch), so a
+rule too coarse shows too.
 
 The weak families are orbits of the dispersion minimizer.  Its minimum is
 min over beta of beta^2 + E_0(beta), with E_0 the ground energy of
@@ -58,7 +53,6 @@ held only while it is used.  Rotations are lierep.rotate.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,7 +199,7 @@ def _phi_seed(s, beta) -> np.ndarray:
     (n, lam+1) beta, one seed per row as the columns of a block."""
     beta = np.asarray(beta, dtype=float)
     if beta.shape[-1:] != (s.lam + 1,):
-        raise ValueError(f"beta must have {s.lam + 1} entries, got {beta.size}")
+        raise ValueError(f"beta must have {s.lam + 1} entries, got shape {beta.shape}")
     v = np.zeros((s.dim,) + beta.shape[:-1], dtype=complex)
     l = np.arange(s.lam + 1)
     v[s.m_of == 0] = (np.exp(1j * beta) * np.sqrt(2 * l + 1) / (s.lam + 1)).T
@@ -258,170 +252,173 @@ _SPHERE_RESOLUTION_TAGS = {"spin": "ResolIdS^2_L",
                            "omega": "ResolIdS^2_Lomegagen",
                            "phi": "ResolIdS^2_Lphi"}
 
-# entries of the rows x dim chunk of the omega sum's polar stage that is
-# formed at a time (whole levels, at least one).  At lam <= 10 the whole sum
-# is one chunk; from lam 30 up nearly every level is a chunk of its own, and
-# large lam runs as fast with one level per chunk
-_CHUNK_ENTRIES = 1 << 14
-
-
-def _level_chunks(lam: int):
-    """Slices of the rows of whole levels, each run of levels as long as its
-    rows x dim chunk holds at most _CHUNK_ENTRIES entries (a level that
-    alone holds more is a run of its own)."""
-    dim, start = (lam + 1) ** 2, 0
-    for l in range(lam + 1):
-        if l == lam or ((l + 2) ** 2 - start * start) * dim > _CHUNK_ENTRIES:
-            yield slice(start * start, (l + 1) ** 2)
-            start = l + 1
+# Re(i^k e^{ix}) is _QUARTER[k] cos x for even k and _QUARTER[k] sin x for odd
+_QUARTER = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def _family_seed(s, family: str, omega, beta):
-    """(seed, norm) of one strong family: the seed vector (for spin, the
-    diagonal of G_0) and the weight of every quadrature point; an omega
-    seed must have shape (dim,) and obey the per-level weight condition."""
+    """(q, norm, psi): the seed table q[mu + lam, l] of one strong family
+    (spin sqrt(2l+1) at mu = l, phi the phi seed at mu = 0, omega omega_lmu),
+    the weight of each quadrature point, and psi[e + 2 lam], the weight of
+    seed offset e: kappa(e) for omega's psi sum, 1 at e = 0 alone for spin
+    and phi.  An omega must have shape (dim,) and the per-level weights, a
+    phi beta shape (lam + 1,)."""
     lam = s.lam
     n = _azimuthal_size(lam)
+    levels = np.arange(lam + 1)
+    at_0 = (np.arange(-2 * lam, 2 * lam + 1) == 0).astype(int)
     if family == "spin":
-        seed = np.where(s.l_of == s.m_of, np.sqrt(2.0 * s.l_of + 1.0), 0.0)
-        return seed, TWO_PI / n / (4.0 * np.pi)
+        q = np.zeros((2 * lam + 1, lam + 1))
+        q[levels + lam, levels] = np.sqrt(2.0 * levels + 1.0)
+        return q, TWO_PI / n / (4.0 * np.pi), at_0
+    q = np.zeros((2 * lam + 1, lam + 1), dtype=complex)
     if family == "omega":
         if omega is None:
             raise ValueError("the omega family needs a seed vector")
         seed = np.asarray(omega, dtype=complex)
         if seed.shape != (s.dim,):
             raise ValueError(f"omega must have shape ({s.dim},), got {seed.shape}")
-        target = (2 * np.arange(lam + 1) + 1) / (lam + 1) ** 2
+        target = (2 * levels + 1) / (lam + 1) ** 2
         defect = np.abs(np.bincount(s.l_of, np.abs(seed) ** 2) - target)
         # written so that a NaN defect fails it too
         if not np.all(defect <= 1e-12):
             bad = {l: float(d) for l, d in enumerate(defect) if not d <= 1e-12}
             raise ValueError(f"weight condition violated, per-l defect: {bad}")
-        return seed, (lam + 1) ** 2 * (TWO_PI / n) ** 2 / (8.0 * np.pi ** 2)
+        q[s.m_of + lam, s.l_of] = seed
+        return q, (lam + 1) ** 2 * (TWO_PI / n) ** 2 / (8.0 * np.pi ** 2), _kappa(n, lam)
     if family == "phi":
-        seed = _phi_seed(s, np.zeros(lam + 1) if beta is None else beta)
-        return seed, (lam + 1) ** 2 * (TWO_PI / n) / (4.0 * np.pi)
+        beta = np.zeros(lam + 1) if beta is None else np.asarray(beta, dtype=float)
+        if beta.shape != (lam + 1,):
+            raise ValueError(f"beta must have {lam + 1} entries: shape ({lam + 1},), "
+                             f"got shape {beta.shape}")
+        q[lam] = _phi_seed(s, beta)[s.m_of == 0]
+        return q, (lam + 1) ** 2 * (TWO_PI / n) / (4.0 * np.pi), at_0
     raise ValueError(f"unknown family {family!r}")
 
 
-def _sector_terms(s, family: str, omega=None, beta=None):
-    """The entries of S - I (see _identity_residual_sphere) at every offset
-    d = m_i - m_j where kappa(d) != 0, an array at a time: every other
-    entry of S is 0.  There S = norm * kappa(d) * Y, Y = V (K_polar * (V^dag
-    G_0 V)) V^dag, K_polar[i, j] = (polar w_th polar^dag)[i, j] and
-    polar[i, t] = e^{i theta_t nu_i}.  The order and layout, which the
-    tests read entry by entry: spin, for each d, the entries (i, i - d) of
-    one level, i ascending; phi, for each d, the (sector m, level l, level
-    l') blocks of the rows m with |m - d| <= lam; omega, for each level l
-    of rows and each d, the (m, level l') entries of the rows m of level l
-    with |m - d| <= lam.  Phi's and omega's blocks are 0 where l < |m| or
-    l' < |m - d|."""
-    seed, norm = _family_seed(s, family, omega, beta)
+@functools.lru_cache(maxsize=1)
+def _pairs(lam: int):
+    """Every pair {m, mu} once, as the indices (a, b) = (m + lam, mu + lam)
+    with |m| = max(|m|, |mu|) and m > 0 where mu = -m, by the group |m|, m -
+    mu even first, m and mu; its group; and max(|m|, |mu|) for every two
+    indices.  Read-only, kept for the three families of the last lam."""
+    n = 2 * lam + 1
+    a, b = np.divmod(np.arange(n * n), n)
+    top = np.maximum(np.abs(a - lam), np.abs(b - lam))
+    once = (np.abs(a - lam) == top) & ((np.abs(b - lam) < top) | (a >= b))
+    order = np.lexsort((b[once], a[once], (a - b)[once] % 2, top[once]))
+    out = a[once][order], b[once][order], top[once][order], top.reshape(n, n)
+    for x in out:
+        x.setflags(write=False)
+    return out
+
+
+def _d_columns(ab, even: int, lo: int, hi: int, eigs, trig) -> np.ndarray:
+    """cols[p, l - lo, t] = sqrt(w_t) d^l_{m mu}(theta_t) / _QUARTER[(m - mu)
+    % 4] for the label pairs (m, mu) = ab[:, p], l = lo..hi-1, with d^l_{m
+    mu} = sum_nu V'[m, nu] V'[mu, nu] Re(i^(m - mu) e^(i theta nu)) over
+    every eigenpair of level l: a real product with trig[l]'s cos table for
+    the first `even` pairs, m - mu even, and one with its sin table."""
+    cols = np.empty((hi - lo, ab.shape[1], trig[lo][0].shape[1]))
+    for l in range(lo, hi):
+        rows = np.multiply(*eigs[l][2].take(ab + l, axis=0))
+        np.matmul(rows[:even], trig[l][0], out=cols[l - lo, :even])
+        np.matmul(rows[even:], trig[l][1], out=cols[l - lo, even:])
+    return cols.transpose(1, 0, 2)
+
+
+def _identity_blocks(s, family: str, omega=None, beta=None) -> np.ndarray:
+    """S - I for S the quadrature sum of one strong family's projectors, by
+    blocks: [m + lam, j, l, l'] is the entry of psi_l^m and psi_l'^(m - d)
+    for the j-th offset d that kappa keeps (0 where l < |m| or l' < |m -
+    d|); S is 0 elsewhere.  pi(g) has the real entries d^l_{m mu}(theta), so
+    S_{m, m'}[l, l'] = norm kappa(m - m') sum_{mu, mu'} psi(mu - mu') q[mu,
+    l] conj(q[mu', l']) sum_t w_t d^l_{m mu} d^l'_{m' mu'} (_family_seed).
+    The columns are formed a group of pairs {m, mu}, max(|m|, |mu|) = A, at
+    a time, on the levels A.. a seed reaches, each pair once for both
+    orientations, d^l_{mu m} = (-1)^(m - mu) d^l_{m mu}.  The package's
+    rule keeps m - m' = mu - mu' = 0 alone: a column meets only itself, its
+    real Gram G_{m mu} = G_{mu m} goes to S_m with seed column mu and to
+    S_mu with seed column m, and the group is dropped.  A coarser rule
+    keeps other offsets, where kappa and psi are n or 0 by residues; then
+    the columns live to the end of the call, as sums Y_m = sum_mu q[mu]
+    d_{m mu} over each class of coupled (m, mu), and S_{m, m'} gains norm
+    kappa(0) psi(0) Y_m Y_m'^dag."""
+    q, norm, psi = _family_seed(s, family, omega, beta)
     lam, eigs = s.lam, s.l2_eigh
     kappa = _kappa(_azimuthal_size(lam), lam)
-    # V = D V', D = diag(i^m): Y at offset d is i^d times Y of V' and the
-    # seed turned by D^dag, so kept offset d weighs norm * kappa(d) * i^d
-    quarter = (1, 1j, -1, -1j)
-    seed = seed * np.array(quarter)[-s.m_of % 4]
-    kept = [(d, norm * float(kappa[d + 2 * lam]) * quarter[d % 4])
-            for d in (int(j) - 2 * lam for j in np.flatnonzero(kappa))]
     thetas, w_th = _polar_nodes(lam)
-    if family == "omega":
-        # V'^T G_0 V' = P W P^dag, P[(l, nu), m] = V'_l[m, nu] omega_lm
-        # and W[m, m'] = kappa(m - m'), formed a chunk of whole levels of
-        # rows at a time; V'^T acts on the right into padded columns, and
-        # each row level's V' on the left only at the kept offsets
-        p = np.zeros((s.dim, 2 * lam + 1), dtype=complex)
-        for l, (sl, _, vecs) in enumerate(eigs):
-            p[sl, lam - l:lam + l + 1] = (vecs * seed[sl, None]).T
-        ms = np.arange(-lam, lam + 1)
-        pw = p @ kappa[ms[:, None] - ms + 2 * lam]
-        p_h = np.conjugate(p, out=p).T
-        # polar^dag alone is held; a chunk's rows of polar are its conjugate
-        nu = np.concatenate([vals for _, vals, _ in eigs])
-        polar_h = np.exp(-1j * (thetas[:, None] * nu))
-        for r in _level_chunks(lam):
-            x = (polar_h[:, r].T.conj() * w_th) @ polar_h
-            x *= pw[r] @ p_h
-            t = np.zeros((r.stop - r.start, 2 * lam + 1, lam + 1), dtype=complex)
-            for l, (sl, _, vecs) in enumerate(eigs):
-                t[:, lam - l:lam + l + 1, l] = x[:, sl] @ vecs.T
-            for l in range(math.isqrt(r.start), math.isqrt(r.stop)):
-                sl, _, vecs = eigs[l]
-                t_l = t[sl.start - r.start:sl.stop - r.start]
-                for d, c in kept:
-                    if abs(d) > lam + l:
-                        continue
-                    # rows m = lo..hi-1 of level l, columns m - d
-                    lo, hi = max(-l, d - lam), min(l, d + lam) + 1
-                    y = c * (
-                        vecs[lo + l:hi + l, None, :]
-                        @ t_l[:, lo - d + lam:hi - d + lam].transpose(1, 0, 2))[:, 0]
-                    if d == 0:
-                        y[:, l] -= 1.0
-                    yield y
-        return
-    # the spin and phi seeds u have a fixed m on each level, so their psi
-    # sum is a phase and Y = Z w Z^dag with Z = V' (polar * V'^T u), one
-    # level of rows at a time
-    z = ((vecs @ (np.exp(1j * (vals[:, None] * thetas))
-                  * (vecs.T @ seed[sl])[:, None]).view(float)).view(complex)
-         for sl, vals, vecs in eigs)
-    if family == "spin":
-        # the seed Gram is level-diagonal, so Y is too: row i = (l, m) meets
-        # column i - d = (l, m - d) where |m - d| <= l
-        z = np.concatenate(list(z))
-        zw = z * w_th
-        for d, c in kept:
-            lo, hi = max(d, 0), s.dim + min(d, 0)
-            y = np.einsum("it,it->i", zw[lo:hi], z[lo - d:hi - d].conj())
-            y = c * y[np.abs(s.m_of[lo:hi] - d) <= s.l_of[lo:hi]]
-            if d == 0:
-                y -= 1.0
-            yield y
-        return
-    # phi: conj(Z) laid out by (sector, level, polar node), so each offset
-    # is one batched product of the sectors' blocks
-    zc = np.zeros((2 * lam + 1, lam + 1, w_th.size), dtype=complex)
-    for l, z_l in enumerate(z):
-        zc[lam - l:lam + l + 1, l] = z_l.conj()
-    zw = zc.conj()
-    zw *= w_th
-    pad = np.arange(lam + 1) >= np.abs(np.arange(-lam, lam + 1))[:, None]
-    diag = np.arange(lam + 1)
-    for d, c in kept:
-        # rows in sectors m = lo..hi-1 (less lam), columns in m - d
-        lo, hi = max(d, 0), 2 * lam + 1 + min(d, 0)
-        y = c * (zw[lo:hi] @ zc[lo - d:hi - d].transpose(0, 2, 1))
-        if d == 0:
-            y[:, diag, diag] -= pad
-        yield y
+    weight = norm * kappa[2 * lam] * psi[2 * lam]
+    slot = np.cumsum(kappa != 0) - 1        # the block of offset m - m'
+    total = np.zeros((2 * lam + 1, slot[-1] + 1, lam + 1, lam + 1), dtype=q.dtype)
+    # the pairs that reach a seed: column (m, mu), at indices (m + lam,
+    # mu + lam), meets none above last[mu]
+    a, b, big, top = _pairs(lam)
+    last = ((q != 0) * np.arange(1, lam + 2)).max(axis=1) - 1
+    live = last >= top
+    a, b, big = (x[live[a, b] | live[b, a]] for x in (a, b, big))
+    # orientations (target, seed, pair, sign): (a, b) to S_a, seed column b,
+    # (b, a) to S_b, seed a; by group, then targets A, -A, b of A, b of -A
+    one, two = live[a, b], live[b, a] & (a != b)
+    tm, tmu = np.concatenate([a[one], b[two]]), np.concatenate([b[one], a[two]])
+    tp = np.concatenate([np.flatnonzero(one), np.flatnonzero(two)])
+    sign = _QUARTER[(a - b) % 4][tp] * np.concatenate(
+        [np.ones(np.count_nonzero(one)), 1.0 - 2.0 * ((a - b)[two] % 2)])
+    tk = 4 * big[tp] + np.concatenate([a[one] < lam, 2 + (a[two] < lam)])
+    order = np.argsort(tk, kind="stable")
+    tm, tmu, tp, sign, tk = (x[order] for x in (tm, tmu, tp, sign, tk))
+    start = np.flatnonzero(np.concatenate([[True], big[1:] != big[:-1]]))
+    groups = zip(start.tolist(), np.append(start[1:], a.size).tolist(), big[start].tolist(),
+                 (1 + np.maximum.reduceat(np.maximum(last[a], last[b]), start)).tolist(),
+                 np.add.reduceat(1 - (a - b) % 2, start).tolist(),
+                 np.searchsorted(tk, np.add.outer(4 * big[start], np.arange(5))).tolist())
+    keep, shared = np.count_nonzero(kappa) > 1 or np.count_nonzero(psi) > 1, {}
+    if keep:
+        # (m, mu)'s class: the first m', mu' coupled; its levels; a Y_m per m
+        diff = np.arange(2 * lam + 1)[:, None] - np.arange(-2 * lam, 1)
+        key = list(zip(np.argmax(kappa[diff] != 0, axis=1)[tm].tolist(),
+                       np.argmax(psi[diff] != 0, axis=1)[tmu].tolist()))
+        for k, m, lo, hi in zip(key, tm.tolist(), top[tm, tmu].tolist(),
+                                (last[tmu] + 1).tolist()):
+            lo_k, hi_k, rows = shared.get(k, (lo, hi, {}))
+            shared[k] = min(lo_k, lo), max(hi_k, hi), rows
+            rows.setdefault(m, len(rows))
+        shared = {k: (lo, rows, np.zeros((len(rows), hi - lo, thetas.size), q.dtype))
+                  for k, (lo, hi, rows) in shared.items()}
+    x = np.multiply.outer(np.concatenate([vals for _, vals, _ in eigs]), thetas)
+    c, x = (np.multiply(t, np.sqrt(w_th), out=t) for t in (np.cos(x), np.sin(x, out=x)))
+    trig = [(c[l * l:(l + 1) ** 2], x[l * l:(l + 1) ** 2]) for l in range(lam + 1)]
+    ab, wq, qc = np.array([a, b]) - lam, weight * q, q.conj()
+    for p0, p1, lo, hi, even, (c0, c1, c2, c3, c4) in groups:
+        cols = _d_columns(ab[:, p0:p1], even, lo, hi, eigs, trig)
+        if keep:
+            for t in range(c0, c4):
+                lo_k, rows, y = shared[key[t]]
+                y[rows[tm[t]], lo - lo_k:hi - lo_k] += (
+                    sign[t] * q[tmu[t], lo:hi, None] * cols[tp[t] - p0])
+            continue
+        part = (cols @ cols.transpose(0, 2, 1))[tp[c0:c4] - p0]
+        part = part * wq[tmu[c0:c4], lo:hi, None]
+        part *= qc[tmu[c0:c4], None, lo:hi]
+        sub = total[:, slot[2 * lam], lo:hi, lo:hi]
+        for r0, r1 in ((c0, c1), (c1, c2)):         # one target each
+            if r1 > r0:
+                sub[tm[r0]] += part[r0 - c0:r1 - c0].sum(axis=0)
+        for r0, r1 in ((c2, c3), (c3, c4)):         # targets that differ
+            if r1 > r0:
+                sub[tm[r0:r1]] += part[r0 - c0:r1 - c0]
+    for lo, rows, y in shared.values():
+        sec, hi = np.array(list(rows)), lo + y.shape[1]
+        total[sec[:, None], slot[sec[:, None] - sec + 2 * lam], lo:hi, lo:hi] += (
+            weight * y[:, None] @ y.conj().transpose(0, 2, 1))
+    total[s.m_of + lam, slot[2 * lam], s.l_of, s.l_of] -= 1.0
+    return total
 
 
 def _identity_residual_sphere(s, family: str, omega=None, beta=None) -> float:
-    """||S - I||_F for S the quadrature sum of one strong family's weighted
-    projectors; it is 0 exactly when the nodes integrate the family exactly.
-
-    With pi(g) = e^{i phi L_3} V e^{i theta nu} V^dag e^{i psi L_3} (V, nu
-    the per-level eigenvectors and eigenvalues of L_2), the sum is
-
-        S = norm * W * (V (K_polar * (V^dag G_0 V)) V^dag),
-
-    W[i, j] = kappa(m_i - m_j) the weave of the azimuthal rule (one rule
-    for psi and phi, whose size sets norm) and K_polar the Gauss-Legendre
-    weave of nu.  Only the seed Gram matrix G_0 differs: diagonal 2l+1 at
-    psi_l^l (spin), v v^dag for the phi seed v (phi), and the psi sum
-    W * omega omega^dag (omega).  S is 0 wherever kappa(m_i - m_j) is, so
-    only the entries at the other offsets are formed (for the package's
-    rule, m_i = m_j alone): spin's within each level, phi's as blocks of
-    sectors, and omega's a chunk of whole levels of rows at a time.
-    Every formed entry of S - I is summed, so the residual is the exact
-    Frobenius norm, and no dim x dim array is made.
-    """
-    total = 0.0
-    for t in _sector_terms(s, family, omega, beta):
-        total += np.vdot(t, t).real
-    return float(np.sqrt(total))
+    """||S - I||_F over every block that _identity_blocks forms."""
+    blocks = _identity_blocks(s, family, omega, beta)
+    return float(np.sqrt(np.vdot(blocks, blocks).real))
 
 
 def verify_identity_resolution_sphere(s, family: str, omega=None, beta=None,
@@ -433,8 +430,10 @@ def verify_identity_resolution_sphere(s, family: str, omega=None, beta=None,
     exact factor 2pi already absorbed in the weight).
     family "omega": (lam+1)^2/(8pi^2) over SO(3) with a seed omega obeying
     the per-level weight condition.
-    family "phi": (lam+1)^2/(4pi) over S^2 with the m=0 seed phi^beta.
-    The record's residual is ||S - I||_F, S the quadrature sum.
+    family "phi": (lam+1)^2/(4pi) over S^2 with the m=0 seed phi^beta, beta
+    of shape (lam+1,), zeros if None.
+    Each is a seed table summed through one Gram of Wigner d columns
+    (_identity_blocks); the record's residual is ||S - I||_F, S the sum.
     """
     resid = _identity_residual_sphere(s, family, omega, beta)
     rep = Report()

@@ -221,6 +221,18 @@ def test_phi_beta_length_checked(size):
         verify_identity_resolution_sphere(s, "phi", beta=np.zeros(size))
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+def test_identity_check_takes_one_phi_beta(rows):
+    # the identity sum has one phi seed, so a 2-d beta, which the states
+    # read as one seed per row, is a usage error that names the shape
+    s = build_sphere(3)
+    with pytest.raises(ValueError, match=rf"shape \(4,\), got shape \({rows}, 4\)"):
+        verify_identity_resolution_sphere(s, "phi", beta=np.zeros((rows, 4)))
+    # a block of betas of the wrong length is named by its shape
+    with pytest.raises(ValueError, match=rf"got shape \({rows}, 5\)"):
+        strong_scs_sphere_phi(s, np.zeros((rows, 5)), EulerAngles(0, 0, 0))
+
+
 def test_spin_cs_saturates_sphere_ur():
     # pi(g) psi_l^l has (Delta L)^2 = l and <x3> driven by the weight c_{l}
     s = build_sphere(4)
@@ -394,29 +406,6 @@ def test_identity_sum_matches_brute_force(lam, coarse, monkeypatch):
                 (family, k)
 
 
-@pytest.mark.parametrize("coarse", [False, True])
-@pytest.mark.parametrize("chunk", [1, 1 << 30])
-def test_identity_residual_independent_of_chunks(chunk, coarse, monkeypatch):
-    # one level per chunk, or the whole sum as one chunk, against the dense
-    # oracle at a truncation that the default size cuts into several chunks;
-    # with the two-node rule S - I is O(1) in every block, so a chunk that
-    # is dropped or misplaced shows.  Only the omega sum is chunked
-    if coarse:
-        monkeypatch.setattr(coherent, "_polar_nodes", _two_node_rule)
-    s = build_sphere(16)
-    assert len(list(coherent._level_chunks(s.lam))) > 1
-    monkeypatch.setattr(coherent, "_CHUNK_ENTRIES", chunk)
-    rows = [(r.start, r.stop) for r in coherent._level_chunks(s.lam)]
-    assert rows[0][0] == 0 and rows[-1][1] == s.dim
-    assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
-    assert len(rows) == (s.lam + 1 if chunk == 1 else 1)
-    omega = random_omega_weights(s, np.random.default_rng(5))
-    want = np.linalg.norm(identity_sum_sphere(s, "omega", omega=omega) - np.eye(s.dim))
-    got = coherent._identity_residual_sphere(s, "omega", omega=omega)
-    assert abs(got - want) <= 1e-12 * max(1.0, want)
-    assert (want > 1.0) == coarse
-
-
 def test_identity_checks_stay_below_one_dense_array():
     # at lam 30 one dense dim x dim complex array is 14.8 MB; each check
     # forms its sum block by block, so none peaks at that
@@ -435,70 +424,59 @@ def test_identity_checks_stay_below_one_dense_array():
         assert peak < dense_bytes, (family, peak)
 
 
-def _oracle_sector_terms(s, family, total):
-    """The entries of total - I at the offsets d = m_i - m_j that the
-    azimuthal rule keeps, in the order and layout of
-    coherent._sector_terms, read from the dense sum by their labels."""
+def _oracle_blocks(s, total):
+    """total - I laid out as coherent._identity_blocks: [m + lam, j, l, l']
+    the entry of psi_l^m and psi_l'^(m - d) for the j-th offset d that the
+    azimuthal rule keeps, read from the dense sum by its labels, and 0
+    where a label is out of range."""
     lam = s.lam
     n_az = coherent._azimuthal_size(lam)
     offsets = [d for d in range(-2 * lam, 2 * lam + 1) if d % n_az == 0]
     t = total - np.eye(s.dim)
-    at = {(int(l), int(m)): i for i, (l, m) in enumerate(zip(s.l_of, s.m_of))}
-    if family == "spin":
-        for d in offsets:
-            yield np.array([t[i, at[l, m - d]] for (l, m), i in at.items()
-                            if abs(m - d) <= l])
-    elif family == "phi":
-        for d in offsets:
-            ms = [m for m in range(-lam, lam + 1) if abs(m - d) <= lam]
-            y = np.zeros((len(ms), lam + 1, lam + 1), dtype=complex)
-            for a, m in enumerate(ms):
-                for l in range(abs(m), lam + 1):
-                    for k in range(abs(m - d), lam + 1):
-                        y[a, l, k] = t[at[l, m], at[k, m - d]]
-            yield y
-    else:
-        for l in range(lam + 1):
-            for d in offsets:
-                ms = [m for m in range(-l, l + 1) if abs(m - d) <= lam]
-                if ms:
-                    y = np.zeros((len(ms), lam + 1), dtype=complex)
-                    for a, m in enumerate(ms):
-                        for k in range(abs(m - d), lam + 1):
-                            y[a, k] = t[at[l, m], at[k, m - d]]
-                    yield y
+    out = np.zeros((2 * lam + 1, len(offsets), lam + 1, lam + 1), dtype=complex)
+    for i, (l, m) in enumerate(zip(s.l_of, s.m_of)):
+        for j, d in enumerate(offsets):
+            cols = s.m_of == m - d
+            out[m + lam, j, l, s.l_of[cols]] = t[i, cols]
+    return out
 
 
-@pytest.mark.parametrize("rule", ["exact", "two-node polar", "three-point azimuthal"])
+def _two_lambda_rule(lam):
+    return 2 * lam
+
+
+@pytest.mark.parametrize("rule", ["exact", "two-node polar", "three-point azimuthal",
+                                  "two-lambda azimuthal"])
 @pytest.mark.parametrize("lam", [1, 2, 5, 9, 16])
 def test_sector_terms_match_dense_oracle_entrywise(lam, rule, monkeypatch):
-    # every entry the sector form keeps, against the dense oracle's entry
-    # at the same labels: the exact rule keeps the m-sectors alone, the
-    # 3-point rule its off-sector offsets too, and the two-node rule makes
-    # S - I O(1) in every block, so a dropped, misplaced or misordered
-    # block or chunk shows
+    # every block of S - I that the sum forms, against the dense oracle's
+    # entries at the same labels: the exact rule keeps the m-sectors alone,
+    # the 3-point rule its off-sector offsets and seed offsets too, and the
+    # 2 lam-point rule the offsets +-2 lam, which couple m = lam and m =
+    # -lam only; the two-node rule makes S - I O(1) in every block, so a
+    # pair (m, mu) that is dropped, or added to S_m or S_mu alone, shows
     if rule == "two-node polar":
         monkeypatch.setattr(coherent, "_polar_nodes", _two_node_rule)
     elif rule == "three-point azimuthal":
         monkeypatch.setattr(coherent, "_azimuthal_size", _three_point_rule)
+    elif rule == "two-lambda azimuthal":
+        monkeypatch.setattr(coherent, "_azimuthal_size", _two_lambda_rule)
     s = build_sphere(lam)
     rng = np.random.default_rng(40 + lam)
     args = {"spin": {}, "omega": {"omega": random_omega_weights(s, rng)},
             "phi": {"beta": rng.uniform(0, 2 * np.pi, lam + 1)}}
     for family, kw in args.items():
-        got = list(coherent._sector_terms(s, family, **kw))
-        want = list(_oracle_sector_terms(s, family,
-                                         identity_sum_sphere(s, family, **kw)))
-        assert [g.shape for g in got] == [w.shape for w in want], family
-        for g, w in zip(got, want):
-            assert np.abs(g - w).max(initial=0.0) <= 1e-12, (family, rule)
+        got = coherent._identity_blocks(s, family, **kw)
+        want = _oracle_blocks(s, identity_sum_sphere(s, family, **kw))
+        assert got.shape == want.shape, family
+        assert np.abs(got - want).max() <= 1e-12, (family, rule)
 
 
 @pytest.mark.parametrize("where", ["eigenvalue", "eigenvector"])
 def test_nan_in_the_l2_eigensystem_fails_every_family(where):
-    # a NaN put where a sum reads it: one L_2 eigenvalue (the polar weave)
-    # or one eigenvector entry of one level; the sector form must carry it
-    # into the residual, which is NaN, and fail the record
+    # a NaN put where a sum reads it: one L_2 eigenvalue (nu = -1) or one
+    # eigenvector entry (of nu = -2) of one level; the d columns read every
+    # eigenpair, so it reaches the residual, which is NaN, and fails the record
     s = build_sphere(5)
     eigs = [list(e) for e in s.l2_eigh]
     vals, vecs = eigs[3][1].copy(), eigs[3][2].copy()
@@ -586,11 +564,33 @@ def test_sphere_resolution_needs_enough_azimuthal_points(monkeypatch):
                 assert abs(rep.checks[0].residual - want) <= 1e-12 * want
 
 
+def test_omega_and_phi_need_more_than_two_lambda_points(monkeypatch):
+    # 2 lam uniform angles alias the label differences +-2 lam alone, which
+    # couple m = lam and m = -lam; omega's seed and phi's states reach both
+    # at every lam, so both records fail, with the residual of the
+    # point-by-point sum.  ResolIdS^2_L passes this rule from lam 16
+    # (2.4e-9): the spin states weigh the top level's m = -lam entry about
+    # as 4^-lam, a known gap (ROADMAP direction 7)
+    monkeypatch.setattr(coherent, "_azimuthal_size", _two_lambda_rule)
+    for lam in (8, 16, 24):
+        s = build_sphere(lam)
+        rng = np.random.default_rng(lam)
+        args = {"omega": {"omega": random_omega_weights(s, rng)},
+                "phi": {"beta": rng.uniform(0, 2 * np.pi, lam + 1)}}
+        for family, kw in args.items():
+            rep = verify_identity_resolution_sphere(s, family, **kw)
+            assert not rep.passed and rep.checks[0].residual > 1e-2, (lam, family)
+            if lam == 8:
+                want = np.linalg.norm(_brute_identity_sum(s, family, **kw)
+                                      - np.eye(s.dim))
+                assert abs(rep.checks[0].residual - want) <= 1e-12 * want
+
+
 @pytest.mark.parametrize("lam", [3, 8, 16])
 def test_polar_weave_catches_a_wrong_l2_spectrum(lam):
     # L_+ scaled by 1.001 scales the L_2 eigenvalues off the integers; the
-    # polar weave is formed from those exact eigenvalues, so every family
-    # fails (a weave read from a table of rounded eigenvalues would pass)
+    # d columns are formed from those exact eigenvalues, so every family
+    # fails (a table read from rounded eigenvalues would pass)
     s = build_sphere(lam)
     terms = s.terms.copy()
     terms[s.term_keys.index(("L_plus", 0, 1))] *= 1.001
