@@ -95,16 +95,14 @@ def _scs_records_circle(c, tol, rng):
 def _scs_records_sphere(s, tol, rng):
     lam = s.lam
     rep = Report()
-    tol_res = max(tol, 1e-8)
-    rep.extend(verify_identity_resolution_sphere(s, "spin", tol=tol_res))
+    # the draws keep their order: omega's seed, then phi's beta, both before
+    # the one call that sums the three families in one pass; spins and phi
+    # states are rotated as two blocks and measured in one pass, the random
+    # states in their own, which reads only their angular moments
+    omega = random_omega_weights(s, rng)
+    beta = rng.uniform(0.0, TWO_PI, lam + 1)
     rep.extend(verify_identity_resolution_sphere(
-        s, "omega", omega=random_omega_weights(s, rng), tol=tol_res))
-    rep.extend(verify_identity_resolution_sphere(
-        s, "phi", beta=rng.uniform(0.0, TWO_PI, lam + 1), tol=tol_res))
-
-    # the draws keep their order; spins and phi states are rotated as two
-    # blocks and measured in one pass, the random states in their own,
-    # which reads only their angular moments
+        s, ("spin", "omega", "phi"), omega=omega, beta=beta, tol=max(tol, 1e-8)))
     levels = np.arange(lam + 1)
     spins = spin_cs(s, levels, [_random_euler(rng) for _ in levels])
     L_mean, l2_mean = s.angular_moments(random_states(rng, s.dim, 100))

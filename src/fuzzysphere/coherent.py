@@ -13,9 +13,9 @@ and the sums on the sphere are block-diagonal in m exactly.  The polar sum
 on the sphere is a real Gram of Wigner d columns, formed from every
 eigenpair of FuzzySphere.l2_eigh, with the exact float eigenvalues, so a
 wrong L_2 spectrum shows; the families differ only in their seed table,
-and each pair {m, mu} is formed once (_identity_blocks).  Both sums come
-from the rules' own sizes and nodes (Gauss-Legendre by Golub-Welsch), so a
-rule too coarse shows too.
+and each pair {m, mu} is formed once, for every family asked for in one
+pass (_identity_blocks).  Both sums come from the rules' own sizes and
+nodes (Gauss-Legendre by Golub-Welsch), so a rule too coarse shows too.
 
 The weak families are orbits of the dispersion minimizer.  Its minimum is
 min over beta of beta^2 + E_0(beta), with E_0 the ground energy of
@@ -240,7 +240,7 @@ def _gauss_legendre(n: int):
 @functools.cache
 def _polar_nodes(lam: int):
     """Gauss-Legendre nodes/weights in cos(theta), mapped to theta; computed
-    once per lam and shared, read-only, by the three sphere families."""
+    once per lam and shared, read-only."""
     nodes, weights = _gauss_legendre(4 * lam + 4)
     thetas = np.arccos(nodes)
     thetas.setflags(write=False)
@@ -286,31 +286,25 @@ def _family_seed(s, family: str, omega, beta):
             raise ValueError(f"weight condition violated, per-l defect: {bad}")
         q[s.m_of + lam, s.l_of] = seed
         return q, (lam + 1) ** 2 * (TWO_PI / n) ** 2 / (8.0 * np.pi ** 2), _kappa(n, lam)
-    if family == "phi":
-        beta = np.zeros(lam + 1) if beta is None else np.asarray(beta, dtype=float)
-        if beta.shape != (lam + 1,):
-            raise ValueError(f"beta must have {lam + 1} entries: shape ({lam + 1},), "
-                             f"got shape {beta.shape}")
-        q[lam] = _phi_seed(s, beta)[s.m_of == 0]
-        return q, (lam + 1) ** 2 * (TWO_PI / n) / (4.0 * np.pi), at_0
-    raise ValueError(f"unknown family {family!r}")
+    beta = np.zeros(lam + 1) if beta is None else np.asarray(beta, dtype=float)
+    if beta.shape != (lam + 1,):
+        raise ValueError(f"beta must have {lam + 1} entries: shape ({lam + 1},), "
+                         f"got shape {beta.shape}")
+    q[lam] = _phi_seed(s, beta)[s.m_of == 0]
+    return q, (lam + 1) ** 2 * (TWO_PI / n) / (4.0 * np.pi), at_0
 
 
-@functools.lru_cache(maxsize=1)
 def _pairs(lam: int):
     """Every pair {m, mu} once, as the indices (a, b) = (m + lam, mu + lam)
     with |m| = max(|m|, |mu|) and m > 0 where mu = -m, by the group |m|, m -
     mu even first, m and mu; its group; and max(|m|, |mu|) for every two
-    indices.  Read-only, kept for the three families of the last lam."""
+    indices."""
     n = 2 * lam + 1
     a, b = np.divmod(np.arange(n * n), n)
     top = np.maximum(np.abs(a - lam), np.abs(b - lam))
     once = (np.abs(a - lam) == top) & ((np.abs(b - lam) < top) | (a >= b))
     order = np.lexsort((b[once], a[once], (a - b)[once] % 2, top[once]))
-    out = a[once][order], b[once][order], top[once][order], top.reshape(n, n)
-    for x in out:
-        x.setflags(write=False)
-    return out
+    return a[once][order], b[once][order], top[once][order], top.reshape(n, n)
 
 
 def _d_columns(ab, even: int, lo: int, hi: int, eigs, trig) -> np.ndarray:
@@ -327,101 +321,110 @@ def _d_columns(ab, even: int, lo: int, hi: int, eigs, trig) -> np.ndarray:
     return cols.transpose(1, 0, 2)
 
 
-def _identity_blocks(s, family: str, omega=None, beta=None) -> np.ndarray:
-    """S - I for S the quadrature sum of one strong family's projectors, by
-    blocks: [m + lam, j, l, l'] is the entry of psi_l^m and psi_l'^(m - d)
-    for the j-th offset d that kappa keeps (0 where l < |m| or l' < |m -
-    d|); S is 0 elsewhere.  pi(g) has the real entries d^l_{m mu}(theta), so
-    S_{m, m'}[l, l'] = norm kappa(m - m') sum_{mu, mu'} psi(mu - mu') q[mu,
-    l] conj(q[mu', l']) sum_t w_t d^l_{m mu} d^l'_{m' mu'} (_family_seed).
-    The columns are formed a group of pairs {m, mu}, max(|m|, |mu|) = A, at
-    a time, on the levels A.. a seed reaches, each pair once for both
-    orientations, d^l_{mu m} = (-1)^(m - mu) d^l_{m mu}.  The package's
-    rule keeps m - m' = mu - mu' = 0 alone: a column meets only itself, its
-    real Gram G_{m mu} = G_{mu m} goes to S_m with seed column mu and to
-    S_mu with seed column m, and the group is dropped.  A coarser rule
-    keeps other offsets, where kappa and psi are n or 0 by residues; then
-    the columns live to the end of the call, as sums Y_m = sum_mu q[mu]
-    d_{m mu} over each class of coupled (m, mu), and S_{m, m'} gains norm
-    kappa(0) psi(0) Y_m Y_m'^dag."""
-    q, norm, psi = _family_seed(s, family, omega, beta)
-    lam, eigs = s.lam, s.l2_eigh
+def _identity_blocks(s, families, omega=None, beta=None) -> np.ndarray:
+    """S - I for S the quadrature sum of the projectors of each named
+    strong family, by blocks: [f, m + lam, j, l, l'] is family f's entry of
+    psi_l^m and psi_l'^(m - d) for the j-th offset d that kappa keeps (0
+    where l < |m| or l' < |m - d|); S is 0 elsewhere.  pi(g) has the real
+    entries d^l_{m mu}(theta), so S_{m, m'}[l, l'] = norm kappa(m - m')
+    sum_{mu, mu'} psi(mu - mu') q[mu, l] conj(q[mu', l']) sum_t w_t d^l_{m
+    mu} d^l'_{m' mu'} (_family_seed).  The columns are formed a group of
+    pairs {m, mu}, max(|m|, |mu|) = A, at a time, on the levels A.. a seed
+    reaches, each pair once for every family and for both orientations,
+    d^l_{mu m} = (-1)^(m - mu) d^l_{m mu}.  An orientation (f, m, mu) is
+    family f's sum into S_m with seed column mu, taken only where f's seed
+    reaches it, so no family pays for the pairs only another one needs.
+    The package's rule keeps m - m' = mu - mu' = 0 alone: a column meets
+    only itself, its real Gram G_{m mu} = G_{mu m} goes to S_m with seed
+    column mu and to S_mu with seed column m (the runs into S_A and S_-A
+    reduced per family, the other targets added by index), and the group
+    is dropped.  A coarser rule keeps other offsets, where kappa and
+    psi are n or 0 by residues; then the columns live to the end of the
+    call, as sums Y_m = sum_mu q[mu] d_{m mu} over each family's classes
+    of coupled (m, mu), and S_{m, m'} gains norm kappa(0) psi(0) Y_m
+    Y_m'^dag."""
+    seeds = [_family_seed(s, f, omega, beta) for f in families]
+    q, psi = np.stack([x for x, _, _ in seeds]), np.stack([x for _, _, x in seeds])
+    lam, eigs, n, nf = s.lam, s.l2_eigh, 2 * s.lam + 1, len(seeds)
     kappa = _kappa(_azimuthal_size(lam), lam)
     thetas, w_th = _polar_nodes(lam)
-    weight = norm * kappa[2 * lam] * psi[2 * lam]
+    weight = np.array([x for _, x, _ in seeds]) * kappa[2 * lam] * psi[:, 2 * lam]
     slot = np.cumsum(kappa != 0) - 1        # the block of offset m - m'
-    total = np.zeros((2 * lam + 1, slot[-1] + 1, lam + 1, lam + 1), dtype=q.dtype)
-    # the pairs that reach a seed: column (m, mu), at indices (m + lam,
-    # mu + lam), meets none above last[mu]
+    total = np.zeros((nf, n, slot[-1] + 1, lam + 1, lam + 1), dtype=q.dtype)
+    # the pairs that reach a seed: family f's column (m, mu), at indices
+    # (m + lam, mu + lam), meets none above last[f, mu + lam]
     a, b, big, top = _pairs(lam)
-    last = ((q != 0) * np.arange(1, lam + 2)).max(axis=1) - 1
-    live = last >= top
-    a, b, big = (x[live[a, b] | live[b, a]] for x in (a, b, big))
-    # orientations (target, seed, pair, sign): (a, b) to S_a, seed column b,
-    # (b, a) to S_b, seed a; by group, then targets A, -A, b of A, b of -A
-    one, two = live[a, b], live[b, a] & (a != b)
-    tm, tmu = np.concatenate([a[one], b[two]]), np.concatenate([b[one], a[two]])
-    tp = np.concatenate([np.flatnonzero(one), np.flatnonzero(two)])
-    sign = _QUARTER[(a - b) % 4][tp] * np.concatenate(
-        [np.ones(np.count_nonzero(one)), 1.0 - 2.0 * ((a - b)[two] % 2)])
-    tk = 4 * big[tp] + np.concatenate([a[one] < lam, 2 + (a[two] < lam)])
+    last = ((q != 0) * np.arange(1, lam + 2)).max(axis=2) - 1
+    live = last[:, None, :] >= top
+    a, b, big = (x[(live[:, a, b] | live[:, b, a]).any(axis=0)] for x in (a, b, big))
+    # orientations (family, target, seed, pair): (f, a, b) to S_a with seed
+    # column b, (f, b, a) to S_b with seed a; by group, then targets A, -A,
+    # b of A, b of -A, then family
+    f1, p1 = np.nonzero(live[:, a, b])
+    f2, p2 = np.nonzero(live[:, b, a] & (a != b))
+    tf, tp = np.concatenate([f1, f2]), np.concatenate([p1, p2])
+    tm, tmu = np.concatenate([a[p1], b[p2]]), np.concatenate([b[p1], a[p2]])
+    tk = (4 * big[tp] + np.concatenate([a[p1] < lam, 2 + (a[p2] < lam)])) * nf + tf
     order = np.argsort(tk, kind="stable")
-    tm, tmu, tp, sign, tk = (x[order] for x in (tm, tmu, tp, sign, tk))
+    tf, tm, tmu, tp, tk = (x[order] for x in (tf, tm, tmu, tp, tk))
+    # the groups: pairs p0:p1, orientations c0:c4 by target class, and the
+    # starts cut[r0:r1] of the runs of one family and target A or -A
     start = np.flatnonzero(np.concatenate([[True], big[1:] != big[:-1]]))
+    tp -= start[np.searchsorted(start, tp, side="right") - 1]
+    cut = np.flatnonzero(np.concatenate([[True], tk[1:] != tk[:-1]]))
+    bounds = np.searchsorted(tk, np.add.outer(4 * big[start], np.arange(5)) * nf)
+    lmax = last.max(axis=0)
     groups = zip(start.tolist(), np.append(start[1:], a.size).tolist(), big[start].tolist(),
-                 (1 + np.maximum.reduceat(np.maximum(last[a], last[b]), start)).tolist(),
-                 np.add.reduceat(1 - (a - b) % 2, start).tolist(),
-                 np.searchsorted(tk, np.add.outer(4 * big[start], np.arange(5))).tolist())
-    keep, shared = np.count_nonzero(kappa) > 1 or np.count_nonzero(psi) > 1, {}
+                 (1 + np.maximum.reduceat(np.maximum(lmax[a], lmax[b]), start)).tolist(),
+                 np.add.reduceat(1 - (a - b) % 2, start).tolist(), bounds.tolist(),
+                 np.searchsorted(cut, bounds[:, [0, 2]]).tolist())
+    keep, shared = np.count_nonzero(kappa) > 1, {}
     if keep:
-        # (m, mu)'s class: the first m', mu' coupled; its levels; a Y_m per m
-        diff = np.arange(2 * lam + 1)[:, None] - np.arange(-2 * lam, 1)
-        key = list(zip(np.argmax(kappa[diff] != 0, axis=1)[tm].tolist(),
-                       np.argmax(psi[diff] != 0, axis=1)[tmu].tolist()))
-        for k, m, lo, hi in zip(key, tm.tolist(), top[tm, tmu].tolist(),
-                                (last[tmu] + 1).tolist()):
-            lo_k, hi_k, rows = shared.get(k, (lo, hi, {}))
-            shared[k] = min(lo_k, lo), max(hi_k, hi), rows
+        # (f, m, mu)'s class: f, the first m', mu' coupled; its lowest
+        # level; a Y_m per m, on the levels from there to lam.  Either
+        # orientation of a pair reads d_{m mu} = _QUARTER[(m - mu) % 4] cols
+        sign = _QUARTER[(tm - tmu) % 4]
+        diff = np.arange(n)[:, None] - np.arange(-2 * lam, 1)
+        key = list(zip(tf.tolist(), np.argmax(kappa[diff] != 0, axis=1)[tm].tolist(),
+                       np.argmax(psi[:, diff] != 0, axis=2)[tf, tmu].tolist()))
+        for k, m, lo in zip(key, tm.tolist(), top[tm, tmu].tolist()):
+            lo_k, rows = shared.get(k, (lo, {}))
+            shared[k] = min(lo_k, lo), rows
             rows.setdefault(m, len(rows))
-        shared = {k: (lo, rows, np.zeros((len(rows), hi - lo, thetas.size), q.dtype))
-                  for k, (lo, hi, rows) in shared.items()}
+        shared = {k: (lo, rows, np.zeros((len(rows), lam + 1 - lo, thetas.size), q.dtype))
+                  for k, (lo, rows) in shared.items()}
     x = np.multiply.outer(np.concatenate([vals for _, vals, _ in eigs]), thetas)
     c, x = (np.multiply(t, np.sqrt(w_th), out=t) for t in (np.cos(x), np.sin(x, out=x)))
     trig = [(c[l * l:(l + 1) ** 2], x[l * l:(l + 1) ** 2]) for l in range(lam + 1)]
-    ab, wq, qc = np.array([a, b]) - lam, weight * q, q.conj()
-    for p0, p1, lo, hi, even, (c0, c1, c2, c3, c4) in groups:
+    ab, sub = np.array([a, b]) - lam, total.reshape(nf * n, *total.shape[2:])[:, slot[2 * lam]]
+    fmu, fm = tf * n + tmu, tf * n + tm
+    wq, qc = (weight[:, None, None] * q).reshape(nf * n, -1), q.conj().reshape(nf * n, -1)
+    for p0, p1, lo, hi, even, (c0, c1, c2, c3, c4), (r0, r1) in groups:
         cols = _d_columns(ab[:, p0:p1], even, lo, hi, eigs, trig)
         if keep:
             for t in range(c0, c4):
                 lo_k, rows, y = shared[key[t]]
                 y[rows[tm[t]], lo - lo_k:hi - lo_k] += (
-                    sign[t] * q[tmu[t], lo:hi, None] * cols[tp[t] - p0])
+                    sign[t] * q[tf[t], tmu[t], lo:hi, None] * cols[tp[t]])
             continue
-        part = (cols @ cols.transpose(0, 2, 1))[tp[c0:c4] - p0]
-        part = part * wq[tmu[c0:c4], lo:hi, None]
-        part *= qc[tmu[c0:c4], None, lo:hi]
-        sub = total[:, slot[2 * lam], lo:hi, lo:hi]
-        for r0, r1 in ((c0, c1), (c1, c2)):         # one target each
-            if r1 > r0:
-                sub[tm[r0]] += part[r0 - c0:r1 - c0].sum(axis=0)
-        for r0, r1 in ((c2, c3), (c3, c4)):         # targets that differ
-            if r1 > r0:
-                sub[tm[r0:r1]] += part[r0 - c0:r1 - c0]
-    for lo, rows, y in shared.values():
-        sec, hi = np.array(list(rows)), lo + y.shape[1]
-        total[sec[:, None], slot[sec[:, None] - sec + 2 * lam], lo:hi, lo:hi] += (
-            weight * y[:, None] @ y.conj().transpose(0, 2, 1))
-    total[s.m_of + lam, slot[2 * lam], s.l_of, s.l_of] -= 1.0
+        part = (cols @ cols.transpose(0, 2, 1))[tp[c0:c4]]
+        del cols                                    # freed before the products
+        part = part * wq[fmu[c0:c4], lo:hi, None]
+        part *= qc[fmu[c0:c4], None, lo:hi]
+        sub[fm[cut[r0:r1]], lo:hi, lo:hi] += np.add.reduceat(   # a target a run
+            part[:c2 - c0], cut[r0:r1] - c0)
+        for u, v in ((c2, c3), (c3, c4)):           # targets that differ
+            sub[fm[u:v], lo:hi, lo:hi] += part[u - c0:v - c0]
+        del part                                    # and before the next group
+    for (f, _, _), (lo, rows, y) in shared.items():
+        sec = np.array(list(rows))
+        total[f, sec[:, None], slot[sec[:, None] - sec + 2 * lam], lo:, lo:] += (
+            weight[f] * y[:, None] @ y.conj().transpose(0, 2, 1))
+    total[:, s.m_of + lam, slot[2 * lam], s.l_of, s.l_of] -= 1.0
     return total
 
 
-def _identity_residual_sphere(s, family: str, omega=None, beta=None) -> float:
-    """||S - I||_F over every block that _identity_blocks forms."""
-    blocks = _identity_blocks(s, family, omega, beta)
-    return float(np.sqrt(np.vdot(blocks, blocks).real))
-
-
-def verify_identity_resolution_sphere(s, family: str, omega=None, beta=None,
+def verify_identity_resolution_sphere(s, family, omega=None, beta=None,
                                       tol: float = 1e-8) -> Report:
     """Quadrature check of the three strong-family identity resolutions.
 
@@ -432,13 +435,24 @@ def verify_identity_resolution_sphere(s, family: str, omega=None, beta=None,
     the per-level weight condition.
     family "phi": (lam+1)^2/(4pi) over S^2 with the m=0 seed phi^beta, beta
     of shape (lam+1,), zeros if None.
-    Each is a seed table summed through one Gram of Wigner d columns
-    (_identity_blocks); the record's residual is ||S - I||_F, S the sum.
+    family is one name or a sequence of distinct names, checked before any
+    sum; each is a seed table, and all of them are summed through one pass
+    of a Gram of Wigner d columns (_identity_blocks).  The report holds one
+    record per name, in order, with residual ||S - I||_F, S that family's
+    sum.
     """
-    resid = _identity_residual_sphere(s, family, omega, beta)
-    rep = Report()
-    rep.add_residual(_SPHERE_RESOLUTION_TAGS[family], resid, tol, lam=s.lam)
-    return rep
+    names = (family,) if isinstance(family, str) else tuple(family)
+    if not names:
+        raise ValueError("no family given: name at least one of spin, omega, phi")
+    for i, f in enumerate(names):
+        if f not in _SPHERE_RESOLUTION_TAGS:
+            raise ValueError(f"unknown family {f!r}: expected spin, omega or phi")
+        if f in names[:i]:
+            raise ValueError(f"family {f!r} given twice")
+    blocks = _identity_blocks(s, names, omega, beta)
+    return Report().add_residuals(
+        [_SPHERE_RESOLUTION_TAGS[f] for f in names],
+        [float(np.sqrt(np.vdot(x, x).real)) for x in blocks], tol, lam=s.lam)
 
 
 # the most steps of the minimizer's fixed point; the circle (lam 1..200) and

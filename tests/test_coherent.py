@@ -401,20 +401,22 @@ def test_identity_sum_matches_brute_force(lam, coarse, monkeypatch):
         for family, kw in args.items():
             want = _brute_identity_sum(s, family, **kw)
             assert np.abs(identity_sum_sphere(s, family, **kw) - want).max() <= 1e-12
-            got = coherent._identity_residual_sphere(s, family, **kw)
+            got = verify_identity_resolution_sphere(s, family, **kw).checks[0].residual
             assert abs(got - np.linalg.norm(want - np.eye(s.dim))) <= 1e-12, \
                 (family, k)
 
 
 def test_identity_checks_stay_below_one_dense_array():
     # at lam 30 one dense dim x dim complex array is 14.8 MB; each check
-    # forms its sum block by block, so none peaks at that
+    # forms its sum block by block, so none peaks at that, nor does the one
+    # pass that sums the three families together
     s = build_sphere(30)
     rng = np.random.default_rng(6)
     args = {"spin": {}, "omega": {"omega": random_omega_weights(s, rng)},
             "phi": {"beta": rng.uniform(0, 2 * np.pi, s.lam + 1)}}
+    calls = [*args.items(), (tuple(args), {**args["omega"], **args["phi"]})]
     dense_bytes = s.dim ** 2 * np.dtype(complex).itemsize
-    for family, kw in args.items():
+    for family, kw in calls:
         tracemalloc.start()
         try:
             assert verify_identity_resolution_sphere(s, family, **kw).passed
@@ -454,7 +456,10 @@ def test_sector_terms_match_dense_oracle_entrywise(lam, rule, monkeypatch):
     # the 3-point rule its off-sector offsets and seed offsets too, and the
     # 2 lam-point rule the offsets +-2 lam, which couple m = lam and m =
     # -lam only; the two-node rule makes S - I O(1) in every block, so a
-    # pair (m, mu) that is dropped, or added to S_m or S_mu alone, shows
+    # pair (m, mu) that is dropped, or added to S_m or S_mu alone, shows.
+    # The one pass over the three families gives each family's blocks, so
+    # a family that loses an orientation, or gains one because another
+    # family made the pair live, shows too
     if rule == "two-node polar":
         monkeypatch.setattr(coherent, "_polar_nodes", _two_node_rule)
     elif rule == "three-point azimuthal":
@@ -465,11 +470,57 @@ def test_sector_terms_match_dense_oracle_entrywise(lam, rule, monkeypatch):
     rng = np.random.default_rng(40 + lam)
     args = {"spin": {}, "omega": {"omega": random_omega_weights(s, rng)},
             "phi": {"beta": rng.uniform(0, 2 * np.pi, lam + 1)}}
-    for family, kw in args.items():
-        got = coherent._identity_blocks(s, family, **kw)
+    every = coherent._identity_blocks(s, tuple(args), **args["omega"], **args["phi"])
+    assert every.shape[0] == len(args)
+    for family, kw, one_pass in zip(args, args.values(), every):
+        got = coherent._identity_blocks(s, (family,), **kw)
         want = _oracle_blocks(s, identity_sum_sphere(s, family, **kw))
-        assert got.shape == want.shape, family
-        assert np.abs(got - want).max() <= 1e-12, (family, rule)
+        assert got.shape == (1,) + want.shape, family
+        assert np.abs(got[0] - want).max() <= 1e-12, (family, rule)
+        assert np.abs(one_pass - want).max() <= 1e-12, (family, rule)
+        assert np.abs(one_pass - got[0]).max() <= 1e-13, (family, rule)
+
+
+def test_one_pass_forms_each_group_once(monkeypatch):
+    # under the package's rule the three families share omega's lam + 1
+    # groups of d columns, one _d_columns call each; spin alone forms only
+    # the groups its seeds reach, lam + 1 of them too
+    lam = 9
+    s = build_sphere(lam)
+    rng = np.random.default_rng(19)
+    kw = {"omega": random_omega_weights(s, rng), "beta": rng.uniform(0, 2 * np.pi, lam + 1)}
+    d_columns, counts = coherent._d_columns, []
+
+    def counted(*args):
+        counts[-1] += 1
+        return d_columns(*args)
+
+    monkeypatch.setattr(coherent, "_d_columns", counted)
+    for family in (("spin", "omega", "phi"), ("omega",), ("spin",)):
+        counts.append(0)
+        rep = verify_identity_resolution_sphere(s, family, **kw)
+        assert rep.passed and [c.tag for c in rep.checks] == [
+            coherent._SPHERE_RESOLUTION_TAGS[f] for f in family]
+    assert counts == [lam + 1] * 3
+
+
+@pytest.mark.parametrize("family, match", [
+    ((), "no family given"),
+    (("spin", "nope"), "unknown family 'nope'"),
+    (("phi", "spin", "phi"), "family 'phi' given twice")])
+def test_family_names_checked_before_any_sum(family, match, monkeypatch):
+    # a bad name list is a usage error, raised before the L_2 eigensystem
+    # or any sum is formed
+    s = build_sphere(3)
+    omega = random_omega_weights(s, np.random.default_rng(5))
+
+    def no_sum(*args, **kw):
+        raise AssertionError("summed before the names were checked")
+
+    monkeypatch.setattr(coherent, "_identity_blocks", no_sum)
+    monkeypatch.setattr(FuzzySphere, "l2_eigh", property(no_sum))
+    with pytest.raises(ValueError, match=match):
+        verify_identity_resolution_sphere(s, family, omega=omega)
 
 
 @pytest.mark.parametrize("where", ["eigenvalue", "eigenvector"])
@@ -494,6 +545,11 @@ def test_nan_in_the_l2_eigensystem_fails_every_family(where):
         assert verify_identity_resolution_sphere(s, family, **kw).passed
         rec = verify_identity_resolution_sphere(bad, family, **kw).checks[0]
         assert np.isnan(rec.residual) and not rec.passed, family
+    one_pass = verify_identity_resolution_sphere(bad, tuple(args), **args["omega"],
+                                                 **args["phi"])
+    assert len(one_pass.checks) == 3
+    for rec in one_pass.checks:
+        assert np.isnan(rec.residual) and not rec.passed, rec.tag
 
 
 def test_l_plus_weight_not_a_finite_real_fails_records_and_rotation():
@@ -518,6 +574,11 @@ def test_l_plus_weight_not_a_finite_real_fails_records_and_rotation():
         for family, kw in args.items():
             rec = verify_identity_resolution_sphere(bad, family, **kw).checks[0]
             assert np.isnan(rec.residual) and not rec.passed, (i, family)
+        one_pass = verify_identity_resolution_sphere(bad, tuple(args), **args["omega"],
+                                                     **args["phi"])
+        assert len(one_pass.checks) == 3
+        for rec in one_pass.checks:
+            assert np.isnan(rec.residual) and not rec.passed, (i, rec.tag)
         level = s.l_of == s.l_of[i]
         out = rotate(bad, g, np.eye(s.dim))
         assert np.isnan(out[level]).all() and np.isfinite(out[~level]).all(), i
@@ -602,6 +663,11 @@ def test_polar_weave_catches_a_wrong_l2_spectrum(lam):
         assert verify_identity_resolution_sphere(s, family, **kw).passed
         rep = verify_identity_resolution_sphere(bad, family, **kw)
         assert not rep.passed and rep.checks[0].residual > 1e-8, family
+    one_pass = verify_identity_resolution_sphere(bad, tuple(args), **args["omega"],
+                                                 **args["phi"])
+    assert len(one_pass.checks) == 3
+    for rec in one_pass.checks:
+        assert not rec.passed and rec.residual > 1e-8, rec.tag
 
 
 def test_omega_weight_condition_enforced():
